@@ -97,9 +97,10 @@ def _reference_datacenter_cls():
 class PhaseProbe:
     """Wraps the per-step pipeline stages of one run with timers.
 
-    Class-level patches (MigrationEngine, SlaAccountant, cost models)
-    are restored in :meth:`detach`; instance-level patches die with the
-    simulation object.
+    Module- and class-level patches (``observe_state``, the utilization
+    helper, MigrationEngine, SlaAccountant, cost models) are restored in
+    :meth:`detach`; instance-level patches die with the simulation
+    object.
     """
 
     def __init__(self, sim: Simulation) -> None:
@@ -119,7 +120,7 @@ class PhaseProbe:
         self._wrap(sim.datacenter, "num_active_hosts", "metrics")
         self._wrap(sim.datacenter, "sleep_idle_hosts", "metrics")
         self._wrap(sim.datacenter, "overloaded_pm_ids", "metrics")
-        self._wrap(sim, "_mean_active_host_utilization", "metrics")
+        self._wrap(sim_module, "_mean_active_host_utilization", "metrics")
 
     def _wrap(self, target: object, attr: str, phase: str) -> None:
         original: Callable = getattr(target, attr)

@@ -1,14 +1,16 @@
 """Simulation driver: replays a workload against a scheduler.
 
-Each observation interval (``tau`` seconds, 300 by default):
+Each observation interval (``tau`` seconds, 300 by default) the workload
+sets every VM's demanded utilization, then one :class:`StepPipeline` step
+runs — the same pipeline the service driver (:mod:`repro.service.loop`)
+runs:
 
-1. the workload sets every VM's demanded utilization;
-2. the monitor records histories (the VMM feed of Section 3.1);
-3. the scheduler is invoked (and timed) on an :class:`Observation`;
-4. its migrations start — the migration engine rejects infeasible ones;
-5. CPU is shared, migration overhead charged, in-flight transfers advance;
-6. SLA counters and the Eq. (6) step cost are updated;
-7. idle hosts go to sleep.
+1. the monitor records histories (the VMM feed of Section 3.1);
+2. the scheduler is invoked on an :class:`Observation`;
+3. its migrations start — the migration engine rejects infeasible ones;
+4. CPU is shared, migration overhead charged, in-flight transfers advance;
+5. SLA counters and the Eq. (6) step cost are updated;
+6. idle hosts go to sleep and the step's metrics are recorded.
 
 The loop mirrors CloudSim's power-aware example driver, which the paper's
 experiments are built on.
@@ -18,13 +20,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from repro.cloudsim.datacenter import Datacenter
+from repro.cloudsim.events import EventKind, EventLog
 from repro.cloudsim.metrics import MetricsCollector, StepMetrics
-from repro.cloudsim.migration import MigrationEngine
+from repro.cloudsim.migration import MigrationEngine, MigrationOutcome
 from repro.cloudsim.monitor import UtilizationMonitor
 from repro.cloudsim.sla import SlaAccountant
 from repro.config import SimulationConfig
@@ -33,6 +36,11 @@ from repro.errors import ConfigurationError, SchedulerError
 from repro.mdp.interfaces import Observation, Scheduler
 from repro.mdp.state import observe_state
 from repro.workloads.base import Workload
+
+#: The outcome of a step on which the scheduler is not consulted.
+_NO_MIGRATIONS = MigrationOutcome(
+    started=(), rejected=(), completed=(), downtime_seconds={}
+)
 
 
 @dataclass
@@ -184,146 +192,29 @@ class Simulation:
         ``validate_every_step`` runs the
         :mod:`repro.cloudsim.validation` invariant checks after every
         interval — slow, but catches scheduler/engine bugs at the step
-        that introduced them.  The default (``None``) follows the
-        runtime-contract toggle (:func:`repro.core.contracts
-        .contracts_enabled`): on in the test suite, off in benchmarks.
+        that introduced them.  ``None`` follows the runtime-contract
+        toggle: on in the test suite, off in benchmarks.
         """
-        if validate_every_step is None:
-            from repro.core.contracts import contracts_enabled
-
-            validate_every_step = contracts_enabled()
         steps = num_steps if num_steps is not None else self.config.num_steps
         if steps > self.workload.num_steps:
             raise ConfigurationError(
                 f"requested {steps} steps but the workload has only "
                 f"{self.workload.num_steps}"
             )
-        dc_config = self.config.datacenter
-        interval = self.config.interval_seconds
-        # Direct share_cpu(migrating_vm_ids) calls on the datacenter use
-        # its configured overhead, so keep it in sync with the run config
-        # (the engine passes its own overhead explicitly).
-        self.datacenter.migration_overhead_fraction = (
-            dc_config.migration_overhead_fraction
-        )
-        engine = MigrationEngine(
+        pipeline = StepPipeline(
             self.datacenter,
-            overhead_fraction=dc_config.migration_overhead_fraction,
-            alpha=dc_config.migration_cpu_threshold,
+            self.config,
+            self.monitor,
             topology=self.topology,
+            cost_model=cost_model,
+            event_log=event_log,
+            validate_every_step=validate_every_step,
+            clock=time.perf_counter,
         )
-        bandwidth_threshold = (
-            dc_config.bandwidth_overload_threshold
-            if dc_config.bandwidth_aware
-            else None
-        )
-        accountant = SlaAccountant(
-            beta=dc_config.overload_threshold,
-            window_seconds=self.config.costs.sla_billing_window_seconds,
-            interval_seconds=interval,
-            bandwidth_threshold=bandwidth_threshold,
-        )
-        if cost_model is None:
-            cost_model = OperationCostModel(self.config.costs)
-        collector = MetricsCollector()
-        last_cost = 0.0
-
         for step in range(steps):
             self._apply_workload(step)
-            self.monitor.observe(self.datacenter)
-            observation = Observation(
-                step=step,
-                state=observe_state(self.datacenter, step),
-                datacenter=self.datacenter,
-                monitor=self.monitor,
-                last_step_cost_usd=last_cost,
-                interval_seconds=interval,
-            )
-            started = time.perf_counter()
-            migrations = scheduler.decide(observation)
-            scheduler_seconds = time.perf_counter() - started
-            if migrations is None:
-                raise SchedulerError(
-                    f"{scheduler.name} returned None instead of a list"
-                )
-            outcome = engine.start(migrations)
-            self.datacenter.share_cpu()
-            advance = engine.advance(interval)
-            accountant.observe_step(
-                self.datacenter, interval, advance.downtime_seconds
-            )
-            step_cost = cost_model.step_cost(
-                self.datacenter, accountant, interval
-            )
-            active_hosts = self.datacenter.num_active_hosts()
-            slept = (
-                self.datacenter.sleep_idle_hosts()
-                if dc_config.sleep_idle_hosts
-                else []
-            )
-            overloaded_ids = self.datacenter.overloaded_pm_ids(
-                dc_config.overload_threshold, bandwidth_threshold
-            )
-            overloaded = len(overloaded_ids)
-            if event_log is not None:
-                self._emit_events(
-                    event_log, step, outcome, advance, overloaded_ids, slept
-                )
-            if validate_every_step:
-                from repro.cloudsim.validation import check_invariants
-
-                check_invariants(self.datacenter)
-            mean_util = self._mean_active_host_utilization()
-            collector.record(
-                StepMetrics(
-                    step=step,
-                    energy_cost_usd=step_cost.energy_usd,
-                    sla_cost_usd=step_cost.sla_usd,
-                    num_migrations_started=len(outcome.started),
-                    num_migrations_rejected=len(outcome.rejected),
-                    num_active_hosts=active_hosts,
-                    scheduler_seconds=scheduler_seconds,
-                    mean_host_utilization=mean_util,
-                    num_overloaded_hosts=overloaded,
-                )
-            )
-            last_cost = step_cost.total_usd
-
-        return SimulationResult(
-            scheduler_name=scheduler.name,
-            metrics=collector,
-            sla=accountant,
-            config=self.config,
-            num_pms=self.datacenter.num_pms,
-            num_vms=self.datacenter.num_vms,
-        )
-
-    @staticmethod
-    def _emit_events(
-        event_log, step, outcome, advance, overloaded_ids, slept
-    ) -> None:
-        from repro.cloudsim.events import EventKind
-
-        for migration in outcome.started:
-            event_log.emit(
-                step,
-                EventKind.MIGRATION_STARTED,
-                vm_id=migration.vm_id,
-                pm_id=migration.dest_pm_id,
-            )
-        for migration in outcome.rejected:
-            event_log.emit(
-                step,
-                EventKind.MIGRATION_REJECTED,
-                vm_id=migration.vm_id,
-                pm_id=migration.dest_pm_id,
-            )
-        for vm_id in advance.completed:
-            event_log.emit(step, EventKind.MIGRATION_COMPLETED, vm_id=vm_id)
-        for pm_id in overloaded_ids:
-            event_log.emit(step, EventKind.HOST_OVERLOADED, pm_id=pm_id)
-        for pm_id in slept:
-            event_log.emit(step, EventKind.HOST_SLEPT, pm_id=pm_id)
+            pipeline.step(step, scheduler)
+        return pipeline.result(scheduler.name)
 
     def _apply_workload(self, step: int) -> None:
         arrays = getattr(self.datacenter, "arrays", None)
@@ -363,15 +254,14 @@ class Simulation:
                             bandwidth_source(vm.vm_id, step)
                         )
         if self.dynamic_provisioning:
-            self._provision(step)
+            self._provision()
 
-    def _provision(self, step: int) -> None:
+    def _provision(self) -> None:
         """Deprovision idle VMs; first-fit newly active (or waiting) ones.
 
         The pending queue preserves arrival order (FIFO), with a
         companion set for O(1) membership tests.
         """
-        del step
         arrays = getattr(self.datacenter, "arrays", None)
         if arrays is not None:
             placed = arrays.host_of >= 0
@@ -392,51 +282,233 @@ class Simulation:
                     if vm.vm_id not in self._pending_set:
                         self.pending_vm_ids.append(vm.vm_id)
                         self._pending_set.add(vm.vm_id)
-        still_pending: list[int] = []
-        for vm_id in self.pending_vm_ids:
-            vm = self.datacenter.vm(vm_id)
-            if not vm.is_active:
-                continue  # the task ended while waiting
-            if not self._first_fit(vm_id):
-                still_pending.append(vm_id)
-        self.pending_vm_ids = still_pending
-        self._pending_set = set(still_pending)
+        # A VM whose task ended while it waited leaves the queue.
+        self.pending_vm_ids = [
+            vm_id
+            for vm_id in self.pending_vm_ids
+            if self.datacenter.vm(vm_id).is_active
+            and not first_fit_ram(self.datacenter, vm_id)
+        ]
+        self._pending_set = set(self.pending_vm_ids)
 
-    def _first_fit(self, vm_id: int) -> bool:
-        datacenter = self.datacenter
-        arrays = getattr(datacenter, "arrays", None)
-        if arrays is not None:
-            ram_free = arrays.pm_ram_free_mb()
-            candidates = np.flatnonzero(
-                datacenter.vm(vm_id).ram_mb <= ram_free
-            )
-            if candidates.size == 0:
-                return False
-            datacenter.place(vm_id, int(candidates[0]))
+
+def first_fit_ram(datacenter: Any, vm_id: int) -> bool:
+    """Place ``vm_id`` on the lowest-id host with room for its RAM;
+    return whether it was placed."""
+    arrays = getattr(datacenter, "arrays", None)
+    if arrays is not None:
+        # Cached derived vector: recomputed only when a placement
+        # since the last call dirtied the RAM aggregate.
+        ram_free = arrays.pm_ram_free_mb()
+        candidates = np.flatnonzero(datacenter.vm(vm_id).ram_mb <= ram_free)
+        if candidates.size == 0:
+            return False
+        datacenter.place(vm_id, int(candidates[0]))
+        return True
+    for pm in datacenter.pms:  # meghlint: ignore[MEGH009] -- compat path for object-model datacenters
+        if datacenter.fits(vm_id, pm.pm_id):
+            datacenter.place(vm_id, pm.pm_id)
             return True
-        for pm in datacenter.pms:  # meghlint: ignore[MEGH009] -- compat path for object-model datacenters
-            if datacenter.fits(vm_id, pm.pm_id):
-                datacenter.place(vm_id, pm.pm_id)
-                return True
-        return False
+    return False
 
-    def _mean_active_host_utilization(self) -> float:
-        arrays = getattr(self.datacenter, "arrays", None)
-        if arrays is not None:
-            active_ids = np.flatnonzero(arrays.active_pm_mask())
-            if active_ids.size == 0:
-                return 0.0
-            capped = np.minimum(
-                1.0, arrays.pm_demand_utilization()[active_ids]
-            )
-            # Left-to-right total (cumsum) in host-id order, matching
-            # the object path's accumulation bit for bit.
-            return float(np.cumsum(capped)[-1]) / active_ids.size
-        active = self.datacenter.active_pm_ids()
-        if not active:
+
+def _mean_active_host_utilization(datacenter: Any) -> float:
+    arrays = getattr(datacenter, "arrays", None)
+    if arrays is not None:
+        active_ids = np.flatnonzero(arrays.active_pm_mask())
+        if active_ids.size == 0:
             return 0.0
-        total = sum(
-            min(1.0, self.datacenter.demanded_utilization(pm_id))
-            for pm_id in active
+        capped = np.minimum(1.0, arrays.pm_demand_utilization()[active_ids])
+        # Left-to-right total (cumsum) in host-id order, matching the
+        # object path's accumulation bit for bit.
+        return float(np.cumsum(capped)[-1]) / active_ids.size
+    active = datacenter.active_pm_ids()
+    if not active:
+        return 0.0
+    total = sum(
+        min(1.0, datacenter.demanded_utilization(pm_id)) for pm_id in active
+    )
+    return total / len(active)
+
+
+def _emit_events(
+    event_log: EventLog,
+    step: int,
+    outcome: MigrationOutcome,
+    advance: MigrationOutcome,
+    overloaded_ids: Any,
+    slept: Any,
+) -> None:
+    for kind, migrations in (
+        (EventKind.MIGRATION_STARTED, outcome.started),
+        (EventKind.MIGRATION_REJECTED, outcome.rejected),
+    ):
+        for migration in migrations:
+            event_log.emit(
+                step, kind, vm_id=migration.vm_id, pm_id=migration.dest_pm_id
+            )
+    for vm_id in advance.completed:
+        event_log.emit(step, EventKind.MIGRATION_COMPLETED, vm_id=vm_id)
+    for pm_id in overloaded_ids:
+        event_log.emit(step, EventKind.HOST_OVERLOADED, pm_id=pm_id)
+    for pm_id in slept:
+        event_log.emit(step, EventKind.HOST_SLEPT, pm_id=pm_id)
+
+
+def _no_clock() -> float:
+    return 0.0
+
+
+class StepPipeline:
+    """The per-interval mechanics shared by the batch and service drivers.
+
+    A driver writes the interval's demand, then calls :meth:`step`; the
+    pipeline runs the rest, from the utilization scan to the step's
+    metrics.  It owns the run's migration engine, SLA accountant, cost
+    model, metrics collector and monitor, and the cost accrued since the
+    last decision (the next observation's ``last_step_cost_usd``; with a
+    decision every step, exactly the previous step's cost).
+
+    ``validate_every_step=None`` follows the runtime-contract toggle
+    (:func:`repro.core.contracts.contracts_enabled`).  ``clock`` times
+    each ``decide`` into ``scheduler_seconds``, the only wall-clock field
+    of a result; the default records 0.0, so results stay byte-comparable.
+    """
+
+    def __init__(
+        self,
+        datacenter: Any,
+        config: SimulationConfig,
+        monitor: UtilizationMonitor,
+        topology: Any = None,
+        cost_model: Optional[OperationCostModel] = None,
+        event_log: Optional[EventLog] = None,
+        validate_every_step: Optional[bool] = None,
+        clock: Callable[[], float] = _no_clock,
+    ) -> None:
+        if validate_every_step is None:
+            from repro.core.contracts import contracts_enabled
+
+            validate_every_step = contracts_enabled()
+        dc_config = config.datacenter
+        # Direct share_cpu(migrating_vm_ids) calls on the datacenter use
+        # its configured overhead, so keep it in sync with the run config
+        # (the engine passes its own overhead explicitly).
+        datacenter.migration_overhead_fraction = (
+            dc_config.migration_overhead_fraction
         )
-        return total / len(active)
+        self.datacenter = datacenter
+        self.config = config
+        self.bandwidth_threshold = (
+            dc_config.bandwidth_overload_threshold
+            if dc_config.bandwidth_aware
+            else None
+        )
+        self.engine = MigrationEngine(
+            datacenter,
+            overhead_fraction=dc_config.migration_overhead_fraction,
+            alpha=dc_config.migration_cpu_threshold,
+            topology=topology,
+        )
+        self.accountant = SlaAccountant(
+            beta=dc_config.overload_threshold,
+            window_seconds=config.costs.sla_billing_window_seconds,
+            interval_seconds=config.interval_seconds,
+            bandwidth_threshold=self.bandwidth_threshold,
+        )
+        self.cost_model = cost_model or OperationCostModel(config.costs)
+        self.collector = MetricsCollector()
+        self.monitor = monitor
+        self.event_log = event_log
+        self.validate_every_step = validate_every_step
+        self.clock = clock
+        self.cost_since_decide = 0.0
+
+    def step(
+        self,
+        step: int,
+        scheduler: Scheduler,
+        scan: bool = True,
+        decide: bool = True,
+    ) -> None:
+        """Run interval ``step``.
+
+        ``scan`` and ``decide`` gate the monitor scan and the scheduler
+        call; a step without a decision starts no migrations.
+        """
+        datacenter = self.datacenter
+        dc_config = self.config.datacenter
+        interval = self.config.interval_seconds
+        if scan:
+            self.monitor.observe(datacenter)
+        scheduler_seconds = 0.0
+        if decide:
+            observation = Observation(
+                step=step,
+                state=observe_state(datacenter, step),
+                datacenter=datacenter,
+                monitor=self.monitor,
+                last_step_cost_usd=self.cost_since_decide,
+                interval_seconds=interval,
+            )
+            started = self.clock()
+            migrations = scheduler.decide(observation)
+            scheduler_seconds = self.clock() - started
+            if migrations is None:
+                raise SchedulerError(
+                    f"{scheduler.name} returned None instead of a list"
+                )
+            self.cost_since_decide = 0.0
+            outcome = self.engine.start(migrations)
+        else:
+            outcome = _NO_MIGRATIONS
+        datacenter.share_cpu()
+        advance = self.engine.advance(interval)
+        self.accountant.observe_step(
+            datacenter, interval, advance.downtime_seconds
+        )
+        step_cost = self.cost_model.step_cost(
+            datacenter, self.accountant, interval
+        )
+        active_hosts = datacenter.num_active_hosts()
+        slept = (
+            datacenter.sleep_idle_hosts() if dc_config.sleep_idle_hosts else []
+        )
+        overloaded_ids = datacenter.overloaded_pm_ids(
+            dc_config.overload_threshold, self.bandwidth_threshold
+        )
+        if self.event_log is not None:
+            _emit_events(
+                self.event_log, step, outcome, advance, overloaded_ids, slept
+            )
+        if self.validate_every_step:
+            from repro.cloudsim.validation import check_invariants
+
+            check_invariants(datacenter)
+        self.collector.record(
+            StepMetrics(
+                step=step,
+                energy_cost_usd=step_cost.energy_usd,
+                sla_cost_usd=step_cost.sla_usd,
+                num_migrations_started=len(outcome.started),
+                num_migrations_rejected=len(outcome.rejected),
+                num_active_hosts=active_hosts,
+                scheduler_seconds=scheduler_seconds,
+                mean_host_utilization=_mean_active_host_utilization(
+                    datacenter
+                ),
+                num_overloaded_hosts=len(overloaded_ids),
+            )
+        )
+        self.cost_since_decide += step_cost.total_usd
+
+    def result(self, scheduler_name: str) -> SimulationResult:
+        """Everything the run has measured so far."""
+        return SimulationResult(
+            scheduler_name=scheduler_name,
+            metrics=self.collector,
+            sla=self.accountant,
+            config=self.config,
+            num_pms=self.datacenter.num_pms,
+            num_vms=self.datacenter.num_vms,
+        )

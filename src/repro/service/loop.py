@@ -17,9 +17,10 @@ event queue:
 4. **utilization scans** (``monitor.observe``) on scan ticks;
 5. **scheduler decisions** on decide ticks, fed the cost accumulated
    since the previous tick;
-6. the exact batch-driver mechanics: CPU sharing, migration advance,
-   SLA accounting, step cost, host sleep, metrics — with
-   ``scheduler_seconds`` pinned to 0.0 so results are wall-clock-free;
+6. one :class:`~repro.cloudsim.simulation.StepPipeline` step — the
+   pipeline the batch driver runs too: CPU sharing, migration advance,
+   SLA accounting, step cost, host sleep, metrics — with no wall clock,
+   so ``scheduler_seconds`` is 0.0 and results are wall-clock-free;
 7. **checkpointing** on the configured cadence.
 
 Bit-identity contract
@@ -37,24 +38,25 @@ seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.cloudsim.datacenter import Datacenter
 from repro.cloudsim.events import Event, EventKind, EventLog
-from repro.cloudsim.metrics import MetricsCollector, StepMetrics
-from repro.cloudsim.migration import MigrationEngine, MigrationOutcome
+from repro.cloudsim.metrics import MetricsCollector
 from repro.cloudsim.monitor import UtilizationMonitor
-from repro.cloudsim.simulation import Simulation, SimulationResult
-from repro.cloudsim.sla import SlaAccountant
+from repro.cloudsim.simulation import (
+    SimulationResult,
+    StepPipeline,
+    first_fit_ram,
+)
 from repro.config import SimulationConfig
 from repro.core.basis import VmSlotPool
-from repro.costs.model import OperationCostModel
-from repro.errors import ConfigurationError, SchedulerError
-from repro.mdp.interfaces import Observation, Scheduler
-from repro.mdp.state import observe_state
+from repro.errors import ConfigurationError
+from repro.mdp.interfaces import Scheduler
+from repro.mdp.state import observe_state  # noqa: F401 -- perfbench's traced run patches this name
 from repro.service.churn import (
     CREATE,
     DELETE,
@@ -72,9 +74,8 @@ _TRACE_SIGMA = 0.08
 _TRACE_LO = 0.02
 _TRACE_HI = 1.0
 
-_EMPTY_OUTCOME = MigrationOutcome(
-    started=(), rejected=(), completed=(), downtime_seconds={}
-)
+#: Version of the :meth:`ServiceSimulation.snapshot` state layout.
+_STATE_FORMAT = 1
 
 
 @dataclass
@@ -90,31 +91,17 @@ class _LiveVm:
     trace: np.ndarray
 
 
+@dataclass
 class _Runtime:
     """Mutable per-run state; rebuilt fresh or from a checkpoint."""
 
-    def __init__(
-        self,
-        steps: int,
-        engine: MigrationEngine,
-        accountant: SlaAccountant,
-        cost_model: OperationCostModel,
-        collector: MetricsCollector,
-        monitor: UtilizationMonitor,
-        pool: VmSlotPool,
-    ) -> None:
-        self.steps = steps
-        self.engine = engine
-        self.accountant = accountant
-        self.cost_model = cost_model
-        self.collector = collector
-        self.monitor = monitor
-        self.pool = pool
-        self.live: Dict[int, _LiveVm] = {}
-        self.pending: List[int] = []
-        self.cursor = 0
-        self.cost_since_decide = 0.0
-        self.start_step = 0
+    steps: int
+    pipeline: StepPipeline
+    pool: VmSlotPool
+    live: Dict[int, _LiveVm] = field(default_factory=dict)
+    pending: List[int] = field(default_factory=list)
+    cursor: int = 0
+    start_step: int = 0
 
 
 class ServiceSimulation:
@@ -191,18 +178,53 @@ class ServiceSimulation:
         for pm in datacenter.pms:
             pm.wake()
         for slot in range(self.capacity):
-            vm = datacenter.vm(slot)
-            vm.set_active(False)
-            vm.mips = 1.0
-            vm.ram_mb = 1.0
-            vm.bandwidth_mbps = 1.0
-            datacenter.arrays.clear_vm_slot(slot)
+            self._clear_slot(slot)
         self._runtime = None
+
+    def _clear_slot(self, slot: int) -> None:
+        """Return ``slot`` to its inactive 1-MIPS/1-MB placeholder."""
+        vm = self.datacenter.vm(slot)
+        vm.set_active(False)
+        vm.mips = vm.ram_mb = vm.bandwidth_mbps = 1.0
+        self.datacenter.arrays.clear_vm_slot(slot)
+
+    def _bind_slot(
+        self,
+        runtime: _Runtime,
+        uid: int,
+        slot: int,
+        created_step: int,
+        mips: float,
+        ram_mb: float,
+        bandwidth_mbps: float,
+    ) -> None:
+        """Give ``slot`` to VM ``uid`` and register its live record."""
+        vm = self.datacenter.vm(slot)
+        vm.mips, vm.ram_mb, vm.bandwidth_mbps = mips, ram_mb, bandwidth_mbps
+        self.datacenter.arrays.bind_vm_slot(slot, mips, ram_mb, bandwidth_mbps)
+        trace = self._demand_trace(uid, created_step, runtime.steps)
+        runtime.live[uid] = _LiveVm(
+            uid, slot, created_step, mips, ram_mb, bandwidth_mbps, trace
+        )
 
     def _install_resume(
         self, state: Dict[str, Any], rings: Dict[str, np.ndarray]
     ) -> None:
-        """Arm the next :meth:`run` to continue from checkpoint state."""
+        """Arm the next :meth:`run` to continue from checkpoint state,
+        which must have been taken under this service's settings."""
+        expected = {
+            "format": _STATE_FORMAT,
+            "decide_every": self.decide_every,
+            "scan_every": self.scan_every,
+            "workload_seed": self.workload_seed,
+        }
+        for key, value in expected.items():
+            if state.get(key) != value:
+                raise ConfigurationError(
+                    f"checkpoint has {key}={state.get(key)!r} but this "
+                    f"service has {key}={value!r}; resume it into a "
+                    f"service built with the checkpointed settings"
+                )
         self._resume_state = state
         self._resume_rings = dict(rings)
 
@@ -231,85 +253,36 @@ class ServiceSimulation:
     # ------------------------------------------------------------------
     # Runtime construction
     # ------------------------------------------------------------------
-    def _build_engine(self) -> MigrationEngine:
-        dc_config = self.config.datacenter
-        return MigrationEngine(
-            self.datacenter,
-            overhead_fraction=dc_config.migration_overhead_fraction,
-            alpha=dc_config.migration_cpu_threshold,
-        )
-
-    def _bandwidth_threshold(self) -> Optional[float]:
-        dc_config = self.config.datacenter
-        if dc_config.bandwidth_aware:
-            return dc_config.bandwidth_overload_threshold
-        return None
-
-    def _fresh_runtime(self, steps: int) -> _Runtime:
-        accountant = SlaAccountant(
-            beta=self.config.datacenter.overload_threshold,
-            window_seconds=self.config.costs.sla_billing_window_seconds,
-            interval_seconds=self.config.interval_seconds,
-            bandwidth_threshold=self._bandwidth_threshold(),
-        )
-        return _Runtime(
-            steps=steps,
-            engine=self._build_engine(),
-            accountant=accountant,
-            cost_model=OperationCostModel(self.config.costs),
-            collector=MetricsCollector(),
-            monitor=UtilizationMonitor(history_length=self.monitor_history),
-            pool=VmSlotPool(self.capacity),
-        )
-
-    def _restored_runtime(
+    def _restore_runtime(
         self,
+        runtime: _Runtime,
         state: Dict[str, Any],
         rings: Dict[str, np.ndarray],
-        steps: int,
         event_log: Optional[EventLog],
-    ) -> _Runtime:
+    ) -> None:
+        """Load checkpoint state into a freshly built ``runtime``."""
         from repro.engine.serialize import _sla_from_dict, _step_from_dict
 
-        if int(state["total_steps"]) != steps:
+        if int(state["total_steps"]) != runtime.steps:
             raise ConfigurationError(
                 f"checkpoint was taken on a {state['total_steps']}-step "
-                f"run; cannot resume it for {steps} steps"
+                f"run; cannot resume it for {runtime.steps} steps"
             )
         datacenter = self.datacenter
-        arrays = datacenter.arrays
-        runtime = self._fresh_runtime(steps)
+        pipeline = runtime.pipeline
 
         # Live VMs, in their original insertion order; traces regenerate
         # from (workload_seed, uid).
         slot_of: Dict[int, int] = {}
         placements: List[tuple[int, int]] = []
         for entry in state["live"]:
-            uid, slot, created_step = (
-                int(entry[0]),
-                int(entry[1]),
-                int(entry[2]),
+            uid, slot, created_step, host = (
+                int(entry[index]) for index in (0, 1, 2, 6)
             )
-            mips, ram_mb, bandwidth = (
-                float(entry[3]),
-                float(entry[4]),
-                float(entry[5]),
-            )
-            host = int(entry[6])
+            mips, ram_mb, bandwidth = (float(value) for value in entry[3:6])
             slot_of[uid] = slot
-            vm = datacenter.vm(slot)
-            vm.mips = mips
-            vm.ram_mb = ram_mb
-            vm.bandwidth_mbps = bandwidth
-            arrays.bind_vm_slot(slot, mips, ram_mb, bandwidth)
-            runtime.live[uid] = _LiveVm(
-                uid=uid,
-                slot=slot,
-                created_step=created_step,
-                mips=mips,
-                ram_mb=ram_mb,
-                bandwidth_mbps=bandwidth,
-                trace=self._demand_trace(uid, created_step, steps),
+            self._bind_slot(
+                runtime, uid, slot, created_step, mips, ram_mb, bandwidth
             )
             if host >= 0:
                 placements.append((slot, host))
@@ -322,7 +295,7 @@ class ServiceSimulation:
         # the engine's iteration order feeds the SLA accountant's
         # first-seen record order.
         for flight in state["in_flight"]:
-            runtime.engine.restore_flight(
+            pipeline.engine.restore_flight(
                 vm_id=int(flight[0]),
                 source_pm_id=int(flight[1]),
                 dest_pm_id=int(flight[2]),
@@ -330,18 +303,17 @@ class ServiceSimulation:
                 total_seconds=float(flight[4]),
                 final_downtime_seconds=float(flight[5]),
             )
-        runtime.engine.total_migrations = int(
+        pipeline.engine.total_migrations = int(
             state["engine"]["total_migrations"]
         )
-        runtime.engine.total_gb_hops = float(
+        pipeline.engine.total_gb_hops = float(
             state["engine"]["total_gb_hops"]
         )
 
-        runtime.accountant = _sla_from_dict(state["sla"])
-        collector = MetricsCollector()
-        for step_data in state["metrics"]:
-            collector.record(_step_from_dict(step_data))
-        runtime.collector = collector
+        pipeline.accountant = _sla_from_dict(state["sla"])
+        pipeline.collector = MetricsCollector(
+            [_step_from_dict(step_data) for step_data in state["metrics"]]
+        )
 
         monitor_state = state["monitor"]
         monitor = UtilizationMonitor(
@@ -353,12 +325,12 @@ class ServiceSimulation:
             monitor._ring_pos = int(monitor_state["pos"])
             monitor._ring_filled = int(monitor_state["filled"])
         monitor._steps_observed = int(monitor_state["steps_observed"])
-        runtime.monitor = monitor
+        pipeline.monitor = monitor
 
         energy = state["energy"]
-        runtime.cost_model.energy._total_joules = float(energy["joules"])
-        runtime.cost_model.energy._total_usd = float(energy["usd"])
-        runtime.cost_model.sla._total_usd = float(state["sla_cost_usd"])
+        pipeline.cost_model.energy._total_joules = float(energy["joules"])
+        pipeline.cost_model.energy._total_usd = float(energy["usd"])
+        pipeline.cost_model.sla._total_usd = float(state["sla_cost_usd"])
 
         for pm_id in state["pm_asleep"]:
             datacenter.pm(int(pm_id)).sleep()
@@ -368,9 +340,8 @@ class ServiceSimulation:
                 event_log._events.append(Event.from_json(line))
 
         runtime.cursor = int(state["churn_cursor"])
-        runtime.cost_since_decide = float(state["cost_since_decide"])
+        pipeline.cost_since_decide = float(state["cost_since_decide"])
         runtime.start_step = int(state["next_step"])
-        return runtime
 
     # ------------------------------------------------------------------
     # Checkpoint snapshot
@@ -384,11 +355,12 @@ class ServiceSimulation:
         runtime = self._runtime
         if runtime is None:
             raise ConfigurationError("no run in progress to snapshot")
+        pipeline = runtime.pipeline
         arrays = self.datacenter.arrays
-        monitor = runtime.monitor
+        monitor = pipeline.monitor
         has_rings = monitor._vm_ring is not None
         state: Dict[str, Any] = {
-            "format": 1,
+            "format": _STATE_FORMAT,
             "spec": self.spec,
             "next_step": next_step,
             "total_steps": runtime.steps,
@@ -421,11 +393,11 @@ class ServiceSimulation:
                     flight.total_seconds,
                     flight.final_downtime_seconds,
                 ]
-                for flight in runtime.engine._in_flight.values()
+                for flight in pipeline.engine._in_flight.values()
             ],
             "engine": {
-                "total_migrations": runtime.engine.total_migrations,
-                "total_gb_hops": runtime.engine.total_gb_hops,
+                "total_migrations": pipeline.engine.total_migrations,
+                "total_gb_hops": pipeline.engine.total_gb_hops,
             },
             "monitor": {
                 "length": monitor.history_length,
@@ -434,16 +406,16 @@ class ServiceSimulation:
                 "steps_observed": int(monitor._steps_observed),
                 "has_rings": has_rings,
             },
-            "sla": _sla_to_dict(runtime.accountant),
+            "sla": _sla_to_dict(pipeline.accountant),
             "metrics": [
-                _step_to_dict(step) for step in runtime.collector.steps
+                _step_to_dict(step) for step in pipeline.collector.steps
             ],
-            "cost_since_decide": runtime.cost_since_decide,
+            "cost_since_decide": pipeline.cost_since_decide,
             "energy": {
-                "joules": runtime.cost_model.energy._total_joules,
-                "usd": runtime.cost_model.energy._total_usd,
+                "joules": pipeline.cost_model.energy._total_joules,
+                "usd": pipeline.cost_model.energy._total_usd,
             },
-            "sla_cost_usd": runtime.cost_model.sla._total_usd,
+            "sla_cost_usd": pipeline.cost_model.sla._total_usd,
             "events": (
                 [event.to_json() for event in event_log]
                 if event_log is not None
@@ -498,21 +470,14 @@ class ServiceSimulation:
                     uid=event.uid,
                 )
             return
-        vm = self.datacenter.vm(slot)
-        vm.mips = event.mips
-        vm.ram_mb = event.ram_mb
-        vm.bandwidth_mbps = event.bandwidth_mbps
-        self.datacenter.arrays.bind_vm_slot(
-            slot, event.mips, event.ram_mb, event.bandwidth_mbps
-        )
-        runtime.live[event.uid] = _LiveVm(
-            uid=event.uid,
-            slot=slot,
-            created_step=step,
-            mips=event.mips,
-            ram_mb=event.ram_mb,
-            bandwidth_mbps=event.bandwidth_mbps,
-            trace=self._demand_trace(event.uid, step, runtime.steps),
+        self._bind_slot(
+            runtime,
+            event.uid,
+            slot,
+            step,
+            event.mips,
+            event.ram_mb,
+            event.bandwidth_mbps,
         )
         runtime.pending.append(event.uid)
         if event_log is not None:
@@ -565,18 +530,13 @@ class ServiceSimulation:
             return
         slot = record.slot
         datacenter = self.datacenter
-        runtime.engine.cancel(slot)
+        runtime.pipeline.engine.cancel(slot)
         if datacenter.is_placed(slot):
             datacenter.remove(slot)
-        vm = datacenter.vm(slot)
-        vm.set_active(False)
-        vm.mips = 1.0
-        vm.ram_mb = 1.0
-        vm.bandwidth_mbps = 1.0
-        datacenter.arrays.clear_vm_slot(slot)
+        self._clear_slot(slot)
         # The departed occupant's billing window must not keep charging
         # against the (now empty, later reused) slot.
-        runtime.accountant.reset_vm_window(slot)
+        runtime.pipeline.accountant.reset_vm_window(slot)
         retire = getattr(scheduler, "retire_vm", None)
         if retire is not None:
             retire(slot)
@@ -590,21 +550,11 @@ class ServiceSimulation:
 
     def _place_pending(self, runtime: _Runtime) -> None:
         """Stage 2: first-fit queued arrivals, FIFO, host-id order."""
-        arrays = self.datacenter.arrays
-        still_pending: List[int] = []
-        for uid in runtime.pending:
-            slot = runtime.live[uid].slot
-            # Cached derived vector: recomputed only when a placement in
-            # this loop actually dirtied the RAM aggregate.
-            ram_free = arrays.pm_ram_free_mb()
-            candidates = np.flatnonzero(
-                self.datacenter.vm(slot).ram_mb <= ram_free
-            )
-            if candidates.size == 0:
-                still_pending.append(uid)
-                continue
-            self.datacenter.place(slot, int(candidates[0]))
-        runtime.pending = still_pending
+        runtime.pending = [
+            uid
+            for uid in runtime.pending
+            if not first_fit_ram(self.datacenter, runtime.live[uid].slot)
+        ]
 
     def _apply_demand(self, runtime: _Runtime, step: int) -> None:
         """Stage 3: every live VM's demand for this interval."""
@@ -615,16 +565,6 @@ class ServiceSimulation:
                 step - record.created_step
             ]
         arrays.mark_demand_dirty()
-
-    def _mean_active_host_utilization(self) -> float:
-        arrays = self.datacenter.arrays
-        active_ids = np.flatnonzero(arrays.active_pm_mask())
-        if active_ids.size == 0:
-            return 0.0
-        capped = np.minimum(1.0, arrays.pm_demand_utilization()[active_ids])
-        # Left-to-right total in host-id order (the batch driver's
-        # accumulation, bit for bit).
-        return float(np.cumsum(capped)[-1]) / active_ids.size
 
     # ------------------------------------------------------------------
     # The run loop
@@ -654,10 +594,6 @@ class ServiceSimulation:
         accumulating the event log, a fresh ``event_log`` — the stored
         lines are replayed into it first.
         """
-        if validate_every_step is None:
-            from repro.core.contracts import contracts_enabled
-
-            validate_every_step = contracts_enabled()
         wants_checkpoints = (
             checkpoint_every is not None or stop_after_step is not None
         )
@@ -679,111 +615,56 @@ class ServiceSimulation:
         self._resume_state = None
         self._resume_rings = {}
 
+        steps = self.config.num_steps if num_steps is None else num_steps
+        start_step = 0
         if resume_state is not None:
-            steps = (
-                int(resume_state["total_steps"])
-                if num_steps is None
-                else num_steps
-            )
-        else:
-            steps = (
-                self.config.num_steps if num_steps is None else num_steps
-            )
+            start_step = int(resume_state["next_step"])
+            if num_steps is None:
+                steps = int(resume_state["total_steps"])
         if steps > self.churn.num_steps:
             raise ConfigurationError(
                 f"requested {steps} steps but the churn schedule covers "
                 f"only {self.churn.num_steps}"
             )
-
-        dc_config = self.config.datacenter
-        interval = self.config.interval_seconds
-        self.datacenter.migration_overhead_fraction = (
-            dc_config.migration_overhead_fraction
-        )
-        bandwidth_threshold = self._bandwidth_threshold()
+        if stop_after_step is not None and not (
+            start_step <= stop_after_step < steps
+        ):
+            raise ConfigurationError(
+                f"stop_after_step must be in [{start_step}, {steps}), "
+                f"got {stop_after_step}"
+            )
 
         self.reset()
+        pipeline = StepPipeline(
+            self.datacenter,
+            self.config,
+            UtilizationMonitor(history_length=self.monitor_history),
+            event_log=event_log,
+            validate_every_step=validate_every_step,
+        )
+        runtime = _Runtime(steps, pipeline, VmSlotPool(self.capacity))
         if resume_state is not None:
-            runtime = self._restored_runtime(
-                resume_state, resume_rings, steps, event_log
+            self._restore_runtime(
+                runtime, resume_state, resume_rings, event_log
             )
-        else:
-            runtime = self._fresh_runtime(steps)
         self._runtime = runtime
 
         for step in range(runtime.start_step, steps):
             self._apply_churn(runtime, step, scheduler, event_log)
             self._place_pending(runtime)
             self._apply_demand(runtime, step)
-            if step % self.scan_every == 0:
-                runtime.monitor.observe(self.datacenter)
-            if step % self.decide_every == 0:
-                observation = Observation(
-                    step=step,
-                    state=observe_state(self.datacenter, step),
-                    datacenter=self.datacenter,
-                    monitor=runtime.monitor,
-                    last_step_cost_usd=runtime.cost_since_decide,
-                    interval_seconds=interval,
-                )
-                migrations = scheduler.decide(observation)
-                if migrations is None:
-                    raise SchedulerError(
-                        f"{scheduler.name} returned None instead of a list"
-                    )
-                runtime.cost_since_decide = 0.0
-                outcome = runtime.engine.start(migrations)
-            else:
-                outcome = _EMPTY_OUTCOME
-            self.datacenter.share_cpu()
-            advance = runtime.engine.advance(interval)
-            runtime.accountant.observe_step(
-                self.datacenter, interval, advance.downtime_seconds
+            pipeline.step(
+                step,
+                scheduler,
+                scan=step % self.scan_every == 0,
+                decide=step % self.decide_every == 0,
             )
-            step_cost = runtime.cost_model.step_cost(
-                self.datacenter, runtime.accountant, interval
-            )
-            active_hosts = self.datacenter.num_active_hosts()
-            slept = (
-                self.datacenter.sleep_idle_hosts()
-                if dc_config.sleep_idle_hosts
-                else []
-            )
-            overloaded_ids = self.datacenter.overloaded_pm_ids(
-                dc_config.overload_threshold, bandwidth_threshold
-            )
-            if event_log is not None:
-                Simulation._emit_events(
-                    event_log, step, outcome, advance, overloaded_ids, slept
-                )
-            if validate_every_step:
-                from repro.cloudsim.validation import check_invariants
-
-                check_invariants(self.datacenter)
-            runtime.collector.record(
-                StepMetrics(
-                    step=step,
-                    energy_cost_usd=step_cost.energy_usd,
-                    sla_cost_usd=step_cost.sla_usd,
-                    num_migrations_started=len(outcome.started),
-                    num_migrations_rejected=len(outcome.rejected),
-                    num_active_hosts=active_hosts,
-                    # Wall-clock-free by design: service results must be
-                    # byte-comparable across runs and resumes.
-                    scheduler_seconds=0.0,
-                    mean_host_utilization=(
-                        self._mean_active_host_utilization()
-                    ),
-                    num_overloaded_hosts=len(overloaded_ids),
-                )
-            )
-            runtime.cost_since_decide += step_cost.total_usd
 
             at_boundary = (
                 checkpoint_every is not None
                 and (step + 1) % checkpoint_every == 0
             )
-            stopping = stop_after_step is not None and step >= stop_after_step
+            stopping = step == stop_after_step
             if (at_boundary and step + 1 < steps) or stopping:
                 self._write_checkpoint(
                     checkpoint_path, scheduler, step + 1, event_log
@@ -791,14 +672,7 @@ class ServiceSimulation:
             if stopping:
                 return None
 
-        return SimulationResult(
-            scheduler_name=scheduler.name,
-            metrics=runtime.collector,
-            sla=runtime.accountant,
-            config=self.config,
-            num_pms=self.datacenter.num_pms,
-            num_vms=self.datacenter.num_vms,
-        )
+        return pipeline.result(scheduler.name)
 
     def _write_checkpoint(
         self,

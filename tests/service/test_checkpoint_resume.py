@@ -1,6 +1,7 @@
 """Checkpoint/restart: bit-identity, periodic cadence, v1 compatibility."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -91,6 +92,111 @@ class TestResumeBitIdentity:
         resumed_service, resumed_agent = load_service(path)
         with pytest.raises(ConfigurationError):
             resumed_service.run(resumed_agent, num_steps=25)
+
+
+def _stop_at(tmp_path, stop_after_step, steps=24):
+    path = str(tmp_path / "stop.npz")
+    service = build_churn_service(seed=0, num_steps=steps)
+    agent = MeghScheduler.from_simulation(service, seed=0)
+    service.run(agent, checkpoint_path=path, stop_after_step=stop_after_step)
+    return path
+
+
+def _rewrite_state(path, new_path, **changes):
+    with np.load(path, allow_pickle=False) as data:
+        payload = {key: data[key] for key in data.files}
+    state = json.loads(str(payload["service_state"][()]))
+    state.update(changes)
+    payload["service_state"] = np.array(json.dumps(state), dtype=np.str_)
+    np.savez_compressed(new_path, **payload)
+
+
+class TestResumeRejectsOtherSettings:
+    """A checkpoint resumes only under the settings it was taken with."""
+
+    @pytest.mark.parametrize(
+        "field, params, workload_seed",
+        [
+            ("decide_every", {"decide_every": 4}, None),
+            ("scan_every", {"scan_every": 2}, None),
+            ("workload_seed", {}, 99),
+        ],
+    )
+    def test_differently_built_service_rejected(
+        self, tmp_path, field, params, workload_seed
+    ):
+        path = _stop_at(tmp_path, 9)
+        other = build_churn_service(seed=0, num_steps=24, **params)
+        if workload_seed is not None:
+            other.workload_seed = workload_seed
+        with pytest.raises(ConfigurationError, match=field):
+            load_service(path, service=other)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("format", 2),
+            ("decide_every", 4),
+            ("scan_every", 2),
+            ("workload_seed", 99),
+        ],
+    )
+    def test_checkpoint_with_other_settings_rejected(
+        self, tmp_path, field, value
+    ):
+        from repro.service.cli import run as serve
+
+        path = _stop_at(tmp_path, 9)
+        edited = str(tmp_path / "edited.npz")
+        _rewrite_state(path, edited, **{field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            load_service(edited)
+        assert serve(["--resume", edited]) == 2
+
+
+class TestStopAfterStepRange:
+    @pytest.mark.parametrize("stop_after_step", [-3, -1, 12, 40])
+    def test_out_of_range_rejected(self, tmp_path, stop_after_step):
+        path = str(tmp_path / "never.npz")
+        service = build_churn_service(seed=0, num_steps=12)
+        agent = MeghScheduler.from_simulation(service, seed=0)
+        with pytest.raises(ConfigurationError, match="stop_after_step"):
+            service.run(
+                agent, checkpoint_path=path, stop_after_step=stop_after_step
+            )
+        assert not os.path.exists(path)
+
+    def test_last_step_accepted(self, tmp_path):
+        path = str(tmp_path / "last.npz")
+        service = build_churn_service(seed=0, num_steps=12)
+        agent = MeghScheduler.from_simulation(service, seed=0)
+        assert (
+            service.run(agent, checkpoint_path=path, stop_after_step=11)
+            is None
+        )
+        with np.load(path, allow_pickle=False) as data:
+            state = json.loads(str(data["service_state"][()]))
+        assert state["next_step"] == 12
+
+    @pytest.mark.parametrize("stop_after_step", [3, 9])
+    def test_before_resume_point_rejected(self, tmp_path, stop_after_step):
+        path = _stop_at(tmp_path, 9)  # resumes at step 10
+        service, agent = load_service(path)
+        with pytest.raises(ConfigurationError, match="stop_after_step"):
+            service.run(
+                agent, checkpoint_path=path, stop_after_step=stop_after_step
+            )
+
+    def test_resume_point_accepted(self, tmp_path):
+        path = _stop_at(tmp_path, 9)
+        service, agent = load_service(path)
+        assert (
+            service.run(agent, checkpoint_path=path, stop_after_step=10)
+            is None
+        )
+        with np.load(path, allow_pickle=False) as data:
+            state = json.loads(str(data["service_state"][()]))
+        assert state["next_step"] == 11
 
 
 class TestServiceCheckpointFormat:

@@ -1,6 +1,7 @@
 """Integration tests for the churn-driven service loop."""
 
 import json
+import math
 
 import pytest
 
@@ -96,6 +97,66 @@ class TestRun:
         assert len(rejections) == 3
         creates = [e for e in log if e.kind == EventKind.VM_CREATED]
         assert len(creates) == 2
+
+
+class _RecordingScheduler:
+    """Delegates to a learner and records what each decision saw."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.seen = []  # (step, last_step_cost_usd, monitor)
+
+    def decide(self, observation):
+        self.seen.append(
+            (
+                observation.step,
+                observation.last_step_cost_usd,
+                observation.monitor,
+            )
+        )
+        return self.inner.decide(observation)
+
+    def retire_vm(self, slot):
+        self.inner.retire_vm(slot)
+
+
+class TestCadences:
+    def test_decide_and_scan_cadences(self):
+        steps, decide_every, scan_every = 40, 3, 2
+        service = build_churn_service(
+            seed=4,
+            num_steps=steps,
+            decide_every=decide_every,
+            scan_every=scan_every,
+        )
+        recorder = _RecordingScheduler(
+            MeghScheduler.from_simulation(service, seed=4)
+        )
+        result = service.run(recorder)
+        decided = [step for step, _, _ in recorder.seen]
+        assert decided == list(range(0, steps, decide_every))
+
+        # Each decision is fed the in-order float sum of the step totals
+        # since the previous decision (0.0 at the first one).
+        totals = [step.total_cost_usd for step in result.metrics.steps]
+        for step, cost, _ in recorder.seen:
+            expected = 0.0
+            for total in totals[max(0, step - decide_every) : step]:
+                expected += total
+            assert cost == expected
+
+        started_on_decisions = 0
+        for metrics in result.metrics.steps:
+            if metrics.step % decide_every:
+                assert metrics.num_migrations_started == 0
+                assert metrics.num_migrations_rejected == 0
+            else:
+                started_on_decisions += metrics.num_migrations_started
+        assert started_on_decisions > 0
+
+        monitor = recorder.seen[-1][2]
+        assert monitor.steps_observed == math.ceil(steps / scan_every)
 
 
 class TestTraceReplay:
