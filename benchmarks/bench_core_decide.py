@@ -169,7 +169,8 @@ def check_oracle(
         scheduler = MeghScheduler.from_simulation(
             simulation, seed=seed, contracts=False
         )
-        scheduler.scalar_candidates = scalar
+        if scalar:
+            scheduler._plan = scheduler._scalar_plan
         scheduler.trace = DecisionTrace()
         result = run_scheduler(simulation, scheduler)
         traces.append(scheduler.trace.records)

@@ -12,8 +12,8 @@ stream over a 256-action pool at the paper's d = 1052 x 800 = 841,600):
 The update loop is also broken down by phase via the deferred kernel's
 profiling counters (``SparseMatrix.kernel_stats``): staging (enqueue)
 vs grouped replay (flush) vs the rest of the learning step.  Run with
-``REPRO_KERNEL=off`` (or ``numpy``) to compare backends; the recorded
-``kernel`` field says which one produced the committed numbers.
+``REPRO_KERNEL=off`` to compare the C kernel with the eager path; the
+recorded ``kernel`` field says which one produced the committed numbers.
 
 Results merge into the ``"lstd"`` section of ``BENCH_core.json``::
 

@@ -221,7 +221,7 @@ SHAPE_CONTRACTS: Dict[str, ShapeContract] = {
     # Kernel flush: ``rows``/``starts`` cross the C ABI — they must be
     # owned, C-contiguous int64 (their ``.ctypes.data`` is read raw).
     "replay_rows": ShapeContract(
-        qualname="repro.core.kern.KernelBackend.replay_rows",
+        qualname="repro.core.kern.CKernel.replay_rows",
         params=(
             ("matrix", None),
             ("rows", _INT_VEC_ABI),

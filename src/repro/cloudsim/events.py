@@ -60,10 +60,15 @@ class Event:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"bad event line: {exc}") from exc
-        if "step" not in data or "kind" not in data:
+        if not isinstance(data, dict) or not {"step", "kind"} <= data.keys():
             raise ConfigurationError("event line lacks step/kind")
-        step = int(data.pop("step"))
-        kind = EventKind(data.pop("kind"))
+        step = data.pop("step")
+        if isinstance(step, bool) or not isinstance(step, int):
+            raise ConfigurationError(f"event step {step!r} is not an integer")
+        try:
+            kind = EventKind(data.pop("kind"))
+        except ValueError as exc:
+            raise ConfigurationError(f"bad event line: {exc}") from exc
         return cls(step=step, kind=kind, payload=data)
 
 

@@ -22,7 +22,6 @@ the non-zeros touched in ``B`` — never to the full ``d = N x M`` space.
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,7 +78,6 @@ class MeghScheduler:
         trace=None,
         contracts=None,
         dynamic_slots: bool = False,
-        scalar_candidates: Optional[bool] = None,
     ) -> None:
         if not 0 < beta <= 1:
             raise ConfigurationError("beta must be in (0, 1]")
@@ -94,17 +92,6 @@ class MeghScheduler:
         self.candidate_index = CandidateIndex(
             beta=beta, bandwidth_beta=bandwidth_beta, config=self.config
         )
-        #: Differential-oracle switch: route candidate generation through
-        #: the retained scalar pipeline instead of the vectorized index.
-        #: ``None`` consults ``REPRO_SCALAR_CANDIDATES`` so benches and
-        #: tests can flip the generator without threading a flag through
-        #: every construction site.  Both generators produce identical
-        #: plans — the scalar path exists to prove exactly that.
-        if scalar_candidates is None:
-            scalar_candidates = os.environ.get(
-                "REPRO_SCALAR_CANDIDATES", ""
-            ) not in ("", "0")
-        self.scalar_candidates = scalar_candidates
         self.lstd = SparseLstd(
             dimension=self.action_space.dimension,
             gamma=self.config.gamma,
@@ -168,17 +155,7 @@ class MeghScheduler:
     # Scheduler protocol
     # ------------------------------------------------------------------
     def decide(self, observation: Observation) -> List[Migration]:
-        datacenter = observation.datacenter
-        # The scalar oracle also serves backends without a
-        # struct-of-arrays store (the reference object-model datacenter).
-        if self.scalar_candidates or getattr(
-            datacenter, "arrays", None
-        ) is None:
-            plan = self.candidate_index.plan_from_lists(
-                datacenter, self._candidate_actions(observation)
-            )
-        else:
-            plan = self.candidate_index.plan(datacenter)
+        plan = self._plan(observation)
         self._learn_from_last_step(observation, plan.action_indices)
         moves, noops = self._select_from_plan(plan)
         # Record the executed migrations plus a bounded sample of no-ops,
@@ -251,6 +228,26 @@ class MeghScheduler:
     # ------------------------------------------------------------------
     # Candidate generation ("which VM" and "where")
     # ------------------------------------------------------------------
+    def _plan(self, observation: Observation) -> CandidatePlan:
+        """This step's candidate plan.
+
+        The vectorized :class:`~repro.core.candidates.CandidateIndex`
+        reads the struct-of-arrays store; datacenters without one (the
+        reference object-model datacenter) take the scalar generator.
+        Tests and ``bench_core_decide --check-oracle`` force the scalar
+        path on an SoA fleet by shadowing this method with
+        :meth:`_scalar_plan` on the instance.
+        """
+        if getattr(observation.datacenter, "arrays", None) is None:
+            return self._scalar_plan(observation)
+        return self.candidate_index.plan(observation.datacenter)
+
+    def _scalar_plan(self, observation: Observation) -> CandidatePlan:
+        """The scalar generator's lists wrapped in a plan."""
+        return self.candidate_index.plan_from_lists(
+            observation.datacenter, self._candidate_actions(observation)
+        )
+
     def _candidate_actions(
         self, observation: Observation
     ) -> List[List[MigrationAction]]:

@@ -366,9 +366,9 @@ class CandidateIndex:
         """Wrap scalar-oracle candidate lists in a plan.
 
         Lets ``decide()`` run its selection/learning pipeline on top of
-        the retained scalar generator (``REPRO_SCALAR_CANDIDATES=1`` /
-        the differential-oracle bench mode) so the two generators are
-        interchangeable downstream.  Uses only the generic datacenter
+        the retained scalar generator (``MeghScheduler._scalar_plan``)
+        so the two generators are interchangeable downstream.  Uses
+        only the generic datacenter
         protocol (``num_pms``, ``host_of``) so the reference
         object-model backend works too, and performs **no** overload
         evaluation of its own: a row is mandatory exactly when its first

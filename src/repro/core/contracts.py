@@ -32,6 +32,7 @@ import numpy as np
 from repro.errors import ConfigurationError, ReproError
 
 _TRUE_VALUES = frozenset({"1", "true", "yes", "on"})
+_FALSE_VALUES = frozenset({"0", "false", "no", "off", ""})
 
 
 def contracts_enabled(default: bool = False) -> bool:
@@ -39,12 +40,22 @@ def contracts_enabled(default: bool = False) -> bool:
 
     Controlled by the ``REPRO_CONTRACTS`` environment variable; the
     test suite turns it on (see ``tests/conftest.py``), benchmarks
-    leave it off so timings stay clean.
+    leave it off so timings stay clean.  Accepts ``1/true/yes/on`` and
+    ``0/false/no/off`` or empty (case-insensitive); anything else is a
+    :class:`~repro.errors.ConfigurationError`, never a silent "off".
     """
     raw = os.environ.get("REPRO_CONTRACTS")
     if raw is None:
         return default
-    return raw.strip().lower() in _TRUE_VALUES
+    value = raw.strip().lower()
+    if value in _TRUE_VALUES:
+        return True
+    if value not in _FALSE_VALUES:
+        raise ConfigurationError(
+            f"REPRO_CONTRACTS={raw!r} invalid; expected one of "
+            "1/true/yes/on or 0/false/no/off (case-insensitive)"
+        )
+    return False
 
 
 class NumericalContractError(ReproError):

@@ -16,9 +16,8 @@ dict build to obtain the left factor.  This module removes both costs by
   rank at its last flush), reading each update's left-factor weight from
   the row's own current state.
 * A grouped flush kernel applies all of a dirty row's pending deltas in
-  one pass — either the always-available pure-NumPy backend
-  (:class:`NumpyKernel`) or a small C kernel compiled on demand with the
-  system compiler and loaded through :mod:`ctypes` (:class:`CKernel`).
+  one pass: a small C kernel compiled on demand with the system compiler
+  and loaded through :mod:`ctypes` (:class:`CKernel`).
 
 Bit-identity argument (the whole point — golden decision traces and the
 ShermanMorrisonAuditor must not move by one ulp):
@@ -44,11 +43,12 @@ ShermanMorrisonAuditor must not move by one ulp):
   ``-ffp-contract=off -fno-fast-math`` so no fused multiply-add can
   change a rounding.
 
-Backend selection: ``REPRO_KERNEL=auto`` (default; C when a compiler is
-available, NumPy otherwise), ``c`` (require the compiled kernel),
-``numpy`` (deferred, pure NumPy), ``off`` (eager legacy path, no
-deferral).  ``REPRO_KERNEL_WINDOW`` bounds the staged rank (default
-128); ``REPRO_KERNEL_CACHE`` relocates the compiled-object cache.
+Backend selection: ``REPRO_KERNEL=auto`` (default; the C kernel when a
+compiler is available, the eager path otherwise), ``c`` (require the
+compiled kernel), ``off`` (eager path, no deferral).  The eager path is
+both the no-compiler fallback and the bit-identity reference the C
+kernel is tested against.  :data:`DEFAULT_WINDOW` bounds the staged
+rank; ``REPRO_KERNEL_CACHE`` relocates the compiled-object cache.
 
 Flush writes to the owning matrix's backing store are *representation
 preserving* — the logical matrix value does not change, so they do not
@@ -65,7 +65,7 @@ import hashlib
 import os
 import subprocess
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,41 +76,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sparse imports us)
 
 __all__ = [
     "CKernel",
-    "KernelBackend",
     "DEFAULT_WINDOW",
     "KernelUnavailableError",
-    "NumpyKernel",
     "PendingUpdates",
     "make_pending",
     "resolve_mode",
 ]
 
-#: Default maximum staged rank before an automatic full flush.
+#: Maximum staged rank before an automatic full flush (read by
+#: :func:`make_pending` at call time).
 DEFAULT_WINDOW = 128
 
-_VALID_MODES = ("auto", "c", "numpy", "off")
+_VALID_MODES = ("auto", "c", "off")
 
 
 class KernelUnavailableError(ConfigurationError):
     """Raised when ``REPRO_KERNEL=c`` but no compiled kernel can be built."""
-
-
-class KernelBackend(Protocol):
-    """A grouped flush backend: replay rows' staged updates in order."""
-
-    name: str
-
-    def replay_rows(
-        self,
-        matrix: "SparseMatrix",
-        rows: np.ndarray,
-        starts: np.ndarray,
-        pending: "PendingUpdates",
-    ) -> Tuple[int, int]:
-        """Replay staged updates ``starts[r]..`` onto each row.
-
-        Returns ``(applied, skipped)`` (row, update) pair counts.
-        """
 
 
 def resolve_mode() -> str:
@@ -128,22 +109,6 @@ def resolve_mode() -> str:
     return mode
 
 
-def resolve_window() -> int:
-    """Read ``REPRO_KERNEL_WINDOW`` (validated; default ``DEFAULT_WINDOW``)."""
-    raw = os.environ.get("REPRO_KERNEL_WINDOW")
-    if raw is None:
-        return DEFAULT_WINDOW
-    try:
-        window = int(raw)
-    except ValueError as error:
-        raise ConfigurationError(
-            f"REPRO_KERNEL_WINDOW={raw!r} is not an integer"
-        ) from error
-    if window < 1:
-        raise ConfigurationError("REPRO_KERNEL_WINDOW must be >= 1")
-    return window
-
-
 # ----------------------------------------------------------------------
 # The compiled backend
 # ----------------------------------------------------------------------
@@ -155,7 +120,7 @@ def resolve_window() -> int:
 #: plus the exact added/removed column sets (computed by a sorted merge
 #: against the old row) so the Python side can maintain the column index
 #: without per-row set algebra.  All arithmetic is plain double
-#: precision in the same association as the NumPy path:
+#: precision in the same association as the eager scatter:
 #: ``d = scale * w; v = d * vals[t]``.
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -327,8 +292,8 @@ int64_t megh_flush_rows(const int64_t *a, double eps)
             /* Initial candidates: updates whose pivot column is present
              * in the row right now.  Applied updates extend the bitmap
              * below when they insert a column some later pivot needs
-             * (same superset argument as the NumPy backend's live
-             * candidate mask). */
+             * (every other update has weight zero by the superset
+             * argument, so skipping it changes no float). */
             memset(cand, 0, (size_t)n_updates);
             int64_t u = 0, v = 0;
             while (u < n && v < n_updates) {
@@ -492,17 +457,14 @@ int64_t megh_combine_rows(const int64_t *idx_a, const double *val_a,
 """
 
 #: Compile flags.  ``-ffp-contract=off`` and ``-fno-fast-math`` are
-#: load-bearing: a fused multiply-add would change roundings and break
-#: bit-identity with the NumPy/eager path.  No ``-march=native`` for the
-#: same reason (keep plain SSE2 doubles).
+#: load-bearing: a fused multiply-add or a fast-math rewrite would change
+#: roundings and break bit-identity with the eager path.  Under them
+#: ``-O3 -march=native`` only change speed, never an FP result.
 _CFLAGS = (
     "-O3",
     "-march=native",
     "-fPIC",
     "-shared",
-    # Bit-identity with the NumPy backend requires plain IEEE doubles:
-    # no FMA contraction, no fast-math value changes.  -O3/-march=native
-    # are safe under these — they never alter FP semantics on their own.
     "-ffp-contract=off",
     "-fno-fast-math",
 )
@@ -546,29 +508,41 @@ def _compiled_library_path() -> str:
             "REPRO_KERNEL: no C compiler (gcc/cc/clang) on PATH"
         )
     os.makedirs(cache_dir, exist_ok=True)
+    # Per-process staging files, renamed into place atomically: a second
+    # cold builder (e.g. an engine worker) must never truncate the source
+    # this process is compiling.  The staged source keeps its ``.c``
+    # suffix so the compiler still reads it as C.
     source = os.path.join(cache_dir, f"megh_kern_{digest}.c")
+    staging_source = os.path.join(
+        cache_dir, f"megh_kern_{digest}.{os.getpid()}.c"
+    )
     staging = f"{library}.tmp.{os.getpid()}"
-    with open(source, "w", encoding="utf-8") as handle:
+    with open(staging_source, "w", encoding="utf-8") as handle:
         handle.write(_C_SOURCE)
     flag_sets = (
         _CFLAGS,
         tuple(flag for flag in _CFLAGS if flag != "-march=native"),
     )
     stderr = ""
-    for flags in flag_sets:
-        command = [compiler, *flags, "-o", staging, source]
-        try:
-            result = subprocess.run(
-                command, capture_output=True, text=True, timeout=120
-            )
-        except (OSError, subprocess.TimeoutExpired) as error:
-            raise KernelUnavailableError(
-                f"REPRO_KERNEL: compiler invocation failed: {error}"
-            ) from error
-        if result.returncode == 0:
-            os.replace(staging, library)  # atomic vs concurrent builders
-            return library
-        stderr = result.stderr
+    try:
+        for flags in flag_sets:
+            command = [compiler, *flags, "-o", staging, staging_source]
+            try:
+                result = subprocess.run(
+                    command, capture_output=True, text=True, timeout=120
+                )
+            except (OSError, subprocess.TimeoutExpired) as error:
+                raise KernelUnavailableError(
+                    f"REPRO_KERNEL: compiler invocation failed: {error}"
+                ) from error
+            if result.returncode == 0:
+                os.replace(staging, library)
+                os.replace(staging_source, source)
+                return library
+            stderr = result.stderr
+    finally:
+        if os.path.exists(staging_source):
+            os.remove(staging_source)
     raise KernelUnavailableError(
         "REPRO_KERNEL: compilation failed:\n" + stderr
     )
@@ -587,14 +561,14 @@ class CKernel:
         library = _compiled_library_path()
         try:
             self._lib = ctypes.CDLL(library)
-        except OSError as error:
+            self._flush = self._lib.megh_flush_rows
+            self._combine = self._lib.megh_combine_rows
+        except (OSError, AttributeError) as error:  # AttributeError: symbol missing
             raise KernelUnavailableError(
                 f"REPRO_KERNEL: cannot load {library}: {error}"
             ) from error
-        self._flush = self._lib.megh_flush_rows
         self._flush.restype = ctypes.c_int64
         self._flush.argtypes = [ctypes.c_void_p, ctypes.c_double]
-        self._combine = self._lib.megh_combine_rows
         self._combine.restype = ctypes.c_int64
         self._combine.argtypes = [
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
@@ -1037,101 +1011,16 @@ class CKernel:
         return int(stats[0]), int(stats[1])
 
 
-class NumpyKernel:
-    """Pure-NumPy fallback: replay each pending through the eager scatter.
-
-    A per-row candidate mask keeps the scan proportional to the updates
-    that can actually touch the row: an update is a candidate when the
-    row's *current* pivot entry is nonzero, or when an earlier applied
-    update scattered into its pivot column.  Everything else has weight
-    zero by the superset argument (see module docstring) and is skipped
-    without a lookup.  The scatter itself is the eager
-    ``SparseMatrix._scatter_add``, so bit-identity is immediate; the C
-    kernel is differentially tested against this backend and both
-    against the eager mode in ``tests/core/test_kern.py``.
-    """
-
-    name = "numpy"
-
-    def replay_rows(
-        self,
-        matrix: "SparseMatrix",
-        rows: np.ndarray,
-        starts: np.ndarray,
-        pending: "PendingUpdates",
-    ) -> Tuple[int, int]:
-        applied = 0
-        skipped = 0
-        n_updates = pending._n
-        pivots = pending._pivots
-        scales = pending._scales
-        upd_offsets = pending._upd_offsets
-        cols_flat = pending._cols_flat
-        vals_flat = pending._vals_flat
-        for r in range(rows.shape[0]):
-            i = int(rows[r])
-            start = int(starts[r])
-            if start >= n_updates:
-                continue
-            tail = pivots[start:n_updates]
-            row = matrix._rows.get(i)
-            if row is None:
-                candidates = tail == i
-                if matrix._diag[i] == 0.0:  # meghlint: ignore[MEGH003] -- exact store sentinel: 0.0 means "absent"
-                    candidates = np.zeros(tail.shape[0], dtype=bool)
-            else:
-                n = row.n
-                positions = np.searchsorted(row.idx[:n], tail)
-                in_range = positions < n
-                candidates = np.zeros(tail.shape[0], dtype=bool)
-                candidates[in_range] = (
-                    row.idx[positions[in_range]] == tail[in_range]
-                )
-            # Plain index loop, re-reading the live mask each step: an
-            # applied update can activate *later* candidates (fill into
-            # their pivot column), so a snapshot of the nonzeros would
-            # silently drop them.
-            for offset in range(candidates.shape[0]):
-                if not candidates[offset]:
-                    continue
-                k = start + offset
-                weight = matrix._entry(i, int(pivots[k]))
-                if weight == 0.0:  # meghlint: ignore[MEGH003] -- exact-zero short-circuit, mirrors the eager weight skip
-                    skipped += 1
-                    continue
-                applied += 1
-                seg0, seg1 = int(upd_offsets[k]), int(upd_offsets[k + 1])
-                segment_cols = cols_flat[seg0:seg1]
-                matrix._scatter_add(
-                    i,
-                    segment_cols,
-                    (float(scales[k]) * weight) * vals_flat[seg0:seg1],
-                )
-                if offset + 1 < candidates.shape[0]:
-                    # This update may have filled later pivot entries.
-                    later = tail[offset + 1:]
-                    positions = np.searchsorted(segment_cols, later)
-                    in_range = positions < segment_cols.shape[0]
-                    hits = np.zeros(later.shape[0], dtype=bool)
-                    hits[in_range] = (
-                        segment_cols[positions[in_range]] == later[in_range]
-                    )
-                    candidates[offset + 1:] |= hits
-        return applied, skipped
-
-
-def _make_backend(mode: str) -> Optional[KernelBackend]:
+def _make_backend(mode: str) -> Optional[CKernel]:
     """Instantiate the backend for ``mode`` (``None`` means eager)."""
     if mode == "off":
         return None
-    if mode == "numpy":
-        return NumpyKernel()
     try:
         return CKernel()
     except KernelUnavailableError:
         if mode == "c":
             raise
-        return NumpyKernel()
+        return None
 
 
 def make_pending(
@@ -1145,7 +1034,7 @@ def make_pending(
     backend = _make_backend(mode)
     if backend is None:
         return None
-    return PendingUpdates(backend, dimension, window=resolve_window())
+    return PendingUpdates(backend, dimension, window=DEFAULT_WINDOW)
 
 
 class PendingUpdates:
@@ -1162,7 +1051,7 @@ class PendingUpdates:
 
     def __init__(
         self,
-        backend: KernelBackend,
+        backend: CKernel,
         dimension: int,
         window: int = DEFAULT_WINDOW,
     ) -> None:
@@ -1460,21 +1349,3 @@ class PendingUpdates:
         self._pend_rows_n = 0
         self._row_start.clear()
         self.mutations += 1
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, object]:
-        """Profiling snapshot (merged into BENCH_core.json by benches)."""
-        meta: Dict[str, object] = {
-            "backend": getattr(self.backend, "name", "unknown"),
-            "window": self.window,
-            "enqueued": self.enqueued,
-            "row_flushes": self.row_flushes,
-            "full_flushes": self.full_flushes,
-            "applied": self.applied,
-            "skipped": self.skipped,
-            "enqueue_seconds": self.enqueue_seconds,
-            "flush_seconds": self.flush_seconds,
-        }
-        return meta

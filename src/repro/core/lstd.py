@@ -162,11 +162,10 @@ class SparseLstd:
     @B.setter
     def B(self, matrix: SparseMatrix) -> None:
         self._B = matrix
-        # Duck-typed backend fast path: only the compiled kernel offers
-        # the fused row combine (None for numpy / deferral-off).
-        self._combine_rows = getattr(
-            matrix.kernel_backend, "combine_rows", None
-        )
+        # Compiled fast path: the kernel's fused row combine (None when
+        # the matrix is eager).
+        backend = matrix.kernel_backend
+        self._combine_rows = None if backend is None else backend.combine_rows
         self.invalidate_theta_cache()
         self._b_mutations_seen = matrix.mutations
 

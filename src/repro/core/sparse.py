@@ -29,10 +29,12 @@ quantities (:class:`repro.core.lstd.SparseLstd`'s dirty-row theta cache)
 compare it to detect out-of-band writes such as the contract tests'
 deliberate corruption.
 
-Deferred rank-k updates (meghkern, ``REPRO_KERNEL``): when the kernel is
-enabled (the default), :meth:`SparseMatrix.rank_one_update_from_column`
-stages rank-1 updates in a :class:`repro.core.kern.PendingUpdates` engine
-instead of scattering immediately.  Every read path flushes exactly the
+Deferred rank-k updates (meghkern, ``REPRO_KERNEL``): when the compiled
+C kernel is available (the default ``auto`` mode; without a compiler the
+matrix stays on the eager path),
+:meth:`SparseMatrix.rank_one_update_from_column` stages rank-1 updates in
+a :class:`repro.core.kern.PendingUpdates` engine instead of scattering
+immediately.  Every read path flushes exactly the
 rows it touches, replaying each row's staged contributions in submission
 order — bit-identical to the eager path by construction (see the
 ``kern`` module docstring for the argument).  A staged update bumps
@@ -107,18 +109,16 @@ class SparseMatrix:
 
     @property
     def kernel_name(self) -> str:
-        """Active flush backend: ``"c"``, ``"numpy"``, or ``"off"``."""
+        """Active flush backend: ``"c"`` or ``"off"`` (eager)."""
         if self._pending is None:
             return "off"
         return self._pending.backend.name
 
     @property
-    def kernel_backend(self) -> Optional["kern.KernelBackend"]:
-        """The active flush backend object (``None`` when deferral is off).
+    def kernel_backend(self) -> Optional["kern.CKernel"]:
+        """The compiled flush backend (``None`` when deferral is off).
 
-        Lets hot callers duck-type optional backend fast paths (e.g. the
-        compiled kernel's fused row combine) without importing backend
-        classes.
+        Lets hot callers reach the kernel's fused row combine.
         """
         if self._pending is None:
             return None
@@ -267,17 +267,6 @@ class SparseMatrix:
         if len(parts) == 1:
             return parts[0]
         return np.concatenate(parts)
-
-    def _entry(self, i: int, j: int) -> float:
-        """Stored entry ``(i, j)`` with *no* flush — the replay weight read."""
-        row = self._rows.get(i)
-        if row is None:
-            return float(self._diag[i]) if i == j else 0.0
-        n = row.n
-        position = int(np.searchsorted(row.idx[:n], j))
-        if position < n and row.idx[position] == j:
-            return float(row.val[position])
-        return 0.0
 
     # ------------------------------------------------------------------
     # Row materialization and maintenance

@@ -48,8 +48,8 @@ __all__ = ["METRIC_FLOORS", "check_benchmarks", "run"]
 #: reference container; see the module docstring.  The committed
 #: ``rank_one_update_ops_per_s`` is a compiled-kernel number
 #: (fast-mode fresh/committed ratio ~1.05 with the C backend); on a
-#: machine with no C compiler the NumPy backend runs fast mode at a
-#: ratio of ~0.08 — use ``--band`` there rather than loosening the
+#: machine with no C compiler the eager path runs fast mode at a
+#: ratio of ~0.07 — use ``--band`` there rather than loosening the
 #: floor for everyone.
 METRIC_FLOORS: Tuple[Tuple[str, str, float], ...] = (
     ("core", "lstd.rank_one_update_ops_per_s", 0.25),

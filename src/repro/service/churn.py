@@ -13,6 +13,7 @@ same-step arrivals may then claim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -30,6 +31,13 @@ DELETE = "delete"
 
 #: Within-step application order: departures first, arrivals last.
 _KIND_PRIORITY: Dict[str, int] = {DELETE: 0, RESIZE: 1, CREATE: 2}
+
+#: Capacity fields each kind carries (each must be finite and > 0).
+_SIZE_FIELDS: Dict[str, Tuple[str, ...]] = {
+    CREATE: ("mips", "ram_mb", "bandwidth_mbps"),
+    RESIZE: ("mips",),
+    DELETE: (),
+}
 
 #: JSONL trace event kinds (the :class:`EventKind` lifecycle taxonomy)
 #: mapped onto churn kinds, so a saved service event log replays as a
@@ -110,6 +118,13 @@ class ChurnEvent:
             raise ConfigurationError(f"unknown churn kind {self.kind!r}")
         if self.step < 0:
             raise ConfigurationError("step must be >= 0")
+        for name in _SIZE_FIELDS[self.kind]:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{self.kind} of uid {self.uid} needs a finite "
+                    f"{name} > 0, got {value!r}"
+                )
 
 
 def _ordered(
@@ -221,10 +236,11 @@ class TraceChurnModel:
     Accepts the JSONL format written by
     :meth:`~repro.cloudsim.events.EventLog.save_jsonl` — lines whose
     ``kind`` is ``vm_created``/``vm_resized``/``vm_deleted`` become the
-    schedule (anything else is ignored), so a previous service run's
+    schedule (other event kinds are ignored), so a previous service run's
     event log replays directly.  Every lifecycle line must carry
-    ``uid``; creates must carry ``mips``/``ram_mb``/``bandwidth_mbps``
-    and resizes ``mips``.
+    an integer ``uid``; creates must carry ``mips``/``ram_mb``/
+    ``bandwidth_mbps`` and resizes ``mips``, each a finite number > 0.
+    A malformed line raises :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(self, events: Sequence[ChurnEvent], num_steps: int) -> None:
@@ -269,32 +285,23 @@ def _from_trace_event(event: Event, kind: str) -> ChurnEvent:
         raise ConfigurationError(
             f"lifecycle event at step {event.step} lacks a uid"
         )
-    uid = int(payload["uid"])  # type: ignore[arg-type]
-    if kind == CREATE:
-        try:
-            return ChurnEvent(
-                step=event.step,
-                kind=kind,
-                uid=uid,
-                mips=float(payload["mips"]),  # type: ignore[arg-type]
-                ram_mb=float(payload["ram_mb"]),  # type: ignore[arg-type]
-                bandwidth_mbps=float(
-                    payload["bandwidth_mbps"]  # type: ignore[arg-type]
-                ),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"vm_created for uid {uid} lacks {exc.args[0]}"
-            ) from exc
-    if kind == RESIZE:
-        if "mips" not in payload:
-            raise ConfigurationError(
-                f"vm_resized for uid {uid} lacks mips"
-            )
-        return ChurnEvent(
-            step=event.step,
-            kind=kind,
-            uid=uid,
-            mips=float(payload["mips"]),  # type: ignore[arg-type]
+    uid = payload["uid"]
+    if isinstance(uid, bool) or not isinstance(uid, int):
+        raise ConfigurationError(
+            f"lifecycle event at step {event.step} has a non-integer "
+            f"uid {uid!r}"
         )
-    return ChurnEvent(step=event.step, kind=kind, uid=uid)
+    sizes: Dict[str, float] = {}
+    for name in _SIZE_FIELDS[kind]:
+        if name not in payload:
+            raise ConfigurationError(
+                f"{event.kind.value} for uid {uid} lacks {name}"
+            )
+        value = payload[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(
+                f"{event.kind.value} for uid {uid}: {name}={value!r} "
+                "is not a number"
+            )
+        sizes[name] = float(value)
+    return ChurnEvent(step=event.step, kind=kind, uid=uid, **sizes)

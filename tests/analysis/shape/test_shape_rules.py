@@ -141,7 +141,7 @@ class TestShapeContracts:
             for f in findings
         )
         assert "columns@repro.core.kern.PendingUpdates.enqueue" in messages
-        assert "rows@repro.core.kern.KernelBackend.replay_rows" in messages
+        assert "rows@repro.core.kern.CKernel.replay_rows" in messages
 
     def test_satisfying_arguments_are_clean(self):
         assert _findings("shape_contract_negative", "MEGH022") == []

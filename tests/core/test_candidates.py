@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cloudsim.datacenter import Datacenter
+from repro.cloudsim.reference import ReferenceDatacenter
 from repro.cloudsim.soa import DatacenterArrays
 from repro.config import MeghConfig
 from repro.core.agent import MeghScheduler
@@ -143,7 +144,8 @@ class TestFullRunEquivalence:
         scheduler = MeghScheduler.from_simulation(
             simulation, seed=seed, contracts=False
         )
-        scheduler.scalar_candidates = scalar
+        if scalar:
+            scheduler._plan = scheduler._scalar_plan
         scheduler.trace = DecisionTrace()
         result = run_scheduler(simulation, scheduler)
         return scheduler, result
@@ -191,9 +193,9 @@ class TestSingleOverloadEvaluation:
             DatacenterArrays, "overloaded_pm_mask", counting_mask
         )
         monkeypatch.setattr(Datacenter, "overloaded_pm_ids", counting_ids)
-        agent = MeghScheduler(
-            num_vms=20, num_pms=8, seed=7, scalar_candidates=scalar
-        )
+        agent = MeghScheduler(num_vms=20, num_pms=8, seed=7)
+        if scalar:
+            agent._plan = agent._scalar_plan
         agent.decide(build_observation(dc))
         # Vectorized: one mask query.  Scalar oracle: one
         # overloaded_pm_ids call (which itself reads the mask once).
@@ -215,10 +217,25 @@ class TestScratchReuse:
         index.plan(dc)
         assert index._feas is first
 
-    def test_scalar_mode_env_toggle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_CANDIDATES", "1")
-        agent = MeghScheduler(num_vms=4, num_pms=2, seed=0)
-        assert agent.scalar_candidates
-        monkeypatch.setenv("REPRO_SCALAR_CANDIDATES", "0")
-        agent = MeghScheduler(num_vms=4, num_pms=2, seed=0)
-        assert not agent.scalar_candidates
+
+class TestPlanDispatch:
+    """``_plan`` picks the generator from the datacenter alone."""
+
+    def test_soa_datacenter_takes_the_vectorized_index(self, monkeypatch):
+        agent = MeghScheduler(num_vms=20, num_pms=8, seed=0)
+        monkeypatch.setattr(agent, "_scalar_plan", None)  # raises if used
+        plan = agent._plan(build_observation(random_datacenter(5)))
+        assert plan.num_rows > 0
+
+    def test_datacenter_without_arrays_takes_the_scalar_generator(self):
+        pms = [make_pm(i) for i in range(4)]
+        vms = [make_vm(j, mips=1500.0, ram_mb=256.0) for j in range(6)]
+        dc = ReferenceDatacenter(pms, vms)
+        for j in range(6):
+            dc.place(j, j % 2)
+            dc.vm(j).set_demand(0.9)
+        agent = MeghScheduler(num_vms=6, num_pms=4, seed=0)
+        observation = build_observation(dc)
+        plan = agent._plan(observation)
+        assert plan.num_rows > 0
+        assert plan.to_action_lists() == agent._candidate_actions(observation)

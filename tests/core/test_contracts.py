@@ -55,6 +55,24 @@ class TestConfig:
         monkeypatch.setenv("REPRO_CONTRACTS", "off")
         assert contracts_enabled() is False
 
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("1", True), ("TRUE", True), (" yes ", True), ("On", True),
+            ("0", False), ("False", False), ("no", False), ("OFF", False),
+            ("", False),
+        ],
+    )
+    def test_toggle_accepted_values(self, monkeypatch, raw, expected):
+        monkeypatch.setenv("REPRO_CONTRACTS", raw)
+        assert contracts_enabled(default=not expected) is expected
+
+    @pytest.mark.parametrize("raw", ["enable", "tru", "2", "y", "disabled"])
+    def test_toggle_rejects_unknown_values(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_CONTRACTS", raw)
+        with pytest.raises(ConfigurationError, match="REPRO_CONTRACTS"):
+            contracts_enabled()
+
 
 class TestRequireFinite:
     def test_passes_through_finite(self):

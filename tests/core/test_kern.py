@@ -1,24 +1,21 @@
 """Tests for meghkern — the deferred rank-k Sherman–Morrison engine.
 
-Covers backend selection (``REPRO_KERNEL`` / ``REPRO_KERNEL_WINDOW``),
-staging semantics, cross-backend bit-identity, the compiled row-combine
+Covers backend selection (``REPRO_KERNEL``), the compiled-kernel cache,
+staging semantics, C ≡ eager bit-identity, the compiled row-combine
 helper, and a randomized differential oracle against a dense NumPy
-replica of the eager scatter.  Backends are compared by *matrix state*
-(bit equality), never by their internal applied/skipped counters — the
-C kernel counts every scanned-and-skipped update while the NumPy
-backend only scans candidates, so the stats legitimately differ.
+replica of the eager scatter.  Modes are compared by *matrix state*
+(bit equality), never by internal counters.
 """
+
+import hashlib
+import os
+import subprocess
 
 import numpy as np
 import pytest
 
 from repro.core import kern
-from repro.core.kern import (
-    DEFAULT_WINDOW,
-    KernelUnavailableError,
-    NumpyKernel,
-    PendingUpdates,
-)
+from repro.core.kern import KernelUnavailableError, PendingUpdates
 from repro.core.lstd import _row_entry
 from repro.core.sparse import PRUNE_EPSILON, SparseMatrix
 from repro.errors import ConfigurationError
@@ -26,9 +23,15 @@ from repro.errors import ConfigurationError
 _HAS_COMPILER = kern._find_compiler() is not None
 
 #: Every backend mode runnable in this environment.
-KERNELS = ["off", "numpy"] + (["c"] if _HAS_COMPILER else [])
+KERNELS = ["off"] + (["c"] if _HAS_COMPILER else [])
 #: Deferred backends only (staging semantics tests).
 DEFERRED = [mode for mode in KERNELS if mode != "off"]
+
+
+def _cache_digest() -> str:
+    """The source+flags hash naming the compiled-kernel cache entries."""
+    key = kern._C_SOURCE + " ".join(kern._CFLAGS)
+    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
 
 def dense_of(matrix: SparseMatrix) -> np.ndarray:
@@ -77,33 +80,19 @@ class TestBackendSelection:
     def test_resolve_mode_default_and_validation(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         assert kern.resolve_mode() == "auto"
-        monkeypatch.setenv("REPRO_KERNEL", "NumPy")
-        assert kern.resolve_mode() == "numpy"
-        monkeypatch.setenv("REPRO_KERNEL", "bogus")
-        with pytest.raises(ConfigurationError):
-            kern.resolve_mode()
-
-    def test_window_env_validation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_WINDOW", raising=False)
-        assert kern.resolve_window() == DEFAULT_WINDOW
-        monkeypatch.setenv("REPRO_KERNEL_WINDOW", "7")
-        assert kern.resolve_window() == 7
-        monkeypatch.setenv("REPRO_KERNEL_WINDOW", "0")
-        with pytest.raises(ConfigurationError):
-            kern.resolve_window()
-        monkeypatch.setenv("REPRO_KERNEL_WINDOW", "many")
-        with pytest.raises(ConfigurationError):
-            kern.resolve_window()
+        monkeypatch.setenv("REPRO_KERNEL", " C ")
+        assert kern.resolve_mode() == "c"
+        for raw in ("numpy", "bogus"):
+            monkeypatch.setenv("REPRO_KERNEL", raw)
+            with pytest.raises(ConfigurationError) as error:
+                kern.resolve_mode()
+            for mode in ("auto", "c", "off"):
+                assert repr(mode) in str(error.value)
 
     def test_off_mode_is_eager(self):
         matrix = SparseMatrix(4, kernel="off")
         assert matrix.kernel_name == "off"
         assert matrix.kernel_backend is None
-
-    def test_numpy_mode(self):
-        matrix = SparseMatrix(4, kernel="numpy")
-        assert matrix.kernel_name == "numpy"
-        assert isinstance(matrix.kernel_backend, NumpyKernel)
 
     @pytest.mark.skipif(not _HAS_COMPILER, reason="no C compiler on PATH")
     def test_c_mode_compiles(self):
@@ -116,11 +105,59 @@ class TestBackendSelection:
         with pytest.raises(KernelUnavailableError):
             SparseMatrix(4, kernel="c")
 
-    def test_auto_mode_falls_back_to_numpy(self, monkeypatch, tmp_path):
+    def test_auto_mode_falls_back_to_eager(self, monkeypatch, tmp_path):
         monkeypatch.setenv("PATH", str(tmp_path / "nothing-here"))
         monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
         matrix = SparseMatrix(4, kernel="auto")
-        assert matrix.kernel_name == "numpy"
+        assert matrix.kernel_name == "off"
+        assert matrix.kernel_backend is None
+
+    @pytest.mark.skipif(not _HAS_COMPILER, reason="no C compiler on PATH")
+    def test_cold_build_survives_a_concurrent_source_rewrite(
+        self, monkeypatch, tmp_path
+    ):
+        # A second cold builder rewrites the shared ``megh_kern_<digest>.c``
+        # while this one compiles; simulate it by truncating that file
+        # right before every compiler invocation.
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(cache))
+        digest = _cache_digest()
+        shared_source = cache / f"megh_kern_{digest}.c"
+        real_run = subprocess.run
+
+        def truncating_run(*args, **kwargs):
+            shared_source.write_text("", encoding="utf-8")
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(kern.subprocess, "run", truncating_run)
+        matrix = SparseMatrix(4, kernel="c")
+        assert matrix.kernel_name == "c"
+        # Only the finished source and library remain; no staging files.
+        assert sorted(os.listdir(cache)) == [
+            f"megh_kern_{digest}.c", f"megh_kern_{digest}.so"
+        ]
+        assert shared_source.read_text(encoding="utf-8") == kern._C_SOURCE
+
+    @pytest.mark.skipif(not _HAS_COMPILER, reason="no C compiler on PATH")
+    def test_cached_library_without_symbols_is_unavailable(
+        self, monkeypatch, tmp_path
+    ):
+        # A cache entry built from a clobbered source loads but lacks the
+        # kernel's symbols: ``c`` must say so, ``auto`` must go eager.
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(cache))
+        digest = _cache_digest()
+        empty = tmp_path / "empty.c"
+        empty.write_text("", encoding="utf-8")
+        subprocess.run(
+            [kern._find_compiler(), "-shared", "-fPIC", "-o",
+             str(cache / f"megh_kern_{digest}.so"), str(empty)],
+            check=True,
+        )
+        with pytest.raises(KernelUnavailableError):
+            SparseMatrix(4, kernel="c")
+        assert SparseMatrix(4, kernel="auto").kernel_name == "off"
 
 
 class TestStagingSemantics:
@@ -150,9 +187,10 @@ class TestStagingSemantics:
         matrix.rank_one_update_from_column(0, columns, np.array([1.0]), 1.0)
         assert matrix.mutations == seen + 1
 
+    @pytest.mark.skipif(not _HAS_COMPILER, reason="no C compiler on PATH")
     def test_window_triggers_full_flush(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_WINDOW", "3")
-        matrix = SparseMatrix.identity(8, scale=1.0, kernel="numpy")
+        monkeypatch.setattr(kern, "DEFAULT_WINDOW", 3)
+        matrix = SparseMatrix.identity(8, scale=1.0, kernel="c")
         pending = matrix._pending
         columns = np.array([4], dtype=np.int64)
         for k in range(3):
@@ -187,7 +225,7 @@ class TestStagingSemantics:
         # update forces the window flush, the support read afterwards
         # must see the *settled* image (rows that gained a pivot entry
         # during that flush are clean again and must be re-marked).
-        monkeypatch.setenv("REPRO_KERNEL_WINDOW", "2")
+        monkeypatch.setattr(kern, "DEFAULT_WINDOW", 2)
         matrix = SparseMatrix(8, kernel=mode)
         matrix.set(0, 0, 1.0)
         matrix.rank_one_update_from_column(
@@ -223,7 +261,7 @@ class TestStagingSemantics:
         assert np.array_equal(dense_of(batched), dense_of(per_row))
 
     def test_pending_updates_rejects_bad_config(self):
-        backend = NumpyKernel()
+        backend = object()  # validation runs before the backend is used
         with pytest.raises(ConfigurationError):
             PendingUpdates(backend, dimension=0)
         with pytest.raises(ConfigurationError):

@@ -167,3 +167,65 @@ class TestTraceChurnModel:
         log.save_jsonl(path)
         with pytest.raises(ConfigurationError):
             TraceChurnModel.from_jsonl(path, num_steps=5)
+
+
+#: Malformed lifecycle-trace lines: each must be a ConfigurationError,
+#: never a bare ValueError or a run that carries on with a bad size.
+_BAD_TRACE_LINES = {
+    "unknown-kind": '{"step": 0, "kind": "bogus", "uid": 0}',
+    "non-object": "[0, 1]",
+    "step-not-int": '{"step": "x", "kind": "vm_deleted", "uid": 0}',
+    "uid-not-int": '{"step": 0, "kind": "vm_deleted", "uid": "abc"}',
+    "mips-not-number": (
+        '{"step": 0, "kind": "vm_created", "uid": 0, "mips": "fast", '
+        '"ram_mb": 700.0, "bandwidth_mbps": 100.0}'
+    ),
+    "mips-nan": (
+        '{"step": 0, "kind": "vm_created", "uid": 0, "mips": NaN, '
+        '"ram_mb": 700.0, "bandwidth_mbps": 100.0}'
+    ),
+    "mips-negative": (
+        '{"step": 0, "kind": "vm_created", "uid": 0, "mips": -5, '
+        '"ram_mb": 700.0, "bandwidth_mbps": 100.0}'
+    ),
+    "ram-zero": (
+        '{"step": 0, "kind": "vm_created", "uid": 0, "mips": 900.0, '
+        '"ram_mb": 0, "bandwidth_mbps": 100.0}'
+    ),
+    "resize-mips-infinite": (
+        '{"step": 0, "kind": "vm_resized", "uid": 0, "mips": Infinity}'
+    ),
+}
+
+
+class TestMalformedTrace:
+    @pytest.mark.parametrize(
+        "line", list(_BAD_TRACE_LINES.values()), ids=list(_BAD_TRACE_LINES)
+    )
+    def test_bad_line_is_a_configuration_error(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ConfigurationError):
+            TraceChurnModel.from_jsonl(str(path), num_steps=5)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(kind=CREATE, mips=float("nan"), ram_mb=1.0,
+                 bandwidth_mbps=1.0),
+            dict(kind=CREATE, mips=1.0, ram_mb=-1.0, bandwidth_mbps=1.0),
+            dict(kind=CREATE, mips=1.0, ram_mb=1.0),
+            dict(kind=RESIZE, mips=0.0),
+        ],
+    )
+    def test_churn_event_rejects_bad_sizes(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            ChurnEvent(step=0, uid=0, **kwargs)
+
+    def test_serve_exits_2_on_bad_trace(self, tmp_path, capsys):
+        from repro.service.cli import run as serve
+
+        path = tmp_path / "bad.jsonl"
+        path.write_text(_BAD_TRACE_LINES["mips-nan"] + "\n", encoding="utf-8")
+        assert serve(["--steps", "6", "--trace", str(path)]) == 2
+        assert "mips" in capsys.readouterr().out
