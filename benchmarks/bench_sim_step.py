@@ -20,7 +20,9 @@ backend:
 With ``--backend both`` the script additionally asserts the two
 backends produce byte-identical ``SimulationResult.to_dict()`` payloads
 — same migrations, SLA windows and step costs — before reporting any
-speedup.  Usage::
+speedup.  With ``--fast`` it also runs THR-MMT on both backends (array
+PABFD vs the per-PM scan) and records whether those results are
+byte-identical too.  Usage::
 
     PYTHONPATH=src python benchmarks/bench_sim_step.py            # both
     PYTHONPATH=src python benchmarks/bench_sim_step.py --fast     # CI smoke
@@ -54,6 +56,7 @@ from core_bench_util import (  # noqa: E402
     merge_section,
 )
 
+from repro.baselines.mmt.scheduler import MMTScheduler  # noqa: E402
 from repro.baselines.noop import NoMigrationScheduler  # noqa: E402
 from repro.cloudsim.allocation import PLACEMENT_POLICIES  # noqa: E402
 from repro.cloudsim.datacenter import Datacenter  # noqa: E402
@@ -194,14 +197,37 @@ def measure_backend(
         "total_cost_usd": result.total_cost_usd,
         "mean_active_hosts": result.mean_active_hosts,
     }
-    # Canonical comparison payload: everything the run produced except
-    # the measured wall-clock scheduler time, which is non-deterministic
-    # by nature and identical in no two runs.
+    return payload, canonical_result(result)
+
+
+def canonical_result(result) -> str:
+    """Everything a run produced except the measured scheduler wall
+    time, which is non-deterministic by nature and identical in no two
+    runs."""
     result_dict = result.to_dict()
     for step in result_dict.get("steps", []):
         step.pop("scheduler_seconds", None)
-    canonical = json.dumps(result_dict, sort_keys=True)
-    return payload, canonical
+    return json.dumps(result_dict, sort_keys=True)
+
+
+def mmt_backends_identical(
+    num_pms: int, num_vms: int, num_steps: int, seed: int
+) -> bool:
+    """THR-MMT on both backends gives byte-identical results.
+
+    The SoA datacenter plans with the array PABFD and the reference
+    backend with the per-PM scan, so this checks their bit-identity on
+    a whole run rather than on single plans.
+    """
+    canonicals = [
+        canonical_result(
+            build_sim(backend, num_pms, num_vms, num_steps, seed).run(
+                MMTScheduler("THR"), validate_every_step=False
+            )
+        )
+        for backend in ("reference", "soa")
+    ]
+    return canonicals[0] == canonicals[1]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -273,6 +299,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not identical:
             print("ERROR: backends diverged — refusing to record a speedup")
             return 1
+        if args.fast:
+            identical = mmt_backends_identical(
+                num_pms, num_vms, num_steps, args.seed
+            )
+            section["identical_results_mmt_soa_vs_reference"] = identical
+            print(f"THR-MMT identical on both backends: {identical}")
+            if not identical:
+                print("ERROR: THR-MMT diverged between the backends")
+                return 1
     before = section.get("before") or section.get("reference_backend")
     after = section.get("after")
     if before and after:

@@ -41,11 +41,49 @@ def power_increase(
     )
 
 
+class PlacementContext:
+    """Per-host PABFD invariants, built once per planning round.
+
+    Planning never mutates the datacenter and every PABFD call starts
+    from zero pending commitments, so the per-host vectors below are the
+    same for every call of one ``decide()``: free RAM, demanded MIPS,
+    capacity, the wake cost of sleeping hosts (``P(0)``) and each host's
+    "before" power ``P(min(1, demand / mips))``.  Build a fresh context
+    whenever the datacenter's placement or demand may have changed.
+    """
+
+    def __init__(self, datacenter: Datacenter) -> None:
+        arrays = datacenter.arrays
+        self.ram_free = arrays.pm_ram_free_mb()
+        self.pm_demand = arrays.pm_demand_mips()
+        self.pm_mips = arrays.pm_mips
+        self.groups = datacenter.power_groups()
+        utilization = np.minimum(1.0, self.pm_demand / self.pm_mips)
+        self.before = np.empty(arrays.num_pms, dtype=np.float64)
+        self.wake = np.zeros(arrays.num_pms, dtype=np.float64)
+        # Group index per host: one power_batch per group scores a VM.
+        self.group_of = np.empty(arrays.num_pms, dtype=np.int64)
+        for index, (model, pm_ids) in enumerate(self.groups):
+            self.group_of[pm_ids] = index
+            self.before[pm_ids] = model.power_batch(utilization[pm_ids])
+            self.wake[pm_ids[arrays.pm_asleep[pm_ids]]] = model.power(0.0)
+
+    def power(self, pm_ids: np.ndarray, utilization: np.ndarray) -> np.ndarray:
+        """Each host's power model evaluated at its ``utilization``."""
+        watts = np.empty(pm_ids.size, dtype=np.float64)
+        group_of = self.group_of[pm_ids]
+        for index, (model, _) in enumerate(self.groups):
+            members = group_of == index
+            watts[members] = model.power_batch(utilization[members])
+        return watts
+
+
 def power_aware_best_fit(
     datacenter: Datacenter,
     vm_ids: Iterable[int],
     threshold: float,
     excluded_hosts: Sequence[int] = (),
+    context: Optional[PlacementContext] = None,
 ) -> Dict[int, int]:
     """Plan destinations for ``vm_ids`` (PABFD).
 
@@ -53,7 +91,9 @@ def power_aware_best_fit(
     host exists are simply absent (they stay where they are).  The plan
     respects RAM capacity and keeps every destination's demanded
     utilization at or below ``threshold``, accounting for VMs placed
-    earlier in the same plan.
+    earlier in the same plan.  ``context`` shares the per-host
+    invariants between the calls of one planning round; without it the
+    call builds its own.
     """
     arrays = getattr(datacenter, "arrays", None)
     if arrays is None:
@@ -62,50 +102,60 @@ def power_aware_best_fit(
         return _power_aware_best_fit_scalar(
             datacenter, vm_ids, threshold, excluded_hosts
         )
+    if context is None:
+        context = PlacementContext(datacenter)
     plan: Dict[int, int] = {}
     num_pms = arrays.num_pms
-    # Planning never mutates placement, so the per-PM vectors are loop
-    # invariants; only the pending-commitment vectors evolve.  The float
-    # arithmetic mirrors the historical per-PM scan operand for operand
-    # (``(demand + pending) + vm_demand``, ``free − pending``), so the
-    # planned map is bit-identical to the scalar version's.
-    ram_free = arrays.pm_ram_free_mb()
-    pm_demand = arrays.pm_demand_mips()
-    budget = threshold * arrays.pm_mips
+    # Every host's power increase for a VM is scored in one array pass.
+    # The float arithmetic mirrors the per-PM scan operand for operand —
+    # load ``(demand + pending) + vm_demand``, room ``free − pending``,
+    # increase ``(P(after) − P(before)) + wake`` — and ``np.argmin``
+    # keeps the first minimiser like the scan's strict ``<`` in ascending
+    # id order, so the plan is bit-identical to the scalar version's.
+    ram_free, pm_demand, pm_mips = (
+        context.ram_free,
+        context.pm_demand,
+        context.pm_mips,
+    )
+    budget = threshold * pm_mips
     blocked = np.zeros(num_pms, dtype=bool)
-    for pm_id in excluded_hosts:
-        blocked[pm_id] = True
+    blocked[np.asarray(excluded_hosts, dtype=np.int64)] = True
     pending_mips = np.zeros(num_pms, dtype=np.float64)
     pending_ram = np.zeros(num_pms, dtype=np.float64)
+    load = pm_demand + pending_mips
+    room = ram_free - pending_ram
+    before = context.before.copy()
     ordered = sorted(
         vm_ids, key=lambda vm_id: -datacenter.vm(vm_id).demanded_mips
     )
     for vm_id in ordered:
         vm = datacenter.vm(vm_id)
+        vm_mips = vm.demanded_mips
         source = datacenter.host_of(vm_id)
         feasible = (
-            ~blocked
-            & (vm.ram_mb <= ram_free - pending_ram)
-            & ((pm_demand + pending_mips) + vm.demanded_mips <= budget)
+            ~blocked & (vm.ram_mb <= room) & (load + vm_mips <= budget)
         )
         if source is not None:
             feasible[source] = False
-        best_pm: Optional[int] = None
-        best_increase = float("inf")
-        # The power model stays scalar: only the (few) feasible hosts
-        # reach it, in ascending id order with a strict `<` so the first
-        # minimiser wins — exactly the historical scan.
-        for pm_id in np.flatnonzero(feasible).tolist():
-            increase = power_increase(
-                datacenter, pm_id, vm.demanded_mips, float(pending_mips[pm_id])
-            )
-            if increase < best_increase:
-                best_increase = increase
-                best_pm = pm_id
-        if best_pm is not None:
-            plan[vm_id] = best_pm
-            pending_mips[best_pm] += vm.demanded_mips
-            pending_ram[best_pm] += vm.ram_mb
+        pm_ids = np.flatnonzero(feasible)
+        if pm_ids.size == 0:
+            continue
+        after = np.minimum(1.0, (load[pm_ids] + vm_mips) / pm_mips[pm_ids])
+        increase = (
+            context.power(pm_ids, after) - before[pm_ids]
+        ) + context.wake[pm_ids]
+        best_pm = int(pm_ids[np.argmin(increase)])
+        plan[vm_id] = best_pm
+        pending_mips[best_pm] += vm_mips
+        pending_ram[best_pm] += vm.ram_mb
+        # Recompute (not ``+=``) the chosen host's entries so they equal
+        # the scan's ``demand + pending`` and ``free − pending`` exactly.
+        load[best_pm] = pm_demand[best_pm] + pending_mips[best_pm]
+        room[best_pm] = ram_free[best_pm] - pending_ram[best_pm]
+        model = context.groups[context.group_of[best_pm]][0]
+        before[best_pm] = model.power(
+            min(1.0, float(load[best_pm] / pm_mips[best_pm]))
+        )
     return plan
 
 

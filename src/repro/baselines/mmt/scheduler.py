@@ -22,6 +22,7 @@ from typing import List, Optional
 from repro.cloudsim.migration import Migration
 from repro.baselines.mmt.detection import OverloadDetector, make_detector
 from repro.baselines.mmt.placement import (
+    PlacementContext,
     hosts_by_utilization,
     power_aware_best_fit,
 )
@@ -73,13 +74,28 @@ class MMTScheduler:
         # monitor on first use.
         if getattr(self.selection, "monitor", ...) is None:
             self.selection.monitor = observation.monitor
-        migrations = self._relieve_overloads(observation)
+        # Planning leaves the datacenter untouched, so every PABFD call
+        # of this step shares one set of per-host invariants (none on
+        # the reference object backend, which plans with the scan).
+        datacenter = observation.datacenter
+        context = (
+            None
+            if getattr(datacenter, "arrays", None) is None
+            else PlacementContext(datacenter)
+        )
+        migrations = self._relieve_overloads(observation, context)
         if self.consolidate:
-            migrations.extend(self._consolidate_underloads(observation))
+            migrations.extend(
+                self._consolidate_underloads(observation, context)
+            )
         return migrations
 
     # ------------------------------------------------------------------
-    def _relieve_overloads(self, observation: Observation) -> List[Migration]:
+    def _relieve_overloads(
+        self,
+        observation: Observation,
+        context: Optional[PlacementContext],
+    ) -> List[Migration]:
         datacenter = observation.datacenter
         monitor = observation.monitor
         to_place: List[int] = []
@@ -107,6 +123,7 @@ class MMTScheduler:
             to_place,
             threshold=self.placement_threshold,
             excluded_hosts=overloaded_hosts,
+            context=context,
         )
         return [
             Migration(vm_id=vm_id, dest_pm_id=pm_id)
@@ -115,7 +132,9 @@ class MMTScheduler:
 
     # ------------------------------------------------------------------
     def _consolidate_underloads(
-        self, observation: Observation
+        self,
+        observation: Observation,
+        context: Optional[PlacementContext],
     ) -> List[Migration]:
         datacenter = observation.datacenter
         monitor = observation.monitor
@@ -136,6 +155,7 @@ class MMTScheduler:
                 vm_ids,
                 threshold=self.placement_threshold,
                 excluded_hosts=[pm_id, *evacuated],
+                context=context,
             )
             if len(plan) != len(vm_ids):
                 # Only evacuate a host when *every* VM can leave;
@@ -147,3 +167,4 @@ class MMTScheduler:
                 for vm_id, dest in plan.items()
             )
         return migrations
+

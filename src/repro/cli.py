@@ -30,6 +30,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.errors import ReproError
 from repro.harness import experiments
 from repro.harness.figures import figure_series, render_figure
 from repro.harness.tables import render_comparison
@@ -329,8 +330,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0
     except BrokenPipeError:
         return 0  # output piped into a closed reader (e.g. `| head`)
-    engine = _make_engine(args)
+    engine = None
     try:
+        engine = _make_engine(args)
         if experiment == "compare":
             print(_run_compare(args, engine))
         elif experiment == "profile":
@@ -352,6 +354,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0  # output piped into a closed reader (e.g. `| head`)
     except KeyboardInterrupt:
         return 130
+    except ReproError as error:
+        # Bad configuration (env knobs, inputs): one line, not a traceback.
+        print(f"megh-repro {experiment}: error: {error}", file=sys.stderr)
+        return 2
     finally:
         if engine is not None:
             print(engine.summary(), file=sys.stderr)

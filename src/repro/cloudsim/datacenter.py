@@ -23,11 +23,12 @@ The retained pre-rewrite implementation lives in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.cloudsim.pm import PhysicalMachine
+from repro.cloudsim.power import PowerModel
 from repro.cloudsim.soa import DatacenterArrays
 from repro.cloudsim.vm import VirtualMachine
 from repro.errors import CapacityError, UnknownEntityError
@@ -70,6 +71,7 @@ class Datacenter:
             vm._bind(self.arrays, vm.vm_id)
         for pm in self._pms:  # meghlint: ignore[MEGH009] -- one-time binding at construction
             pm._bind(self.arrays, pm.pm_id)
+        self._power_groups: Optional[List[Tuple[PowerModel, np.ndarray]]] = None
 
     def _check_dense_ids(self) -> None:
         pm_ids = sorted(pm.pm_id for pm in self._pms)  # meghlint: ignore[MEGH009] -- one-time construction
@@ -97,6 +99,25 @@ class Datacenter:
     @property
     def vms(self) -> Sequence[VirtualMachine]:
         return tuple(self._vms)
+
+    def power_groups(self) -> List[Tuple[PowerModel, np.ndarray]]:
+        """Host ids grouped by power-model instance, in first-seen order.
+
+        Vectorized power evaluation (energy accounting, PABFD placement)
+        calls ``power_batch`` once per group.  Built on first use: the
+        fleet and each host's power model are fixed after construction.
+        """
+        if self._power_groups is None:
+            by_model: Dict[int, Tuple[PowerModel, List[int]]] = {}
+            for pm in self._pms:  # meghlint: ignore[MEGH009] -- built once per datacenter
+                by_model.setdefault(id(pm.power_model), (pm.power_model, []))[
+                    1
+                ].append(pm.pm_id)
+            self._power_groups = [
+                (model, np.asarray(ids, dtype=np.int64))
+                for model, ids in by_model.values()
+            ]
+        return self._power_groups
 
     def pm(self, pm_id: int) -> PhysicalMachine:
         """Return the PM with the given id."""

@@ -21,14 +21,17 @@ from repro.errors import ConfigurationError
 class PowerModel(Protocol):
     """Maps a CPU utilization fraction in ``[0, 1]`` to power in watts.
 
-    Models may additionally provide ``power_batch(utilizations)``
-    returning a vector of draws bit-identical to calling ``power`` on
-    each element; the vectorized energy accounting uses it when present
-    and falls back to the scalar method otherwise.
+    ``power_batch`` is the vectorized form the energy accounting and
+    PABFD placement use: element for element it must return exactly
+    what ``power`` returns, down to the last bit.
     """
 
     def power(self, utilization: float) -> float:
         """Return the instantaneous power draw at the given utilization."""
+        ...
+
+    def power_batch(self, utilizations: np.ndarray) -> np.ndarray:
+        """Return ``power`` of each element, bit-identical to the scalar."""
         ...
 
     @property
@@ -85,20 +88,18 @@ class SpecPowerModel:
         Same operation sequence as :meth:`power` — clamp, scale by 10,
         truncate, interpolate — applied elementwise, so each output
         equals the scalar call on the same input down to the last bit.
+        At 100 % the segment is held at 9 with ``frac = 1``:
+        ``watts[9] * 0.0 + watts[10] * 1.0`` is exactly ``watts[10]``,
+        the scalar's saturated branch, without a masked second pass.
         """
-        u = np.clip(np.asarray(utilizations, dtype=np.float64), 0.0, 1.0) * 10.0
-        low = u.astype(np.int64)
+        u = np.asarray(utilizations, dtype=np.float64)
+        # Two ufuncs rather than ``np.clip``, whose Python-level dispatch
+        # costs more than the clamp on the short vectors PABFD scores.
+        u = np.minimum(np.maximum(u, 0.0), 1.0) * 10.0
+        low = np.minimum(u.astype(np.int64), 9)
+        frac = u - low
         watts = self._watts_array
-        out = np.empty_like(u)
-        saturated = low >= 10
-        out[saturated] = watts[10]
-        rest = ~saturated
-        low_rest = low[rest]
-        frac = u[rest] - low_rest
-        out[rest] = (
-            watts[low_rest] * (1.0 - frac) + watts[low_rest + 1] * frac
-        )
-        return out
+        return watts[low] * (1.0 - frac) + watts[low + 1] * frac
 
     @property
     def idle_power(self) -> float:
@@ -129,7 +130,8 @@ class LinearPowerModel:
 
     def power_batch(self, utilizations: np.ndarray) -> np.ndarray:
         """Vectorized ``power``; bit-identical to the scalar formula."""
-        u = np.clip(np.asarray(utilizations, dtype=np.float64), 0.0, 1.0)
+        u = np.asarray(utilizations, dtype=np.float64)
+        u = np.minimum(np.maximum(u, 0.0), 1.0)
         return self.idle_watts + (self.peak_watts - self.idle_watts) * u
 
     @property

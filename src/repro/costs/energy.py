@@ -8,8 +8,6 @@ host ``i`` (from its SPECpower curve at its delivered utilization) and
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
 import numpy as np
 
 from repro.cloudsim.datacenter import Datacenter
@@ -24,10 +22,6 @@ class EnergyCostModel:
         self._config = config
         self._total_joules = 0.0
         self._total_usd = 0.0
-        # Hosts grouped by power-model instance, built once per
-        # datacenter for the vectorized evaluation path.
-        self._groups_for: Optional[object] = None
-        self._groups: Optional[List[Tuple[object, np.ndarray]]] = None
 
     @property
     def total_joules(self) -> float:
@@ -51,14 +45,13 @@ class EnergyCostModel:
         if interval_seconds <= 0:
             raise ConfigurationError("interval must be > 0")
         arrays = getattr(datacenter, "arrays", None)
-        groups = self._power_groups(datacenter) if arrays is not None else None
-        if arrays is not None and groups is not None:
+        if arrays is not None:
             # Batched path: evaluate each power model once over its
             # hosts, zero sleeping hosts, and total left-to-right
             # (cumsum) in host-id order — bit-identical to the loop.
             utilization = arrays.pm_delivered_utilization()
             watts_by_pm = np.zeros(arrays.num_pms, dtype=np.float64)
-            for model, pm_ids in groups:
+            for model, pm_ids in datacenter.power_groups():
                 watts_by_pm[pm_ids] = model.power_batch(utilization[pm_ids])
             watts_by_pm[arrays.pm_asleep] = 0.0
             watts = float(np.cumsum(watts_by_pm)[-1]) if arrays.num_pms else 0.0
@@ -72,26 +65,3 @@ class EnergyCostModel:
         self._total_joules += joules
         self._total_usd += usd
         return usd
-
-    def _power_groups(
-        self, datacenter: Datacenter
-    ) -> Optional[List[Tuple[object, np.ndarray]]]:
-        """Hosts grouped by power-model instance; None if any model
-        lacks ``power_batch`` (then the scalar loop is used)."""
-        if self._groups_for is datacenter:
-            return self._groups
-        by_model: dict = {}
-        for pm in datacenter.pms:
-            if not hasattr(pm.power_model, "power_batch"):
-                self._groups_for = datacenter
-                self._groups = None
-                return None
-            by_model.setdefault(id(pm.power_model), (pm.power_model, []))[
-                1
-            ].append(pm.pm_id)
-        self._groups_for = datacenter
-        self._groups = [
-            (model, np.asarray(ids, dtype=np.int64))
-            for model, ids in by_model.values()
-        ]
-        return self._groups

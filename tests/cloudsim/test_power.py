@@ -1,5 +1,6 @@
 """Unit tests for the power models (Table 1 of the paper)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -104,3 +105,25 @@ class TestEnergyHelpers:
     def test_average_power(self):
         model = LinearPowerModel(idle_watts=0.0, peak_watts=100.0)
         assert average_power(model, [0.0, 1.0]) == pytest.approx(50.0)
+
+
+class TestPowerBatch:
+    """``power_batch`` returns exactly what ``power`` returns, per element."""
+
+    GRID = [i / 10.0 for i in range(11)] + [-0.5, -0.0, 1.0, 1.5, 2.0]
+
+    @pytest.mark.parametrize(
+        "model",
+        [HP_PROLIANT_G4, HP_PROLIANT_G5, LinearPowerModel(90.0, 130.0)],
+    )
+    @given(
+        st.lists(
+            st.floats(-0.5, 1.5, allow_nan=False)
+            | st.sampled_from(GRID),
+            max_size=40,
+        )
+    )
+    def test_bit_identical_to_scalar(self, model, utilizations):
+        batch = model.power_batch(np.asarray(utilizations, dtype=np.float64))
+        assert batch.tolist() == [model.power(u) for u in utilizations]
+

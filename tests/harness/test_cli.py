@@ -1,7 +1,12 @@
 """Tests for the megh-repro command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -52,3 +57,28 @@ class TestCliClaims:
         out = capsys.readouterr().out
         assert "Findings (Section 6.3 style)" in out
         assert "expenditure" in out
+
+
+class TestCliConfigurationErrors:
+    """A bad env knob exits 2 with one line on stderr, no traceback."""
+
+    @pytest.mark.parametrize(
+        "variable", ["REPRO_KERNEL", "REPRO_CONTRACTS"]
+    )
+    def test_bad_env_knob_exits_2(self, variable):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src, **{variable: "bogus"})
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "compare",
+                "--pms", "4", "--vms", "4", "--steps", "2",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert variable in completed.stderr
+        assert len(completed.stderr.strip().splitlines()) == 1
