@@ -7,7 +7,7 @@ unchanged.  The cache keys *results* — never parses — on content:
   per-file pass's findings, suppressed count, and which suppression
   lines fired (so MEGH013 stays exact on replay);
 * **whole-program**: one entry keyed over the sorted (path, SHA-256)
-  set of every parsed module, because a flow/par finding in file A can
+  set of every parsed module, because a flow/shape finding in file A can
   be caused by an edit in file B — any change anywhere invalidates it.
 
 Every file is still *parsed* on every run: the whole-program pass needs
@@ -15,11 +15,11 @@ all ASTs regardless, and the parse-once discipline (one ``ast.parse``
 per file per invocation) is the invariant the engine's tests pin.  What
 a hit skips is rule execution.
 
-The config fingerprint folds in ``select``/``ignore``/``flow``/``par``/
-``shape`` *and* a toolchain hash over every source file of
-``repro.analysis`` itself — the per-file rules, meghflow, meghpar, and
-meghshape alike — so editing any analyzer module invalidates the whole
-cache: a stale result can never outlive the code that produced it.
+The config fingerprint folds in ``select``/``ignore``/``flow``/``shape``
+*and* a toolchain hash over every source file of ``repro.analysis``
+itself — the per-file rules, meghflow, and meghshape alike — so
+editing any analyzer module invalidates the whole cache: a stale
+result can never outlive the code that produced it.
 
 Storage is one JSON document, ``meghlint-cache.json``, under the
 directory given to ``repro lint --cache-dir``.  A missing, unreadable,
@@ -42,7 +42,7 @@ __all__ = ["CACHE_FILE_NAME", "CACHE_VERSION", "FileRecord", "LintCache"]
 CACHE_FILE_NAME = "meghlint-cache.json"
 CACHE_VERSION = 1
 
-#: Key under which the whole-program (flow + par) record is stored.
+#: Key under which the whole-program (flow + shape) record is stored.
 _WHOLE_PROGRAM_KEY = "__whole_program__"
 
 
@@ -145,7 +145,6 @@ class LintCache:
         select: Optional[Sequence[str]],
         ignore: Optional[Sequence[str]],
         flow: bool,
-        par: bool,
         shape: bool,
     ) -> str:
         """Fold the rule selection and the analyzer sources into one key."""
@@ -153,7 +152,6 @@ class LintCache:
             "select": sorted(select) if select is not None else None,
             "ignore": sorted(ignore) if ignore is not None else None,
             "flow": flow,
-            "par": par,
             "shape": shape,
             "toolchain": self._toolchain,
         }

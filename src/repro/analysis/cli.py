@@ -27,7 +27,6 @@ from repro.analysis.engine import (
     lint_paths,
 )
 from repro.analysis.flow import FLOW_RULES
-from repro.analysis.par import PAR_RULES
 from repro.analysis.reporting import render_json, render_sarif, render_text
 from repro.analysis.rules import RULE_REGISTRY, all_rule_ids
 from repro.analysis.shape import SHAPE_RULES
@@ -72,14 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-flow",
         action="store_true",
         help="skip the whole-program flow pass (MEGH010-MEGH012)",
-    )
-    parser.add_argument(
-        "--no-par",
-        action="store_true",
-        help=(
-            "skip the meghpar determinism/process-safety pass "
-            "(MEGH014-MEGH018)"
-        ),
     )
     parser.add_argument(
         "--no-shape",
@@ -144,9 +135,6 @@ def _print_rules() -> None:
     for rule_id in sorted(FLOW_RULES):
         severity, summary = FLOW_RULES[rule_id]
         print(f"{rule_id} [{severity}] {summary} (flow)")
-    for rule_id in sorted(PAR_RULES):
-        severity, summary = PAR_RULES[rule_id]
-        print(f"{rule_id} [{severity}] {summary} (par)")
     for rule_id in sorted(SHAPE_RULES):
         severity, summary = SHAPE_RULES[rule_id]
         print(f"{rule_id} [{severity}] {summary} (shape)")
@@ -170,7 +158,6 @@ def run(argv: Optional[List[str]] = None) -> int:
             select=_split_rule_ids(args.select),
             ignore=_split_rule_ids(args.ignore),
             flow=not args.no_flow,
-            par=not args.no_par,
             shape=not args.no_shape,
         )
         config.validate()  # fail on unknown ids before touching the fs

@@ -12,9 +12,10 @@ first lines contain ``# meghlint: skip-file`` is not linted at all
 (used for test fixtures that intentionally violate rules).
 
 Each module is parsed **once**: the same :class:`ParsedModule` (AST +
-suppression table) feeds both the per-file rules (MEGH001–MEGH009) and
-the whole-program flow pass (MEGH010–MEGH012, see
-:mod:`repro.analysis.flow`), which :func:`lint_paths` runs over all
+suppression table) feeds the per-file rules (MEGH001–MEGH009) and the
+whole-program flow and shape passes (MEGH010–MEGH012, see
+:mod:`repro.analysis.flow`; MEGH019–MEGH023, see
+:mod:`repro.analysis.shape`), which :func:`lint_paths` runs over all
 parsed modules together.  Suppression comments are found with
 :mod:`tokenize` so suppression-like text inside docstrings and string
 literals is never mistaken for a directive — and every real directive
@@ -34,13 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.cache import FileRecord, LintCache
 from repro.analysis.diagnostics import Diagnostic, Severity, sort_key
-from repro.analysis.flow import (
-    FLOW_RULES,
-    build_call_graph,
-    build_project,
-    run_flow,
-)
-from repro.analysis.par import PAR_RULES, run_par
+from repro.analysis.flow import FLOW_RULES, build_project, run_flow
 from repro.analysis.rules import Rule, RuleContext, build_rules
 from repro.analysis.shape import SHAPE_RULES, run_shape
 
@@ -58,7 +53,6 @@ UNUSED_SUPPRESSION_RULE = "MEGH013"
 #: Rule ids handled by the engine rather than the per-file registry.
 _ENGINE_RULE_IDS = (
     frozenset(FLOW_RULES)
-    | frozenset(PAR_RULES)
     | frozenset(SHAPE_RULES)
     | {UNUSED_SUPPRESSION_RULE}
 )
@@ -96,13 +90,9 @@ class LintConfig:
     #: :func:`lint_paths`.  Per-file entry points never run it: flow
     #: facts only make sense over a whole project.
     flow: bool = True
-    #: Run the meghpar determinism/process-safety pass (MEGH014–MEGH018)
-    #: in :func:`lint_paths`.  Shares the flow pass's project model and
-    #: call graph — both passes see the same instances.
-    par: bool = True
     #: Run the meghshape symbolic-shape/ABI pass (MEGH019–MEGH023) in
     #: :func:`lint_paths`.  Consumes the same project model as the flow
-    #: and par passes (parse-once, resolve-once).
+    #: pass (parse-once, resolve-once).
     shape: bool = True
     #: Directory names never descended into.
     excluded_dirs: Sequence[str] = (
@@ -426,12 +416,11 @@ def lint_paths(
     """Lint every ``.py`` file under the given files/directories.
 
     This is the whole-program entry point: after the per-file rules it
-    runs the flow pass (unless ``config.flow`` is off), the meghpar
-    pass (unless ``config.par`` is off), and the meghshape pass
-    (unless ``config.shape`` is off) over the same ASTs — sharing one
-    project model and call graph between them — applies line
-    suppressions to their findings too, and finally reports directives
-    that never fired.
+    runs the flow pass (unless ``config.flow`` is off) and the meghshape
+    pass (unless ``config.shape`` is off) over the same ASTs — sharing
+    one project model between them — applies line suppressions to
+    their findings too, and finally reports directives that never
+    fired.
     """
     config = config or LintConfig()
     config.validate()
@@ -441,7 +430,6 @@ def lint_paths(
             config.select,
             config.ignore,
             config.flow,
-            config.par,
             config.shape,
         )
         if cache is not None
@@ -492,7 +480,7 @@ def lint_paths(
                     },
                 ),
             )
-    if config.flow or config.par or config.shape:
+    if config.flow or config.shape:
         by_path = {module.path: module for module in modules}
         whole_record: Optional[FileRecord] = None
         project_sha = ""
@@ -518,51 +506,24 @@ def lint_paths(
             enabled: Set[str] = set()
             if config.flow:
                 enabled |= set(FLOW_RULES)
-            if config.par:
-                enabled |= set(PAR_RULES)
             if config.shape:
                 enabled |= set(SHAPE_RULES)
             if select is not None:
                 enabled &= select
             if ignore is not None:
                 enabled -= ignore
-            # Build the project model and call graph once; meghflow and
-            # meghpar both consume the same instances (parse-once
-            # extends to resolve-once).
+            # Build the project model once; meghflow and meghshape both
+            # consume the same instance (parse-once extends to
+            # resolve-once).
             project = build_project(flow_input) if enabled else None
-            graph = (
-                build_call_graph(project) if project is not None else None
-            )
             whole_program: List[Diagnostic] = []
             if config.flow:
                 whole_program.extend(
-                    run_flow(
-                        flow_input,
-                        select,
-                        ignore,
-                        project=project,
-                        graph=graph,
-                    )
-                )
-            if config.par:
-                whole_program.extend(
-                    run_par(
-                        flow_input,
-                        select,
-                        ignore,
-                        project=project,
-                        graph=graph,
-                    )
+                    run_flow(flow_input, select, ignore, project=project)
                 )
             if config.shape:
                 whole_program.extend(
-                    run_shape(
-                        flow_input,
-                        select,
-                        ignore,
-                        project=project,
-                        graph=graph,
-                    )
+                    run_shape(flow_input, select, ignore, project=project)
                 )
             used_before_all = {
                 module.path: {

@@ -2,8 +2,8 @@
 
 Where the per-file meghlint rules (MEGH001–MEGH009) pattern-match one
 AST at a time, the flow pass builds a project model — symbol table,
-call graph, light local types — across *all* files handed to one lint
-invocation, and checks three properties that only hold (or break)
+call resolution, light local types — across *all* files handed to one
+lint invocation, and checks three properties that only hold (or break)
 whole-program:
 
 ``MEGH010``
@@ -33,12 +33,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.flow.callgraph import (
-    CallGraph,
-    CallSite,
-    LocalTypes,
-    build_call_graph,
-)
+from repro.analysis.flow.callgraph import LocalTypes
 from repro.analysis.flow.dirty import check_dirty_flags
 from repro.analysis.flow.dtypes import check_dtype_discipline
 from repro.analysis.flow.invariants import (
@@ -64,11 +59,8 @@ __all__ = [
     "ModuleInfo",
     "FunctionInfo",
     "ClassInfo",
-    "CallGraph",
-    "CallSite",
     "LocalTypes",
     "build_project",
-    "build_call_graph",
     "MutationInvariant",
     "MUTATION_INVARIANTS",
     "ArrayType",
@@ -106,7 +98,6 @@ def run_flow(
     select: Optional[Set[str]] = None,
     ignore: Optional[Set[str]] = None,
     project: Optional[Project] = None,
-    graph: Optional[CallGraph] = None,
 ) -> List[Diagnostic]:
     """Run the enabled flow rules over already-parsed modules.
 
@@ -114,9 +105,9 @@ def run_flow(
     per-file rules — the flow pass never re-parses.  ``select`` /
     ``ignore`` carry the same semantics as the per-file engine: when
     ``select`` is given only those rule ids run; ``ignore`` always
-    subtracts.  ``project``/``graph`` let the engine share one project
-    model and call graph across this pass and meghpar (build-once);
-    when omitted they are built here from ``parsed``.
+    subtracts.  ``project`` lets the engine share one project model
+    across this pass and meghshape (build-once); when omitted it is
+    built here from ``parsed``.
     """
     enabled = set(FLOW_RULES)
     if select is not None:
@@ -129,9 +120,7 @@ def run_flow(
         project = build_project(parsed)
     diagnostics: List[Diagnostic] = []
     if "MEGH010" in enabled:
-        if graph is None:
-            graph = build_call_graph(project)
-        diagnostics.extend(check_rng_provenance(project, graph))
+        diagnostics.extend(check_rng_provenance(project))
     if "MEGH011" in enabled:
         diagnostics.extend(check_dirty_flags(project))
     if "MEGH012" in enabled:

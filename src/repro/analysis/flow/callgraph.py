@@ -1,43 +1,24 @@
-"""Call graph and light local type inference for meghflow.
+"""Call resolution and light local type inference for meghflow.
 
-For every analyzable body the graph records each call expression with
-the fully qualified callee it resolves to (or ``None``): module-local
-functions, imported symbols, ``self.method()`` dispatch through the
-class (and project-local bases), constructor calls, and method calls on
-locals whose class is known from a constructor assignment or an
-annotation.  On top of the edges it offers memoized *package
-reachability* — "can anything this function calls, transitively, land
-inside ``repro.cloudsim``?" — which MEGH010 uses to decide whether a
-tainted value handed to an intermediate helper ultimately reaches the
-simulator.
+:func:`resolve_call` maps one call expression, as seen from the
+function that contains it, to the fully qualified callee it names (or
+``None``): module-local functions, imported symbols, ``self.method()``
+dispatch through the class (and project-local bases), constructor
+calls, and method calls on locals whose class :class:`LocalTypes` knows
+from a constructor assignment or an annotation.  MEGH010 resolves each
+call this way, on demand, to look up the callee's taint summary and to
+decide whether the callee lies inside a target package; no
+whole-project call graph is built.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional
 
-from repro.analysis.flow.project import (
-    ClassInfo,
-    FunctionInfo,
-    ModuleInfo,
-    Project,
-    dotted_name,
-)
+from repro.analysis.flow.project import FunctionInfo, Project, dotted_name
 
-__all__ = ["CallSite", "CallGraph", "LocalTypes", "build_call_graph"]
-
-
-@dataclass
-class CallSite:
-    """One call expression with its resolution, if any."""
-
-    node: ast.Call
-    #: Fully qualified callee (project symbol or external dotted name).
-    callee: Optional[str]
-    #: True when ``callee`` names a symbol defined in this project.
-    internal: bool
+__all__ = ["LocalTypes", "resolve_call"]
 
 
 class LocalTypes:
@@ -157,99 +138,3 @@ def resolve_call(
     if method is not None:
         return method.qualname
     return f"{receiver_class}.{call.func.attr}"
-
-
-@dataclass
-class CallGraph:
-    """Resolved call sites per function plus package reachability."""
-
-    project: Project
-    sites: Dict[str, List[CallSite]] = field(default_factory=dict)
-    edges: Dict[str, Set[str]] = field(default_factory=dict)
-    _caches: Dict[Tuple[str, ...], Dict[str, Optional[str]]] = field(
-        default_factory=dict, repr=False
-    )
-
-    def callsites(self, qualname: str) -> List[CallSite]:
-        return self.sites.get(qualname, [])
-
-    def reaches_package(
-        self,
-        qualname: str,
-        prefixes: Sequence[str],
-        _cache: Optional[Dict[str, Optional[str]]] = None,
-        _stack: Optional[Set[str]] = None,
-    ) -> Optional[str]:
-        """A witness qualname inside ``prefixes`` reachable from here.
-
-        Returns the first (deterministically ordered) reachable project
-        symbol whose qualname starts with one of the prefixes, or
-        ``None``.  Recursion through cycles terminates via the visiting
-        stack; results are memoized per graph instance.
-        """
-        cache = _cache if _cache is not None else self._reach_cache(prefixes)
-        if qualname in cache:
-            return cache[qualname]
-        stack = _stack if _stack is not None else set()
-        if qualname in stack:
-            return None
-        stack.add(qualname)
-        witness: Optional[str] = None
-        for callee in sorted(self.edges.get(qualname, ())):
-            if _matches_prefix(callee, prefixes):
-                witness = callee
-                break
-            found = self.reaches_package(callee, prefixes, cache, stack)
-            if found is not None:
-                witness = found
-                break
-        stack.discard(qualname)
-        cache[qualname] = witness
-        return witness
-
-    def _reach_cache(
-        self, prefixes: Sequence[str]
-    ) -> Dict[str, Optional[str]]:
-        return self._caches.setdefault(tuple(prefixes), {})
-
-
-def _matches_prefix(qualname: str, prefixes: Sequence[str]) -> bool:
-    return any(
-        qualname == prefix or qualname.startswith(prefix + ".")
-        for prefix in prefixes
-    )
-
-
-def build_call_graph(project: Project) -> CallGraph:
-    """Resolve every call site in every analyzable body, once."""
-    graph = CallGraph(project=project)
-    for function in project.iter_functions():
-        local_types = LocalTypes(project, function)
-        sites: List[CallSite] = []
-        edges: Set[str] = set()
-        for statement in function.body():
-            for node in ast.walk(statement):
-                if not isinstance(node, ast.Call):
-                    continue
-                callee = resolve_call(project, function, node, local_types)
-                internal = callee is not None and (
-                    callee in project.functions
-                    or callee in project.classes
-                )
-                sites.append(
-                    CallSite(node=node, callee=callee, internal=internal)
-                )
-                if internal and callee is not None:
-                    # Constructor edges point at __init__ when present.
-                    if callee in project.classes:
-                        init = project.method_of(
-                            project.classes[callee], "__init__"
-                        )
-                        edges.add(
-                            init.qualname if init is not None else callee
-                        )
-                    else:
-                        edges.add(callee)
-        graph.sites[function.qualname] = sites
-        graph.edges[function.qualname] = edges
-    return graph

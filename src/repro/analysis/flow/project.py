@@ -1,8 +1,8 @@
 """Project model for meghflow: modules, symbols, and name resolution.
 
 meghlint's per-file rules (MEGH001–009) see one ``ast.Module`` at a
-time; the flow rules (MEGH010–012) are properties of *call graphs and
-def-use chains* that span modules.  This module builds the shared
+time; the flow rules (MEGH010–012) are properties of *calls and def-use
+chains* that span modules.  This module builds the shared
 substrate: a :class:`Project` holding every parsed module exactly once
 (the engine hands over the ASTs it already parsed — nothing is re-read
 or re-parsed), a per-module import table, and a symbol table of

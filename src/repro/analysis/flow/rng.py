@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.flow.callgraph import CallGraph, LocalTypes, resolve_call
+from repro.analysis.flow.callgraph import LocalTypes, resolve_call
 from repro.analysis.flow.project import (
     ClassInfo,
     FunctionInfo,
@@ -126,7 +126,6 @@ class _FunctionTaint:
     def __init__(
         self,
         project: Project,
-        graph: CallGraph,
         function: FunctionInfo,
         summaries: Dict[str, _Summary],
         prefixes: Sequence[str],
@@ -134,7 +133,6 @@ class _FunctionTaint:
         emit: Optional[List[Diagnostic]],
     ) -> None:
         self.project = project
-        self.graph = graph
         self.function = function
         self.summaries = summaries
         self.prefixes = prefixes
@@ -429,7 +427,6 @@ def _walk_shallow(node: ast.AST) -> List[ast.AST]:
 
 def check_rng_provenance(
     project: Project,
-    graph: CallGraph,
     prefixes: Sequence[str] = TARGET_PREFIXES,
 ) -> List[Diagnostic]:
     """Run the MEGH010 taint analysis over a whole project."""
@@ -443,7 +440,7 @@ def check_rng_provenance(
         }
         for function in project.iter_functions():
             _FunctionTaint(
-                project, graph, function, summaries, prefixes, colors, None
+                project, function, summaries, prefixes, colors, None
             ).run()
         after = {
             qualname: summary.key()
@@ -457,12 +454,6 @@ def check_rng_provenance(
         color.reported = False
     for function in project.iter_functions():
         _FunctionTaint(
-            project,
-            graph,
-            function,
-            summaries,
-            prefixes,
-            colors,
-            diagnostics,
+            project, function, summaries, prefixes, colors, diagnostics
         ).run()
     return diagnostics

@@ -83,7 +83,6 @@ def render_json(result: LintResult) -> str:
 def _sarif_rules() -> List[Dict[str, Any]]:
     """Every registered rule, for the SARIF driver's rule table."""
     from repro.analysis.flow import FLOW_RULES
-    from repro.analysis.par import PAR_RULES
     from repro.analysis.rules import RULE_REGISTRY, all_rule_ids
     from repro.analysis.shape import SHAPE_RULES
 
@@ -99,7 +98,7 @@ def _sarif_rules() -> List[Dict[str, Any]]:
                 },
             }
         )
-    for table in (FLOW_RULES, PAR_RULES, SHAPE_RULES):
+    for table in (FLOW_RULES, SHAPE_RULES):
         for rule_id in sorted(table):
             severity, summary = table[rule_id]
             rules.append(

@@ -27,15 +27,15 @@ properties:
     declared element type, with a witnessed path from construction
     site to boundary (:mod:`repro.analysis.shape.abi`).
 ``MEGH022``
-    shape-contract violations at call boundaries, with witness chains
-    in messages like meghpar.
+    shape-contract violations at call boundaries, with a
+    caller -> callee witness chain in the message.
 ``MEGH023``
     in-place aliasing hazards: ``out=``/view writes while another live
     view of the same base is read with a different region expression.
 
 The entry point is :func:`run_shape`, invoked by the lint engine with
-the modules it already parsed and — when the flow/par passes also ran —
-the very project/graph instances they used (parse-once, resolve-once).
+the modules it already parsed and — when the flow pass also ran — the
+very project instance it used (parse-once, resolve-once).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.flow.callgraph import CallGraph
 from repro.analysis.flow.project import Project, build_project
 from repro.analysis.shape.abi import (
     AbiCertificate,
@@ -80,7 +79,7 @@ __all__ = [
 
 #: rule id -> (default severity, one-line summary). Consulted by the
 #: engine/CLI for ``--select``/``--ignore`` validation and
-#: ``--list-rules`` output, exactly like ``FLOW_RULES``/``PAR_RULES``.
+#: ``--list-rules`` output, exactly like ``FLOW_RULES``.
 SHAPE_RULES: Dict[str, Tuple[Severity, str]] = {
     "MEGH019": (
         Severity.ERROR,
@@ -117,19 +116,14 @@ def run_shape(
     select: Optional[Set[str]] = None,
     ignore: Optional[Set[str]] = None,
     project: Optional[Project] = None,
-    graph: Optional[CallGraph] = None,
 ) -> List[Diagnostic]:
     """Run the enabled meghshape rules over already-parsed modules.
 
-    Mirrors :func:`repro.analysis.flow.run_flow` /
-    :func:`repro.analysis.par.run_par`: ``parsed`` pairs each path with
-    the AST the engine produced for the per-file rules, and
-    ``project``/``graph`` let the engine hand over the instances the
-    other whole-program passes built so nothing is parsed or resolved
-    twice.  (``graph`` is accepted for interface parity; the shape
-    rules only need the symbol table.)
+    Mirrors :func:`repro.analysis.flow.run_flow`: ``parsed`` pairs each
+    path with the AST the engine produced for the per-file rules, and
+    ``project`` lets the engine hand over the instance the flow pass
+    built so nothing is parsed or resolved twice.
     """
-    del graph  # parity with run_flow/run_par; shapes need no call graph
     enabled = set(SHAPE_RULES)
     if select is not None:
         enabled &= select

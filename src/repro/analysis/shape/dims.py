@@ -111,20 +111,16 @@ def _vector(dtype: str, axis: str) -> ShapeInfo:
 
 
 #: Attribute name -> declared abstract value.  Seeded from meghflow's
-#: 1-d ``FIELD_TYPES`` (every DatacenterArrays vector is an owned,
-#: C-contiguous ``np.zeros`` allocation) and extended with the 2-d
-#: candidate scratch and the deferred-kernel staging state.
+#: 1-d ``FIELD_TYPES`` (every DatacenterArrays vector and CandidateIndex
+#: budget is an owned, C-contiguous ``np.zeros`` allocation) and
+#: extended with the 2-d candidate scratch and the deferred-kernel
+#: staging state; each 1-d array type is declared once, there.
 SHAPE_FIELD_TYPES: Dict[str, ShapeInfo] = {
     name: _vector(array_type.dtype, array_type.axis)
     for name, array_type in FIELD_TYPES.items()
 }
 SHAPE_FIELD_TYPES.update(
     {
-        # CandidateIndex static budget vectors (per-PM headroom).
-        "_mips_budget": _vector("float64", "M"),
-        "_mips_budget_full": _vector("float64", "M"),
-        "_bw_budget": _vector("float64", "M"),
-        "_bw_budget_full": _vector("float64", "M"),
         # CandidateIndex K x M broadcast scratch (reused across steps).
         "_feas": ShapeInfo(("K", "M"), "bool"),
         "_aux": ShapeInfo(("K", "M"), "bool"),
@@ -154,12 +150,7 @@ SHAPE_METHOD_TYPES: Dict[str, ShapeInfo] = {
     name: _vector(array_type.dtype, array_type.axis)
     for name, array_type in METHOD_TYPES.items()
 }
-SHAPE_METHOD_TYPES.update(
-    {
-        "theta": _vector("float64", "d"),
-        "column_support": _vector("int64", "?"),
-    }
-)
+SHAPE_METHOD_TYPES["theta"] = _vector("float64", "d")
 
 
 @dataclass(frozen=True)

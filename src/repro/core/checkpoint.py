@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
@@ -41,8 +41,47 @@ from repro.errors import ConfigurationError
 #: the optional service-state payload; version 1 is still readable.
 CHECKPOINT_VERSION = 2
 
-#: NPZ keys every Megh checkpoint (either version) must carry.
-_REQUIRED_KEYS = {"version", "num_vms", "num_pms", "b_rows", "z_indices"}
+#: NPZ keys each checkpoint version must carry, checked by name once the
+#: version is known.  ``config_repr`` is informational;
+#: ``policy_rng_state`` and the ``op_*`` triplets are conditional and
+#: checked where used.
+_V1_KEYS = frozenset(
+    {
+        "version",
+        "num_vms",
+        "num_pms",
+        "beta",
+        "b_rows",
+        "b_cols",
+        "b_values",
+        "z_indices",
+        "z_values",
+        "temperature",
+        "steps_seen",
+        "cost_running_mean",
+        "costs_seen",
+        "gamma",
+    }
+)
+_REQUIRED_KEYS = {
+    1: _V1_KEYS,
+    2: _V1_KEYS
+    | {
+        "agent_rng_state",
+        "prev_action_indices",
+        "has_last_normalized_cost",
+        "last_normalized_cost",
+        "dynamic_slots",
+        "updates_applied",
+        "updates_skipped",
+        "retirements_applied",
+        "retirements_skipped",
+        "qtable_steps",
+        "qtable_nnz",
+        "operator_tracking",
+    },
+}
+_OPERATOR_KEYS = frozenset({"op_rows", "op_cols", "op_values"})
 
 
 def _rng_state_json(rng: np.random.Generator) -> str:
@@ -130,22 +169,39 @@ def save_agent(agent: MeghScheduler, path: str) -> None:
     np.savez_compressed(path, **_agent_payload(agent))
 
 
-def _load_npz(path: str) -> Any:
+def _load_npz(path: str) -> Dict[str, np.ndarray]:
+    """Every member of a checkpoint NPZ, decompressed up front.
+
+    ``np.load`` opens an archive lazily, so members are read inside the
+    guarded block: a corrupt member raises :class:`ConfigurationError`
+    here rather than a ``zlib.error`` from the restore code later.
+    """
     if not os.path.exists(path):
         raise ConfigurationError(f"no such checkpoint: {path}")
     try:
-        data = np.load(path, allow_pickle=False)
+        with np.load(path, allow_pickle=False) as archive:
+            data = {key: archive[key] for key in archive.files}
     except Exception as exc:
         raise ConfigurationError(
             f"cannot read checkpoint {path}: {exc}"
         ) from exc
-    if not _REQUIRED_KEYS <= set(data.files):
+    if "version" not in data:
         raise ConfigurationError(f"{path} is not a Megh checkpoint")
     return data
 
 
+def _require_keys(
+    data: Dict[str, np.ndarray], path: str, keys: FrozenSet[str], what: str
+) -> None:
+    missing = keys - data.keys()
+    if missing:
+        raise ConfigurationError(
+            f"{path}: {what} lacks field(s) {', '.join(sorted(missing))}"
+        )
+
+
 def _restore_agent(
-    data: Any,
+    data: Dict[str, np.ndarray],
     path: str,
     config: MeghConfig | None,
     seed: int,
@@ -157,6 +213,9 @@ def _restore_agent(
             f"checkpoint version {version} not supported "
             f"(expected 1 or {CHECKPOINT_VERSION})"
         )
+    _require_keys(
+        data, path, _REQUIRED_KEYS[version], f"version-{version} checkpoint"
+    )
     effective = config or MeghConfig()
     saved_gamma = float(data["gamma"])
     if abs(saved_gamma - effective.gamma) > 1e-12:
@@ -200,7 +259,7 @@ def _restore_agent(
     # ---- version-2 state: RNGs, decision context, operator tracker ----
     _set_rng_state(agent._rng, str(data["agent_rng_state"][()]))
     policy_rng = getattr(agent.policy, "_rng", None)
-    if policy_rng is not None and "policy_rng_state" in data.files:
+    if policy_rng is not None and "policy_rng_state" in data:
         _set_rng_state(policy_rng, str(data["policy_rng_state"][()]))
     agent._previous_action_indices = [
         int(i) for i in data["prev_action_indices"]
@@ -218,6 +277,9 @@ def _restore_agent(
     lstd.retirements_applied = int(data["retirements_applied"])
     lstd.retirements_skipped = int(data["retirements_skipped"])
     if bool(data["operator_tracking"]):
+        _require_keys(
+            data, path, _OPERATOR_KEYS, "operator-tracking checkpoint"
+        )
         if not lstd.operator_tracking_enabled:
             lstd.enable_operator_tracking()
         lstd.load_operator_entries(
@@ -306,7 +368,7 @@ def load_service(
     stored step — call ``service.run(agent, ...)`` to finish the run.
     """
     data = _load_npz(path)
-    if "service_state" not in data.files:
+    if "service_state" not in data:
         raise ConfigurationError(
             f"{path} is an agent-only checkpoint (no service state)"
         )
@@ -329,7 +391,7 @@ def load_service(
         service = builder(seed=spec["seed"], **spec.get("params", {}))
     rings = {
         key: data[key]
-        for key in data.files
+        for key in data
         if key.startswith("service_") and key != "service_state"
     }
     service._install_resume(state, rings)

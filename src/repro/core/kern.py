@@ -61,8 +61,10 @@ MEGH011 checks that pairing against the declared invariant table.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
+import platform
 import subprocess
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -486,27 +488,75 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
-def _compiled_library_path() -> str:
-    """Compile (once, cached on disk by source hash) and return the .so path.
+#: ``/proc/cpuinfo`` keys naming the CPU an ``-march=native`` build
+#: targets (``Features`` is the aarch64 spelling of ``flags``).
+_CPUINFO_KEYS = ("model name", "flags", "Features")
 
-    Tries ``_CFLAGS`` first, then once more without ``-march=native`` for
+
+@functools.lru_cache(maxsize=None)
+def _toolchain_identity(compiler: str) -> str:
+    """What a cached ``.so`` depends on besides its source and flags.
+
+    ``-march=native`` bakes the build host's instruction set into the
+    object, so a cache directory shared between machines must never hand
+    one CPU's build to another, and an in-place compiler upgrade must
+    rebuild.  The identity is the resolved compiler path with its size
+    and mtime, ``platform.machine()``, and the first processor's
+    ``/proc/cpuinfo`` lines for :data:`_CPUINFO_KEYS` where that file
+    exists.  Computed once per process from file metadata: no process
+    is spawned.
+    """
+    resolved = os.path.realpath(compiler)
+    stat = os.stat(resolved)
+    parts = [
+        resolved, str(stat.st_size), str(stat.st_mtime_ns), platform.machine()
+    ]
+    seen: Dict[str, str] = {}
+    try:
+        with open(
+            "/proc/cpuinfo", encoding="utf-8", errors="replace"
+        ) as handle:
+            for line in handle:
+                if not line.strip() and seen:
+                    break  # end of the first processor's block
+                key = line.split(":", 1)[0].strip()
+                if key in _CPUINFO_KEYS and key not in seen:
+                    seen[key] = line.strip()
+    except OSError:
+        pass  # no /proc (macOS, BSD): the machine name has to do
+    parts.extend(seen[key] for key in _CPUINFO_KEYS if key in seen)
+    return "\n".join(parts)
+
+
+def _library_digest(compiler: str) -> str:
+    """Cache key of the compiled kernel: source, flags, toolchain, CPU."""
+    key = "\0".join(
+        (_C_SOURCE, " ".join(_CFLAGS), _toolchain_identity(compiler))
+    )
+    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
+
+
+def _compiled_library_path() -> str:
+    """Compile (once, cached on disk) and return the .so path.
+
+    The cache entry is named by :func:`_library_digest`, so a build is
+    reused only for the same source, flags, compiler and CPU.  Tries
+    ``_CFLAGS`` first, then once more without ``-march=native`` for
     toolchains that reject it (the flag never changes FP results, only
     speed).  Raises :class:`KernelUnavailableError` when no compiler is
     available or every attempt fails; ``auto`` mode catches this and
     falls back.
     """
-    digest = hashlib.sha256(
-        (_C_SOURCE + " ".join(_CFLAGS)).encode("utf-8")
-    ).hexdigest()[:16]
-    cache_dir = _kernel_cache_dir()
-    library = os.path.join(cache_dir, f"megh_kern_{digest}.so")
-    if os.path.exists(library):
-        return library
     compiler = _find_compiler()
     if compiler is None:
         raise KernelUnavailableError(
             "REPRO_KERNEL: no C compiler (gcc/cc/clang) on PATH"
         )
+    digest = _library_digest(compiler)
+    cache_dir = _kernel_cache_dir()
+    library = os.path.join(cache_dir, f"megh_kern_{digest}.so")
+    if os.path.exists(library):
+        return library
     os.makedirs(cache_dir, exist_ok=True)
     # Per-process staging files, renamed into place atomically: a second
     # cold builder (e.g. an engine worker) must never truncate the source

@@ -167,9 +167,10 @@ def execute_spec(spec: JobSpec):
     """
     builder = resolve_builder(spec.builder)
     # The annotation is load-bearing beyond type checking: registry
-    # dispatch is dynamic, so it is what lets meghpar's call graph
-    # follow execute_spec into Simulation.run and certify the whole
-    # worker-executed step pipeline (MEGH014–018).
+    # dispatch is dynamic, so it is what lets MEGH010 resolve
+    # ``simulation.run`` to ``Simulation.run`` and follow an RNG handed
+    # to it into the simulator.  Worker determinism itself is checked
+    # at runtime: TestParallelExecution in tests/engine/test_pool.py.
     simulation: Simulation = builder(seed=spec.seed, **spec.builder_kwargs())
     constructor = resolve_scheduler(spec.scheduler)
     scheduler = constructor(simulation, **spec.scheduler_kwargs())

@@ -30,12 +30,18 @@ def save_workload_npz(workload: ArrayWorkload, path: str) -> None:
 
 
 def load_workload_npz(path: str) -> ArrayWorkload:
-    """Load a workload previously saved by :func:`save_workload_npz`."""
+    """Load a workload previously saved by :func:`save_workload_npz`.
+
+    Members are decompressed inside the guarded block (``np.load`` is
+    lazy), so a corrupt archive raises :class:`TraceError`, never a bare
+    ``zlib.error``.
+    """
     if not os.path.exists(path):
         raise TraceError(f"no such trace file: {path}")
     try:
-        data = np.load(path, allow_pickle=False)
-    except Exception as exc:  # zipfile/format errors
+        with np.load(path, allow_pickle=False) as archive:
+            data = {key: archive[key] for key in archive.files}
+    except Exception as exc:  # zipfile/zlib/format errors
         raise TraceError(f"cannot read NPZ trace {path}: {exc}") from exc
     if "matrix" not in data:
         raise TraceError(f"{path} is not a workload NPZ (no 'matrix')")

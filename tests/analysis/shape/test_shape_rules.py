@@ -9,7 +9,7 @@ pointers, contract violations, in-place aliasing) and the negatives
 prove the sanctioned repair idioms stay silent.
 
 The second half pins the architecture: meghshape runs over the *same*
-project model instance as meghflow and meghpar (parse-once extends to
+project model instance as meghflow (parse-once extends to
 resolve-once), the MEGH021 certification over the real repository is
 non-vacuous (every buffer entering the C argument block carries a
 witnessed construction chain), and the content-hash cache replays
@@ -184,14 +184,13 @@ class TestRegistryAndEngineIntegration:
     def test_select_shape_rule_validates(self):
         LintConfig(select=["MEGH021"]).validate()
 
-    def test_flow_par_and_shape_share_one_project(self, monkeypatch):
-        """Resolve-once covers all three whole-program passes: one
-        project model built, handed to flow, par, and shape alike."""
+    def test_passes_share_a_project(self, monkeypatch):
+        """Resolve-once covers both whole-program passes: one project
+        model built, handed to flow and shape alike."""
         builds = []
         seen = {}
         real_build = engine_module.build_project
         real_flow = engine_module.run_flow
-        real_par = engine_module.run_par
         real_shape = engine_module.run_shape
 
         def recording_build(parsed):
@@ -199,32 +198,20 @@ class TestRegistryAndEngineIntegration:
             builds.append(project)
             return project
 
-        def recording_flow(parsed, select, ignore, project=None, graph=None):
+        def recording_flow(parsed, select, ignore, project=None):
             seen["flow"] = project
-            return real_flow(
-                parsed, select, ignore, project=project, graph=graph
-            )
+            return real_flow(parsed, select, ignore, project=project)
 
-        def recording_par(parsed, select, ignore, project=None, graph=None):
-            seen["par"] = project
-            return real_par(
-                parsed, select, ignore, project=project, graph=graph
-            )
-
-        def recording_shape(parsed, select, ignore, project=None, graph=None):
+        def recording_shape(parsed, select, ignore, project=None):
             seen["shape"] = project
-            return real_shape(
-                parsed, select, ignore, project=project, graph=graph
-            )
+            return real_shape(parsed, select, ignore, project=project)
 
         monkeypatch.setattr(engine_module, "build_project", recording_build)
         monkeypatch.setattr(engine_module, "run_flow", recording_flow)
-        monkeypatch.setattr(engine_module, "run_par", recording_par)
         monkeypatch.setattr(engine_module, "run_shape", recording_shape)
         lint_paths([FIXTURES / "shape_dtype_positive"])
         assert len(builds) == 1
         assert seen["flow"] is builds[0]
-        assert seen["par"] is builds[0]
         assert seen["shape"] is builds[0]
 
     def test_run_shape_without_shared_project_builds_its_own(self):

@@ -7,8 +7,8 @@ replica of the eager scatter.  Modes are compared by *matrix state*
 (bit equality), never by internal counters.
 """
 
-import hashlib
 import os
+import platform
 import subprocess
 
 import numpy as np
@@ -29,9 +29,8 @@ DEFERRED = [mode for mode in KERNELS if mode != "off"]
 
 
 def _cache_digest() -> str:
-    """The source+flags hash naming the compiled-kernel cache entries."""
-    key = kern._C_SOURCE + " ".join(kern._CFLAGS)
-    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
+    """The hash naming this machine's compiled-kernel cache entries."""
+    return kern._library_digest(kern._find_compiler())
 
 
 def dense_of(matrix: SparseMatrix) -> np.ndarray:
@@ -158,6 +157,55 @@ class TestBackendSelection:
         with pytest.raises(KernelUnavailableError):
             SparseMatrix(4, kernel="c")
         assert SparseMatrix(4, kernel="auto").kernel_name == "off"
+
+    def test_library_path_is_keyed_on_toolchain_identity(
+        self, monkeypatch, tmp_path
+    ):
+        # A cache shared between machines must not hand an
+        # ``-march=native`` build to another CPU or compiler.  The fake
+        # compiler just creates its ``-o`` output, and counts calls.
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
+        monkeypatch.setattr(kern, "_find_compiler", lambda: "/opt/cc")
+        builds = []
+
+        def fake_run(command, **kwargs):
+            output = command[command.index("-o") + 1]
+            open(output, "wb").close()
+            builds.append(output)
+            return subprocess.CompletedProcess(command, 0, "", "")
+
+        monkeypatch.setattr(kern.subprocess, "run", fake_run)
+        identity = {"value": "cc 12 / cpu-a"}
+        monkeypatch.setattr(
+            kern, "_toolchain_identity", lambda compiler: identity["value"]
+        )
+        first = kern._compiled_library_path()
+        assert kern._compiled_library_path() == first
+        assert len(builds) == 1  # the warm path spawns no compiler
+        identity["value"] = "cc 12 / cpu-b"
+        second = kern._compiled_library_path()
+        assert second != first
+        assert len(builds) == 2
+
+    def test_toolchain_identity_tracks_compiler_and_cpu(self, tmp_path):
+        compiler = tmp_path / "cc"
+        compiler.write_bytes(b"v1")
+        identity = kern._toolchain_identity.__wrapped__(str(compiler))
+        assert os.path.realpath(compiler) in identity
+        assert platform.machine() in identity
+        if os.path.exists("/proc/cpuinfo"):
+            with open("/proc/cpuinfo", encoding="utf-8") as handle:
+                first_model = next(
+                    (line.strip() for line in handle
+                     if line.startswith("model name")),
+                    None,
+                )
+            if first_model is not None:
+                assert first_model in identity
+        compiler.write_bytes(b"v2, upgraded in place")
+        assert (
+            kern._toolchain_identity.__wrapped__(str(compiler)) != identity
+        )
 
 
 class TestStagingSemantics:

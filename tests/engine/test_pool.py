@@ -4,6 +4,8 @@ The parallel tests spawn real worker processes, so the simulations are
 kept tiny (a few PMs, a handful of steps) and the pool small (2 workers).
 """
 
+import json
+
 import pytest
 
 from repro.engine import events as ev
@@ -88,25 +90,39 @@ class TestSerialExecution:
         assert unwrapped[0].scheduler_name == "NoMigration"
 
 
+def deterministic_payload(result) -> str:
+    """The full result as canonical JSON, minus wall-clock timings."""
+    payload = result.to_dict()
+    for step in payload["steps"]:
+        del step["scheduler_seconds"]
+    return json.dumps(payload, sort_keys=True)
+
+
 class TestParallelExecution:
     def test_parallel_matches_serial_bit_for_bit(self):
+        # The real schedulers run here, not just the trivial ones: Megh
+        # (learner RNGs, the deferred kernel) and MMT (PABFD placement)
+        # must produce byte-identical results in a spawned worker.
         specs = [
             good_spec(seed, scheduler=scheduler)
             for seed in (0, 1)
-            for scheduler in ("noop", "random")
+            for scheduler in ("noop", "random", "megh", "mmt")
         ]
         serial = run_jobs(specs, jobs=1)
         parallel = run_jobs(specs, jobs=2)
         assert [jr.spec for jr in parallel] == specs
         for s, p in zip(serial, parallel):
             assert s.ok and p.ok
-            assert s.result.total_cost_usd == p.result.total_cost_usd
-            assert s.result.total_migrations == p.result.total_migrations
-            assert s.result.mean_active_hosts == p.result.mean_active_hosts
-            assert (
-                s.result.metrics.per_step_cost_series()
-                == p.result.metrics.per_step_cost_series()
+            assert deterministic_payload(s.result) == deterministic_payload(
+                p.result
             )
+        # Non-vacuous: MMT migrates on this fleet, so the comparison
+        # covers real placement decisions.
+        assert any(
+            jr.result.total_migrations > 0
+            for jr in serial
+            if jr.spec.scheduler == "mmt"
+        )
 
     def test_raising_job_fails_alone(self, tmp_path):
         cache = ResultCache(tmp_path)

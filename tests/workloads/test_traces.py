@@ -1,7 +1,12 @@
 """Tests for trace persistence (NPZ/CSV/task events)."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceError
 from repro.workloads.base import ArrayWorkload
@@ -56,6 +61,32 @@ class TestNpzRoundTrip:
         path.write_bytes(b"not a zip")
         with pytest.raises(TraceError):
             load_workload_npz(str(path))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_flipped_bytes_are_detected_or_harmless(self, data):
+        workload = generate_planetlab_workload(num_vms=6, num_steps=20, seed=1)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "trace.npz")
+            save_workload_npz(workload, path)
+            with open(path, "rb") as handle:
+                corrupted = bytearray(handle.read())
+            start = data.draw(
+                st.integers(0, len(corrupted) - 1), label="start"
+            )
+            length = data.draw(st.integers(1, 40), label="length")
+            mask = data.draw(st.integers(1, 255), label="xor mask")
+            for offset in range(start, min(start + length, len(corrupted))):
+                corrupted[offset] ^= mask
+            with open(path, "wb") as handle:
+                handle.write(bytes(corrupted))
+            try:
+                loaded = load_workload_npz(path)
+            except TraceError:
+                return
+        # Corruption outside every checksummed member is harmless.
+        assert np.array_equal(loaded.matrix, workload.matrix)
+        assert np.array_equal(loaded.activity, workload.activity)
 
 
 class TestCsvRoundTrip:
