@@ -20,9 +20,10 @@ backend:
 With ``--backend both`` the script additionally asserts the two
 backends produce byte-identical ``SimulationResult.to_dict()`` payloads
 — same migrations, SLA windows and step costs — before reporting any
-speedup.  With ``--fast`` it also runs THR-MMT on both backends (array
-PABFD vs the per-PM scan) and records whether those results are
-byte-identical too.  Usage::
+speedup.  With ``--fast`` it also runs THR-MMT and LRR-MMT on both
+backends (array PABFD vs the per-PM scan; LRR's batched detector reads
+the monitor's ring buffer on one and its deques on the other) and
+records whether those results are byte-identical too.  Usage::
 
     PYTHONPATH=src python benchmarks/bench_sim_step.py            # both
     PYTHONPATH=src python benchmarks/bench_sim_step.py --fast     # CI smoke
@@ -211,18 +212,19 @@ def canonical_result(result) -> str:
 
 
 def mmt_backends_identical(
-    num_pms: int, num_vms: int, num_steps: int, seed: int
+    num_pms: int, num_vms: int, num_steps: int, seed: int, detector: str
 ) -> bool:
-    """THR-MMT on both backends gives byte-identical results.
+    """``<detector>``-MMT on both backends gives byte-identical results.
 
     The SoA datacenter plans with the array PABFD and the reference
-    backend with the per-PM scan, so this checks their bit-identity on
-    a whole run rather than on single plans.
+    backend with the per-PM scan, and the monitor keeps its histories
+    in a ring buffer on one and in deques on the other, so this checks
+    their bit-identity on a whole run rather than on single plans.
     """
     canonicals = [
         canonical_result(
             build_sim(backend, num_pms, num_vms, num_steps, seed).run(
-                MMTScheduler("THR"), validate_every_step=False
+                MMTScheduler(detector), validate_every_step=False
             )
         )
         for backend in ("reference", "soa")
@@ -300,14 +302,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("ERROR: backends diverged — refusing to record a speedup")
             return 1
         if args.fast:
-            identical = mmt_backends_identical(
-                num_pms, num_vms, num_steps, args.seed
-            )
-            section["identical_results_mmt_soa_vs_reference"] = identical
-            print(f"THR-MMT identical on both backends: {identical}")
-            if not identical:
-                print("ERROR: THR-MMT diverged between the backends")
-                return 1
+            for detector, key in (
+                ("THR", "identical_results_mmt_soa_vs_reference"),
+                ("LRR", "identical_results_lrr_mmt_soa_vs_reference"),
+            ):
+                identical = mmt_backends_identical(
+                    num_pms, num_vms, num_steps, args.seed, detector
+                )
+                section[key] = identical
+                print(f"{detector}-MMT identical on both backends: {identical}")
+                if not identical:
+                    print(f"ERROR: {detector}-MMT diverged between the backends")
+                    return 1
     before = section.get("before") or section.get("reference_backend")
     after = section.get("after")
     if before and after:

@@ -17,7 +17,9 @@ migration counts and cost variance the paper contrasts Megh with.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.cloudsim.migration import Migration
 from repro.baselines.mmt.detection import OverloadDetector, make_detector
@@ -74,48 +76,74 @@ class MMTScheduler:
         # monitor on first use.
         if getattr(self.selection, "monitor", ...) is None:
             self.selection.monitor = observation.monitor
-        # Planning leaves the datacenter untouched, so every PABFD call
-        # of this step shares one set of per-host invariants (none on
-        # the reference object backend, which plans with the scan).
         datacenter = observation.datacenter
-        context = (
-            None
-            if getattr(datacenter, "arrays", None) is None
-            else PlacementContext(datacenter)
+        # The detector judges every host at once, once per step; both
+        # phases read the same flags.
+        history = observation.monitor.host_matrix()
+        if history.shape[0] == 0:  # nothing observed yet: no host flags
+            history = np.empty((0, datacenter.num_pms), dtype=np.float64)
+        overloaded = self.detector.is_overloaded(history).tolist()
+        to_place, overloaded_hosts = self._relief_sources(
+            datacenter, overloaded, self.detector.threshold(history).tolist()
         )
-        migrations = self._relieve_overloads(observation, context)
-        if self.consolidate:
-            migrations.extend(
-                self._consolidate_underloads(observation, context)
+        evacuations = (
+            self._evacuation_candidates(datacenter, overloaded)
+            if self.consolidate
+            else []
+        )
+        # Planning leaves the datacenter untouched, so every PABFD call
+        # of this step shares one set of per-host invariants and one
+        # score matrix over every VM the step may place (none on the
+        # reference object backend, which plans with the scan).
+        context = None
+        if getattr(datacenter, "arrays", None) is not None:
+            context = PlacementContext(datacenter)
+            context.prime(
+                to_place
+                + [vm_id for _, vm_ids in evacuations for vm_id in vm_ids],
+                self.placement_threshold,
             )
+        migrations = self._relieve_overloads(
+            datacenter, to_place, overloaded_hosts, context
+        )
+        migrations.extend(
+            self._consolidate_underloads(datacenter, evacuations, context)
+        )
         return migrations
 
     # ------------------------------------------------------------------
-    def _relieve_overloads(
+    def _relief_sources(
         self,
-        observation: Observation,
-        context: Optional[PlacementContext],
-    ) -> List[Migration]:
-        datacenter = observation.datacenter
-        monitor = observation.monitor
+        datacenter,
+        overloaded: List[bool],
+        thresholds: List[float],
+    ) -> Tuple[List[int], List[int]]:
+        """VMs to evict from overloaded hosts, and those hosts."""
         to_place: List[int] = []
         overloaded_hosts: List[int] = []
         for pm_id in datacenter.active_pm_ids():
-            history = monitor.host_history(pm_id)
-            if not self.detector.is_overloaded(history):
+            if not overloaded[pm_id]:
                 continue
             overloaded_hosts.append(pm_id)
-            threshold = self.detector.threshold(history)
             pm = datacenter.pm(pm_id)
             demand = datacenter.demanded_mips(pm_id)
             candidates = self.selection.select(
                 datacenter, sorted(datacenter.vms_on(pm_id))
             )
             for vm_id in candidates:
-                if demand <= threshold * pm.mips:
+                if demand <= thresholds[pm_id] * pm.mips:
                     break
                 to_place.append(vm_id)
                 demand -= datacenter.vm(vm_id).demanded_mips
+        return to_place, overloaded_hosts
+
+    def _relieve_overloads(
+        self,
+        datacenter,
+        to_place: List[int],
+        overloaded_hosts: List[int],
+        context: Optional[PlacementContext],
+    ) -> List[Migration]:
         if not to_place:
             return []
         plan = power_aware_best_fit(
@@ -131,40 +159,48 @@ class MMTScheduler:
         ]
 
     # ------------------------------------------------------------------
-    def _consolidate_underloads(
-        self,
-        observation: Observation,
-        context: Optional[PlacementContext],
-    ) -> List[Migration]:
-        datacenter = observation.datacenter
-        monitor = observation.monitor
-        migrations: List[Migration] = []
-        evacuated: List[int] = []
+    def _evacuation_candidates(
+        self, datacenter, overloaded: List[bool]
+    ) -> List[Tuple[int, List[int]]]:
+        """Non-overloaded, non-empty underloaded hosts and their VMs,
+        least loaded first."""
+        candidates: List[Tuple[int, List[int]]] = []
         for pm_id in hosts_by_utilization(datacenter):
             utilization = datacenter.demanded_utilization(pm_id)
             if utilization > self.underload_threshold:
                 break
-            history = monitor.host_history(pm_id)
-            if self.detector.is_overloaded(history):
+            if overloaded[pm_id]:
                 continue
             vm_ids = sorted(datacenter.vms_on(pm_id))
-            if not vm_ids:
-                continue
+            if vm_ids:
+                candidates.append((pm_id, vm_ids))
+        return candidates
+
+    def _consolidate_underloads(
+        self,
+        datacenter,
+        candidates: List[Tuple[int, List[int]]],
+        context: Optional[PlacementContext],
+    ) -> List[Migration]:
+        migrations: List[Migration] = []
+        evacuated = np.zeros(datacenter.num_pms, dtype=bool)
+        for pm_id, vm_ids in candidates:
+            excluded = evacuated.copy()
+            excluded[pm_id] = True
             plan = power_aware_best_fit(
                 datacenter,
                 vm_ids,
                 threshold=self.placement_threshold,
-                excluded_hosts=[pm_id, *evacuated],
+                excluded_hosts=excluded,
                 context=context,
             )
             if len(plan) != len(vm_ids):
                 # Only evacuate a host when *every* VM can leave;
                 # otherwise the host stays awake and the moves are wasted.
                 continue
-            evacuated.append(pm_id)
+            evacuated[pm_id] = True
             migrations.extend(
                 Migration(vm_id=vm_id, dest_pm_id=dest)
                 for vm_id, dest in plan.items()
             )
         return migrations
-

@@ -133,6 +133,26 @@ class UtilizationMonitor:
             return self._host_ring[self._chronological_rows(), pm_id].tolist()
         return list(self._host_history.get(pm_id, ()))
 
+    def host_matrix(self) -> np.ndarray:
+        """Every host's history as one ``(W, M)`` matrix, oldest row first.
+
+        Column ``pm_id`` equals :meth:`host_history` of that host.  The
+        deque storage needs every host to hold the same number of
+        samples, which one ``observe`` per step over a fixed fleet
+        guarantees.  ``(0, 0)`` before the first observation.
+        """
+        if self._host_ring is not None:
+            return self._host_ring[self._chronological_rows()]
+        histories = [
+            list(self._host_history[pm_id])
+            for pm_id in range(len(self._host_history))
+        ]
+        if not histories:
+            return np.empty((0, 0), dtype=np.float64)
+        if len({len(history) for history in histories}) > 1:
+            raise ValueError("host histories differ in length")
+        return np.array(histories, dtype=np.float64).T
+
     def host_histories(self) -> Dict[int, List[float]]:
         """Snapshot of all host histories."""
         if self._host_ring is not None:

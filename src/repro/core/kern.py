@@ -545,7 +545,9 @@ def _compiled_library_path() -> str:
     toolchains that reject it (the flag never changes FP results, only
     speed).  Raises :class:`KernelUnavailableError` when no compiler is
     available or every attempt fails; ``auto`` mode catches this and
-    falls back.
+    falls back.  A cache directory that cannot be created (say,
+    ``REPRO_KERNEL_CACHE`` at or under a regular file) raises a plain
+    :class:`ConfigurationError` instead, which no mode falls back from.
     """
     compiler = _find_compiler()
     if compiler is None:
@@ -557,7 +559,15 @@ def _compiled_library_path() -> str:
     library = os.path.join(cache_dir, f"megh_kern_{digest}.so")
     if os.path.exists(library):
         return library
-    os.makedirs(cache_dir, exist_ok=True)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as error:
+        # Not a fallback case: a misplaced cache is a configuration
+        # error even in ``auto`` mode, reported as one line by the CLI.
+        raise ConfigurationError(
+            f"REPRO_KERNEL_CACHE: cannot use {cache_dir!r} as the kernel "
+            f"cache directory: {error}"
+        ) from error
     # Per-process staging files, renamed into place atomically: a second
     # cold builder (e.g. an engine worker) must never truncate the source
     # this process is compiling.  The staged source keeps its ``.c``

@@ -3,9 +3,12 @@
 ``power_aware_best_fit`` scores every feasible host of a VM in one array
 pass; ``_power_aware_best_fit_scalar`` is the historical per-PM scan it
 must reproduce exactly — same destinations, same insertion order — on
-the same struct-of-arrays ``Datacenter``.
+the same struct-of-arrays ``Datacenter``.  Whole runs must also agree
+with a scheduler that plans on the scalar PABFD and detects with the
+per-host list-based detector oracle.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +29,8 @@ from repro.cloudsim.power import (
 from repro.cloudsim.vm import VirtualMachine
 from repro.harness.builders import build_planetlab_simulation
 from repro.harness.runner import run_scheduler
+
+from tests.oracles.mmt_detection import ShadowDetector
 
 LINEAR = LinearPowerModel(idle_watts=90.0, peak_watts=130.0)
 MODELS = (HP_PROLIANT_G4, HP_PROLIANT_G5, LINEAR)
@@ -189,6 +194,22 @@ class TestArrayMatchesScalar:
         plan = assert_same_plan(dc, [0, 1, 2, 3], 0.7)
         assert [dest for _, dest in plan] == [1, 1, 1, 1]
 
+    def test_twin_sleeping_hosts_fill_around_exclusions(self):
+        # Hosts 1..6 are identical and asleep, so they share one primed
+        # column; each fits one VM, and the call takes the first free
+        # twins in id order, skipping the excluded ones.
+        pms = [_pm(0, HP_PROLIANT_G4, mips=16000.0, ram_mb=8192.0)]
+        pms += [_pm(i, HP_PROLIANT_G5, mips=1000.0) for i in range(1, 7)]
+        dc = Datacenter(pms, [_vm(j, ram_mb=1024.0) for j in range(3)])
+        for j in range(3):
+            dc.place(j, 0)
+            dc.vm(j).set_demand(0.6)
+        dc.sleep_idle_hosts()
+        assert list(PlacementContext(dc).twins) == [1]
+        plan = assert_same_plan(dc, [0, 1, 2], 0.7, excluded=[1, 3])
+        assert [dest for _, dest in plan] == [2, 4, 5]
+        assert assert_same_plan(dc, [0, 1, 2], 0.7) == [(0, 1), (1, 2), (2, 3)]
+
     def test_pending_load_summed_like_the_scan(self):
         # The scan tests ``(0.1 + (0.2 + 0.17)) + 0.1`` = 0.57 against a
         # 0.57-MIPS budget; accumulating ``((0.1 + 0.2) + 0.17) + 0.1``
@@ -205,16 +226,22 @@ class TestArrayMatchesScalar:
 
 
 def _scalar_pabfd(datacenter, vm_ids, threshold, excluded_hosts=(), context=None):
+    excluded = np.asarray(excluded_hosts)
+    if excluded.dtype == bool:
+        excluded = np.flatnonzero(excluded)
     return _power_aware_best_fit_scalar(
-        datacenter, vm_ids, threshold, excluded_hosts
+        datacenter, vm_ids, threshold, excluded.tolist()
     )
 
 
-def _decisions(detector, monkeypatch=None):
-    """Per-step migration lists of one small PlanetLab MMT run."""
-    simulation = build_planetlab_simulation(
-        num_pms=16, num_vms=24, num_steps=40, seed=3
-    )
+def _decisions(detector, monkeypatch=None, **size):
+    """Per-step migration lists of one PlanetLab MMT run.
+
+    With ``monkeypatch`` the scheduler plans with the scalar oracles:
+    the per-PM PABFD scan and the per-host list-based detector.
+    """
+    size = {"num_pms": 16, "num_vms": 24, "num_steps": 40, **size}
+    simulation = build_planetlab_simulation(seed=3, **size)
     scheduler = MMTScheduler(detector)
     decide = scheduler.decide
     steps = []
@@ -229,8 +256,16 @@ def _decisions(detector, monkeypatch=None):
         monkeypatch.setattr(
             scheduler_module, "power_aware_best_fit", _scalar_pabfd
         )
+        scheduler.detector = ShadowDetector(scheduler.detector)
     result = run_scheduler(simulation, scheduler)
     return steps, result
+
+
+def _without_timings(result):
+    payload = result.to_dict()
+    for step in payload.get("steps", []):
+        step.pop("scheduler_seconds", None)
+    return payload
 
 
 class TestRunLevelEquivalence:
@@ -242,3 +277,14 @@ class TestRunLevelEquivalence:
         assert array_steps == scalar_steps
         assert array_result.total_cost_usd == scalar_result.total_cost_usd
         assert array_result.total_migrations == scalar_result.total_migrations
+
+    def test_lrr_quarter_paper_fleet_results_identical(self, monkeypatch):
+        # The perfbench ``mmt-planetlab`` fleet, past the detector window.
+        size = {"num_pms": 200, "num_vms": 263, "num_steps": 24}
+        array_steps, array_result = _decisions("LRR", **size)
+        scalar_steps, scalar_result = _decisions("LRR", monkeypatch, **size)
+        assert any(array_steps)
+        assert array_steps == scalar_steps
+        assert _without_timings(array_result) == _without_timings(
+            scalar_result
+        )

@@ -82,3 +82,26 @@ class TestCliConfigurationErrors:
         assert "Traceback" not in completed.stderr
         assert variable in completed.stderr
         assert len(completed.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_kernel_cache_at_or_under_a_file_exits_2(self, tmp_path, under):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("a regular file\n", encoding="utf-8")
+        cache = blocker / "cache" if under else blocker
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src, REPRO_KERNEL_CACHE=str(cache))
+        env.pop("REPRO_KERNEL", None)
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "compare",
+                "--pms", "4", "--vms", "4", "--steps", "2",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        assert "REPRO_KERNEL_CACHE" in completed.stderr
+        assert len(completed.stderr.strip().splitlines()) == 1
