@@ -13,7 +13,8 @@ flushes the reads trigger) and ``apply_seconds`` (the Sherman–Morrison
 
 ``--check-oracle`` additionally reruns the same seeded simulation twice
 — once through the vectorized candidate pipeline, once through the
-retained scalar oracle — and fails unless the decision traces are
+scalar oracle generator (``tests/oracles/megh_candidates.py``, imported
+from the checkout) — and fails unless the decision traces are
 element-for-element identical (``oracle_match`` in the payload).
 
 Results merge into the ``"decide"`` section of ``BENCH_core.json``::
@@ -28,6 +29,7 @@ job runs it in ``--fast --check-oracle`` mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,6 +44,9 @@ try:
 except ImportError:  # executed as a script: benchmarks/ is sys.path[0]
     from core_bench_util import DEFAULT_OUTPUT, merge_section
     from core_bench_util import PAPER_NUM_PMS, PAPER_NUM_VMS
+
+#: The checkout root, where ``tests.oracles`` lives.
+_CHECKOUT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class _TimedDecide:
@@ -74,13 +79,11 @@ def _instrument_phases(scheduler, timers: _PhaseTimers) -> None:
     """Shadow the phase entry points with timing wrappers.
 
     Instance-attribute shadows, so only this scheduler is touched:
-    candidate = the CandidateIndex plan (plus the scalar generator when
-    the oracle path is active), q = batched Q reads (which also pay any
-    pending rank-k flush), apply = Sherman–Morrison update enqueues.
+    candidate = the CandidateIndex plan, q = batched Q reads (which also
+    pay any pending rank-k flush), apply = Sherman–Morrison update
+    enqueues.
     """
     plan = scheduler.candidate_index.plan
-    plan_from_lists = scheduler.candidate_index.plan_from_lists
-    scalar_gen = scheduler._candidate_actions
     q_values = scheduler.lstd.q_values
     update = scheduler.lstd.update
 
@@ -103,10 +106,6 @@ def _instrument_phases(scheduler, timers: _PhaseTimers) -> None:
         timers.apply += dt
 
     scheduler.candidate_index.plan = timed(to_candidate, plan)
-    scheduler.candidate_index.plan_from_lists = timed(
-        to_candidate, plan_from_lists
-    )
-    scheduler._candidate_actions = timed(to_candidate, scalar_gen)
     scheduler.lstd.q_values = timed(to_q, q_values)
     scheduler.lstd.update = timed(to_apply, update)
 
@@ -159,6 +158,10 @@ def check_oracle(
     from repro.harness.builders import build_planetlab_simulation
     from repro.harness.runner import run_scheduler
 
+    if _CHECKOUT_ROOT not in sys.path:
+        sys.path.insert(0, _CHECKOUT_ROOT)
+    from tests.oracles.megh_candidates import scalar_plan
+
     traces = []
     totals = []
     for scalar in (False, True):
@@ -170,7 +173,7 @@ def check_oracle(
             simulation, seed=seed, contracts=False
         )
         if scalar:
-            scheduler._plan = scheduler._scalar_plan
+            scheduler._plan = functools.partial(scalar_plan, scheduler)
         scheduler.trace = DecisionTrace()
         result = run_scheduler(simulation, scheduler)
         traces.append(scheduler.trace.records)

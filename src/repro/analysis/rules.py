@@ -662,8 +662,7 @@ _DICT_VIEW_METHODS = {"values", "keys", "items"}
 
 
 #: Agent-side modules on the decide() hot path, covered since the
-#: candidate pipeline went array-native (the scalar generator retained
-#: in agent.py as the differential oracle carries reasoned suppressions).
+#: candidate pipeline went array-native.
 _AGENT_HOT_PATHS = (
     "repro/core/agent.py",
     "repro/core/candidates.py",
@@ -672,8 +671,6 @@ _AGENT_HOT_PATHS = (
 
 def _is_fleet_loop_path(path: str) -> bool:
     normalized = path.replace("\\", "/")
-    if normalized.endswith("repro/cloudsim/reference.py"):
-        return False  # the retained pre-rewrite oracle is loops on purpose
     if "repro/cloudsim/" in normalized:
         return True
     return any(normalized.endswith(hot) for hot in _AGENT_HOT_PATHS)

@@ -15,32 +15,6 @@ import numpy as np
 from repro.cloudsim.datacenter import Datacenter
 
 
-def power_increase(
-    datacenter: Datacenter,
-    pm_id: int,
-    extra_mips: float,
-    pending_mips: float = 0.0,
-) -> float:
-    """Watts added to a host by ``extra_mips`` more demand.
-
-    ``pending_mips`` accounts for demand already promised to the host by
-    earlier placements within the same planning round.
-    """
-    pm = datacenter.pm(pm_id)
-    before = min(
-        1.0, (datacenter.demanded_mips(pm_id) + pending_mips) / pm.mips
-    )
-    after = min(
-        1.0,
-        (datacenter.demanded_mips(pm_id) + pending_mips + extra_mips)
-        / pm.mips,
-    )
-    wake_cost = pm.power_model.power(0.0) if pm.asleep else 0.0
-    return (
-        pm.power_model.power(after) - pm.power_model.power(before) + wake_cost
-    )
-
-
 class PlacementContext:
     """Per-host PABFD invariants and per-VM scores of one planning round.
 
@@ -246,14 +220,7 @@ def power_aware_best_fit(
     invariants and primed VM scores between the calls of one planning
     round; without it the call builds its own.
     """
-    arrays = getattr(datacenter, "arrays", None)
     excluded = _excluded_mask(excluded_hosts, datacenter.num_pms)
-    if arrays is None:
-        # Reference object-model backend (no struct-of-arrays store):
-        # keep the historical per-PM scan.
-        return _power_aware_best_fit_scalar(
-            datacenter, vm_ids, threshold, np.flatnonzero(excluded).tolist()
-        )
     vm_ids = list(vm_ids)
     if context is None:
         context = PlacementContext(datacenter)
@@ -263,7 +230,8 @@ def power_aware_best_fit(
     if pm_ids.size == 0:
         return plan
     # Each VM's row holds its zero-pending score on every host of the
-    # call, primed with the same operands as the per-PM scan — load
+    # call, primed with the same operands as the historical per-PM scan
+    # (kept as the test oracle ``tests/oracles/pabfd.py``) — load
     # ``(demand + pending) + vm_demand``, room ``free − pending``,
     # increase ``(P(after) − P(before)) + wake``.  Within the call only
     # excluded hosts (``inf``) and hosts this call has committed VMs to
@@ -312,68 +280,13 @@ def power_aware_best_fit(
     return plan
 
 
-def _power_aware_best_fit_scalar(
-    datacenter,
-    vm_ids: Iterable[int],
-    threshold: float,
-    excluded_hosts: Sequence[int] = (),
-) -> Dict[int, int]:
-    """Per-PM PABFD scan for backends without ``DatacenterArrays``."""
-    excluded = set(excluded_hosts)
-    plan: Dict[int, int] = {}
-    pending_mips: Dict[int, float] = {}
-    pending_ram: Dict[int, float] = {}
-    ordered = sorted(
-        vm_ids, key=lambda vm_id: -datacenter.vm(vm_id).demanded_mips
-    )
-    for vm_id in ordered:
-        vm = datacenter.vm(vm_id)
-        source = datacenter.host_of(vm_id)
-        best_pm: Optional[int] = None
-        best_increase = float("inf")
-        for pm in datacenter.pms:
-            pm_id = pm.pm_id
-            if pm_id in excluded or pm_id == source:
-                continue
-            free_ram = datacenter.ram_free_mb(pm_id) - pending_ram.get(
-                pm_id, 0.0
-            )
-            if vm.ram_mb > free_ram:
-                continue
-            demand_after = (
-                datacenter.demanded_mips(pm_id)
-                + pending_mips.get(pm_id, 0.0)
-                + vm.demanded_mips
-            )
-            if demand_after > threshold * pm.mips:
-                continue
-            increase = power_increase(
-                datacenter, pm_id, vm.demanded_mips, pending_mips.get(pm_id, 0.0)
-            )
-            if increase < best_increase:
-                best_increase = increase
-                best_pm = pm_id
-        if best_pm is not None:
-            plan[vm_id] = best_pm
-            pending_mips[best_pm] = (
-                pending_mips.get(best_pm, 0.0) + vm.demanded_mips
-            )
-            pending_ram[best_pm] = pending_ram.get(best_pm, 0.0) + vm.ram_mb
-    return plan
-
-
 def hosts_by_utilization(datacenter: Datacenter) -> List[int]:
     """Active hosts ordered by demanded utilization, least loaded first.
 
     One masked stable argsort — ties keep ascending host-id order, the
     same as the historical stable ``sorted`` over ``active_pm_ids()``.
     """
-    arrays = getattr(datacenter, "arrays", None)
-    if arrays is None:
-        return sorted(
-            datacenter.active_pm_ids(),
-            key=lambda pm_id: datacenter.demanded_utilization(pm_id),
-        )
+    arrays = datacenter.arrays
     active = np.flatnonzero(arrays.active_pm_mask())
     util = arrays.pm_demand_utilization()
     return active[np.argsort(util[active], kind="stable")].tolist()

@@ -93,16 +93,12 @@ class MMTScheduler:
         )
         # Planning leaves the datacenter untouched, so every PABFD call
         # of this step shares one set of per-host invariants and one
-        # score matrix over every VM the step may place (none on the
-        # reference object backend, which plans with the scan).
-        context = None
-        if getattr(datacenter, "arrays", None) is not None:
-            context = PlacementContext(datacenter)
-            context.prime(
-                to_place
-                + [vm_id for _, vm_ids in evacuations for vm_id in vm_ids],
-                self.placement_threshold,
-            )
+        # score matrix over every VM the step may place.
+        context = PlacementContext(datacenter)
+        context.prime(
+            to_place + [vm_id for _, vm_ids in evacuations for vm_id in vm_ids],
+            self.placement_threshold,
+        )
         migrations = self._relieve_overloads(
             datacenter, to_place, overloaded_hosts, context
         )
@@ -142,7 +138,7 @@ class MMTScheduler:
         datacenter,
         to_place: List[int],
         overloaded_hosts: List[int],
-        context: Optional[PlacementContext],
+        context: PlacementContext,
     ) -> List[Migration]:
         if not to_place:
             return []
@@ -180,7 +176,7 @@ class MMTScheduler:
         self,
         datacenter,
         candidates: List[Tuple[int, List[int]]],
-        context: Optional[PlacementContext],
+        context: PlacementContext,
     ) -> List[Migration]:
         migrations: List[Migration] = []
         evacuated = np.zeros(datacenter.num_pms, dtype=bool)

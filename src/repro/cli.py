@@ -30,7 +30,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.harness import experiments
 from repro.harness.figures import figure_series, render_figure
 from repro.harness.tables import render_comparison
@@ -115,14 +115,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """Reject non-positive ``--steps``/``--jobs`` (``None`` steps means
+    the experiment's default)."""
+    if args.steps is not None and args.steps < 1:
+        raise ConfigurationError(f"--steps must be >= 1, got {args.steps}")
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
+
+
 def _make_engine(args):
     """Build an ExecutionEngine when the flags ask for one, else None."""
-    if args.jobs <= 1 and not args.cache_dir and not args.journal:
+    if args.jobs == 1 and not args.cache_dir and not args.journal:
         return None
     from repro.engine import ExecutionEngine
 
     return ExecutionEngine(
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
         cache_dir=args.cache_dir,
         journal_path=args.journal,
     )
@@ -332,6 +341,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0  # output piped into a closed reader (e.g. `| head`)
     engine = None
     try:
+        _check_counts(args)
         engine = _make_engine(args)
         if experiment == "compare":
             print(_run_compare(args, engine))

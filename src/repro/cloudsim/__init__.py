@@ -16,7 +16,6 @@ from repro.cloudsim.power import (
     HP_PROLIANT_G5,
 )
 from repro.cloudsim.datacenter import Datacenter
-from repro.cloudsim.reference import ReferenceDatacenter
 from repro.cloudsim.soa import DatacenterArrays
 from repro.cloudsim.migration import Migration, MigrationEngine
 from repro.cloudsim.network import (
@@ -47,7 +46,6 @@ __all__ = [
     "HP_PROLIANT_G4",
     "HP_PROLIANT_G5",
     "Datacenter",
-    "ReferenceDatacenter",
     "DatacenterArrays",
     "Migration",
     "MigrationEngine",

@@ -16,9 +16,9 @@ queries — run as whole-fleet NumPy expressions.  The object model
 arrays, and the legacy ``dict``/``set`` placement index is still
 maintained incrementally so the public API (``vms_on``, ``placement``,
 iteration order included) is exactly what it was before the rewrite.
-The retained pre-rewrite implementation lives in
-:mod:`repro.cloudsim.reference` and is held bit-for-bit equal by
-``tests/cloudsim/test_vectorized_equivalence.py``.
+The pre-rewrite implementation is kept as a test oracle
+(``tests/oracles/reference_datacenter.py``) and held bit-for-bit equal
+by ``tests/cloudsim/test_vectorized_equivalence.py``.
 """
 
 from __future__ import annotations

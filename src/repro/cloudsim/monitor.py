@@ -8,8 +8,7 @@ detectors (IQR/MAD/LR/LRR) and the learning schedulers consume.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,14 +19,12 @@ from repro.errors import ConfigurationError
 class UtilizationMonitor:
     """Rolling history of demanded utilization per VM and per host.
 
-    When the observed datacenter exposes a struct-of-arrays mirror, one
-    observation is two vector copies into ``(history_length, N)`` /
-    ``(history_length, M)`` ring buffers; per-entity histories are read
-    back as ring columns.  Observing a plain object datacenter (the
-    retained reference implementation) falls back to the original
-    dict-of-deques bookkeeping.  The sampled quantities are identical —
-    ``vm.demanded_utilization`` and the host's demanded utilization —
-    so both storages return the same values bit for bit.
+    One observation is two vector copies off the datacenter's
+    struct-of-arrays store into ``(history_length, N)`` /
+    ``(history_length, M)`` ring buffers, allocated on the first
+    observation; per-entity histories are read back as ring columns.
+    The rings are sized to the first datacenter observed: observing one
+    of a different size raises ``ValueError``.
 
     Args:
         history_length: number of most-recent samples retained per entity.
@@ -38,10 +35,7 @@ class UtilizationMonitor:
         if history_length < 1:
             raise ConfigurationError("history_length must be >= 1")
         self._length = history_length
-        self._vm_history: Dict[int, Deque[float]] = {}
-        self._host_history: Dict[int, Deque[float]] = {}
         self._steps_observed = 0
-        # Ring-buffer storage (allocated on the first array observation).
         self._vm_ring: Optional[np.ndarray] = None
         self._host_ring: Optional[np.ndarray] = None
         self._ring_filled = 0
@@ -57,37 +51,55 @@ class UtilizationMonitor:
 
     def observe(self, datacenter: Datacenter) -> None:
         """Record one sample for every VM and every host."""
-        arrays = getattr(datacenter, "arrays", None)
-        if (
-            arrays is not None
-            and not self._vm_history
-            and (
-                self._vm_ring is None
-                or self._vm_ring.shape[1] == arrays.num_vms
+        arrays = datacenter.arrays
+        if self._vm_ring is None:
+            self._vm_ring = np.zeros(
+                (self._length, arrays.num_vms), dtype=np.float64
             )
+            self._host_ring = np.zeros(
+                (self._length, arrays.num_pms), dtype=np.float64
+            )
+        elif self._vm_ring.shape[1] != arrays.num_vms or (
+            self._host_ring.shape[1] != arrays.num_pms
         ):
-            if self._vm_ring is None:
-                self._vm_ring = np.zeros(
-                    (self._length, arrays.num_vms), dtype=np.float64
-                )
-                self._host_ring = np.zeros(
-                    (self._length, arrays.num_pms), dtype=np.float64
-                )
-            self._vm_ring[self._ring_pos] = arrays.vm_demand
-            self._host_ring[self._ring_pos] = arrays.pm_demand_utilization()
-            self._ring_pos = (self._ring_pos + 1) % self._length
-            self._ring_filled = min(self._ring_filled + 1, self._length)
-        else:
-            self._demote_ring()
-            for vm in datacenter.vms:  # meghlint: ignore[MEGH009] -- compat path for object-model datacenters
-                self._vm_history.setdefault(
-                    vm.vm_id, deque(maxlen=self._length)
-                ).append(vm.demanded_utilization)
-            for pm in datacenter.pms:  # meghlint: ignore[MEGH009] -- compat path for object-model datacenters
-                self._host_history.setdefault(
-                    pm.pm_id, deque(maxlen=self._length)
-                ).append(datacenter.demanded_utilization(pm.pm_id))
+            raise ValueError(
+                f"monitor rings cover {self._vm_ring.shape[1]} VMs / "
+                f"{self._host_ring.shape[1]} PMs but the datacenter has "
+                f"{arrays.num_vms} / {arrays.num_pms}"
+            )
+        self._vm_ring[self._ring_pos] = arrays.vm_demand
+        self._host_ring[self._ring_pos] = arrays.pm_demand_utilization()
+        self._ring_pos = (self._ring_pos + 1) % self._length
+        self._ring_filled = min(self._ring_filled + 1, self._length)
         self._steps_observed += 1
+
+    def state(self) -> Tuple[Dict[str, int], Dict[str, np.ndarray]]:
+        """Restart state as ``(counters, rings)``; ``rings`` is empty
+        before the first observation.  :meth:`restore` inverts it."""
+        counters = {
+            "length": self._length,
+            "pos": self._ring_pos,
+            "filled": self._ring_filled,
+            "steps_observed": self._steps_observed,
+        }
+        rings: Dict[str, np.ndarray] = {}
+        if self._vm_ring is not None:
+            rings = {"vm": self._vm_ring, "host": self._host_ring}
+        return counters, rings
+
+    @classmethod
+    def restore(
+        cls, counters: Dict[str, int], rings: Dict[str, np.ndarray]
+    ) -> "UtilizationMonitor":
+        """A monitor holding the state :meth:`state` captured."""
+        monitor = cls(history_length=int(counters["length"]))
+        if rings:
+            monitor._vm_ring = np.array(rings["vm"], dtype=np.float64)
+            monitor._host_ring = np.array(rings["host"], dtype=np.float64)
+            monitor._ring_pos = int(counters["pos"])
+            monitor._ring_filled = int(counters["filled"])
+        monitor._steps_observed = int(counters["steps_observed"])
+        return monitor
 
     def _chronological_rows(self) -> np.ndarray:
         """Ring row indices oldest-first."""
@@ -100,79 +112,47 @@ class UtilizationMonitor:
             ]
         )
 
-    def _demote_ring(self) -> None:
-        """Fold ring-buffer samples back into deques (datacenter switch)."""
-        if self._vm_ring is None:
-            return
-        rows = self._chronological_rows()
-        for vm_id in range(self._vm_ring.shape[1]):
-            history = deque(self._vm_ring[rows, vm_id].tolist(), maxlen=self._length)
-            self._vm_history[vm_id] = history
-        assert self._host_ring is not None
-        for pm_id in range(self._host_ring.shape[1]):
-            history = deque(self._host_ring[rows, pm_id].tolist(), maxlen=self._length)
-            self._host_history[pm_id] = history
-        self._vm_ring = None
-        self._host_ring = None
-        self._ring_filled = 0
-        self._ring_pos = 0
-
     def vm_history(self, vm_id: int) -> List[float]:
         """Most-recent demanded-utilization samples for a VM (oldest first)."""
-        if self._vm_ring is not None:
-            if not 0 <= vm_id < self._vm_ring.shape[1]:
-                return []
-            return self._vm_ring[self._chronological_rows(), vm_id].tolist()
-        return list(self._vm_history.get(vm_id, ()))
+        if self._vm_ring is None or not 0 <= vm_id < self._vm_ring.shape[1]:
+            return []
+        return self._vm_ring[self._chronological_rows(), vm_id].tolist()
 
     def host_history(self, pm_id: int) -> List[float]:
         """Most-recent demanded-utilization samples for a host."""
-        if self._host_ring is not None:
-            if not 0 <= pm_id < self._host_ring.shape[1]:
-                return []
-            return self._host_ring[self._chronological_rows(), pm_id].tolist()
-        return list(self._host_history.get(pm_id, ()))
+        if self._host_ring is None or not 0 <= pm_id < self._host_ring.shape[1]:
+            return []
+        return self._host_ring[self._chronological_rows(), pm_id].tolist()
 
     def host_matrix(self) -> np.ndarray:
         """Every host's history as one ``(W, M)`` matrix, oldest row first.
 
-        Column ``pm_id`` equals :meth:`host_history` of that host.  The
-        deque storage needs every host to hold the same number of
-        samples, which one ``observe`` per step over a fixed fleet
-        guarantees.  ``(0, 0)`` before the first observation.
+        Column ``pm_id`` equals :meth:`host_history` of that host.
+        ``(0, 0)`` before the first observation.
         """
-        if self._host_ring is not None:
-            return self._host_ring[self._chronological_rows()]
-        histories = [
-            list(self._host_history[pm_id])
-            for pm_id in range(len(self._host_history))
-        ]
-        if not histories:
+        if self._host_ring is None:
             return np.empty((0, 0), dtype=np.float64)
-        if len({len(history) for history in histories}) > 1:
-            raise ValueError("host histories differ in length")
-        return np.array(histories, dtype=np.float64).T
+        return self._host_ring[self._chronological_rows()]
 
     def host_histories(self) -> Dict[int, List[float]]:
         """Snapshot of all host histories."""
-        if self._host_ring is not None:
-            ordered = self._host_ring[self._chronological_rows()]
-            return {
-                pm_id: ordered[:, pm_id].tolist()
-                for pm_id in range(self._host_ring.shape[1])
-            }
-        return {pm_id: list(h) for pm_id, h in self._host_history.items()}
+        if self._host_ring is None:
+            return {}
+        ordered = self.host_matrix()
+        return {
+            pm_id: ordered[:, pm_id].tolist()
+            for pm_id in range(self._host_ring.shape[1])
+        }
 
     def last_host_utilization(self, pm_id: int, default: float = 0.0) -> float:
-        if self._host_ring is not None:
-            if self._ring_filled == 0 or not 0 <= pm_id < self._host_ring.shape[1]:
-                return default
-            last = (self._ring_pos - 1) % self._length
-            return float(self._host_ring[last, pm_id])
-        history = self._host_history.get(pm_id)
-        if not history:
+        if (
+            self._host_ring is None
+            or self._ring_filled == 0
+            or not 0 <= pm_id < self._host_ring.shape[1]
+        ):
             return default
-        return history[-1]
+        last = (self._ring_pos - 1) % self._length
+        return float(self._host_ring[last, pm_id])
 
 
 def mean(values: Sequence[float]) -> float:

@@ -124,6 +124,7 @@ class Simulation:
         topology=None,
         dynamic_provisioning: bool = False,
     ) -> None:
+        StepPipeline.check_datacenter(datacenter)
         self.config = config or SimulationConfig()
         if workload.num_vms < datacenter.num_vms:
             raise ConfigurationError(
@@ -217,42 +218,22 @@ class Simulation:
         return pipeline.result(scheduler.name)
 
     def _apply_workload(self, step: int) -> None:
-        arrays = getattr(self.datacenter, "arrays", None)
-        step_source = getattr(self.workload, "step_slice", None)
-        if arrays is not None and step_source is not None:
-            # Batched path: one vector write per quantity.  The workload
-            # matrices were range-validated at construction, so the
-            # per-value checks of set_demand/set_bandwidth_demand are
-            # not repeated here.
-            active, utilization, bandwidth = step_source(step)
-            num_vms = arrays.num_vms
-            active = active[:num_vms]
-            arrays.vm_active[:] = active
-            inactive = ~active
-            np.copyto(
-                arrays.vm_demand, utilization[:num_vms], where=active
-            )
-            arrays.vm_demand[inactive] = 0.0
-            arrays.vm_delivered[inactive] = 0.0
-            if bandwidth is not None:
-                np.copyto(
-                    arrays.vm_bw_demand, bandwidth[:num_vms], where=active
-                )
-            arrays.vm_bw_demand[inactive] = 0.0
-            arrays.mark_activity_dirty()
-        else:
-            bandwidth_source = getattr(
-                self.workload, "bandwidth_utilization", None
-            )
-            for vm in self.datacenter.vms:  # meghlint: ignore[MEGH009] -- compat path for workloads without step_slice
-                active = self.workload.is_active(vm.vm_id, step)
-                vm.set_active(active)
-                if active:
-                    vm.set_demand(self.workload.utilization(vm.vm_id, step))
-                    if bandwidth_source is not None:
-                        vm.set_bandwidth_demand(
-                            bandwidth_source(vm.vm_id, step)
-                        )
+        # One vector write per quantity.  The workload matrices were
+        # range-validated at construction, so the per-value checks of
+        # set_demand/set_bandwidth_demand are not repeated here.
+        arrays = self.datacenter.arrays
+        active, utilization, bandwidth = self.workload.step_slice(step)
+        num_vms = arrays.num_vms
+        active = active[:num_vms]
+        arrays.vm_active[:] = active
+        inactive = ~active
+        np.copyto(arrays.vm_demand, utilization[:num_vms], where=active)
+        arrays.vm_demand[inactive] = 0.0
+        arrays.vm_delivered[inactive] = 0.0
+        if bandwidth is not None:
+            np.copyto(arrays.vm_bw_demand, bandwidth[:num_vms], where=active)
+        arrays.vm_bw_demand[inactive] = 0.0
+        arrays.mark_activity_dirty()
         if self.dynamic_provisioning:
             self._provision()
 
@@ -262,26 +243,16 @@ class Simulation:
         The pending queue preserves arrival order (FIFO), with a
         companion set for O(1) membership tests.
         """
-        arrays = getattr(self.datacenter, "arrays", None)
-        if arrays is not None:
-            placed = arrays.host_of >= 0
-            active = arrays.vm_active
-            for vm_id in np.flatnonzero(~active & placed):
-                self.datacenter.remove(int(vm_id))
-            for vm_id in np.flatnonzero(active & ~placed):
-                key = int(vm_id)
-                if key not in self._pending_set:
-                    self.pending_vm_ids.append(key)
-                    self._pending_set.add(key)
-        else:
-            for vm in self.datacenter.vms:  # meghlint: ignore[MEGH009] -- compat path for object-model datacenters
-                placed = self.datacenter.is_placed(vm.vm_id)
-                if not vm.is_active and placed:
-                    self.datacenter.remove(vm.vm_id)
-                elif vm.is_active and not placed:
-                    if vm.vm_id not in self._pending_set:
-                        self.pending_vm_ids.append(vm.vm_id)
-                        self._pending_set.add(vm.vm_id)
+        arrays = self.datacenter.arrays
+        placed = arrays.host_of >= 0
+        active = arrays.vm_active
+        for vm_id in np.flatnonzero(~active & placed):
+            self.datacenter.remove(int(vm_id))
+        for vm_id in np.flatnonzero(active & ~placed):
+            key = int(vm_id)
+            if key not in self._pending_set:
+                self.pending_vm_ids.append(key)
+                self._pending_set.add(key)
         # A VM whose task ended while it waited leaves the queue.
         self.pending_vm_ids = [
             vm_id
@@ -292,43 +263,28 @@ class Simulation:
         self._pending_set = set(self.pending_vm_ids)
 
 
-def first_fit_ram(datacenter: Any, vm_id: int) -> bool:
+def first_fit_ram(datacenter: Datacenter, vm_id: int) -> bool:
     """Place ``vm_id`` on the lowest-id host with room for its RAM;
     return whether it was placed."""
-    arrays = getattr(datacenter, "arrays", None)
-    if arrays is not None:
-        # Cached derived vector: recomputed only when a placement
-        # since the last call dirtied the RAM aggregate.
-        ram_free = arrays.pm_ram_free_mb()
-        candidates = np.flatnonzero(datacenter.vm(vm_id).ram_mb <= ram_free)
-        if candidates.size == 0:
-            return False
-        datacenter.place(vm_id, int(candidates[0]))
-        return True
-    for pm in datacenter.pms:  # meghlint: ignore[MEGH009] -- compat path for object-model datacenters
-        if datacenter.fits(vm_id, pm.pm_id):
-            datacenter.place(vm_id, pm.pm_id)
-            return True
-    return False
+    # Cached derived vector: recomputed only when a placement since the
+    # last call dirtied the RAM aggregate.
+    ram_free = datacenter.arrays.pm_ram_free_mb()
+    candidates = np.flatnonzero(datacenter.vm(vm_id).ram_mb <= ram_free)
+    if candidates.size == 0:
+        return False
+    datacenter.place(vm_id, int(candidates[0]))
+    return True
 
 
-def _mean_active_host_utilization(datacenter: Any) -> float:
-    arrays = getattr(datacenter, "arrays", None)
-    if arrays is not None:
-        active_ids = np.flatnonzero(arrays.active_pm_mask())
-        if active_ids.size == 0:
-            return 0.0
-        capped = np.minimum(1.0, arrays.pm_demand_utilization()[active_ids])
-        # Left-to-right total (cumsum) in host-id order, matching the
-        # object path's accumulation bit for bit.
-        return float(np.cumsum(capped)[-1]) / active_ids.size
-    active = datacenter.active_pm_ids()
-    if not active:
+def _mean_active_host_utilization(datacenter: Datacenter) -> float:
+    arrays = datacenter.arrays
+    active_ids = np.flatnonzero(arrays.active_pm_mask())
+    if active_ids.size == 0:
         return 0.0
-    total = sum(
-        min(1.0, datacenter.demanded_utilization(pm_id)) for pm_id in active
-    )
-    return total / len(active)
+    capped = np.minimum(1.0, arrays.pm_demand_utilization()[active_ids])
+    # Left-to-right total (cumsum) in host-id order: the accumulation
+    # order of a per-host loop, bit for bit.
+    return float(np.cumsum(capped)[-1]) / active_ids.size
 
 
 def _emit_events(
@@ -377,7 +333,7 @@ class StepPipeline:
 
     def __init__(
         self,
-        datacenter: Any,
+        datacenter: Datacenter,
         config: SimulationConfig,
         monitor: UtilizationMonitor,
         topology: Any = None,
@@ -386,6 +342,7 @@ class StepPipeline:
         validate_every_step: Optional[bool] = None,
         clock: Callable[[], float] = _no_clock,
     ) -> None:
+        self.check_datacenter(datacenter)
         if validate_every_step is None:
             from repro.core.contracts import contracts_enabled
 
@@ -423,6 +380,18 @@ class StepPipeline:
         self.validate_every_step = validate_every_step
         self.clock = clock
         self.cost_since_decide = 0.0
+
+    @staticmethod
+    def check_datacenter(datacenter: Any) -> None:
+        """Reject any datacenter but the struct-of-arrays
+        :class:`~repro.cloudsim.datacenter.Datacenter`, the only one
+        the pipeline's stages read.  Drivers call it on construction so
+        a wrong datacenter fails before a run starts."""
+        if not isinstance(datacenter, Datacenter):
+            raise ConfigurationError(
+                "the step pipeline requires the struct-of-arrays "
+                f"Datacenter, got {type(datacenter).__name__}"
+            )
 
     def step(
         self,

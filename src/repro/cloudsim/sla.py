@@ -13,28 +13,24 @@ counters are still kept for reporting.
 
 Vectorized accounting
 ---------------------
-Since the struct-of-arrays rewrite the accountant keeps its counters in
-dense NumPy vectors indexed by entity id — cumulative seconds in
-``float64[cap]`` vectors, billing windows in ``(cap, W)`` matrices kept
-in chronological order (rows shift left when full, exactly like the old
-per-record deque's append/evict).  :class:`HostSlaRecord` and
-:class:`VmSlaRecord` obtained from an accountant are *bound views* over
-those arrays, so the public per-record API is unchanged; records
-constructed directly (``VmSlaRecord(window_steps=2)``) stay standalone
-scalar/deque objects.
+The accountant keeps its counters in dense NumPy vectors indexed by
+entity id — cumulative seconds in ``float64[cap]`` vectors, billing
+windows in ``(cap, W)`` matrices kept in chronological order (rows
+shift left when full, like a bounded deque's append/evict).
+:class:`HostSlaRecord` and :class:`VmSlaRecord` are views over one row
+of those arrays, handed out by :meth:`SlaAccountant.host_record` /
+:meth:`SlaAccountant.vm_record`.
 
-``observe_step`` takes a batched path when the datacenter exposes a
-:class:`~repro.cloudsim.soa.DatacenterArrays` mirror: one masked
-vector update per counter instead of a Python loop per VM.  Both paths
-apply exactly one ``+= interval`` per entity per step and windowed sums
-are strict left-to-right accumulations (``np.cumsum``), so every
-query is bit-identical between the two.
+``observe_step`` reads the datacenter's
+:class:`~repro.cloudsim.soa.DatacenterArrays` store: one masked vector
+update per counter, exactly one ``+= interval`` per entity per step,
+and windowed sums are strict left-to-right accumulations
+(``np.cumsum``) — the accumulation order of a per-VM loop, bit for bit.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -51,28 +47,13 @@ _MIN_CAPACITY = 16
 
 
 class HostSlaRecord:
-    """Per-host SLA counters.
+    """Per-host SLA counters: a view over one row of an accountant."""
 
-    Standalone instances hold plain scalars; records handed out by an
-    :class:`SlaAccountant` are views over the accountant's arrays.
-    """
+    __slots__ = ("_owner", "_row")
 
-    __slots__ = ("_owner", "_row", "_active_s", "_overload_s")
-
-    def __init__(
-        self, active_seconds: float = 0.0, overload_seconds: float = 0.0
-    ) -> None:
-        self._owner: Optional["SlaAccountant"] = None
-        self._row = -1
-        self._active_s = active_seconds
-        self._overload_s = overload_seconds
-
-    @classmethod
-    def _bound(cls, owner: "SlaAccountant", row: int) -> "HostSlaRecord":
-        record = cls()
-        record._owner = owner
-        record._row = row
-        return record
+    def __init__(self, owner: "SlaAccountant", row: int) -> None:
+        self._owner = owner
+        self._row = row
 
     def __repr__(self) -> str:
         return (
@@ -82,29 +63,19 @@ class HostSlaRecord:
 
     @property
     def active_seconds(self) -> float:
-        if self._owner is None:
-            return self._active_s
         return float(self._owner._host_active_s[self._row])
 
     @active_seconds.setter
     def active_seconds(self, value: float) -> None:
-        if self._owner is None:
-            self._active_s = value
-        else:
-            self._owner._host_active_s[self._row] = value
+        self._owner._host_active_s[self._row] = value
 
     @property
     def overload_seconds(self) -> float:
-        if self._owner is None:
-            return self._overload_s
         return float(self._owner._host_overload_s[self._row])
 
     @overload_seconds.setter
     def overload_seconds(self, value: float) -> None:
-        if self._owner is None:
-            self._overload_s = value
-        else:
-            self._owner._host_overload_s[self._row] = value
+        self._owner._host_overload_s[self._row] = value
 
     @property
     def overload_fraction(self) -> float:
@@ -117,43 +88,16 @@ class HostSlaRecord:
 class VmSlaRecord:
     """Per-VM SLA counters: cumulative plus a trailing billing window.
 
-    Standalone instances keep the window in a deque of
-    ``(downtime, requested)`` pairs; accountant-bound instances view one
-    row of the accountant's ``(cap, W)`` window matrices, which store
-    the same entries in the same chronological order.
+    A view over one row of an accountant's vectors and of its
+    ``(cap, W)`` window matrices, which hold the ``(downtime,
+    requested)`` entries in chronological order.
     """
 
-    __slots__ = (
-        "_owner",
-        "_row",
-        "_window_steps",
-        "_requested_s",
-        "_mig_down_s",
-        "_over_down_s",
-        "_win",
-    )
+    __slots__ = ("_owner", "_row")
 
-    def __init__(
-        self,
-        window_steps: int = 288,
-        requested_seconds: float = 0.0,
-        migration_downtime_seconds: float = 0.0,
-        overload_downtime_seconds: float = 0.0,
-    ) -> None:
-        self._owner: Optional["SlaAccountant"] = None
-        self._row = -1
-        self._window_steps = window_steps
-        self._requested_s = requested_seconds
-        self._mig_down_s = migration_downtime_seconds
-        self._over_down_s = overload_downtime_seconds
-        self._win: Deque[Tuple[float, float]] = deque()
-
-    @classmethod
-    def _bound(cls, owner: "SlaAccountant", row: int) -> "VmSlaRecord":
-        record = cls(window_steps=owner.window_steps)
-        record._owner = owner
-        record._row = row
-        return record
+    def __init__(self, owner: "SlaAccountant", row: int) -> None:
+        self._owner = owner
+        self._row = row
 
     def __repr__(self) -> str:
         return (
@@ -164,72 +108,41 @@ class VmSlaRecord:
         )
 
     # ------------------------------------------------------------------
-    # Counter fields (array-backed when bound)
+    # Counter fields
     # ------------------------------------------------------------------
     @property
     def window_steps(self) -> int:
-        if self._owner is None:
-            return self._window_steps
         return self._owner.window_steps
 
     @property
     def requested_seconds(self) -> float:
-        if self._owner is None:
-            return self._requested_s
         return float(self._owner._vm_requested_s[self._row])
 
     @requested_seconds.setter
     def requested_seconds(self, value: float) -> None:
-        if self._owner is None:
-            self._requested_s = value
-        else:
-            self._owner._vm_requested_s[self._row] = value
+        self._owner._vm_requested_s[self._row] = value
 
     @property
     def migration_downtime_seconds(self) -> float:
-        if self._owner is None:
-            return self._mig_down_s
         return float(self._owner._vm_mig_down_s[self._row])
 
     @migration_downtime_seconds.setter
     def migration_downtime_seconds(self, value: float) -> None:
-        if self._owner is None:
-            self._mig_down_s = value
-        else:
-            self._owner._vm_mig_down_s[self._row] = value
+        self._owner._vm_mig_down_s[self._row] = value
 
     @property
     def overload_downtime_seconds(self) -> float:
-        if self._owner is None:
-            return self._over_down_s
         return float(self._owner._vm_over_down_s[self._row])
 
     @overload_downtime_seconds.setter
     def overload_downtime_seconds(self, value: float) -> None:
-        if self._owner is None:
-            self._over_down_s = value
-        else:
-            self._owner._vm_over_down_s[self._row] = value
+        self._owner._vm_over_down_s[self._row] = value
 
     # ------------------------------------------------------------------
     # Billing window
     # ------------------------------------------------------------------
-    @property
-    def _window(self) -> Deque[Tuple[float, float]]:
-        """The window as a deque of ``(downtime, requested)`` pairs.
-
-        For bound records this is a chronological *snapshot* of the
-        accountant's window row (kept for introspection and the
-        serializer round-trip tests); mutate via ``record_step``.
-        """
-        if self._owner is None:
-            return self._win
-        return deque(self.window_entries())
-
     def window_entries(self) -> List[Tuple[float, float]]:
         """Chronological ``(downtime, requested)`` entries, oldest first."""
-        if self._owner is None:
-            return [(float(d), float(r)) for d, r in self._win]
         owner, row = self._owner, self._row
         n = int(owner._win_len[row])
         return [
@@ -239,12 +152,7 @@ class VmSlaRecord:
 
     def record_step(self, downtime: float, requested: float) -> None:
         """Append one interval's (downtime, requested) to the window."""
-        if self._owner is None:
-            self._win.append((downtime, requested))
-            while len(self._win) > self._window_steps:
-                self._win.popleft()
-        else:
-            self._owner._record_window_single(self._row, downtime, requested)
+        self._owner._record_window_single(self._row, downtime, requested)
 
     @property
     def total_downtime_seconds(self) -> float:
@@ -264,15 +172,9 @@ class VmSlaRecord:
         This is the quantity the violation tiers of Section 3.3 are keyed
         on; it recovers once service is restored.
         """
-        if self._owner is not None:
-            return float(self._owner._window_fraction_rows(
-                np.array([self._row], dtype=np.int64)
-            )[0])
-        requested = sum(r for _, r in self._win)
-        if requested <= 0.0:
-            return 0.0
-        downtime = sum(d for d, _ in self._win)
-        return downtime / requested
+        return float(self._owner._window_fraction_rows(
+            np.array([self._row], dtype=np.int64)
+        )[0])
 
 
 class SlaAccountant:
@@ -376,7 +278,7 @@ class SlaAccountant:
         record = self.hosts.get(pm_id)
         if record is None:
             self._ensure_host_capacity(pm_id + 1)
-            record = HostSlaRecord._bound(self, pm_id)
+            record = HostSlaRecord(self, pm_id)
             self.hosts[pm_id] = record
             self._host_seen[pm_id] = True
         return record
@@ -385,7 +287,7 @@ class SlaAccountant:
         record = self.vms.get(vm_id)
         if record is None:
             self._ensure_vm_capacity(vm_id + 1)
-            record = VmSlaRecord._bound(self, vm_id)
+            record = VmSlaRecord(self, vm_id)
             self.vms[vm_id] = record
             self._vm_seen[vm_id] = True
         return record
@@ -439,7 +341,7 @@ class SlaAccountant:
     def _record_window_single(
         self, row: int, downtime: float, requested: float
     ) -> None:
-        """Append one entry to a single VM's window (scalar path)."""
+        """Append one entry to a single VM's window."""
         width = self._win_down.shape[1]
         n = int(self._win_len[row])
         if n >= width:
@@ -473,9 +375,9 @@ class SlaAccountant:
     def _window_fraction_rows(self, rows: np.ndarray) -> np.ndarray:
         """Windowed downtime fractions for the given rows.
 
-        Row sums are left-to-right (``np.cumsum``), matching the deque
-        implementation bit for bit; unfilled tail slots hold +0.0, which
-        never perturbs a left-to-right sum of non-negative terms.
+        Row sums are left-to-right (``np.cumsum``), like a loop over the
+        window's entries, bit for bit; unfilled tail slots hold +0.0,
+        which never perturbs a left-to-right sum of non-negative terms.
         """
         if rows.size == 0:
             return np.zeros(0, dtype=np.float64)
@@ -508,20 +410,7 @@ class SlaAccountant:
         """
         if interval_seconds <= 0:
             raise ConfigurationError("interval must be > 0")
-        arrays = getattr(datacenter, "arrays", None)
-        if arrays is not None:
-            self._observe_step_vectorized(
-                datacenter, arrays, interval_seconds, migration_downtime
-            )
-        else:
-            self._observe_step_objects(
-                datacenter, interval_seconds, migration_downtime
-            )
-
-    def _observe_step_vectorized(
-        self, datacenter, arrays, interval_seconds: float,
-        migration_downtime: Mapping[int, float],
-    ) -> None:
+        arrays = datacenter.arrays
         self._ensure_host_capacity(datacenter.num_pms)
         self._ensure_vm_capacity(datacenter.num_vms)
         interval = interval_seconds
@@ -530,7 +419,7 @@ class SlaAccountant:
         new_hosts = active_ids[~self._host_seen[active_ids]]
         for pm_id in new_hosts:
             pm_key = int(pm_id)
-            self.hosts[pm_key] = HostSlaRecord._bound(self, pm_key)
+            self.hosts[pm_key] = HostSlaRecord(self, pm_key)
             self._host_seen[pm_key] = True
         self._host_active_s[active_ids] += interval
         overloaded_mask = arrays.overloaded_pm_mask(
@@ -549,14 +438,14 @@ class SlaAccountant:
         overloaded_vm_ids = np.flatnonzero(on_overloaded)
         self._vm_over_down_s[overloaded_vm_ids] += interval
 
-        # New VM records in the same first-seen order as the object
-        # path: host id ascending, VM id ascending within a host.
+        # New VM records in first-seen order: host id ascending, VM id
+        # ascending within a host (a per-host scan's visiting order).
         new_ids = eligible_ids[~self._vm_seen[eligible_ids]]
         if new_ids.size:
             order = np.lexsort((new_ids, arrays.host_of[new_ids]))
             for vm_id in new_ids[order]:
                 vm_key = int(vm_id)
-                self.vms[vm_key] = VmSlaRecord._bound(self, vm_key)
+                self.vms[vm_key] = VmSlaRecord(self, vm_key)
                 self._vm_seen[vm_key] = True
 
         num = self._buf_down.shape[0]
@@ -587,49 +476,6 @@ class SlaAccountant:
                 np.minimum(down[participants], req[participants]),
                 req[participants],
             )
-
-    def _observe_step_objects(
-        self, datacenter, interval_seconds: float,
-        migration_downtime: Mapping[int, float],
-    ) -> None:
-        """Object-model path for datacenters without an array mirror.
-
-        Hosted VMs are visited in ascending id order — the canonical
-        accumulation order shared with the vectorized path.
-        """
-        mig: Dict[int, float] = dict(migration_downtime)
-        step_downtime: Dict[int, float] = {}
-        step_requested: Dict[int, float] = {}
-        for pm_id in datacenter.active_pm_ids():
-            record = self.host_record(pm_id)
-            record.active_seconds += interval_seconds
-            overloaded = datacenter.is_overloaded(pm_id, self.beta) or (
-                self.bandwidth_threshold is not None
-                and datacenter.is_bandwidth_overloaded(
-                    pm_id, self.bandwidth_threshold
-                )
-            )
-            if overloaded:
-                record.overload_seconds += interval_seconds
-            for vm_id in sorted(datacenter.vms_on(pm_id)):
-                vm = datacenter.vm(vm_id)
-                if not vm.is_active:
-                    continue
-                vm_rec = self.vm_record(vm_id)
-                vm_rec.requested_seconds += interval_seconds
-                step_requested[vm_id] = interval_seconds
-                if overloaded:
-                    vm_rec.overload_downtime_seconds += interval_seconds
-                    step_downtime[vm_id] = (
-                        step_downtime.get(vm_id, 0.0) + interval_seconds
-                    )
-        for vm_id, seconds in mig.items():
-            self.vm_record(vm_id).migration_downtime_seconds += seconds
-            step_downtime[vm_id] = step_downtime.get(vm_id, 0.0) + seconds
-            step_requested.setdefault(vm_id, interval_seconds)
-        for vm_id, requested in step_requested.items():
-            downtime = min(step_downtime.get(vm_id, 0.0), requested)
-            self.vm_record(vm_id).record_step(downtime, requested)
 
     # ------------------------------------------------------------------
     # Queries

@@ -114,30 +114,28 @@ def find_violations(datacenter: Datacenter) -> List[str]:
                 f"{vm.demanded_utilization}"
             )
 
-    # 6. The struct-of-arrays mirror agrees with the dict/set index
-    # (vectorized backends only — the reference datacenter has no arrays).
-    arrays = getattr(datacenter, "arrays", None)
-    if arrays is not None:
-        for vm_id, pm_id in placement.items():
-            if int(arrays.host_of[vm_id]) != pm_id:
-                violations.append(
-                    f"arrays.host_of[{vm_id}] = {int(arrays.host_of[vm_id])} "
-                    f"but placement index says {pm_id}"
-                )
-        for vm in datacenter.vms:  # meghlint: ignore[MEGH009] -- validator deliberately re-derives state entity-by-entity
-            if vm.vm_id not in placement and int(arrays.host_of[vm.vm_id]) != -1:
-                violations.append(
-                    f"arrays.host_of[{vm.vm_id}] = "
-                    f"{int(arrays.host_of[vm.vm_id])} but VM is unplaced"
-                )
-        for pm in datacenter.pms:  # meghlint: ignore[MEGH009] -- validator deliberately re-derives state entity-by-entity
-            count = int(arrays.pm_vm_count[pm.pm_id])
-            actual = len(datacenter.vms_on(pm.pm_id))
-            if count != actual:
-                violations.append(
-                    f"arrays.pm_vm_count[{pm.pm_id}] = {count} but PM hosts "
-                    f"{actual} VMs"
-                )
+    # 6. The struct-of-arrays mirror agrees with the dict/set index.
+    arrays = datacenter.arrays
+    for vm_id, pm_id in placement.items():
+        if int(arrays.host_of[vm_id]) != pm_id:
+            violations.append(
+                f"arrays.host_of[{vm_id}] = {int(arrays.host_of[vm_id])} "
+                f"but placement index says {pm_id}"
+            )
+    for vm in datacenter.vms:  # meghlint: ignore[MEGH009] -- validator deliberately re-derives state entity-by-entity
+        if vm.vm_id not in placement and int(arrays.host_of[vm.vm_id]) != -1:
+            violations.append(
+                f"arrays.host_of[{vm.vm_id}] = "
+                f"{int(arrays.host_of[vm.vm_id])} but VM is unplaced"
+            )
+    for pm in datacenter.pms:  # meghlint: ignore[MEGH009] -- validator deliberately re-derives state entity-by-entity
+        count = int(arrays.pm_vm_count[pm.pm_id])
+        actual = len(datacenter.vms_on(pm.pm_id))
+        if count != actual:
+            violations.append(
+                f"arrays.pm_vm_count[{pm.pm_id}] = {count} but PM hosts "
+                f"{actual} VMs"
+            )
     return violations
 
 

@@ -22,7 +22,7 @@ the non-zeros touched in ``B`` — never to the full ``d = N x M`` space.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.core.exploration import BoltzmannPolicy
 from repro.core.lstd import SparseLstd
 from repro.core.qtable import QTableTracker
 from repro.errors import ConfigurationError
-from repro.mdp.action import ActionSpace, MigrationAction
+from repro.mdp.action import ActionSpace
 from repro.mdp.interfaces import Observation
 
 
@@ -229,180 +229,15 @@ class MeghScheduler:
     # Candidate generation ("which VM" and "where")
     # ------------------------------------------------------------------
     def _plan(self, observation: Observation) -> CandidatePlan:
-        """This step's candidate plan.
+        """This step's candidate plan, off the struct-of-arrays store.
 
-        The vectorized :class:`~repro.core.candidates.CandidateIndex`
-        reads the struct-of-arrays store; datacenters without one (the
-        reference object-model datacenter) take the scalar generator.
-        Tests and ``bench_core_decide --check-oracle`` force the scalar
-        path on an SoA fleet by shadowing this method with
-        :meth:`_scalar_plan` on the instance.
+        The scalar generator the vectorized
+        :class:`~repro.core.candidates.CandidateIndex` is checked
+        against lives with the tests (``tests/oracles/megh_candidates``);
+        they route ``decide()`` through it by shadowing this method on
+        the instance.
         """
-        if getattr(observation.datacenter, "arrays", None) is None:
-            return self._scalar_plan(observation)
         return self.candidate_index.plan(observation.datacenter)
-
-    def _scalar_plan(self, observation: Observation) -> CandidatePlan:
-        """The scalar generator's lists wrapped in a plan."""
-        return self.candidate_index.plan_from_lists(
-            observation.datacenter, self._candidate_actions(observation)
-        )
-
-    def _candidate_actions(
-        self, observation: Observation
-    ) -> List[List[MigrationAction]]:
-        """Per-VM candidate lists: the no-op plus feasible destinations.
-
-        Overloaded-host VMs come first (mandatory relief), then VMs on
-        underloaded hosts ordered so the easiest-to-empty hosts are
-        considered first.  The ``max_candidate_vms`` cap bounds per-step
-        work without changing what is learnable: the (vm, destination)
-        Q-values persist across steps.
-
-        Retained as the differential oracle for the vectorized
-        :class:`~repro.core.candidates.CandidateIndex` — the per-entity
-        loops here are the *specification* the broadcast path must match
-        element for element, so they stay scalar on purpose.
-        """
-        datacenter = observation.datacenter
-        source_vms: List[int] = []
-        # The overload predicate is evaluated exactly once per decide —
-        # both for source ordering and for the mandatory/relief test
-        # below (nothing mutates the datacenter in between).
-        overloaded_ids = datacenter.overloaded_pm_ids(
-            self.beta, self.bandwidth_beta
-        )
-        for pm_id in overloaded_ids:
-            source_vms.extend(
-                vm_id
-                for vm_id in sorted(datacenter.vms_on(pm_id))
-                if datacenter.vm(vm_id).is_active
-            )
-        if self.config.consolidate_underloaded:
-            underloaded = [
-                pm_id
-                for pm_id in datacenter.active_pm_ids()
-                if 0.0
-                < datacenter.demanded_utilization(pm_id)
-                <= self.config.underload_threshold
-            ]
-            underloaded.sort(key=lambda pm_id: len(datacenter.vms_on(pm_id)))
-            for pm_id in underloaded:
-                source_vms.extend(
-                    vm_id
-                    for vm_id in sorted(datacenter.vms_on(pm_id))
-                    if datacenter.vm(vm_id).is_active
-                )
-        cap = self.config.max_candidate_vms
-        if cap:
-            source_vms = source_vms[:cap]
-        overloaded_now = set(overloaded_ids)
-        per_vm: List[List[MigrationAction]] = []
-        seen = set()
-        for vm_id in source_vms:
-            if vm_id in seen:
-                continue
-            seen.add(vm_id)
-            current = datacenter.host_of(vm_id)
-            if current is None:
-                continue
-            destinations = self._destinations_for(
-                observation,
-                vm_id,
-                current,
-                relief=current in overloaded_now,
-            )
-            actions = [
-                MigrationAction(vm_id=vm_id, dest_pm_id=pm_id)
-                for pm_id in destinations
-            ]
-            # The stay-put action competes for consolidation sources, but
-            # not on an overloaded host with feasible destinations —
-            # overload relief is mandatory (the cap still bounds how many
-            # relief moves execute per step).
-            if current not in overloaded_now or not actions:
-                actions.insert(
-                    0, MigrationAction(vm_id=vm_id, dest_pm_id=current)
-                )
-            per_vm.append(actions)
-        return per_vm
-
-    def _destinations_for(
-        self,
-        observation: Observation,
-        vm_id: int,
-        current: int,
-        relief: bool = False,
-    ) -> Sequence[int]:
-        """Feasible destinations: RAM fits and no new overload is created.
-
-        Consolidation proposals leave headroom below beta so demand noise
-        after the move does not immediately tip the destination into
-        overload; relief moves off an overloaded host may use the full
-        beta budget (getting the VM out is the priority).
-
-        When ``candidate_destinations`` bounds the proposal size, the
-        most-utilized feasible hosts are proposed first: packing proposals
-        are the ones worth scoring, and the learned Q (plus the no-op)
-        still decides whether any of them is taken.
-        """
-        datacenter = observation.datacenter
-        feasible = self._feasible_destinations(
-            datacenter, vm_id, current, self.config.destination_headroom,
-            allow_empty_hosts=relief,
-        )
-        if relief and not feasible:
-            # No destination passes the safety headroom: getting the VM
-            # off the overloaded host still beats leaving it, so fall
-            # back to the full beta budget.
-            feasible = self._feasible_destinations(
-                datacenter, vm_id, current, 1.0, allow_empty_hosts=True
-            )
-        limit = self.config.candidate_destinations
-        if limit and len(feasible) > limit:
-            feasible.sort(
-                key=lambda pm_id: -datacenter.demanded_utilization(pm_id)
-            )
-            feasible = feasible[:limit]
-        return feasible
-
-    def _feasible_destinations(
-        self,
-        datacenter,
-        vm_id: int,
-        current: int,
-        headroom: float,
-        allow_empty_hosts: bool,
-    ) -> List[int]:
-        vm = datacenter.vm(vm_id)
-        feasible: List[int] = []
-        for pm in datacenter.pms:  # meghlint: ignore[MEGH009] -- scalar differential oracle: this loop IS the spec the vectorized CandidateIndex is checked against
-            if pm.pm_id == current:
-                continue
-            # Consolidation only packs onto hosts that already serve VMs;
-            # moving a VM from one underloaded host to an empty one can
-            # never reduce the active-host count.  Relief may wake hosts.
-            if not allow_empty_hosts and not datacenter.vms_on(pm.pm_id):
-                continue
-            if not datacenter.fits(vm_id, pm.pm_id):
-                continue
-            new_demand = (
-                datacenter.demanded_mips(pm.pm_id) + vm.demanded_mips
-            )
-            if new_demand > headroom * self.beta * pm.mips:
-                continue
-            if self.bandwidth_beta is not None:
-                new_traffic = (
-                    datacenter.bandwidth_demanded_mbps(pm.pm_id)
-                    + vm.demanded_bandwidth_mbps
-                )
-                budget = (
-                    headroom * self.bandwidth_beta * pm.bandwidth_mbps
-                )
-                if new_traffic > budget:
-                    continue
-            feasible.append(pm.pm_id)
-        return feasible
 
     # ------------------------------------------------------------------
     # Learning (Algorithm 1 lines 8-12)

@@ -1,12 +1,8 @@
 """Array-native candidate generation over :class:`DatacenterArrays`.
 
-Candidate generation was the last per-entity Python loop on the
-``decide()`` hot path: the scalar pipeline in
-:class:`~repro.core.agent.MeghScheduler` walked ``vms_on`` sets,
-``vm(id).is_active`` views and per-PM ``demanded_utilization`` floats
-one entity at a time — O(candidate VMs × PMs) interpreter work per
-step.  :class:`CandidateIndex` produces the **same ordered candidate
-lists bit-identically** as whole-fleet NumPy passes:
+:class:`CandidateIndex` produces the ordered candidate lists of the
+historical per-entity generator — O(candidate VMs × PMs) interpreter
+work per step — **bit-identically** as whole-fleet NumPy passes:
 
 * **source selection** — overloaded-PM membership, the underload
   partition, and the easiest-to-empty sort run as masked ``argsort``
@@ -25,9 +21,9 @@ lists bit-identically** as whole-fleet NumPy passes:
 Bit-identity contract
 ---------------------
 Every float comparison evaluates the *same operations on the same
-operands in the same order* as the scalar oracle
-(``MeghScheduler._candidate_actions`` / ``_destinations_for`` /
-``_feasible_destinations``, retained exactly for this purpose):
+operands in the same order* as the scalar oracle, the historical
+per-entity generator kept with the tests
+(``tests/oracles/megh_candidates.py``):
 budgets are ``(headroom * beta) * pm_mips`` — the left-to-right
 association of the scalar ``headroom * self.beta * pm.mips`` — demand
 sums are ``pm_demand + vm_demand_mips`` in the scalar operand order,
@@ -43,7 +39,7 @@ ndarray allocation proportional to K×M.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -356,64 +352,6 @@ class CandidateIndex:
         )
         return self._materialize(
             vm_rows, sources, mandatory, feas, fallback, util, arrays.num_pms
-        )
-
-    def plan_from_lists(
-        self,
-        datacenter: "Datacenter",
-        candidates: Sequence[Sequence[MigrationAction]],
-    ) -> CandidatePlan:
-        """Wrap scalar-oracle candidate lists in a plan.
-
-        Lets ``decide()`` run its selection/learning pipeline on top of
-        the retained scalar generator (``MeghScheduler._scalar_plan``)
-        so the two generators are interchangeable downstream.  Uses
-        only the generic datacenter
-        protocol (``num_pms``, ``host_of``) so the reference
-        object-model backend works too, and performs **no** overload
-        evaluation of its own: a row is mandatory exactly when its first
-        action is a real move — the scalar generator leads every
-        consolidation row with the stay-put no-op, and for the ambiguous
-        single-no-op relief row the mandatory flag is behaviourally inert
-        (no move to prioritize, no margin to apply).
-        """
-        num_pms = datacenter.num_pms
-        num_rows = len(candidates)
-        vm_ids = np.empty(num_rows, dtype=np.int64)
-        sources = np.empty(num_rows, dtype=np.int64)
-        mandatory = np.empty(num_rows, dtype=bool)
-        offsets = np.zeros(num_rows + 1, dtype=np.int64)
-        segments: List[np.ndarray] = []
-        for r, actions in enumerate(candidates):
-            vm_id = actions[0].vm_id
-            vm_ids[r] = vm_id
-            source = int(datacenter.host_of(vm_id))
-            sources[r] = source
-            mandatory[r] = actions[0].dest_pm_id != source
-            segments.append(
-                np.fromiter(
-                    (action.dest_pm_id for action in actions),
-                    dtype=np.int64,
-                    count=len(actions),
-                )
-            )
-            offsets[r + 1] = offsets[r] + len(actions)
-        dest_pm = (
-            np.concatenate(segments)
-            if segments
-            else np.empty(0, dtype=np.int64)
-        )
-        action_indices = (
-            np.repeat(vm_ids, np.diff(offsets)) * num_pms + dest_pm
-        )
-        return CandidatePlan(
-            vm_ids=vm_ids,
-            sources=sources,
-            mandatory=mandatory,
-            dest_pm=dest_pm,
-            offsets=offsets,
-            action_indices=action_indices,
-            num_pms=num_pms,
         )
 
     def _materialize(

@@ -44,22 +44,16 @@ class EnergyCostModel:
         """
         if interval_seconds <= 0:
             raise ConfigurationError("interval must be > 0")
-        arrays = getattr(datacenter, "arrays", None)
-        if arrays is not None:
-            # Batched path: evaluate each power model once over its
-            # hosts, zero sleeping hosts, and total left-to-right
-            # (cumsum) in host-id order — bit-identical to the loop.
-            utilization = arrays.pm_delivered_utilization()
-            watts_by_pm = np.zeros(arrays.num_pms, dtype=np.float64)
-            for model, pm_ids in datacenter.power_groups():
-                watts_by_pm[pm_ids] = model.power_batch(utilization[pm_ids])
-            watts_by_pm[arrays.pm_asleep] = 0.0
-            watts = float(np.cumsum(watts_by_pm)[-1]) if arrays.num_pms else 0.0
-        else:
-            watts = 0.0
-            for pm in datacenter.pms:
-                utilization = datacenter.delivered_utilization(pm.pm_id)
-                watts += pm.power(utilization)
+        # Each power model is evaluated once over its hosts, sleeping
+        # hosts are zeroed, and the total runs left-to-right (cumsum) in
+        # host-id order: the accumulation order of a per-host loop.
+        arrays = datacenter.arrays
+        utilization = arrays.pm_delivered_utilization()
+        watts_by_pm = np.zeros(arrays.num_pms, dtype=np.float64)
+        for model, pm_ids in datacenter.power_groups():
+            watts_by_pm[pm_ids] = model.power_batch(utilization[pm_ids])
+        watts_by_pm[arrays.pm_asleep] = 0.0
+        watts = float(np.cumsum(watts_by_pm)[-1]) if arrays.num_pms else 0.0
         joules = watts * interval_seconds
         usd = joules * self._config.energy_price_usd_per_watt_second
         self._total_joules += joules

@@ -60,27 +60,14 @@ class DatacenterState:
 
 def observe_state(datacenter: Datacenter, step: int) -> DatacenterState:
     """Snapshot the current configuration and workload vector."""
-    arrays = getattr(datacenter, "arrays", None)
-    if arrays is not None:
-        # Batched snapshot off the struct-of-arrays mirror: the arrays
-        # hold exactly what the per-object properties would report.
-        placed_ids = np.flatnonzero(arrays.host_of >= 0)
-        placement = tuple(
-            zip(
-                placed_ids.tolist(),
-                arrays.host_of[placed_ids].tolist(),
-            )
-        )
-        workloads = tuple(arrays.vm_demand.tolist())
-        host_utilization = tuple(arrays.pm_demand_utilization().tolist())
-        active = tuple(np.flatnonzero(arrays.vm_active).tolist())
-    else:
-        placement = tuple(sorted(datacenter.placement().items()))
-        workloads = tuple(vm.demanded_utilization for vm in datacenter.vms)
-        host_utilization = tuple(
-            datacenter.demanded_utilization(pm.pm_id) for pm in datacenter.pms
-        )
-        active = tuple(vm.vm_id for vm in datacenter.vms if vm.is_active)
+    arrays = datacenter.arrays
+    placed_ids = np.flatnonzero(arrays.host_of >= 0)
+    placement = tuple(
+        zip(placed_ids.tolist(), arrays.host_of[placed_ids].tolist())
+    )
+    workloads = tuple(arrays.vm_demand.tolist())
+    host_utilization = tuple(arrays.pm_demand_utilization().tolist())
+    active = tuple(np.flatnonzero(arrays.vm_active).tolist())
     return DatacenterState(
         step=step,
         placement=placement,

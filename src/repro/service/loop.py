@@ -135,10 +135,7 @@ class ServiceSimulation:
         monitor_history: int = 12,
         spec: Optional[Dict[str, Any]] = None,
     ) -> None:
-        if getattr(datacenter, "arrays", None) is None:
-            raise ConfigurationError(
-                "service mode requires the struct-of-arrays Datacenter"
-            )
+        StepPipeline.check_datacenter(datacenter)
         if decide_every < 1 or scan_every < 1:
             raise ConfigurationError(
                 "decide_every and scan_every must be >= 1"
@@ -316,16 +313,12 @@ class ServiceSimulation:
         )
 
         monitor_state = state["monitor"]
-        monitor = UtilizationMonitor(
-            history_length=int(monitor_state["length"])
+        pipeline.monitor = UtilizationMonitor.restore(
+            monitor_state,
+            {name: rings[f"service_{name}_ring"] for name in ("vm", "host")}
+            if monitor_state["has_rings"]
+            else {},
         )
-        if monitor_state["has_rings"]:
-            monitor._vm_ring = rings["service_vm_ring"].copy()
-            monitor._host_ring = rings["service_host_ring"].copy()
-            monitor._ring_pos = int(monitor_state["pos"])
-            monitor._ring_filled = int(monitor_state["filled"])
-        monitor._steps_observed = int(monitor_state["steps_observed"])
-        pipeline.monitor = monitor
 
         energy = state["energy"]
         pipeline.cost_model.energy._total_joules = float(energy["joules"])
@@ -357,8 +350,7 @@ class ServiceSimulation:
             raise ConfigurationError("no run in progress to snapshot")
         pipeline = runtime.pipeline
         arrays = self.datacenter.arrays
-        monitor = pipeline.monitor
-        has_rings = monitor._vm_ring is not None
+        monitor_counters, monitor_rings = pipeline.monitor.state()
         state: Dict[str, Any] = {
             "format": _STATE_FORMAT,
             "spec": self.spec,
@@ -400,11 +392,8 @@ class ServiceSimulation:
                 "total_gb_hops": pipeline.engine.total_gb_hops,
             },
             "monitor": {
-                "length": monitor.history_length,
-                "pos": int(monitor._ring_pos),
-                "filled": int(monitor._ring_filled),
-                "steps_observed": int(monitor._steps_observed),
-                "has_rings": has_rings,
+                **monitor_counters,
+                "has_rings": bool(monitor_rings),
             },
             "sla": _sla_to_dict(pipeline.accountant),
             "metrics": [
@@ -422,10 +411,10 @@ class ServiceSimulation:
                 else None
             ),
         }
-        ring_arrays: Dict[str, np.ndarray] = {}
-        if has_rings:
-            ring_arrays["service_vm_ring"] = monitor._vm_ring
-            ring_arrays["service_host_ring"] = monitor._host_ring
+        ring_arrays = {
+            f"service_{name}_ring": ring
+            for name, ring in monitor_rings.items()
+        }
         return state, ring_arrays
 
     # ------------------------------------------------------------------

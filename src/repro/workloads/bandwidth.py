@@ -26,9 +26,8 @@ class BandwidthWorkload:
     """A CPU workload paired with a bandwidth-utilization matrix.
 
     Delegates the :class:`~repro.workloads.base.Workload` protocol to the
-    CPU trace and adds :meth:`bandwidth_utilization`, which the
-    simulation driver feeds into the data center when bandwidth
-    awareness is on.
+    CPU trace and adds the bandwidth column to :meth:`step_slice`, which
+    the simulation driver feeds into the data center.
     """
 
     def __init__(
@@ -39,7 +38,8 @@ class BandwidthWorkload:
             raise TraceError(
                 "bandwidth matrix must match the CPU workload's shape"
             )
-        if np.any(matrix < 0.0) or np.any(matrix > 1.0):
+        # "not inside" also rejects NaN, which fails every comparison.
+        if not np.all((matrix >= 0.0) & (matrix <= 1.0)):
             raise TraceError("bandwidth utilizations must lie in [0, 1]")
         self._cpu = cpu
         self._bandwidth = matrix
@@ -68,12 +68,6 @@ class BandwidthWorkload:
 
     def is_active(self, vm_id: int, step: int) -> bool:
         return self._cpu.is_active(vm_id, step)
-
-    def bandwidth_utilization(self, vm_id: int, step: int) -> float:
-        """Demanded fraction of the VM's bandwidth allocation."""
-        if not self._cpu.is_active(vm_id, step):
-            return 0.0
-        return float(self._bandwidth[vm_id, step])
 
     def step_slice(
         self, step: int

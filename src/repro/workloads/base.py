@@ -20,11 +20,11 @@ from repro.errors import TraceError
 class Workload(Protocol):
     """Read-only view of a CPU-utilization trace for a fleet of VMs.
 
-    Implementations may additionally provide
-    ``step_slice(step) -> (active, utilization, bandwidth)`` returning
-    whole per-step columns (see :meth:`ArrayWorkload.step_slice`); the
-    simulation driver uses it for batched workload application and falls
-    back to the per-VM calls when absent.
+    ``step_slice`` is the member the simulation driver reads: it writes
+    a whole interval's columns into the datacenter in one vector pass.
+    Its values must lie in ``[0, 1]`` (implementations validate at
+    construction; the driver does not re-check them).  The per-VM calls
+    serve statistics and analysis code.
     """
 
     @property
@@ -41,6 +41,13 @@ class Workload(Protocol):
 
     def is_active(self, vm_id: int, step: int) -> bool:
         """Whether the VM has a running workload at the step."""
+        ...
+
+    def step_slice(
+        self, step: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Whole per-step columns ``(active, utilization, bandwidth)``
+        (see :meth:`ArrayWorkload.step_slice`)."""
         ...
 
 
@@ -65,7 +72,9 @@ class ArrayWorkload:
             raise TraceError("utilizations must be a 2-D (vms, steps) array")
         if matrix.size == 0:
             raise TraceError("workload must contain at least one sample")
-        if np.any(matrix < 0.0) or np.any(matrix > 1.0):
+        # Written as "not inside" so NaN, which fails every comparison,
+        # is rejected too.
+        if not np.all((matrix >= 0.0) & (matrix <= 1.0)):
             raise TraceError("utilizations must lie in [0, 1]")
         self._matrix = matrix
         if active is None:
@@ -124,8 +133,8 @@ class ArrayWorkload:
         columns (the same values the per-VM ``is_active``/``utilization``
         calls return, except that ``utilization`` is not zero-masked —
         consumers apply the activity mask); ``bandwidth`` is ``None`` for
-        CPU-only workloads.  The simulation driver uses this to apply a
-        whole interval's workload in one vector pass.
+        CPU-only workloads.  The simulation driver applies a whole
+        interval's workload from it in one vector pass.
         """
         if not 0 <= step < self.num_steps:
             raise TraceError(f"step {step} out of range [0, {self.num_steps})")

@@ -407,13 +407,17 @@ class TestMegh009PerEntityFleetLoops:
         assert findings(source, "MEGH009") == []
 
     def test_reference_oracle_exempt(self):
+        # The loop-based oracle lives with the tests, outside the rule's
+        # scope; a cloudsim module has no exemption by name.
         source = (
             "def share(self):\n"
             "    for pm in self._pms:\n"
             "        pm.total()\n"
         )
-        path = "src/repro/cloudsim/reference.py"
+        path = "tests/oracles/reference_datacenter.py"
         assert self.path_findings(source, path) == []
+        old_path = "src/repro/cloudsim/reference.py"
+        assert len(self.path_findings(source, old_path)) == 1
 
     def test_suppression_comment_is_honoured(self):
         source = (

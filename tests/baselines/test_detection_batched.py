@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.mmt.detection import make_detector
 from repro.cloudsim.monitor import UtilizationMonitor
-from repro.cloudsim.reference import ReferenceDatacenter
+from repro.cloudsim.datacenter import Datacenter
 
 from tests.conftest import make_pm, make_vm
 from tests.oracles.mmt_detection import ScalarDetector
+from tests.oracles.pipeline import DequeMonitor
 
 DETECTORS = [
     ("THR", {}),
@@ -156,19 +157,22 @@ class TestHostMatrix:
             assert matrix[:, pm_id].tolist() == monitor.host_history(pm_id)
 
     def test_deque_storage_matches_host_histories(self):
+        # The ring's matrix equals the per-host deque oracle's, wrapped.
         pms = [make_pm(i) for i in range(3)]
         vms = [make_vm(j) for j in range(4)]
-        datacenter = ReferenceDatacenter(pms, vms)
+        datacenter = Datacenter(pms, vms)
         for vm_id, pm_id in enumerate((0, 0, 1, 2)):
             datacenter.place(vm_id, pm_id)
         monitor = UtilizationMonitor(history_length=4)
+        oracle = DequeMonitor(history_length=4)
         for step in range(6):
             datacenter.vm(step % 4).set_demand(step / 8.0)
             monitor.observe(datacenter)
+            oracle.observe(datacenter)
         matrix = monitor.host_matrix()
         assert matrix.shape == (4, 3)
         for pm_id in range(3):
-            assert matrix[:, pm_id].tolist() == monitor.host_history(pm_id)
+            assert matrix[:, pm_id].tolist() == oracle.host_history(pm_id)
 
     def test_empty_before_first_observation(self):
         assert UtilizationMonitor().host_matrix().shape == (0, 0)

@@ -1,7 +1,8 @@
 """Array PABFD ≡ the per-PM scalar scan, plan for plan.
 
 ``power_aware_best_fit`` scores every feasible host of a VM in one array
-pass; ``_power_aware_best_fit_scalar`` is the historical per-PM scan it
+pass; ``power_aware_best_fit_scalar`` (``tests/oracles/pabfd.py``) is
+the historical per-PM scan it
 must reproduce exactly — same destinations, same insertion order — on
 the same struct-of-arrays ``Datacenter``.  Whole runs must also agree
 with a scheduler that plans on the scalar PABFD and detects with the
@@ -15,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 import repro.baselines.mmt.scheduler as scheduler_module
 from repro.baselines.mmt.placement import (
     PlacementContext,
-    _power_aware_best_fit_scalar,
     power_aware_best_fit,
 )
 from repro.baselines.mmt.scheduler import MMTScheduler
@@ -31,6 +31,7 @@ from repro.harness.builders import build_planetlab_simulation
 from repro.harness.runner import run_scheduler
 
 from tests.oracles.mmt_detection import ShadowDetector
+from tests.oracles.pabfd import power_aware_best_fit_scalar
 
 LINEAR = LinearPowerModel(idle_watts=90.0, peak_watts=130.0)
 MODELS = (HP_PROLIANT_G4, HP_PROLIANT_G5, LINEAR)
@@ -62,7 +63,7 @@ def assert_same_plan(datacenter, vm_ids, threshold, excluded=()):
         excluded_hosts=excluded,
         context=context,
     )
-    scalar_plan = _power_aware_best_fit_scalar(
+    scalar_plan = power_aware_best_fit_scalar(
         datacenter, vm_ids, threshold, excluded
     )
     assert list(array_plan.items()) == list(scalar_plan.items())
@@ -229,7 +230,7 @@ def _scalar_pabfd(datacenter, vm_ids, threshold, excluded_hosts=(), context=None
     excluded = np.asarray(excluded_hosts)
     if excluded.dtype == bool:
         excluded = np.flatnonzero(excluded)
-    return _power_aware_best_fit_scalar(
+    return power_aware_best_fit_scalar(
         datacenter, vm_ids, threshold, excluded.tolist()
     )
 

@@ -5,7 +5,6 @@ import pytest
 from repro.baselines.mmt.placement import (
     hosts_by_utilization,
     power_aware_best_fit,
-    power_increase,
 )
 from repro.baselines.mmt.selection import (
     HighestDemandSelection,
@@ -17,6 +16,7 @@ from repro.cloudsim.datacenter import Datacenter
 from repro.errors import ConfigurationError
 
 from tests.conftest import make_pm, make_vm
+from tests.oracles.pabfd import power_increase
 
 
 @pytest.fixture

@@ -9,7 +9,10 @@ from repro.cloudsim.monitor import (
     median,
     median_absolute_deviation,
 )
+from repro.cloudsim.datacenter import Datacenter
 from repro.errors import ConfigurationError
+
+from tests.conftest import make_pm, make_vm
 
 
 class TestMonitor:
@@ -54,6 +57,31 @@ class TestMonitor:
         snapshot = monitor.host_histories()
         snapshot[0].append(99.0)
         assert len(monitor.host_history(0)) == 1
+
+    def test_fleet_size_change_rejected(self, placed_datacenter):
+        monitor = UtilizationMonitor()
+        monitor.observe(placed_datacenter)
+        other = Datacenter([make_pm(0)], [make_vm(0)])
+        with pytest.raises(ValueError, match="monitor rings cover"):
+            monitor.observe(other)
+        assert monitor.steps_observed == 1
+
+    @pytest.mark.parametrize("observations", [0, 2, 7])
+    def test_state_restore_round_trip(self, placed_datacenter, observations):
+        monitor = UtilizationMonitor(history_length=4)
+        for step in range(observations):
+            placed_datacenter.vm(0).set_demand(step / 10.0)
+            monitor.observe(placed_datacenter)
+        counters, rings = monitor.state()
+        restored = UtilizationMonitor.restore(counters, rings)
+        assert restored.steps_observed == observations
+        assert restored.history_length == 4
+        assert restored.vm_history(0) == monitor.vm_history(0)
+        assert restored.host_matrix().tolist() == monitor.host_matrix().tolist()
+        # The restored rings are copies: observing one leaves the other.
+        before = monitor.host_matrix().tolist()
+        restored.observe(placed_datacenter)
+        assert monitor.host_matrix().tolist() == before
 
 
 class TestStatistics:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cloudsim.datacenter import Datacenter
-from repro.cloudsim.sla import SlaAccountant, VmSlaRecord
+from repro.cloudsim.sla import SlaAccountant
 from repro.errors import ConfigurationError
 
 from tests.conftest import make_pm, make_vm
@@ -141,13 +141,16 @@ class TestOverallViolation:
 
 class TestVmSlaRecord:
     def test_window_eviction(self):
-        record = VmSlaRecord(window_steps=2)
+        acc = SlaAccountant(window_seconds=600.0, interval_seconds=300.0)
+        record = acc.vm_record(0)
         record.record_step(10.0, 100.0)
         record.record_step(0.0, 100.0)
+        assert record.downtime_fraction == pytest.approx(0.05)
         record.record_step(0.0, 100.0)
+        assert record.window_entries() == [(0.0, 100.0), (0.0, 100.0)]
         assert record.downtime_fraction == 0.0
 
     def test_zero_requested(self):
-        record = VmSlaRecord()
+        record = SlaAccountant().vm_record(0)
         assert record.downtime_fraction == 0.0
         assert record.cumulative_downtime_fraction == 0.0

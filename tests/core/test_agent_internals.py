@@ -11,6 +11,11 @@ from repro.mdp.interfaces import Observation
 from repro.mdp.state import observe_state
 
 from tests.conftest import make_pm, make_vm
+from tests.oracles.megh_candidates import (
+    candidate_actions,
+    destinations_for,
+    feasible_destinations,
+)
 
 
 def build_observation(datacenter, step=0, last_cost=0.0):
@@ -41,7 +46,7 @@ class TestDestinationProposals:
         dc.vm(1).set_demand(0.1)
         agent = MeghScheduler(num_vms=4, num_pms=4, seed=0)
         observation = build_observation(dc)
-        dests = agent._destinations_for(observation, 0, current=0)
+        dests = destinations_for(agent, observation, 0, current=0)
         # Hosts 2 and 3 are empty: not consolidation targets.
         assert set(dests) <= {1}
 
@@ -53,7 +58,7 @@ class TestDestinationProposals:
         dc.vm(1).set_demand(0.9)
         agent = MeghScheduler(num_vms=4, num_pms=4, seed=0)
         observation = build_observation(dc)
-        dests = agent._destinations_for(observation, 0, current=0, relief=True)
+        dests = destinations_for(agent, observation, 0, current=0, relief=True)
         assert set(dests) & {1, 2, 3}
 
     def test_relief_falls_back_to_full_beta_budget(self):
@@ -64,11 +69,11 @@ class TestDestinationProposals:
         dc.vm(0).set_demand(0.95)
         agent = MeghScheduler(num_vms=4, num_pms=4, seed=0)
         observation = build_observation(dc)
-        constrained = agent._feasible_destinations(
-            dc, 0, current=0, headroom=0.6, allow_empty_hosts=True
+        constrained = feasible_destinations(
+            agent, dc, 0, current=0, headroom=0.6, allow_empty_hosts=True
         )
         assert constrained == []
-        dests = agent._destinations_for(observation, 0, current=0, relief=True)
+        dests = destinations_for(agent, observation, 0, current=0, relief=True)
         assert dests, "relief must fall back to the full beta budget"
 
     def test_candidate_destinations_limit_prefers_loaded(self):
@@ -81,8 +86,8 @@ class TestDestinationProposals:
         config = MeghConfig(candidate_destinations=1)
         agent = MeghScheduler(num_vms=6, num_pms=6, config=config, seed=0)
         observation = build_observation(dc)
-        dests = agent._destinations_for(
-            observation, 0, current=dc.host_of(0)
+        dests = destinations_for(
+            agent, observation, 0, current=dc.host_of(0)
         )
         assert len(dests) == 1
         # The single proposal is the most-utilized feasible host.
@@ -110,7 +115,7 @@ class TestDestinationProposals:
             num_vms=3, num_pms=3, seed=0, bandwidth_beta=0.7
         )
         observation = build_observation(dc)
-        dests = agent._destinations_for(observation, 0, current=0)
+        dests = destinations_for(agent, observation, 0, current=0)
         # Consolidation traffic budget: headroom * 0.7 * 1000 Mbps.
         budget = agent.config.destination_headroom * 0.7 * 1000.0
         assert 400.0 + 240.0 > budget  # host 1 would blow its link
@@ -156,7 +161,7 @@ class TestSelectionMechanics:
     def test_noop_excluded_for_overloaded_sources(self):
         dc = self._relief_dc()
         agent = MeghScheduler(num_vms=4, num_pms=3, seed=0)
-        candidates = agent._candidate_actions(build_observation(dc))
+        candidates = candidate_actions(agent, build_observation(dc))
         overloaded_vm_lists = [
             actions
             for actions in candidates
@@ -174,7 +179,7 @@ class TestSelectionMechanics:
         dc.place(0, 0)
         dc.vm(0).set_demand(0.9)
         agent = MeghScheduler(num_vms=1, num_pms=1, seed=0)
-        candidates = agent._candidate_actions(build_observation(dc))
+        candidates = candidate_actions(agent, build_observation(dc))
         assert candidates == [[MigrationAction(vm_id=0, dest_pm_id=0)]]
 
     def test_candidate_vm_cap(self):
@@ -186,7 +191,7 @@ class TestSelectionMechanics:
             dc.vm(j).set_demand(0.1)  # everyone underloaded
         config = MeghConfig(max_candidate_vms=3)
         agent = MeghScheduler(num_vms=10, num_pms=2, config=config, seed=0)
-        candidates = agent._candidate_actions(build_observation(dc))
+        candidates = candidate_actions(agent, build_observation(dc))
         assert len(candidates) <= 3
 
     def test_recorded_updates_bounded_by_moves(self):

@@ -2,7 +2,7 @@
 
 The vectorized :class:`~repro.core.candidates.CandidateIndex` must
 produce the *same ordered candidate lists element for element* as the
-retained scalar generator (``MeghScheduler._candidate_actions``) — on
+scalar generator (``tests/oracles/megh_candidates.py``) — on
 randomized fleets covering churned/retired slots, bandwidth betas on and
 off, and the candidate caps on and off — and routing ``decide()``
 through either generator must leave whole-run decision traces
@@ -14,14 +14,18 @@ import numpy as np
 import pytest
 
 from repro.cloudsim.datacenter import Datacenter
-from repro.cloudsim.reference import ReferenceDatacenter
 from repro.cloudsim.soa import DatacenterArrays
 from repro.config import MeghConfig
 from repro.core.agent import MeghScheduler
 from repro.core.candidates import CandidateIndex
+from repro.mdp.interfaces import Observation
 
 from tests.conftest import make_pm, make_vm
 from tests.core.test_agent_internals import build_observation
+from tests.oracles.megh_candidates import candidate_actions, scalar_plan
+from tests.oracles.pipeline import DequeMonitor
+from tests.oracles.pipeline import observe_state as oracle_observe_state
+from tests.oracles.reference_datacenter import ReferenceDatacenter
 
 
 def random_datacenter(seed, num_pms=8, num_vms=20, churn=False):
@@ -52,7 +56,7 @@ def random_datacenter(seed, num_pms=8, num_vms=20, churn=False):
 def assert_plan_matches_oracle(agent, dc):
     """Vectorized plan == scalar lists, element for element."""
     observation = build_observation(dc)
-    oracle = agent._candidate_actions(observation)
+    oracle = candidate_actions(agent, observation)
     plan = agent.candidate_index.plan(dc)
     assert plan.to_action_lists() == oracle
     # Structural invariants of the flat encoding.
@@ -120,7 +124,7 @@ class TestDifferentialOracle:
         plan = agent.candidate_index.plan(dc)
         assert plan.num_rows == 0
         assert plan.num_actions == 0
-        assert agent._candidate_actions(build_observation(dc)) == []
+        assert candidate_actions(agent, build_observation(dc)) == []
 
     def test_index_rebinds_across_datacenters(self):
         agent = MeghScheduler(num_vms=20, num_pms=8, seed=0)
@@ -145,7 +149,9 @@ class TestFullRunEquivalence:
             simulation, seed=seed, contracts=False
         )
         if scalar:
-            scheduler._plan = scheduler._scalar_plan
+            scheduler._plan = lambda observation: scalar_plan(
+                scheduler, observation
+            )
         scheduler.trace = DecisionTrace()
         result = run_scheduler(simulation, scheduler)
         return scheduler, result
@@ -195,7 +201,7 @@ class TestSingleOverloadEvaluation:
         monkeypatch.setattr(Datacenter, "overloaded_pm_ids", counting_ids)
         agent = MeghScheduler(num_vms=20, num_pms=8, seed=7)
         if scalar:
-            agent._plan = agent._scalar_plan
+            agent._plan = lambda observation: scalar_plan(agent, observation)
         agent.decide(build_observation(dc))
         # Vectorized: one mask query.  Scalar oracle: one
         # overloaded_pm_ids call (which itself reads the mask once).
@@ -219,23 +225,42 @@ class TestScratchReuse:
 
 
 class TestPlanDispatch:
-    """``_plan`` picks the generator from the datacenter alone."""
+    """``_plan`` reads the vectorized index; the scalar oracle run on the
+    object-model datacenter plans the same fleet identically."""
 
     def test_soa_datacenter_takes_the_vectorized_index(self, monkeypatch):
         agent = MeghScheduler(num_vms=20, num_pms=8, seed=0)
-        monkeypatch.setattr(agent, "_scalar_plan", None)  # raises if used
-        plan = agent._plan(build_observation(random_datacenter(5)))
-        assert plan.num_rows > 0
-
-    def test_datacenter_without_arrays_takes_the_scalar_generator(self):
-        pms = [make_pm(i) for i in range(4)]
-        vms = [make_vm(j, mips=1500.0, ram_mb=256.0) for j in range(6)]
-        dc = ReferenceDatacenter(pms, vms)
-        for j in range(6):
-            dc.place(j, j % 2)
-            dc.vm(j).set_demand(0.9)
-        agent = MeghScheduler(num_vms=6, num_pms=4, seed=0)
-        observation = build_observation(dc)
+        observation = build_observation(random_datacenter(5))
+        expected = agent.candidate_index.plan(observation.datacenter)
         plan = agent._plan(observation)
         assert plan.num_rows > 0
-        assert plan.to_action_lists() == agent._candidate_actions(observation)
+        assert plan.to_action_lists() == expected.to_action_lists()
+
+    def test_oracle_on_reference_matches_index_on_soa(self):
+        pms = [make_pm(i) for i in range(4)]
+        vms = [make_vm(j, mips=1500.0, ram_mb=256.0) for j in range(6)]
+        reference = ReferenceDatacenter(pms, vms)
+        soa = Datacenter(
+            [make_pm(i) for i in range(4)],
+            [make_vm(j, mips=1500.0, ram_mb=256.0) for j in range(6)],
+        )
+        for dc in (reference, soa):
+            for j in range(6):
+                dc.place(j, j % 2)
+                dc.vm(j).set_demand(0.9)
+        agent = MeghScheduler(num_vms=6, num_pms=4, seed=0)
+        plan = agent._plan(build_observation(soa))
+        assert plan.num_rows > 0
+        monitor = DequeMonitor(history_length=12)
+        monitor.observe(reference)
+        observation = Observation(
+            step=0,
+            state=oracle_observe_state(reference, 0),
+            datacenter=reference,
+            monitor=monitor,
+            last_step_cost_usd=0.0,
+            interval_seconds=300.0,
+        )
+        oracle = scalar_plan(agent, observation)
+        assert plan.to_action_lists() == oracle.to_action_lists()
+        np.testing.assert_array_equal(plan.mandatory, oracle.mandatory)

@@ -63,7 +63,10 @@ class TestRoundTrip:
             result.sla.overall_sla_violation()
         )
         for vm_id, record in result.sla.vms.items():
-            assert rebuilt.sla.vms[vm_id]._window == record._window
+            assert (
+                rebuilt.sla.vms[vm_id].window_entries()
+                == record.window_entries()
+            )
 
     def test_config_preserved(self, result):
         rebuilt = result_from_dict(result_to_dict(result))

@@ -83,6 +83,33 @@ class TestCliConfigurationErrors:
         assert variable in completed.stderr
         assert len(completed.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--steps", "0"], "--steps must be >= 1"),
+            (["--jobs", "0"], "--jobs must be >= 1"),
+            (["--jobs", "-4"], "--jobs must be >= 1"),
+        ],
+    )
+    def test_non_positive_count_exits_2(self, flags, message):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "compare",
+                "--pms", "4", "--vms", "4", "--steps", "2", *flags,
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        assert "Traceback" not in completed.stderr
+        assert message in completed.stderr
+        assert len(completed.stderr.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("under", [False, True])
     def test_kernel_cache_at_or_under_a_file_exits_2(self, tmp_path, under):
         blocker = tmp_path / "not-a-directory"

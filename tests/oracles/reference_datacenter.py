@@ -1,26 +1,14 @@
-"""The retained pre-rewrite (pure-object) datacenter — the oracle.
+"""The pre-rewrite (pure-object) datacenter: the placement oracle.
 
-This is the ``Datacenter`` implementation as it existed before the
-struct-of-arrays rewrite: placement in a ``dict``/``set`` index, every
-per-PM aggregate re-summed from the hosted VMs on each query, CPU
-sharing as a per-host Python loop.  It is kept for two purposes:
-
-* the differential oracle tests
-  (``tests/cloudsim/test_vectorized_equivalence.py``) drive it and the
-  vectorized :class:`~repro.cloudsim.datacenter.Datacenter` through the
-  same operation sequences and assert every query agrees bit-for-bit;
-* ``benchmarks/bench_sim_step.py --backend reference`` measures the
-  pre-rewrite pipeline for honest before/after numbers.
-
-The only deliberate difference from the historical code: per-host sums
-iterate the hosted VMs in **ascending id order** (``sorted``), the
-canonical accumulation order the vectorized backend uses.  The golden
-decision-trace fixtures reproduce bit-for-bit under both orders, so
-this is an equivalence-preserving normalization, and it is what makes
-"bit-for-bit equal to the SoA backend" a meaningful contract.
-
-Being the cold oracle, its per-entity loops are exempt from the
-MEGH009 hot-loop lint rule.
+The ``Datacenter`` as it was before the struct-of-arrays rewrite:
+placement in a ``dict``/``set`` index, every per-PM aggregate re-summed
+from the hosted VMs on each query, CPU sharing as a per-host loop.
+``tests/cloudsim/test_vectorized_equivalence.py`` drives it and the SoA
+``Datacenter`` in lockstep and requires every query to agree
+bit-for-bit.  One deliberate difference from the historical code:
+per-host sums iterate the hosted VMs in ascending id order, the
+accumulation order of the SoA backend (the golden traces reproduce
+under both orders).  The step pipeline rejects this class.
 """
 
 from __future__ import annotations
@@ -40,9 +28,7 @@ class ReferenceDatacenter:
 
     VMs and PMs keep their dynamic state on themselves (they are never
     bound to a :class:`~repro.cloudsim.soa.DatacenterArrays`), so this
-    class exercises the scalar code paths of the entity objects and the
-    compatibility paths of the per-step pipeline (monitor, SLA
-    accountant, cost models, ``observe_state``).
+    class exercises the scalar code paths of the entity objects.
     """
 
     def __init__(

@@ -1,10 +1,12 @@
 """Slot-retirement edge cases, verified against a fresh dense solve.
 
-Each scenario drives a real Megh agent over a live datacenter — built on
-either placement backend — then retires a slot and checks the learner's
-incremental inverse ``B`` against the oracle ``inv(delta I + T_tracked)``
-recomputed densely from the forward-operator record.  The rank-1
-clearing path is only correct if the two agree to numerical noise.
+Each scenario drives a real Megh agent over a live datacenter — the
+struct-of-arrays one, or the object-model oracle with the oracle
+monitor, state snapshot and candidate generator — then retires a slot
+and checks the learner's incremental inverse ``B`` against the oracle
+``inv(delta I + T_tracked)`` recomputed densely from the
+forward-operator record.  The rank-1 clearing path is only correct if
+the two agree to numerical noise.
 """
 
 import numpy as np
@@ -13,15 +15,21 @@ import pytest
 from repro.cloudsim.datacenter import Datacenter
 from repro.cloudsim.migration import Migration, MigrationEngine
 from repro.cloudsim.monitor import UtilizationMonitor
-from repro.cloudsim.reference import ReferenceDatacenter
 from repro.core.agent import MeghScheduler
 from repro.errors import ConfigurationError
 from repro.mdp.interfaces import Observation
 from repro.mdp.state import observe_state
 
 from tests.conftest import make_pm, make_vm
+from tests.oracles import pipeline as oracle
+from tests.oracles.megh_candidates import scalar_plan
+from tests.oracles.reference_datacenter import ReferenceDatacenter
 
-BACKENDS = {"soa": Datacenter, "reference": ReferenceDatacenter}
+#: Datacenter and monitor of each backend.
+BACKENDS = {
+    "soa": (Datacenter, UtilizationMonitor),
+    "reference": (ReferenceDatacenter, oracle.DequeMonitor),
+}
 
 _NUM_PMS = 3
 _NUM_VMS = 4
@@ -45,7 +53,7 @@ def _assert_matches_oracle(lstd) -> None:
 @pytest.fixture(params=sorted(BACKENDS))
 def scenario(request):
     """An agent trained for a few steps on the requested backend."""
-    cls = BACKENDS[request.param]
+    cls, monitor_cls = BACKENDS[request.param]
     pms = [make_pm(i, mips=3000.0) for i in range(_NUM_PMS)]
     vms = [make_vm(j, mips=2000.0, ram_mb=512.0) for j in range(_NUM_VMS)]
     datacenter = cls(pms, vms)
@@ -55,7 +63,9 @@ def scenario(request):
     agent = MeghScheduler(
         num_vms=_NUM_VMS, num_pms=_NUM_PMS, seed=9, dynamic_slots=True
     )
-    monitor = UtilizationMonitor(history_length=6)
+    if request.param == "reference":
+        agent._plan = lambda observation: scalar_plan(agent, observation)
+    monitor = monitor_cls(history_length=6)
     _drive(datacenter, engine, agent, monitor, steps=6)
     assert agent.lstd.updates_applied > 0
     return datacenter, engine, agent, monitor
@@ -64,6 +74,9 @@ def scenario(request):
 def _drive(datacenter, engine, agent, monitor, steps, start=0):
     """A minimal per-step pipeline: demand, decide, migrate, advance."""
     rng = np.random.default_rng(17)
+    snapshot = observe_state if isinstance(datacenter, Datacenter) else (
+        oracle.observe_state
+    )
     for step in range(start, start + steps):
         for vm in datacenter.vms:
             if vm.is_active:
@@ -71,7 +84,7 @@ def _drive(datacenter, engine, agent, monitor, steps, start=0):
         monitor.observe(datacenter)
         observation = Observation(
             step=step,
-            state=observe_state(datacenter, step),
+            state=snapshot(datacenter, step),
             datacenter=datacenter,
             monitor=monitor,
             last_step_cost_usd=0.4,

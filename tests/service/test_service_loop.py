@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.cloudsim.events import EventKind, EventLog
-from repro.cloudsim.reference import ReferenceDatacenter
+from repro.cloudsim.monitor import UtilizationMonitor
+from repro.cloudsim.simulation import Simulation, StepPipeline
 from repro.config import SimulationConfig
 from repro.core.agent import MeghScheduler
 from repro.engine.registry import (
@@ -19,8 +21,10 @@ from repro.errors import ConfigurationError
 from repro.service.builders import build_churn_service
 from repro.service.churn import ChurnConfig, ChurnModel
 from repro.service.loop import ServiceSimulation
+from repro.workloads.base import ArrayWorkload
 
 from tests.conftest import make_pm, make_vm
+from tests.oracles.reference_datacenter import ReferenceDatacenter
 
 
 def _result_key(result) -> str:
@@ -181,13 +185,23 @@ class TestValidation:
         return [make_vm(j) for j in range(n)]
 
     def test_reference_backend_rejected(self):
+        # One check, shared by the service and the batch driver.
         datacenter = ReferenceDatacenter(
             [make_pm(i) for i in range(2)], self._slots(2)
         )
         churn = ChurnModel(ChurnConfig(), num_steps=10, seed=0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="struct-of-arrays"):
             ServiceSimulation(
                 datacenter, churn, SimulationConfig(num_steps=10)
+            )
+        workload = ArrayWorkload(np.full((2, 10), 0.5))
+        with pytest.raises(ConfigurationError, match="struct-of-arrays"):
+            Simulation(datacenter, workload, SimulationConfig(num_steps=10))
+        with pytest.raises(ConfigurationError, match="struct-of-arrays"):
+            StepPipeline(
+                datacenter,
+                SimulationConfig(num_steps=10),
+                UtilizationMonitor(),
             )
 
     def test_bad_cadence_rejected(self):

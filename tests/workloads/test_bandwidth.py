@@ -34,7 +34,8 @@ class TestBandwidthWorkload:
         )
         assert bw.num_vms == 2
         assert bw.utilization(0, 1) == pytest.approx(0.4)
-        assert bw.bandwidth_utilization(1, 0) == pytest.approx(0.3)
+        _, _, bandwidth = bw.step_slice(0)
+        assert bandwidth[1] == pytest.approx(0.3)
 
     def test_shape_mismatch(self, cpu_workload):
         with pytest.raises(TraceError):
@@ -44,14 +45,23 @@ class TestBandwidthWorkload:
         with pytest.raises(TraceError):
             BandwidthWorkload(cpu_workload, np.full((2, 2), 1.5))
 
+    def test_nan_rejected(self, cpu_workload):
+        bandwidth = np.full((2, 2), 0.3)
+        bandwidth[0, 1] = np.nan
+        with pytest.raises(TraceError):
+            BandwidthWorkload(cpu_workload, bandwidth)
+
     def test_inactive_steps_have_zero_bandwidth(self):
         cpu = ArrayWorkload(
             np.array([[0.5, 0.5]]),
             active=np.array([[True, False]]),
         )
         bw = BandwidthWorkload(cpu, np.array([[0.9, 0.9]]))
-        assert bw.bandwidth_utilization(0, 0) == 0.9
-        assert bw.bandwidth_utilization(0, 1) == 0.0
+        # The column is raw; consumers zero it where the VM is inactive,
+        # as the simulation driver does.
+        for step, expected in ((0, 0.9), (1, 0.0)):
+            active, _, bandwidth = bw.step_slice(step)
+            assert np.where(active, bandwidth, 0.0)[0] == expected
 
 
 class TestDerive:

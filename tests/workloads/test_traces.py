@@ -56,6 +56,14 @@ class TestNpzRoundTrip:
         with pytest.raises(TraceError):
             load_workload_npz(path)
 
+    def test_nan_sample_rejected(self, tmp_path):
+        path = str(tmp_path / "nan.npz")
+        matrix = np.full((2, 3), 0.5)
+        matrix[1, 2] = np.nan
+        np.savez(path, matrix=matrix, activity=np.ones((2, 3), dtype=bool))
+        with pytest.raises(TraceError, match=r"\[0, 1\]"):
+            load_workload_npz(path)
+
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "junk.npz"
         path.write_bytes(b"not a zip")
@@ -121,6 +129,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "nan.csv"
         path.write_text("vm_id,step_0\n0,abc\n")
         with pytest.raises(TraceError):
+            load_workload_csv(str(path))
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-0.1"])
+    def test_out_of_range_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "range.csv"
+        path.write_text(f"vm_id,step_0,step_1\n0,0.5,{cell}\n")
+        with pytest.raises(TraceError, match=r"\[0, 1\]"):
             load_workload_csv(str(path))
 
     def test_no_rows(self, tmp_path):
