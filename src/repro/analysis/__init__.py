@@ -7,11 +7,15 @@ package provides an AST-based lint framework that enforces exactly those
 project invariants:
 
 * a rule registry (:mod:`repro.analysis.rules`) with the MEGH rule set
-  (unseeded randomness, wall-clock reads, float equality, mutable
-  defaults, missing seed plumbing, swallowed exceptions);
+  (unseeded randomness — every RNG factory, however imported —
+  wall-clock reads, float equality, mutable defaults, missing seed
+  plumbing, swallowed exceptions);
 * a whole-program flow pass (:mod:`repro.analysis.flow`, "meghflow")
-  checking RNG provenance, dirty-flag invalidation, and dtype/axis
-  discipline across module boundaries (MEGH010–MEGH012);
+  checking dirty-flag invalidation across module boundaries (MEGH011);
+* an ndarray abstract interpreter (:mod:`repro.analysis.shape`,
+  "meghshape") checking dtype/axis discipline, broadcasts, dtype drift,
+  the C kernel ABI, shape contracts and in-place aliasing in the hot
+  packages (MEGH012, MEGH019–MEGH023);
 * an engine (:mod:`repro.analysis.engine`) that walks files, parses each
   module once for every pass, applies the rules, honours
   ``# meghlint: ignore[RULE] -- reason`` suppressions, and reports

@@ -109,7 +109,9 @@ def load_baseline(path: Union[str, Path]) -> Baseline:
         raise BaselineError(
             f"baseline {file_path} is not valid JSON: {error}"
         ) from error
-    if not isinstance(document, dict) or "entries" not in document:
+    if not isinstance(document, dict) or not isinstance(
+        document.get("entries"), list
+    ):
         raise BaselineError(
             f"baseline {file_path} must be an object with an 'entries' list"
         )
@@ -131,6 +133,11 @@ def load_baseline(path: Union[str, Path]) -> Baseline:
             raise BaselineError(
                 f"baseline {file_path}: entry {position} is missing "
                 f"required field {error}"
+            ) from error
+        except (TypeError, ValueError) as error:
+            raise BaselineError(
+                f"baseline {file_path}: entry {position} has a count that "
+                f"is not an integer: {raw.get('count')!r}"
             ) from error
         if entry.count < 1:
             raise BaselineError(

@@ -15,8 +15,8 @@ all ASTs regardless, and the parse-once discipline (one ``ast.parse``
 per file per invocation) is the invariant the engine's tests pin.  What
 a hit skips is rule execution.
 
-The config fingerprint folds in ``select``/``ignore``/``flow``/``shape``
-*and* a toolchain hash over every source file of ``repro.analysis``
+The config fingerprint folds in ``select``/``ignore`` *and* a
+toolchain hash over every source file of ``repro.analysis``
 itself — the per-file rules, meghflow, and meghshape alike — so
 editing any analyzer module invalidates the whole cache: a stale
 result can never outlive the code that produced it.
@@ -130,6 +130,13 @@ class LintCache:
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            raise ValueError(
+                f"cache directory {self.directory} is not a usable "
+                f"directory ({error.strerror or error})"
+            ) from error
         self.path = self.directory / CACHE_FILE_NAME
         self.hits = 0
         self.misses = 0
@@ -144,15 +151,11 @@ class LintCache:
         self,
         select: Optional[Sequence[str]],
         ignore: Optional[Sequence[str]],
-        flow: bool,
-        shape: bool,
     ) -> str:
         """Fold the rule selection and the analyzer sources into one key."""
         document = {
             "select": sorted(select) if select is not None else None,
             "ignore": sorted(ignore) if ignore is not None else None,
-            "flow": flow,
-            "shape": shape,
             "toolchain": self._toolchain,
         }
         return _sha256_text(json.dumps(document, sort_keys=True))
@@ -219,7 +222,6 @@ class LintCache:
         Entries for files that vanished from the tree (or for stale
         config fingerprints) are pruned by construction.
         """
-        self.directory.mkdir(parents=True, exist_ok=True)
         document = {
             "tool": "meghlint",
             "version": CACHE_VERSION,

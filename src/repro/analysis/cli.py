@@ -10,6 +10,7 @@ treats 1 as "fix your findings" and 2 as "fix the linter".
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 from typing import List, Optional
 
@@ -68,19 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--no-flow",
-        action="store_true",
-        help="skip the whole-program flow pass (MEGH010-MEGH012)",
-    )
-    parser.add_argument(
-        "--no-shape",
-        action="store_true",
-        help=(
-            "skip the meghshape symbolic-shape/ABI pass "
-            "(MEGH019-MEGH023)"
-        ),
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
@@ -128,6 +116,12 @@ def _split_rule_ids(raw: Optional[str]) -> Optional[List[str]]:
     return [part.strip().upper() for part in raw.split(",") if part.strip()]
 
 
+def _error(message: str) -> int:
+    """Report a usage error or analyzer crash on stderr; exit code 2."""
+    print(f"repro lint: {message}", file=sys.stderr)
+    return 2
+
+
 def _print_rules() -> None:
     for rule_id in all_rule_ids():
         rule_class = RULE_REGISTRY[rule_id]
@@ -151,14 +145,11 @@ def run(argv: Optional[List[str]] = None) -> int:
         _print_rules()
         return 0
     if args.update_baseline and args.baseline is None:
-        print("repro lint: error: --update-baseline requires --baseline")
-        return 2
+        return _error("error: --update-baseline requires --baseline")
     try:
         config = LintConfig(
             select=_split_rule_ids(args.select),
             ignore=_split_rule_ids(args.ignore),
-            flow=not args.no_flow,
-            shape=not args.no_shape,
         )
         config.validate()  # fail on unknown ids before touching the fs
         previous: Optional[Baseline] = None
@@ -166,13 +157,12 @@ def run(argv: Optional[List[str]] = None) -> int:
             previous = load_baseline(args.baseline)
         elif args.update_baseline and Path(args.baseline).exists():
             previous = load_baseline(args.baseline)
-    except (ValueError, FileNotFoundError, BaselineError) as error:
-        print(f"repro lint: error: {error}")
-        return 2
-    try:
         cache = (
             LintCache(args.cache_dir) if args.cache_dir is not None else None
         )
+    except (ValueError, FileNotFoundError, BaselineError) as error:
+        return _error(f"error: {error}")
+    try:
         result = lint_paths(args.paths, config, cache=cache)
         if args.update_baseline:
             fresh = update_baseline(result, previous)
@@ -195,11 +185,9 @@ def run(argv: Optional[List[str]] = None) -> int:
         if previous is not None:
             apply_baseline(result, previous)
     except (ValueError, FileNotFoundError) as error:
-        print(f"repro lint: error: {error}")
-        return 2
+        return _error(f"error: {error}")
     except Exception as error:  # noqa: BLE001 — crash, not finding
-        print(f"repro lint: internal error: {type(error).__name__}: {error}")
-        return 2
+        return _error(f"internal error: {type(error).__name__}: {error}")
     strict_failures = args.strict_suppressions and (
         bool(result.unused_suppressions) or bool(result.stale_baseline)
     )

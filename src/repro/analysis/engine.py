@@ -13,8 +13,8 @@ first lines contain ``# meghlint: skip-file`` is not linted at all
 
 Each module is parsed **once**: the same :class:`ParsedModule` (AST +
 suppression table) feeds the per-file rules (MEGH001–MEGH009) and the
-whole-program flow and shape passes (MEGH010–MEGH012, see
-:mod:`repro.analysis.flow`; MEGH019–MEGH023, see
+whole-program flow and shape passes (MEGH011, see
+:mod:`repro.analysis.flow`; MEGH012 and MEGH019–MEGH023, see
 :mod:`repro.analysis.shape`), which :func:`lint_paths` runs over all
 parsed modules together.  Suppression comments are found with
 :mod:`tokenize` so suppression-like text inside docstrings and string
@@ -86,14 +86,6 @@ class LintConfig:
 
     select: Optional[Sequence[str]] = None
     ignore: Optional[Sequence[str]] = None
-    #: Run the whole-program flow pass (MEGH010–MEGH012) in
-    #: :func:`lint_paths`.  Per-file entry points never run it: flow
-    #: facts only make sense over a whole project.
-    flow: bool = True
-    #: Run the meghshape symbolic-shape/ABI pass (MEGH019–MEGH023) in
-    #: :func:`lint_paths`.  Consumes the same project model as the flow
-    #: pass (parse-once, resolve-once).
-    shape: bool = True
     #: Directory names never descended into.
     excluded_dirs: Sequence[str] = (
         ".git",
@@ -128,6 +120,19 @@ class LintConfig:
         select = set(self.select) if self.select is not None else None
         ignore = set(self.ignore) if self.ignore is not None else None
         return select, ignore
+
+    def whole_program_enabled(self) -> bool:
+        """Whether any flow or shape rule survives select/ignore.
+
+        The per-file entry points never run these rules: their facts
+        only make sense over a whole project.
+        """
+        enabled = set(FLOW_RULES) | set(SHAPE_RULES)
+        if self.select is not None:
+            enabled &= set(self.select)
+        if self.ignore is not None:
+            enabled -= set(self.ignore)
+        return bool(enabled)
 
     def unused_suppression_check_enabled(self) -> bool:
         if self.ignore is not None and UNUSED_SUPPRESSION_RULE in self.ignore:
@@ -416,22 +421,16 @@ def lint_paths(
     """Lint every ``.py`` file under the given files/directories.
 
     This is the whole-program entry point: after the per-file rules it
-    runs the flow pass (unless ``config.flow`` is off) and the meghshape
-    pass (unless ``config.shape`` is off) over the same ASTs — sharing
-    one project model between them — applies line suppressions to
-    their findings too, and finally reports directives that never
-    fired.
+    runs the flow and meghshape passes over the same ASTs — sharing one
+    project model, built only when one of their rules is enabled —
+    applies line suppressions to their findings too, and finally
+    reports directives that never fired.
     """
     config = config or LintConfig()
     config.validate()
     result = LintResult()
     fingerprint = (
-        cache.config_fingerprint(
-            config.select,
-            config.ignore,
-            config.flow,
-            config.shape,
-        )
+        cache.config_fingerprint(config.select, config.ignore)
         if cache is not None
         else ""
     )
@@ -480,7 +479,7 @@ def lint_paths(
                     },
                 ),
             )
-    if config.flow or config.shape:
+    if config.whole_program_enabled():
         by_path = {module.path: module for module in modules}
         whole_record: Optional[FileRecord] = None
         project_sha = ""
@@ -503,28 +502,13 @@ def lint_paths(
                 if module.tree is not None and not module.skipped
             ]
             select, ignore = config.flow_rule_sets()
-            enabled: Set[str] = set()
-            if config.flow:
-                enabled |= set(FLOW_RULES)
-            if config.shape:
-                enabled |= set(SHAPE_RULES)
-            if select is not None:
-                enabled &= select
-            if ignore is not None:
-                enabled -= ignore
             # Build the project model once; meghflow and meghshape both
             # consume the same instance (parse-once extends to
-            # resolve-once).
-            project = build_project(flow_input) if enabled else None
-            whole_program: List[Diagnostic] = []
-            if config.flow:
-                whole_program.extend(
-                    run_flow(flow_input, select, ignore, project=project)
-                )
-            if config.shape:
-                whole_program.extend(
-                    run_shape(flow_input, select, ignore, project=project)
-                )
+            # build-once).
+            project = build_project(flow_input)
+            whole_program = run_flow(
+                flow_input, select, ignore, project=project
+            ) + run_shape(flow_input, select, ignore, project=project)
             used_before_all = {
                 module.path: {
                     line: suppression.used

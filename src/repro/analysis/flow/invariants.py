@@ -1,14 +1,14 @@
-"""Declared invariant tables consumed by the flow rules.
+"""Declared invariant table consumed by the MEGH011 flow rule.
 
-These tables are the *specification* the analyzers check code against —
-the contract prose of ``repro/cloudsim/soa.py`` ("mutations only flip a
+This table is the *specification* MEGH011 checks code against — the
+contract prose of ``repro/cloudsim/soa.py`` ("mutations only flip a
 dirty flag"), ``repro/core/sparse.py`` ("``mutations`` counts every
 state change"), and ``repro/core/lstd.py`` ("every external write
 reports the touched index") written down as data.  MEGH011 derives its
-obligations from :data:`MUTATION_INVARIANTS`; MEGH012 reads the declared
-dtypes/axes from :data:`FIELD_TYPES` and :data:`METHOD_TYPES`.
+obligations from :data:`MUTATION_INVARIANTS`.  The declared ndarray
+dtypes and dimensions live in :mod:`repro.analysis.shape.dims`.
 
-Keeping the tables here, rather than inferring them from the source,
+Keeping the table here, rather than inferring it from the source,
 is deliberate: if a refactor renames a field or adds an aggregate, the
 table must be updated in the same PR, and the self-analysis test
 (``tests/analysis/test_self_lint.py``) fails loudly until the
@@ -18,16 +18,9 @@ declaration and the code agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import FrozenSet, Mapping, Optional, Tuple
 
-__all__ = [
-    "MutationInvariant",
-    "MUTATION_INVARIANTS",
-    "ArrayType",
-    "FIELD_TYPES",
-    "METHOD_TYPES",
-    "AXIS_SIZE_NAMES",
-]
+__all__ = ["MutationInvariant", "MUTATION_INVARIANTS"]
 
 
 @dataclass(frozen=True)
@@ -169,72 +162,3 @@ MUTATION_INVARIANTS: Tuple[MutationInvariant, ...] = (
     _PENDING_UPDATES,
 )
 
-
-# ----------------------------------------------------------------------
-# Declared dtype/axis types for MEGH012
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ArrayType:
-    """Abstract ndarray type: element dtype plus fleet axis.
-
-    ``axis`` is ``"N"`` (per-VM vector), ``"M"`` (per-PM vector), or
-    ``"?"`` (unknown/neither).  MEGH012 only reports a broadcast
-    mismatch when *both* operands carry a known, different axis.
-    """
-
-    dtype: str
-    axis: str
-
-
-#: Attribute name -> declared type, for the struct-of-arrays fields.
-FIELD_TYPES: Dict[str, ArrayType] = {
-    # DatacenterArrays per-VM state (axis N).
-    "vm_mips": ArrayType("float64", "N"),
-    "vm_ram_mb": ArrayType("float64", "N"),
-    "vm_bandwidth_mbps": ArrayType("float64", "N"),
-    "vm_demand": ArrayType("float64", "N"),
-    "vm_delivered": ArrayType("float64", "N"),
-    "vm_bw_demand": ArrayType("float64", "N"),
-    "vm_active": ArrayType("bool", "N"),
-    "host_of": ArrayType("int64", "N"),
-    # DatacenterArrays per-PM state (axis M).
-    "pm_mips": ArrayType("float64", "M"),
-    "pm_ram_mb": ArrayType("float64", "M"),
-    "pm_bandwidth_mbps": ArrayType("float64", "M"),
-    "pm_asleep": ArrayType("bool", "M"),
-    "pm_vm_count": ArrayType("int64", "M"),
-    "_pm_ram_used": ArrayType("float64", "M"),
-    "_pm_demand_mips": ArrayType("float64", "M"),
-    "_pm_bw_mbps": ArrayType("float64", "M"),
-    "_pm_delivered_mips": ArrayType("float64", "M"),
-    "_pm_ram_free": ArrayType("float64", "M"),
-    # CandidateIndex static per-PM budget vectors (repro/core/candidates.py).
-    "_mips_budget": ArrayType("float64", "M"),
-    "_mips_budget_full": ArrayType("float64", "M"),
-    "_bw_budget": ArrayType("float64", "M"),
-    "_bw_budget_full": ArrayType("float64", "M"),
-}
-
-#: Method name -> declared return type (DatacenterArrays queries).
-METHOD_TYPES: Dict[str, ArrayType] = {
-    "pm_ram_used_mb": ArrayType("float64", "M"),
-    "pm_ram_free_mb": ArrayType("float64", "M"),
-    "pm_demand_mips": ArrayType("float64", "M"),
-    "pm_bw_demand_mbps": ArrayType("float64", "M"),
-    "pm_delivered_mips": ArrayType("float64", "M"),
-    "pm_demand_utilization": ArrayType("float64", "M"),
-    "pm_delivered_utilization": ArrayType("float64", "M"),
-    "pm_bw_demand_utilization": ArrayType("float64", "M"),
-    "active_pm_mask": ArrayType("bool", "M"),
-    "overloaded_pm_mask": ArrayType("bool", "M"),
-    # Backfilled while writing the meghshape dimension table: these
-    # return arrays but were undeclared (the pm_ram_free_mb pattern).
-    "_sum_by_host": ArrayType("float64", "M"),
-    "column_support": ArrayType("int64", "?"),
-    "theta": ArrayType("float64", "?"),
-}
-
-#: Size-argument attribute names that reveal a new array's axis:
-#: ``np.zeros(arrays.num_pms)`` is an M-vector, ``num_vms`` an N-vector.
-AXIS_SIZE_NAMES: Dict[str, str] = {"num_vms": "N", "num_pms": "M"}

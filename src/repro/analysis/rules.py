@@ -109,7 +109,19 @@ def walk_calls(tree: ast.AST) -> Iterator[Tuple[ast.Call, Optional[str]]]:
 # MEGH001 — unseeded randomness
 # ----------------------------------------------------------------------
 
-#: Legacy global-state numpy entry points that bypass seed plumbing.
+#: RNG constructors that draw OS entropy when called with no arguments.
+UNSEEDED_FACTORIES: Tuple[str, ...] = (
+    "numpy.random.default_rng",
+    "numpy.random.RandomState",
+    "numpy.random.PCG64",
+    "numpy.random.PCG64DXSM",
+    "numpy.random.Philox",
+    "numpy.random.MT19937",
+    "numpy.random.SFC64",
+    "random.Random",
+)
+
+#: ``numpy.random`` members that do not draw from numpy's global RNG.
 _SAFE_NP_RANDOM = {
     "default_rng",
     "Generator",
@@ -148,9 +160,42 @@ _BANNED_STDLIB_RANDOM = {
 }
 
 
+def _import_aliases(tree: ast.Module) -> Dict[str, str]:
+    """Local name -> qualified target for the module's absolute imports.
+
+    ``import numpy.random as npr`` maps ``npr`` to ``numpy.random``;
+    ``from numpy.random import default_rng as mk`` maps ``mk`` to
+    ``numpy.random.default_rng``.  ``np`` means ``numpy`` unless the
+    module binds it otherwise.
+    """
+    aliases = {"np": "numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is not None:
+                    aliases[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".", 1)[0]
+                    aliases[root] = root
+        elif (
+            isinstance(node, ast.ImportFrom)
+            and node.module
+            and not node.level
+        ):
+            for alias in node.names:
+                local = alias.asname or alias.name
+                aliases[local] = f"{node.module}.{alias.name}"
+    return aliases
+
+
 @register
 class UnseededRandomnessRule(Rule):
-    """MEGH001: module-level RNG calls instead of an injected Generator."""
+    """MEGH001: module-level RNG calls instead of an injected Generator.
+
+    Calls are matched on their import-resolved name, so an unseeded
+    factory is flagged however it was imported, and wherever its value
+    goes — the finding sits at the creation, where the seed belongs.
+    """
 
     rule_id = "MEGH001"
     severity = Severity.ERROR
@@ -160,25 +205,24 @@ class UnseededRandomnessRule(Rule):
     )
 
     def check(self, context: RuleContext) -> Iterator[Diagnostic]:
+        aliases = _import_aliases(context.tree)
         for node, name in walk_calls(context.tree):
             if name is None:
                 continue
-            parts = name.split(".")
-            if (
-                len(parts) == 3
-                and parts[0] in ("np", "numpy")
-                and parts[1] == "random"
-            ):
-                if parts[2] == "default_rng":
-                    if not node.args and not node.keywords:
-                        yield self.diagnostic(
-                            context,
-                            node,
-                            "np.random.default_rng() without a seed draws "
-                            "OS entropy; pass a seed (or SeedSequence) so "
-                            "runs are reproducible",
-                        )
-                elif parts[2] not in _SAFE_NP_RANDOM:
+            head, _, rest = name.partition(".")
+            target = aliases.get(head, head)
+            qualified = f"{target}.{rest}" if rest else target
+            module, _, member = qualified.rpartition(".")
+            if qualified in UNSEEDED_FACTORIES:
+                if not node.args and not node.keywords:
+                    yield self.diagnostic(
+                        context,
+                        node,
+                        f"{name}() without a seed draws OS entropy; pass a "
+                        "seed (or SeedSequence) so runs are reproducible",
+                    )
+            elif module == "numpy.random":
+                if member not in _SAFE_NP_RANDOM:
                     yield self.diagnostic(
                         context,
                         node,
@@ -186,8 +230,10 @@ class UnseededRandomnessRule(Rule):
                         "use an injected np.random.Generator "
                         "(np.random.default_rng(seed)) instead",
                     )
-            elif len(parts) == 2 and parts[0] == "random":
-                if parts[1] in _BANNED_STDLIB_RANDOM:
+            elif module == "random" and rest:
+                # A bare name came from ``from random import ...``,
+                # which is reported once, at the import.
+                if member in _BANNED_STDLIB_RANDOM:
                     yield self.diagnostic(
                         context,
                         node,

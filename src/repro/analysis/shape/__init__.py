@@ -9,10 +9,14 @@ dtype drift across the C/NumPy backend pair, a non-contiguous view
 handed to the kernel as a raw pointer.  meghshape interprets each hot
 function over a symbolic-shape domain (named dimensions ``N`` VMs,
 ``M`` PMs, ``K`` candidate rows, ``W`` window, ``d`` basis — see
-:mod:`repro.analysis.shape.dims`) seeded from declared tables that
-extend meghflow's ``FIELD_TYPES``/``METHOD_TYPES``, and proves five
-properties:
+:mod:`repro.analysis.shape.dims`) seeded from the declared
+``FIELD_TYPES``/``METHOD_TYPES`` tables, and proves six properties:
 
+``MEGH012``
+    dtype/axis discipline: canonical dtypes at creation (C ABI buffers
+    in exactly their ``ABI_BUFFER_DTYPES`` type), no 1-d N-vs-M
+    combinations, no silent int64/float64 mixing or float-into-int
+    stores, no Python-scalar reductions over ndarrays.
 ``MEGH019``
     broadcast-rank mismatch: symbolic shapes that conflict outright,
     or align only by an implicit rank promotion not declared
@@ -35,7 +39,7 @@ properties:
 
 The entry point is :func:`run_shape`, invoked by the lint engine with
 the modules it already parsed and — when the flow pass also ran — the
-very project instance it used (parse-once, resolve-once).
+very project instance it used (parse-once, build-once).
 """
 
 from __future__ import annotations
@@ -51,13 +55,14 @@ from repro.analysis.shape.abi import (
     KernelAbiReport,
     check_kernel_abi,
 )
-from repro.analysis.shape.absint import HOT_PREFIXES, check_shapes
+from repro.analysis.shape.absint import check_shapes
 from repro.analysis.shape.dims import (
     ABI_BUFFER_DTYPES,
     DIMENSIONS,
+    FIELD_TYPES,
+    HOT_PREFIXES,
+    METHOD_TYPES,
     SHAPE_CONTRACTS,
-    SHAPE_FIELD_TYPES,
-    SHAPE_METHOD_TYPES,
     ShapeInfo,
 )
 
@@ -70,8 +75,8 @@ __all__ = [
     "KernelAbiReport",
     "ShapeInfo",
     "DIMENSIONS",
-    "SHAPE_FIELD_TYPES",
-    "SHAPE_METHOD_TYPES",
+    "FIELD_TYPES",
+    "METHOD_TYPES",
     "SHAPE_CONTRACTS",
     "ABI_BUFFER_DTYPES",
     "HOT_PREFIXES",
@@ -81,6 +86,11 @@ __all__ = [
 #: engine/CLI for ``--select``/``--ignore`` validation and
 #: ``--list-rules`` output, exactly like ``FLOW_RULES``.
 SHAPE_RULES: Dict[str, Tuple[Severity, str]] = {
+    "MEGH012": (
+        Severity.ERROR,
+        "dtype/axis discipline in hot paths: non-canonical dtypes, "
+        "N-vs-M broadcasts, int/float mixing, Python reductions",
+    ),
     "MEGH019": (
         Severity.ERROR,
         "broadcast-rank mismatch: symbolic shapes conflict or align only "
@@ -108,7 +118,9 @@ SHAPE_RULES: Dict[str, Tuple[Severity, str]] = {
     ),
 }
 
-_INTERPRETER_RULES = frozenset({"MEGH019", "MEGH020", "MEGH022", "MEGH023"})
+_INTERPRETER_RULES = frozenset(
+    {"MEGH012", "MEGH019", "MEGH020", "MEGH022", "MEGH023"}
+)
 
 
 def run_shape(

@@ -40,9 +40,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.flow.dtypes import HOT_PREFIXES, _in_hot_package
 from repro.analysis.flow.project import FunctionInfo, Project, dotted_name
-from repro.analysis.shape.dims import ABI_BUFFER_DTYPES, SHAPE_CONTRACTS
+from repro.analysis.shape.dims import (
+    ABI_BUFFER_DTYPES,
+    HOT_PREFIXES,
+    SHAPE_CONTRACTS,
+    in_hot_package,
+)
 
 __all__ = ["AbiCertificate", "KernelAbiReport", "check_kernel_abi"]
 
@@ -411,7 +415,7 @@ class _AbiChecker:
         return [
             function
             for function in self.project.iter_functions()
-            if _in_hot_package(function, self.prefixes)
+            if in_hot_package(function, self.prefixes)
         ]
 
 

@@ -1,22 +1,32 @@
-"""MEGH019/020/022/023 — symbolic shape abstract interpretation.
+"""MEGH012/019/020/022/023 — symbolic shape abstract interpretation.
 
 Each function body in the hot packages is interpreted over the
 :class:`~repro.analysis.shape.dims.ShapeInfo` domain: arrays carry a
 tuple of named dimension symbols (``N``, ``M``, ``K``, ``W``, ``d``,
 …), a dtype, and contiguity/ownership proofs.  Facts are seeded from
-the declared tables (``SHAPE_FIELD_TYPES`` / ``SHAPE_METHOD_TYPES``)
-and the parameter contracts (``SHAPE_CONTRACTS``), then propagated
-through indexing, ``np.*`` factories, gathers (``searchsorted`` /
-``bincount``), reductions, ufuncs, and arithmetic.  Four rules ride on
+the declared tables (``FIELD_TYPES`` / ``METHOD_TYPES``) and the
+parameter contracts (``SHAPE_CONTRACTS``), then propagated through
+indexing, ``np.*`` factories, gathers (``searchsorted`` /
+``bincount``), reductions, ufuncs, and arithmetic.  Five rules ride on
 the propagated facts:
 
+``MEGH012``
+    dtype/axis discipline: (A) an array created with a non-canonical
+    dtype (``int32``, ``float32``, platform ``int``, …) unless it is
+    assigned straight to an ``ABI_BUFFER_DTYPES`` attribute in exactly
+    its declared dtype; (B) a 1-d per-VM (``N``) vector combined with a
+    1-d per-PM (``M``) vector; (C) arithmetic mixing an int64 with a
+    float64 array (warning); (D) a float64 value stored in place into
+    an int64 array; (E) a built-in ``sum``/``min``/``max`` over an
+    ndarray (warning).
 ``MEGH019``
     broadcast-rank mismatch.  Trailing-aligned symbolic dims that
     conflict outright are errors; an implicit rank promotion (a
     1-d vector silently stretched against a 2-d operand) is a warning
     unless declared intentional with an explicit unit axis
     (``vec[None, :]``), which produces an equal-rank ``1`` dim and is
-    exact broadcasting by construction.
+    exact broadcasting by construction.  The 1-d N-vs-M conflict is
+    MEGH012's finding (B), reported once under that rule.
 ``MEGH020``
     dtype drift.  ``np.arange`` without an explicit dtype leaks the
     platform int; storing into a declared field with a different dtype,
@@ -33,10 +43,8 @@ the propagated facts:
     operand onto itself (identical expression) is well-defined and
     stays silent.
 
-The interpretation is flow-insensitive within a statement walk exactly
-like MEGH012 (:mod:`repro.analysis.flow.dtypes`) — deliberate: the hot
-paths are straight-line array code, and the shared imprecision keeps
-the two passes' verdicts consistent.
+The interpretation is flow-insensitive within a statement walk —
+deliberate: the hot paths are straight-line array code.
 """
 
 from __future__ import annotations
@@ -45,20 +53,22 @@ import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.flow.dtypes import HOT_PREFIXES, _in_hot_package
 from repro.analysis.flow.project import FunctionInfo, Project, dotted_name
 from repro.analysis.shape.dims import (
+    ABI_BUFFER_DTYPES,
     DIM_SIZE_NAMES,
+    FIELD_TYPES,
+    HOT_PREFIXES,
+    METHOD_TYPES,
     SHAPE_CONTRACTS,
-    SHAPE_FIELD_TYPES,
-    SHAPE_METHOD_TYPES,
     ParamContract,
     ShapeContract,
     ShapeInfo,
+    in_hot_package,
     render_dims,
 )
 
-__all__ = ["check_shapes", "HOT_PREFIXES"]
+__all__ = ["check_shapes"]
 
 #: numpy factories producing a fresh owned C-contiguous buffer.
 _OWNING_FACTORIES = frozenset({"zeros", "empty", "ones", "full"})
@@ -97,14 +107,63 @@ _REDUCTIONS = frozenset(
      "argmax", "argmin"}
 )
 
-#: Binary AST operators treated as elementwise (extends MEGH012's set
-#: with the bitwise mask operators ``& | ^``).
-_ELEMENTWISE_OPS = (
-    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod,
-    ast.Pow, ast.BitAnd, ast.BitOr, ast.BitXor,
+#: Arithmetic AST operators (MEGH012 checks C and D read these).
+_ARITHMETIC_OPS = (
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
 )
 
-_INT_DTYPES = frozenset({"int64", "int32", "int16", "int8", "uint8", "int"})
+#: Binary AST operators treated as elementwise: arithmetic plus the
+#: bitwise mask operators ``& | ^``.
+_ELEMENTWISE_OPS = _ARITHMETIC_OPS + (ast.BitAnd, ast.BitOr, ast.BitXor)
+
+#: MEGH012 check A: dtype spellings never acceptable at hot-path array
+#: creation (the value is the explanation in the message).
+_BAD_DTYPES = {
+    "float32": "float32",
+    "float16": "float16",
+    "int32": "int32",
+    "int16": "int16",
+    "int8": "int8",
+    "uint8": "uint8",
+    "uint32": "uint32",
+    "int": "platform int",
+    "float": "python float (use float64 explicitly)",
+}
+
+#: MEGH012 check E: Python builtins that reduce with a scalar loop.
+_PY_REDUCTIONS = frozenset({"sum", "min", "max"})
+
+#: MEGH012 check B messages, by broadcast context.
+_AXIS_MIX_MESSAGES = {
+    "elementwise operation": (
+        "elementwise op between a per-VM (N) and a per-PM (M) vector "
+        "broadcasts incompatibly (or silently 'works' when N == M); "
+        "gather via host_of or aggregate first"
+    ),
+    "comparison": (
+        "comparison between a per-VM (N) and a per-PM (M) vector; align "
+        "axes explicitly (index by host_of or aggregate first)"
+    ),
+}
+
+
+def _is_axis_mix(left: ShapeInfo, right: ShapeInfo) -> bool:
+    """A 1-d per-VM vector against a 1-d per-PM vector (check B)."""
+    return left.rank == right.rank == 1 and {
+        left.dims[0], right.dims[0]
+    } == {"N", "M"}
+
+
+def _dtype_spelling(expression: ast.expr) -> Optional[str]:
+    """The dtype exactly as written (``np.int32``, ``'float32'``)."""
+    name = dotted_name(expression)
+    if name is not None:
+        return name
+    if isinstance(expression, ast.Constant) and isinstance(
+        expression.value, str
+    ):
+        return expression.value
+    return None
 
 
 def _is_numpy_call(dotted: str) -> bool:
@@ -113,16 +172,8 @@ def _is_numpy_call(dotted: str) -> bool:
 
 
 def _dtype_text(expression: ast.expr) -> Optional[str]:
-    name = dotted_name(expression)
-    if name is not None:
-        return name.rsplit(".", 1)[-1]
-    if isinstance(expression, ast.Constant) and isinstance(
-        expression.value, str
-    ):
-        return expression.value
-    if isinstance(expression, ast.Name):
-        return expression.id
-    return None
+    spelled = _dtype_spelling(expression)
+    return spelled.rsplit(".", 1)[-1] if spelled is not None else None
 
 
 def _dims_compatible(a: str, b: str) -> bool:
@@ -156,6 +207,9 @@ class _FunctionShapes:
         #: MEGH023: ``buf = self._vals_flat`` makes ``buf[...]`` and
         #: ``self._vals_flat[...]`` views of the same base).
         self.bases: Dict[str, str] = {}
+        #: Creation calls assigned straight to an ABI buffer attribute,
+        #: with that attribute's declared dtype (MEGH012 check A).
+        self._abi_creations: Dict[ast.Call, str] = {}
         contract = SHAPE_CONTRACTS.get(function.name)
         if contract is not None:
             self._seed_from_contract(contract)
@@ -207,7 +261,7 @@ class _FunctionShapes:
         if isinstance(expression, ast.Name):
             return self.env.get(expression.id)
         if isinstance(expression, ast.Attribute):
-            return SHAPE_FIELD_TYPES.get(expression.attr)
+            return FIELD_TYPES.get(expression.attr)
         if isinstance(expression, ast.Subscript):
             return self._shape_of_subscript(expression)
         if isinstance(expression, ast.Call):
@@ -217,6 +271,7 @@ class _FunctionShapes:
         ):
             left = self.shape_of(expression.left)
             right = self.shape_of(expression.right)
+            self._check_int_float_mix(expression, expression.op, left, right)
             return self._broadcast(
                 expression, [left, right], "elementwise operation"
             )
@@ -287,6 +342,10 @@ class _FunctionShapes:
                 continue
             indexer = self.shape_of(element)
             if indexer is None:
+                if base.rank == 1 and len(elements) == 1:
+                    # A scalar or an index array: the extent is unknown
+                    # but the element dtype is not (MEGH012 reads it).
+                    return ShapeInfo(("?",), base.dtype, True, True)
                 return None  # could be a scalar variable: unknown rank
             prefix_slice_only = False
             fancy_copy = True
@@ -315,12 +374,18 @@ class _FunctionShapes:
         )
         if method in SHAPE_CONTRACTS and isinstance(call.func, ast.Attribute):
             self._check_contract_call(call, SHAPE_CONTRACTS[method])
-        if method in SHAPE_METHOD_TYPES:
-            return SHAPE_METHOD_TYPES[method]
+        if method in METHOD_TYPES:
+            return METHOD_TYPES[method]
         tail = name.rsplit(".", 1)[-1] if name else method
         if tail is None:
             return None
         numpy_call = name is not None and _is_numpy_call(name)
+        if numpy_call and (
+            tail in _OWNING_FACTORIES
+            or tail in _LIKE_FACTORIES
+            or tail in {"arange", "ascontiguousarray", "asarray", "array"}
+        ):
+            self._check_creation_dtype(call, _dtype_keyword(call))
         if numpy_call and tail in _OWNING_FACTORIES:
             dtype = self._declared_dtype(call) or "float64"
             dims = self._dims_from_shape_argument(call)
@@ -349,11 +414,9 @@ class _FunctionShapes:
             return ShapeInfo(dims, dtype, True, True)
         if tail == "astype" and isinstance(call.func, ast.Attribute):
             base = self.shape_of(call.func.value)
-            dtype = (
-                _dtype_text(call.args[0])
-                if call.args
-                else self._declared_dtype(call)
-            )
+            written = call.args[0] if call.args else _dtype_keyword(call)
+            self._check_creation_dtype(call, written)
+            dtype = _dtype_text(written) if written is not None else None
             if dtype is None:
                 return None
             dims = base.dims if base is not None else ("?",)
@@ -490,10 +553,8 @@ class _FunctionShapes:
         return combined
 
     def _declared_dtype(self, call: ast.Call) -> Optional[str]:
-        for keyword in call.keywords:
-            if keyword.arg == "dtype":
-                return _dtype_text(keyword.value)
-        return None
+        written = _dtype_keyword(call)
+        return _dtype_text(written) if written is not None else None
 
     def _dim_of_size(self, size: ast.expr) -> str:
         if isinstance(size, ast.Attribute):
@@ -558,23 +619,20 @@ class _FunctionShapes:
                 continue
             merged.append(_merge_dim(da, db))
         merged.reverse()
-        if conflict is not None:
+        if _is_axis_mix(left, right):
+            self._report_axis_mix(node, context)
+        elif conflict is not None:
             da, db = conflict
-            skip = (
-                len(a) == len(b) == 1
-                and {da, db} == {"N", "M"}
-            )  # 1-d N-vs-M is MEGH012 check B's finding; don't double-report
-            if not skip:
-                self._report(
-                    node,
-                    "MEGH019",
-                    f"{context} between symbolic shapes "
-                    f"{render_dims(a)} and {render_dims(b)} cannot "
-                    f"broadcast: trailing-aligned dims {da} vs {db} "
-                    "conflict (raises at runtime, or silently 'works' "
-                    "when the extents coincide in a small test)",
-                    Severity.ERROR,
-                )
+            self._report(
+                node,
+                "MEGH019",
+                f"{context} between symbolic shapes "
+                f"{render_dims(a)} and {render_dims(b)} cannot "
+                f"broadcast: trailing-aligned dims {da} vs {db} "
+                "conflict (raises at runtime, or silently 'works' "
+                "when the extents coincide in a small test)",
+                Severity.ERROR,
+            )
         elif len(a) != len(b):
             shorter, longer = (a, b) if len(a) < len(b) else (b, a)
             if all(symbol != "?" for symbol in shorter):
@@ -591,6 +649,105 @@ class _FunctionShapes:
         dtype = _combine_dtypes(left.dtype, right.dtype)
         # A broadcast result materializes a fresh buffer.
         return ShapeInfo(tuple(merged), dtype, True, True)
+
+    # -- MEGH012: dtype/axis discipline ----------------------------------
+    def _report_axis_mix(self, node: ast.AST, context: str) -> None:
+        """Check B: a 1-d per-VM vector combined with a per-PM one."""
+        message = _AXIS_MIX_MESSAGES.get(context)
+        if message is None:  # an ``np.<ufunc>`` call
+            message = (
+                f"numpy.{context[3:]} mixes a per-VM (N) and a per-PM (M) "
+                "operand; align axes explicitly"
+            )
+        self._report(node, "MEGH012", message, Severity.ERROR)
+
+    def _check_creation_dtype(
+        self, call: ast.Call, written: Optional[ast.expr]
+    ) -> None:
+        """Check A: non-canonical dtype at hot-path array creation."""
+        spelled = _dtype_spelling(written) if written is not None else None
+        if spelled is None:
+            return
+        normalized = spelled.rsplit(".", 1)[-1]
+        if normalized not in _BAD_DTYPES:
+            return
+        if self._abi_creations.get(call) == normalized:
+            return  # the declared element type of a C ABI buffer
+        self._report(
+            call,
+            "MEGH012",
+            f"array created with non-canonical dtype {spelled!r} "
+            f"({_BAD_DTYPES[normalized]}) in a bit-identity-critical "
+            "module; use float64/int64/bool",
+            Severity.ERROR,
+        )
+
+    def _check_int_float_mix(
+        self,
+        node: ast.AST,
+        op: ast.operator,
+        left: Optional[ShapeInfo],
+        right: Optional[ShapeInfo],
+    ) -> None:
+        """Check C: int64 array arithmetic with a float64 array."""
+        if left is None or right is None or _is_axis_mix(left, right):
+            return
+        if not isinstance(op, _ARITHMETIC_OPS) or isinstance(
+            op, (ast.Div, ast.Pow)
+        ):
+            return
+        if {left.dtype, right.dtype} == {"int64", "float64"}:
+            self._report(
+                node,
+                "MEGH012",
+                "arithmetic mixes an int64 array with a float64 array; "
+                "the implicit upcast is a bit-identity hazard — convert "
+                "explicitly with .astype(np.float64)",
+                Severity.WARNING,
+            )
+
+    def _check_store(
+        self, node: ast.stmt, target: ast.expr, value: Optional[ShapeInfo]
+    ) -> None:
+        """Check D: a float64 value stored in place into an int64 array."""
+        if value is None or value.dtype != "float64":
+            return
+        if isinstance(target, ast.Subscript):
+            stored = self.shape_of(target.value)
+        elif isinstance(target, ast.Attribute) or (
+            isinstance(target, ast.Name) and isinstance(node, ast.AugAssign)
+        ):
+            stored = self.shape_of(target)
+        else:
+            return  # rebinding a name is fine; only += truncates
+        if stored is not None and stored.dtype == "int64":
+            self._report(
+                node,
+                "MEGH012",
+                "float64 value written in place into an int64 array "
+                "silently truncates; cast explicitly or keep the store "
+                "integral",
+                Severity.ERROR,
+            )
+
+    def _check_builtin_reduction(self, call: ast.Call) -> None:
+        """Check E: built-in ``sum``/``min``/``max`` over an ndarray."""
+        if not isinstance(call.func, ast.Name) or not call.args:
+            return
+        if call.func.id not in _PY_REDUCTIONS:
+            return
+        argument = call.args[0]
+        if isinstance(argument, (ast.GeneratorExp, ast.ListComp)):
+            return  # reductions over comprehensions are scalar by intent
+        if self.shape_of(argument) is not None:
+            self._report(
+                call,
+                "MEGH012",
+                f"built-in {call.func.id}() over an ndarray runs a Python "
+                "scalar loop and reassociates the reduction; use "
+                f"numpy.{call.func.id} / ndarray.{call.func.id}()",
+                Severity.WARNING,
+            )
 
     # -- MEGH023: out=/view aliasing -------------------------------------
     def _base_token(self, expression: ast.expr) -> Optional[str]:
@@ -720,7 +877,7 @@ class _FunctionShapes:
     ) -> None:
         if value is None or not isinstance(target, ast.Attribute):
             return
-        declared = SHAPE_FIELD_TYPES.get(target.attr)
+        declared = FIELD_TYPES.get(target.attr)
         if declared is None:
             return
         if value.dtype != declared.dtype and "?" not in (
@@ -737,7 +894,7 @@ class _FunctionShapes:
             )
 
     def _check_return(self, node: ast.Return) -> None:
-        declared = SHAPE_METHOD_TYPES.get(self.function.name)
+        declared = METHOD_TYPES.get(self.function.name)
         if declared is None or node.value is None:
             return
         value = self.shape_of(node.value)
@@ -776,11 +933,22 @@ class _FunctionShapes:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue  # nested defs get their own FunctionInfo
                 if isinstance(node, ast.Assign):
+                    if isinstance(node.value, ast.Call):
+                        for target in node.targets:
+                            if (
+                                isinstance(target, ast.Attribute)
+                                and target.attr in ABI_BUFFER_DTYPES
+                            ):
+                                self._abi_creations[node.value] = (
+                                    ABI_BUFFER_DTYPES[target.attr]
+                                )
                     value_shape = self.shape_of(node.value)
                     for target in node.targets:
                         if isinstance(target, ast.Name):
                             self._bind_name(target.id, node.value)
-                        elif isinstance(target, ast.Attribute):
+                            continue
+                        self._check_store(node, target, value_shape)
+                        if isinstance(target, ast.Attribute):
                             self._check_field_store(node, target, value_shape)
                         elif isinstance(target, ast.Tuple):
                             for element in target.elts:
@@ -790,21 +958,42 @@ class _FunctionShapes:
                 elif isinstance(node, ast.AnnAssign) and node.value is not None:
                     if isinstance(node.target, ast.Name):
                         self._bind_name(node.target.id, node.value)
-                    elif isinstance(node.target, ast.Attribute):
-                        self._check_field_store(
-                            node, node.target, self.shape_of(node.value)
-                        )
-                elif isinstance(node, ast.AugAssign):
+                        continue
+                    value_shape = self.shape_of(node.value)
+                    self._check_store(node, node.target, value_shape)
                     if isinstance(node.target, ast.Attribute):
-                        self._check_field_store(
-                            node, node.target, self.shape_of(node.value)
-                        )
-                    self.shape_of(node.value)
+                        self._check_field_store(node, node.target, value_shape)
+                elif isinstance(node, ast.AugAssign):
+                    value_shape = self.shape_of(node.value)
+                    if isinstance(node.target, ast.Attribute):
+                        self._check_field_store(node, node.target, value_shape)
+                    self._check_store(node, node.target, value_shape)
+                    target_shape = self.shape_of(node.target)
+                    if (
+                        target_shape is not None
+                        and value_shape is not None
+                        and isinstance(node.op, _ARITHMETIC_OPS)
+                        and _is_axis_mix(target_shape, value_shape)
+                    ):
+                        self._report_axis_mix(node, "elementwise operation")
+                    self._check_int_float_mix(
+                        node, node.op, target_shape, value_shape
+                    )
                 elif isinstance(node, ast.Return):
                     self._check_return(node)
-                elif isinstance(node, (ast.Call, ast.BinOp, ast.Compare)):
+                elif isinstance(node, ast.Call):
+                    self._check_builtin_reduction(node)
                     self.shape_of(node)  # triggers the embedded checks
+                elif isinstance(node, (ast.BinOp, ast.Compare)):
+                    self.shape_of(node)
         return self.findings
+
+
+def _dtype_keyword(call: ast.Call) -> Optional[ast.expr]:
+    for keyword in call.keywords:
+        if keyword.arg == "dtype":
+            return keyword.value
+    return None
 
 
 def _combine_dtypes(left: str, right: str) -> str:
@@ -827,7 +1016,7 @@ def check_shapes(
     """Run the interpreter-backed rules over the hot packages."""
     diagnostics: List[Diagnostic] = []
     for function in project.iter_functions():
-        if not _in_hot_package(function, prefixes):
+        if not in_hot_package(function, prefixes):
             continue
         diagnostics.extend(_FunctionShapes(function, enabled).run())
     return diagnostics

@@ -1,11 +1,12 @@
-"""Declared dimension vocabulary, shape tables, and ABI contracts.
+"""Declared dimension vocabulary, ndarray tables, and ABI contracts.
 
 meghshape's abstract values are symbolic shapes over the fleet's named
-dimensions.  Exactly like the MEGH011/MEGH012 tables in
-:mod:`repro.analysis.flow.invariants`, everything here is a
-*specification*: the analyzers check the code against these
-declarations, and the self-analysis test fails loudly when a refactor
-changes a buffer without updating its declaration in the same PR.
+dimensions.  Everything here is a *specification*: the analyzers check
+the code against these declarations, and the self-analysis test fails
+loudly when a refactor changes a buffer without updating its
+declaration in the same change.  Each field's dtype and dimensions are
+declared once, in :data:`FIELD_TYPES`; MEGH012 and MEGH019–023 all read
+the same entry.
 
 Dimension vocabulary
 --------------------
@@ -31,26 +32,39 @@ by MEGH013 like every other directive).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.flow.invariants import (
-    AXIS_SIZE_NAMES,
-    FIELD_TYPES,
-    METHOD_TYPES,
-)
+from repro.analysis.flow.project import FunctionInfo
 
 __all__ = [
     "DIMENSIONS",
     "DIM_SIZE_NAMES",
     "ShapeInfo",
-    "SHAPE_FIELD_TYPES",
-    "SHAPE_METHOD_TYPES",
+    "FIELD_TYPES",
+    "METHOD_TYPES",
     "ParamContract",
     "ShapeContract",
     "SHAPE_CONTRACTS",
     "ABI_BUFFER_DTYPES",
+    "HOT_PREFIXES",
+    "in_hot_package",
     "render_dims",
 ]
+
+#: Packages whose arithmetic is bit-identity-critical: the interpreter
+#: (MEGH012, MEGH019–023) and the ABI certification (MEGH021) analyze
+#: only functions defined under these prefixes.
+HOT_PREFIXES = ("repro.core", "repro.cloudsim")
+
+
+def in_hot_package(function: FunctionInfo, prefixes: Sequence[str]) -> bool:
+    """Whether ``function`` is defined in one of the hot packages."""
+    module = function.module.name
+    return any(
+        module == prefix or module.startswith(prefix + ".")
+        for prefix in prefixes
+    )
+
 
 #: Dimension symbol -> meaning (documentation + ``--list-rules`` docs).
 DIMENSIONS: Dict[str, str] = {
@@ -67,11 +81,12 @@ DIMENSIONS: Dict[str, str] = {
 }
 
 #: Size-expression names that reveal a freshly allocated array's
-#: dimension (extends meghflow's ``AXIS_SIZE_NAMES``):
-#: ``np.empty(window, ...)`` is a W-vector, ``np.zeros(dimension, ...)``
-#: a d-vector, ``np.empty(num_rows, ...)`` a K-vector.
+#: dimension: ``np.zeros(arrays.num_pms)`` is an M-vector,
+#: ``np.empty(window, ...)`` a W-vector, ``np.zeros(dimension, ...)`` a
+#: d-vector, ``np.empty(num_rows, ...)`` a K-vector.
 DIM_SIZE_NAMES: Dict[str, str] = {
-    **AXIS_SIZE_NAMES,
+    "num_vms": "N",
+    "num_pms": "M",
     "num_rows": "K",
     "window": "W",
     "dimension": "d",
@@ -110,47 +125,72 @@ def _vector(dtype: str, axis: str) -> ShapeInfo:
     return ShapeInfo((axis,), dtype)
 
 
-#: Attribute name -> declared abstract value.  Seeded from meghflow's
-#: 1-d ``FIELD_TYPES`` (every DatacenterArrays vector and CandidateIndex
-#: budget is an owned, C-contiguous ``np.zeros`` allocation) and
-#: extended with the 2-d candidate scratch and the deferred-kernel
-#: staging state; each 1-d array type is declared once, there.
-SHAPE_FIELD_TYPES: Dict[str, ShapeInfo] = {
-    name: _vector(array_type.dtype, array_type.axis)
-    for name, array_type in FIELD_TYPES.items()
+#: Attribute name -> declared abstract value.  Every DatacenterArrays
+#: vector and CandidateIndex budget is an owned, C-contiguous
+#: ``np.zeros`` allocation.
+FIELD_TYPES: Dict[str, ShapeInfo] = {
+    # DatacenterArrays per-VM state (axis N).
+    "vm_mips": _vector("float64", "N"),
+    "vm_ram_mb": _vector("float64", "N"),
+    "vm_bandwidth_mbps": _vector("float64", "N"),
+    "vm_demand": _vector("float64", "N"),
+    "vm_delivered": _vector("float64", "N"),
+    "vm_bw_demand": _vector("float64", "N"),
+    "vm_active": _vector("bool", "N"),
+    "host_of": _vector("int64", "N"),
+    # DatacenterArrays per-PM state (axis M).
+    "pm_mips": _vector("float64", "M"),
+    "pm_ram_mb": _vector("float64", "M"),
+    "pm_bandwidth_mbps": _vector("float64", "M"),
+    "pm_asleep": _vector("bool", "M"),
+    "pm_vm_count": _vector("int64", "M"),
+    "_pm_ram_used": _vector("float64", "M"),
+    "_pm_demand_mips": _vector("float64", "M"),
+    "_pm_bw_mbps": _vector("float64", "M"),
+    "_pm_delivered_mips": _vector("float64", "M"),
+    "_pm_ram_free": _vector("float64", "M"),
+    # CandidateIndex static per-PM budget vectors (repro/core/candidates.py).
+    "_mips_budget": _vector("float64", "M"),
+    "_mips_budget_full": _vector("float64", "M"),
+    "_bw_budget": _vector("float64", "M"),
+    "_bw_budget_full": _vector("float64", "M"),
+    # CandidateIndex K x M broadcast scratch (reused across steps).
+    "_feas": ShapeInfo(("K", "M"), "bool"),
+    "_aux": ShapeInfo(("K", "M"), "bool"),
+    "_tmp": ShapeInfo(("K", "M"), "float64"),
+    # PendingUpdates staged-window state (repro/core/kern.py).
+    "_pivots": _vector("int64", "W"),
+    "_scales": _vector("float64", "W"),
+    "_upd_offsets": _vector("int64", "W"),
+    "_cols_flat": _vector("int64", "S"),
+    "_vals_flat": _vector("float64", "S"),
+    "_pend_rows": _vector("int64", "R"),
+    # Reusable one/two-row flush marshaling buffers.
+    "_one_row": _vector("int64", "1"),
+    "_one_start": _vector("int64", "1"),
+    "_two_rows": _vector("int64", "2"),
+    "_two_starts": _vector("int64", "2"),
+    # SparseMatrix implicit-diagonal store.
+    "_diag": _vector("float64", "d"),
 }
-SHAPE_FIELD_TYPES.update(
-    {
-        # CandidateIndex K x M broadcast scratch (reused across steps).
-        "_feas": ShapeInfo(("K", "M"), "bool"),
-        "_aux": ShapeInfo(("K", "M"), "bool"),
-        "_tmp": ShapeInfo(("K", "M"), "float64"),
-        # PendingUpdates staged-window state (repro/core/kern.py).
-        "_pivots": _vector("int64", "W"),
-        "_scales": _vector("float64", "W"),
-        "_upd_offsets": _vector("int64", "W"),
-        "_cols_flat": _vector("int64", "S"),
-        "_vals_flat": _vector("float64", "S"),
-        "_pend_rows": _vector("int64", "R"),
-        # Reusable one/two-row flush marshaling buffers.
-        "_one_row": _vector("int64", "1"),
-        "_one_start": _vector("int64", "1"),
-        "_two_rows": _vector("int64", "2"),
-        "_two_starts": _vector("int64", "2"),
-        # SparseMatrix implicit-diagonal store.
-        "_diag": _vector("float64", "d"),
-    }
-)
 
-#: Method name -> declared return value (mirrors ``METHOD_TYPES``; all
-#: of the DatacenterArrays queries return owned 1-d aggregates).  The
-#: shape table sharpens axes MEGH012's coarser N/M vocabulary cannot
-#: express: ``theta()`` is a d-vector, not merely "some array".
-SHAPE_METHOD_TYPES: Dict[str, ShapeInfo] = {
-    name: _vector(array_type.dtype, array_type.axis)
-    for name, array_type in METHOD_TYPES.items()
+#: Method name -> declared return value (all of the DatacenterArrays
+#: queries return owned 1-d aggregates).
+METHOD_TYPES: Dict[str, ShapeInfo] = {
+    "pm_ram_used_mb": _vector("float64", "M"),
+    "pm_ram_free_mb": _vector("float64", "M"),
+    "pm_demand_mips": _vector("float64", "M"),
+    "pm_bw_demand_mbps": _vector("float64", "M"),
+    "pm_delivered_mips": _vector("float64", "M"),
+    "pm_demand_utilization": _vector("float64", "M"),
+    "pm_delivered_utilization": _vector("float64", "M"),
+    "pm_bw_demand_utilization": _vector("float64", "M"),
+    "active_pm_mask": _vector("bool", "M"),
+    "overloaded_pm_mask": _vector("bool", "M"),
+    "_sum_by_host": _vector("float64", "M"),
+    "column_support": _vector("int64", "?"),
+    "theta": _vector("float64", "d"),
 }
-SHAPE_METHOD_TYPES["theta"] = _vector("float64", "d")
 
 
 @dataclass(frozen=True)
@@ -260,7 +300,9 @@ SHAPE_CONTRACTS: Dict[str, ShapeContract] = {
 #: provably owning, C-contiguous constructor (``np.empty/zeros/ones``
 #: with this exact dtype) and records those sites as the certification
 #: witness.  ``uint8`` entries are the C ``uint8_t*`` flag bytes
-#: (``touched`` / ``cand``), declared here rather than silently allowed.
+#: (``touched`` / ``cand``), declared here rather than silently allowed:
+#: MEGH012 accepts a creation assigned straight to one of these
+#: attributes when its dtype is exactly the declared one.
 ABI_BUFFER_DTYPES: Mapping[str, str] = {
     # CKernel argument block and persistent scratch/output buffers.
     "_args": "int64",

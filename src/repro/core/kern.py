@@ -667,7 +667,7 @@ class CKernel:
         # Batch-call candidate mask scratch (sized by the staged window).
         self._piv_sorted = np.empty(256, dtype=np.int64)
         self._piv_order = np.empty(256, dtype=np.int64)
-        self._cand = np.empty(256, dtype=np.uint8)  # meghlint: ignore[MEGH012] -- C ABI flag byte (uint8_t*), not numeric payload; values are 0/1 only
+        self._cand = np.empty(256, dtype=np.uint8)
         self._mask_sz = 256
         self._rows_cap = 8
         self._row_idx_ptrs = np.empty(self._rows_cap, dtype=np.int64)
@@ -678,7 +678,7 @@ class CKernel:
         self._out_offsets = np.empty(self._rows_cap + 1, dtype=np.int64)
         self._add_offsets = np.empty(self._rows_cap + 1, dtype=np.int64)
         self._rem_offsets = np.empty(self._rows_cap + 1, dtype=np.int64)
-        self._touched = np.zeros(self._rows_cap, dtype=np.uint8)  # meghlint: ignore[MEGH012] -- C ABI flag byte (uint8_t*), not numeric payload; values are 0/1 only
+        self._touched = np.zeros(self._rows_cap, dtype=np.uint8)
         self._stats = np.zeros(2, dtype=np.int64)
         args = self._args
         args[self._SLOT_OUT_IDX] = self._out_idx.ctypes.data
@@ -804,7 +804,7 @@ class CKernel:
         self._out_offsets = np.empty(cap + 1, dtype=np.int64)
         self._add_offsets = np.empty(cap + 1, dtype=np.int64)
         self._rem_offsets = np.empty(cap + 1, dtype=np.int64)
-        self._touched = np.zeros(cap, dtype=np.uint8)  # meghlint: ignore[MEGH012] -- C ABI flag byte (uint8_t*), not numeric payload; values are 0/1 only
+        self._touched = np.zeros(cap, dtype=np.uint8)
         args = self._args
         args[self._SLOT_ROW_IDX_PTRS] = self._row_idx_ptrs.ctypes.data
         args[self._SLOT_ROW_VAL_PTRS] = self._row_val_ptrs.ctypes.data
@@ -942,7 +942,7 @@ class CKernel:
                 self._mask_sz = size
                 self._piv_sorted = np.empty(size, dtype=np.int64)
                 self._piv_order = np.empty(size, dtype=np.int64)
-                self._cand = np.empty(size, dtype=np.uint8)  # meghlint: ignore[MEGH012] -- C ABI flag byte (uint8_t*), not numeric payload; values are 0/1 only
+                self._cand = np.empty(size, dtype=np.uint8)
                 args[self._SLOT_PIV_SORTED] = self._piv_sorted.ctypes.data
                 args[self._SLOT_PIV_ORDER] = self._piv_order.ctypes.data
                 args[self._SLOT_CAND] = self._cand.ctypes.data

@@ -166,11 +166,10 @@ def execute_spec(spec: JobSpec):
     engine's ``jobs=1`` / ``jobs=N`` equivalence rests on it.
     """
     builder = resolve_builder(spec.builder)
-    # The annotation is load-bearing beyond type checking: registry
-    # dispatch is dynamic, so it is what lets MEGH010 resolve
-    # ``simulation.run`` to ``Simulation.run`` and follow an RNG handed
-    # to it into the simulator.  Worker determinism itself is checked
-    # at runtime: TestParallelExecution in tests/engine/test_pool.py.
+    # Registry dispatch is dynamic; the annotation keeps the built
+    # simulation's type visible to readers and mypy.  Worker
+    # determinism is checked at runtime: TestParallelExecution in
+    # tests/engine/test_pool.py.
     simulation: Simulation = builder(seed=spec.seed, **spec.builder_kwargs())
     constructor = resolve_scheduler(spec.scheduler)
     scheduler = constructor(simulation, **spec.scheduler_kwargs())

@@ -260,7 +260,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``repro bench``; returns a process exit code."""
     args = build_parser().parse_args(list(argv) if argv is not None else [])
     if not args.check:
-        print("repro bench: error: nothing to do (did you mean --check?)")
+        print("repro bench: error: nothing to do (did you mean --check?)", file=sys.stderr)
         return 2
     try:
         committed = {
@@ -312,7 +312,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 "service": _load_json(fresh_service),
             }
     except (OSError, ValueError, subprocess.CalledProcessError) as error:
-        print(f"repro bench: error: {error}")
+        print(f"repro bench: error: {error}", file=sys.stderr)
         return 2
     findings, hard_failures = check_benchmarks(
         fresh, committed, band=args.band

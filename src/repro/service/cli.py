@@ -16,6 +16,7 @@ with results byte-identical to the uninterrupted run.
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import List, Optional, Sequence
 
 from repro.cloudsim.events import EventLog
@@ -149,7 +150,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             stop_after_step=args.stop_after_step,
         )
     except ReproError as error:
-        print(f"repro serve: error: {error}")
+        print(f"repro serve: error: {error}", file=sys.stderr)
         return 2
     if event_log is not None:
         event_log.save_jsonl(args.events)

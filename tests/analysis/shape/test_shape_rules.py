@@ -10,7 +10,7 @@ prove the sanctioned repair idioms stay silent.
 
 The second half pins the architecture: meghshape runs over the *same*
 project model instance as meghflow (parse-once extends to
-resolve-once), the MEGH021 certification over the real repository is
+build-once), the MEGH021 certification over the real repository is
 non-vacuous (every buffer entering the C argument block carries a
 witnessed construction chain), and the content-hash cache replays
 shape findings exactly (cold == warm).
@@ -28,7 +28,7 @@ from repro.analysis.cache import (
     _toolchain_sources,
 )
 from repro.analysis.engine import iter_python_files, parse_module
-from repro.analysis.flow import build_project
+from repro.analysis.flow import FLOW_RULES, build_project
 from repro.analysis.shape import (
     ABI_BUFFER_DTYPES,
     SHAPE_RULES,
@@ -166,6 +166,7 @@ class TestInPlaceAliasing:
 class TestRegistryAndEngineIntegration:
     def test_shape_rules_are_registered_with_the_engine(self):
         assert set(SHAPE_RULES) == {
+            "MEGH012",
             "MEGH019",
             "MEGH020",
             "MEGH021",
@@ -174,18 +175,25 @@ class TestRegistryAndEngineIntegration:
         }
         assert SHAPE_RULES.keys() <= engine_module._ENGINE_RULE_IDS
 
-    def test_no_shape_config_disables_the_pass(self):
-        config = LintConfig(shape=False)
+    def test_no_shape_config_disables_the_pass(self, monkeypatch):
+        """Ignoring the shape rules drops their findings; ignoring every
+        whole-program rule also skips building the project model."""
+        config = LintConfig(ignore=sorted(SHAPE_RULES))
         result = lint_paths([FIXTURES / "shape_dtype_positive"], config)
         assert not any(
             d.rule_id in SHAPE_RULES for d in result.diagnostics
         )
+        builds = []
+        monkeypatch.setattr(engine_module, "build_project", builds.append)
+        config = LintConfig(ignore=sorted(SHAPE_RULES) + sorted(FLOW_RULES))
+        lint_paths([FIXTURES / "shape_dtype_positive"], config)
+        assert builds == []
 
     def test_select_shape_rule_validates(self):
         LintConfig(select=["MEGH021"]).validate()
 
     def test_passes_share_a_project(self, monkeypatch):
-        """Resolve-once covers both whole-program passes: one project
+        """Build-once covers both whole-program passes: one project
         model built, handed to flow and shape alike."""
         builds = []
         seen = {}

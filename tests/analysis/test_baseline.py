@@ -302,9 +302,9 @@ class TestCli:
     def test_analyzer_crash_exits_two(self, tmp_path, monkeypatch, capsys):
         import repro.analysis.cli as cli_module
 
-        def explode(paths, config):
+        def explode(paths, config, cache=None):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli_module, "lint_paths", explode)
         assert lint_cli([str(tmp_path)]) == 2
-        assert "internal error" in capsys.readouterr().out
+        assert "internal error: RuntimeError: boom" in capsys.readouterr().err

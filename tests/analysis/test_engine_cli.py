@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.analysis import (
     lint_paths,
     lint_source,
@@ -106,8 +110,9 @@ class TestReporters:
         # Every rule the engine knows — per-file, flow, shape, and the
         # MEGH013 meta-rule — is described in the driver metadata.
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        for rule_id in ("MEGH002", "MEGH010", "MEGH021", "MEGH013"):
+        for rule_id in ("MEGH002", "MEGH011", "MEGH012", "MEGH021", "MEGH013"):
             assert rule_id in rule_ids
+        assert "MEGH010" not in rule_ids
         results = run["results"]
         assert {r["ruleId"] for r in results} == {"MEGH002", "MEGH003"}
         location = results[0]["locations"][0]["physicalLocation"]
@@ -145,7 +150,13 @@ class TestLintCli:
 
     def test_unknown_rule_id_is_usage_error(self, tmp_path, capsys):
         assert lint_cli(["--select", "MEGH999", str(tmp_path)]) == 2
-        assert "MEGH999" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "MEGH999" in captured.err
+        assert captured.out == ""
+
+    def test_removed_rule_id_is_usage_error(self, tmp_path, capsys):
+        assert lint_cli(["--ignore", "MEGH010", str(tmp_path)]) == 2
+        assert "MEGH010" in capsys.readouterr().err
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         assert lint_cli([str(tmp_path / "ghost")]) == 2
@@ -170,6 +181,10 @@ class TestLintCli:
         for rule_id in ("MEGH001", "MEGH006"):
             assert rule_id in out
         assert "MEGH021" in out and "(shape)" in out
+        assert "MEGH011" in out and "(flow)" in out
+        lines = {line.split(" ", 1)[0]: line for line in out.splitlines()}
+        assert lines["MEGH012"].endswith("(shape)")
+        assert "MEGH010" not in lines
 
 
 class TestReproCliIntegration:
@@ -181,3 +196,59 @@ class TestReproCliIntegration:
     def test_lint_listed_in_experiment_list(self, capsys):
         assert repro_main(["list"]) == 0
         assert "lint" in capsys.readouterr().out
+
+
+class TestMalformedInputs:
+    """A bad baseline or cache directory is a usage error: exit 2 and
+    one ``repro lint: error:`` line on stderr, never a traceback, an
+    exit 1 (read by CI as "new findings") or an "internal error"."""
+
+    def _lint(self, tmp_path, *flags):
+        (tmp_path / "good.py").write_text(CLEAN)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        return subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "lint",
+                "--format", "sarif", str(tmp_path / "good.py"), *flags,
+            ],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    def _assert_usage_error(self, completed, *fragments):
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        lines = completed.stderr.strip().splitlines()
+        assert len(lines) == 1, completed.stderr
+        assert lines[0].startswith("repro lint: error:")
+        for fragment in fragments:
+            assert fragment in lines[0]
+
+    def test_non_list_baseline_entries(self, tmp_path):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"entries": 5}))
+        completed = self._lint(tmp_path, "--baseline", str(baseline))
+        self._assert_usage_error(completed, "'entries' list")
+
+    def test_non_integer_baseline_count(self, tmp_path):
+        baseline = tmp_path / "baseline.json"
+        entry = {
+            "path": "good.py",
+            "rule": "MEGH002",
+            "message": "m",
+            "count": "three",
+            "reason": "a reason long enough to be accepted",
+        }
+        baseline.write_text(json.dumps({"entries": [entry]}))
+        completed = self._lint(tmp_path, "--baseline", str(baseline))
+        self._assert_usage_error(
+            completed, str(baseline), "entry 0", "'three'"
+        )
+
+    def test_cache_dir_that_is_a_regular_file(self, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("a regular file\n")
+        completed = self._lint(tmp_path, "--cache-dir", str(blocker))
+        self._assert_usage_error(completed, str(blocker))

@@ -65,6 +65,21 @@ class TestMegh001UnseededRandomness:
         source = "from random import shuffle\n"
         assert len(findings(source, "MEGH001")) == 1
 
+    def test_resolves_import_aliases_for_global_rng_calls(self):
+        source = (
+            "import random as rnd\n"
+            "import numpy.random as npr\n"
+            "from numpy.random import rand\n"
+            "from random import shuffle\n"
+            "rnd.shuffle([1])\n"
+            "npr.rand(2)\n"
+            "rand(2)\n"
+            "shuffle([1])\n"
+        )
+        hits = findings(source, "MEGH001")
+        # The bare ``shuffle`` call is reported once, at its import.
+        assert sorted(hit.line for hit in hits) == [4, 5, 6, 7]
+
     def test_allows_seeded_generator(self):
         source = (
             "import numpy as np\n"

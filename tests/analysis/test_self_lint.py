@@ -14,26 +14,38 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import apply_baseline, lint_paths, load_baseline
+import pytest
+
+from repro.analysis import (
+    LintResult,
+    apply_baseline,
+    lint_paths,
+    load_baseline,
+)
 from repro.analysis.reporting import render_text
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BASELINE = REPO_ROOT / "analysis" / "baseline.json"
 
 
-def test_source_tree_is_lint_clean():
+@pytest.fixture(scope="module")
+def tree_result() -> LintResult:
+    """One full lint of ``src benchmarks`` with the baseline applied,
+    shared by every test here (the lint is the slow part)."""
     result = lint_paths([REPO_ROOT / "src", REPO_ROOT / "benchmarks"])
-    assert result.files_checked > 50
-    baseline = load_baseline(BASELINE)
-    apply_baseline(result, baseline, root=REPO_ROOT)
-    assert result.clean, "\n" + render_text(result)
+    apply_baseline(result, load_baseline(BASELINE), root=REPO_ROOT)
+    return result
 
 
-def test_committed_baseline_is_exact():
+def test_source_tree_is_lint_clean(tree_result):
+    assert tree_result.files_checked > 50
+    assert tree_result.clean, "\n" + render_text(tree_result)
+
+
+def test_committed_baseline_is_exact(tree_result):
     """The baseline neither over- nor under-counts current findings."""
-    result = lint_paths([REPO_ROOT / "src", REPO_ROOT / "benchmarks"])
+    result = tree_result
     baseline = load_baseline(BASELINE)
-    apply_baseline(result, baseline, root=REPO_ROOT)
     expected = sum(entry.count for entry in baseline.entries)
     assert result.baselined == expected, (
         f"baseline declares {expected} finding(s) but {result.baselined} "
@@ -56,11 +68,10 @@ def test_committed_baseline_reasons_are_written():
         )
 
 
-def test_no_unused_suppressions_in_tree():
+def test_no_unused_suppressions_in_tree(tree_result):
     """Every ``# meghlint: ignore`` in the tree actually fires."""
-    result = lint_paths([REPO_ROOT / "src", REPO_ROOT / "benchmarks"])
-    assert not result.unused_suppressions, "\n" + "\n".join(
-        diagnostic.format() for diagnostic in result.unused_suppressions
+    assert not tree_result.unused_suppressions, "\n" + "\n".join(
+        diagnostic.format() for diagnostic in tree_result.unused_suppressions
     )
 
 

@@ -168,13 +168,15 @@ class TestCli:
 
     def test_no_check_is_a_usage_error(self, capsys):
         assert run([]) == 2
-        assert "--check" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "--check" in captured.err
+        assert captured.out == ""
 
     def test_missing_committed_record_exits_two(self, tmp_path, capsys):
         paths = _write_documents(tmp_path)
         paths["committed_core"] = str(tmp_path / "absent.json")
         assert run(_argv(paths)) == 2
-        assert "repro bench: error" in capsys.readouterr().out
+        assert "repro bench: error" in capsys.readouterr().err
 
     def test_repro_cli_dispatches_bench(self, tmp_path, capsys):
         paths = _write_documents(tmp_path)

@@ -228,4 +228,6 @@ class TestMalformedTrace:
         path = tmp_path / "bad.jsonl"
         path.write_text(_BAD_TRACE_LINES["mips-nan"] + "\n", encoding="utf-8")
         assert serve(["--steps", "6", "--trace", str(path)]) == 2
-        assert "mips" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "mips" in captured.err
+        assert captured.out == ""
