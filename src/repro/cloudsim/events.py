@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 
@@ -89,6 +89,15 @@ class EventLog:
     def __len__(self) -> int:
         return len(self._events)
 
+    def state(self) -> List[str]:
+        """The log as JSON lines; :meth:`restore` inverts it."""
+        return [event.to_json() for event in self._events]
+
+    def restore(self, lines: Iterable[str]) -> None:
+        """Append the events of :meth:`state` lines, in order."""
+        for line in lines:
+            self._events.append(Event.from_json(line))
+
     def __iter__(self) -> Iterator[Event]:
         return iter(self._events)
 
@@ -132,8 +141,5 @@ class EventLog:
         """Load a log written by :meth:`save_jsonl`."""
         log = cls()
         with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    log._events.append(Event.from_json(line))
+            log.restore(line for line in map(str.strip, handle) if line)
         return log

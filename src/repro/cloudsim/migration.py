@@ -11,7 +11,7 @@ reports per-VM migration downtime to the SLA accountant using the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set
+from typing import Any, Dict, Iterable, List, Set
 
 from repro.cloudsim.datacenter import Datacenter
 from repro.errors import CapacityError, MigrationError
@@ -114,32 +114,47 @@ class MigrationEngine:
         """
         return self._in_flight.pop(vm_id, None) is not None
 
-    def restore_flight(
-        self,
-        vm_id: int,
-        source_pm_id: int,
-        dest_pm_id: int,
-        remaining_seconds: float,
-        total_seconds: float,
-        final_downtime_seconds: float = 0.0,
-    ) -> None:
-        """Re-register an in-flight transfer from a checkpoint.
+    def state(self) -> Dict[str, Any]:
+        """Restart state: in-flight transfers (insertion order) and
+        lifetime counters.  :meth:`restore` inverts it."""
+        return {
+            "in_flight": [
+                [
+                    flight.vm_id,
+                    flight.source_pm_id,
+                    flight.dest_pm_id,
+                    flight.remaining_seconds,
+                    flight.total_seconds,
+                    flight.final_downtime_seconds,
+                ]
+                for flight in self._in_flight.values()
+            ],
+            "total_migrations": self.total_migrations,
+            "total_gb_hops": self.total_gb_hops,
+        }
 
-        Callers must restore flights in their original insertion order:
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Load :meth:`state` into this engine.
+
+        Flights are re-registered in their stored insertion order:
         :meth:`advance` iterates the in-flight dict, and the resulting
         downtime-report order feeds the SLA accountant's first-seen
         record order, which serialized results depend on.
         """
-        if vm_id in self._in_flight:
-            raise MigrationError(f"VM {vm_id} is already in flight")
-        self._in_flight[vm_id] = _InFlight(
-            vm_id=vm_id,
-            source_pm_id=source_pm_id,
-            dest_pm_id=dest_pm_id,
-            remaining_seconds=remaining_seconds,
-            total_seconds=total_seconds,
-            final_downtime_seconds=final_downtime_seconds,
-        )
+        for flight in state["in_flight"]:
+            vm_id = int(flight[0])
+            if vm_id in self._in_flight:
+                raise MigrationError(f"VM {vm_id} is already in flight")
+            self._in_flight[vm_id] = _InFlight(
+                vm_id=vm_id,
+                source_pm_id=int(flight[1]),
+                dest_pm_id=int(flight[2]),
+                remaining_seconds=float(flight[3]),
+                total_seconds=float(flight[4]),
+                final_downtime_seconds=float(flight[5]),
+            )
+        self.total_migrations = int(state["total_migrations"])
+        self.total_gb_hops = float(state["total_gb_hops"])
 
     def start(self, migrations: Iterable[Migration]) -> MigrationOutcome:
         """Begin a batch of migrations, skipping infeasible ones.

@@ -215,11 +215,10 @@ class MeghScheduler:
             )
         num_pms = self.action_space.num_pms
         indices = range(vm_slot * num_pms, (vm_slot + 1) * num_pms)
-        retired = set(indices)
         self._previous_action_indices = [
             index
             for index in self._previous_action_indices
-            if index not in retired
+            if index not in indices
         ]
         self.lstd.retire_actions(indices)
         if self.auditor is not None:

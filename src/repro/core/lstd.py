@@ -88,6 +88,15 @@ class RewardVector(MutableMapping):
         self._data[key] = value  # meghlint: ignore[MEGH011] -- internal accumulate: caller invalidated the dependent rows before batching
         self._dense[key] = value  # meghlint: ignore[MEGH011] -- internal accumulate: caller invalidated the dependent rows before batching
 
+    def _discard(self, key: int) -> None:
+        """Internal ``z.pop(key, None)`` (cache already invalidated)."""
+        if self._data.pop(key, None) is not None:  # meghlint: ignore[MEGH011] -- internal discard: retirement invalidates the dependent rows itself
+            self._dense[key] = 0.0  # meghlint: ignore[MEGH011] -- internal discard: retirement invalidates the dependent rows itself
+
+    def keys_in(self, indices: Set[int]) -> Set[int]:
+        """The members of ``indices`` that hold an entry."""
+        return self._data.keys() & indices
+
     def __getitem__(self, key: int) -> float:
         return self._data[key]
 
@@ -148,7 +157,12 @@ class SparseLstd:
         self._t_rows: Optional[Dict[int, Dict[int, float]]] = None
         #: Column index over the tracker: column -> set of tracked rows.
         self._t_cols: Dict[int, Set[int]] = {}
+        #: :meth:`retire_actions` calls that retired at least one index
+        #: (one per departed slot in service mode).
         self.retirements_applied = 0
+        #: Rank-1 row or column clears inside :meth:`retire_actions`
+        #: skipped because their denominator fell below
+        #: :data:`DENOMINATOR_FLOOR` — a count of corrections, not calls.
         self.retirements_skipped = 0
 
     # ------------------------------------------------------------------
@@ -417,36 +431,60 @@ class SparseLstd:
         underflows (counted in :attr:`retirements_skipped` — the
         contracts auditor would surface any resulting drift).
 
-        ``z`` entries for ``S`` are deleted and the theta cache is fully
-        invalidated.  Returns the number of indices retired.
+        Only *learned* indices are visited.  An index is pristine when
+        it has no tracked operator row or column, no ``z`` entry, and
+        its ``B`` row and column are exactly ``(1/delta) e_i``; no clear
+        of another index can reach a pristine row or column (the left
+        factors are columns of ``B`` at tracked rows, the right factors
+        rows of ``B`` at tracked columns), so the three steps are
+        no-ops on it and skipping it is exact.  A slot's block is
+        mostly pristine, which keeps retirement proportional to what
+        the slot learned rather than to its width.
+
+        ``z`` entries for ``S`` are deleted, and exactly the theta-cache
+        rows whose ``B`` row or ``B``-row-dot-``z`` changed are
+        invalidated: the left-factor supports of the applied clears, the
+        rows holding a retired column before the snap, and the learned
+        retired indices.  Returns the number of indices retired.
         """
         if self._t_rows is None:
             raise ConfigurationError(
                 "retire_actions requires operator tracking; call "
                 "enable_operator_tracking() before the first update"
             )
-        retired = sorted({int(i) for i in indices})
-        for i in retired:
-            self._check_action(i)
-        if not retired:
+        requested = {int(i) for i in indices}
+        if not requested:
             return 0
+        if min(requested) < 0 or max(requested) >= self.dimension:
+            for i in sorted(requested):
+                self._check_action(i)
         self._sync_with_b()
         # Retirement's generic rank-1 corrections read whole columns and
         # scatter through dict left factors; settle every staged update
         # first so the slot's rows are exact before they are undone.
-        self._B.flush_pending()
+        B = self._B
+        B.flush_pending()
+        t_rows, t_cols = self._t_rows, self._t_cols
+        inverse_delta = 1.0 / self.delta
+        learned = sorted(
+            (t_rows.keys() & requested)
+            | (t_cols.keys() & requested)
+            | self._z.keys_in(requested)
+            | B.non_diagonal_indices(requested, inverse_delta)
+        )
+        dirty: Set[int] = set(learned)
 
         # (1) row clears.
-        for i in retired:
-            trow = self._t_rows.get(i)
+        for i in learned:
+            trow = t_rows.get(i)
             if trow:
-                bu = self._B.column(i)
+                bu = B.column(i)
                 denominator = 1.0
                 vtb: Dict[int, float] = {}
                 for j in sorted(trow):
                     weight = trow[j]
-                    denominator -= weight * self._B.get(j, i)
-                    row_idx, row_val = self._B.row_view(j)
+                    denominator -= weight * B.get(j, i)
+                    row_idx, row_val = B.row_view(j)
                     for column, value in zip(
                         row_idx.tolist(), row_val.tolist()
                     ):
@@ -454,58 +492,64 @@ class SparseLstd:
                 if abs(denominator) < DENOMINATOR_FLOOR:
                     self.retirements_skipped += 1
                 else:
-                    self._B.rank_one_update(bu, vtb, scale=1.0 / denominator)
+                    B.rank_one_update(bu, vtb, scale=1.0 / denominator)
+                    dirty.update(bu)
             if trow is not None:
                 for j in list(trow):
-                    rows_of = self._t_cols.get(j)
+                    rows_of = t_cols.get(j)
                     if rows_of is not None:
                         rows_of.discard(i)
                         if not rows_of:
-                            del self._t_cols[j]
-                del self._t_rows[i]
+                            del t_cols[j]
+                del t_rows[i]
 
         # (2) column clears.  Row clears removed every tracked row in S,
         # so the remaining entries of a retired column all live in rows
         # that survive — exactly the coupling left to undo.
-        for j in retired:
-            rows_of = self._t_cols.get(j)
+        for j in learned:
+            rows_of = t_cols.get(j)
             if not rows_of:
-                self._t_cols.pop(j, None)
+                t_cols.pop(j, None)
                 continue
-            entries = [(r, self._t_rows[r][j]) for r in sorted(rows_of)]
+            entries = [(r, t_rows[r][j]) for r in sorted(rows_of)]
             bw: Dict[int, float] = {}
             denominator = 1.0
             for r, weight in entries:
-                denominator -= weight * self._B.get(j, r)
-                for row_index, value in self._B.column(r).items():
+                denominator -= weight * B.get(j, r)
+                for row_index, value in B.column(r).items():
                     bw[row_index] = bw.get(row_index, 0.0) + weight * value
-            row_j = self._B.row(j)
+            row_j = B.row(j)
             if abs(denominator) < DENOMINATOR_FLOOR:
                 self.retirements_skipped += 1
             else:
-                self._B.rank_one_update(bw, row_j, scale=1.0 / denominator)
+                B.rank_one_update(bw, row_j, scale=1.0 / denominator)
+                dirty.update(bw)
             for r, _ in entries:
-                remaining = self._t_rows[r]
+                remaining = t_rows[r]
                 del remaining[j]
                 if not remaining:
-                    del self._t_rows[r]
-            del self._t_cols[j]
+                    del t_rows[r]
+            del t_cols[j]
 
-        # (3) snap the S block of B to (1/delta) I.
-        inverse_delta = 1.0 / self.delta
-        for i in retired:
-            for j in list(self._B.row(i)):
-                self._B.set(i, j, 0.0)
-            for r in self._B.rows_with_column(i):
-                self._B.set(r, i, 0.0)
-            self._B.set(i, i, inverse_delta)
+        # (3) snap the learned part of the S block of B to (1/delta) I.
+        for i in learned:
+            for j in list(B.row(i)):
+                B.set(i, j, 0.0)
+            holders = B.rows_with_column(i)
+            dirty.update(holders)
+            for r in holders:
+                B.set(r, i, 0.0)
+            B.set(i, i, inverse_delta)
 
-        for i in retired:
-            self._z.pop(i, None)
-        self.invalidate_theta_cache()
-        self._b_mutations_seen = self._B.mutations
+        for i in learned:
+            self._z._discard(i)
+        if dirty:
+            self.invalidate_theta_cache(
+                np.fromiter(dirty, dtype=np.int64, count=len(dirty))
+            )
+        self._b_mutations_seen = B.mutations
         self.retirements_applied += 1
-        return len(retired)
+        return len(requested)
 
     # ------------------------------------------------------------------
     # Q evaluation (cached)

@@ -474,6 +474,22 @@ class SparseMatrix:
             rows.sort()
         return rows
 
+    def non_diagonal_indices(self, indices: Set[int], value: float) -> Set[int]:
+        """The ``i`` in ``indices`` whose row or column is not ``value * e_i``.
+
+        An index passes when its row is the implicit diagonal holding
+        exactly ``value`` and no stored row holds its column; anything
+        else (including a materialized row that happens to equal
+        ``value * e_i``) is returned.  Costs the size of ``indices``,
+        not of the matrix.
+        """
+        self.flush_pending()
+        changed = (self._rows.keys() & indices) | (self._cols.keys() & indices)
+        rest = np.fromiter(indices - changed, dtype=np.int64)
+        off = rest[self._diag[rest] != value]
+        changed.update(off.tolist())
+        return changed
+
     # ------------------------------------------------------------------
     # Dot products
     # ------------------------------------------------------------------

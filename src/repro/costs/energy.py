@@ -8,6 +8,8 @@ host ``i`` (from its SPECpower curve at its delivered utilization) and
 
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 
 from repro.cloudsim.datacenter import Datacenter
@@ -32,6 +34,16 @@ class EnergyCostModel:
     def total_usd(self) -> float:
         """Cumulative energy cost so far (``C_p`` of Eq. 2)."""
         return self._total_usd
+
+    def state(self) -> Dict[str, float]:
+        """Running totals as ``{"joules", "usd"}``; :meth:`restore`
+        inverts it."""
+        return {"joules": self._total_joules, "usd": self._total_usd}
+
+    def restore(self, state: Dict[str, float]) -> None:
+        """Resume the running totals :meth:`state` captured."""
+        self._total_joules = float(state["joules"])
+        self._total_usd = float(state["usd"])
 
     def step_cost(
         self, datacenter: Datacenter, interval_seconds: float

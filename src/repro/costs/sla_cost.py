@@ -11,6 +11,8 @@ per-stage cost ``ΔC_v`` non-negative, as Eq. (6)'s discussion requires.
 
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 
 from repro.cloudsim.sla import SlaAccountant
@@ -29,6 +31,14 @@ class SlaCostModel:
     def total_usd(self) -> float:
         """Cumulative SLA-violation cost so far (``C_v`` of Eq. 3)."""
         return self._total_usd
+
+    def state(self) -> Dict[str, float]:
+        """Running total as ``{"usd"}``; :meth:`restore` inverts it."""
+        return {"usd": self._total_usd}
+
+    def restore(self, state: Dict[str, float]) -> None:
+        """Resume the running total :meth:`state` captured."""
+        self._total_usd = float(state["usd"])
 
     def payback_rate(self, downtime_fraction: float) -> float:
         """Refund fraction for a VM at the given downtime percentage."""

@@ -169,8 +169,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             f"{service.num_live_vms} VMs live at end"
         )
         lines.append(
-            f"slot retirements  : {agent.lstd.retirements_applied} applied, "
-            f"{agent.lstd.retirements_skipped} skipped"
+            f"slot retirements  : {agent.lstd.retirements_applied} retire "
+            f"calls, {agent.lstd.retirements_skipped} rank-1 clears "
+            f"skipped at the denominator floor"
         )
     print("\n".join(lines))
     return 0

@@ -11,9 +11,10 @@ event queue:
    :class:`~repro.core.basis.VmSlotPool`; arrivals claim the lowest free
    slot and join the placement queue; resizes rescale a VM's CPU;
 2. **placement** of queued arrivals, first-fit in host-id order;
-3. **demand**: every live VM's utilization for this step, from a
-   per-VM trace that is a pure function of ``(workload_seed, uid)`` —
-   regenerable bit-identically after a checkpoint restore;
+3. **demand**: every live VM's utilization for this step, one step of
+   a per-VM random walk that is a pure function of
+   ``(workload_seed, uid)`` — a walk rebuilt after a checkpoint restore
+   catches up to its position on its first step, bit-identically;
 4. **utilization scans** (``monitor.observe``) on scan ticks;
 5. **scheduler decisions** on decide ticks, fed the cost accumulated
    since the previous tick;
@@ -31,7 +32,7 @@ Everything order- or state-bearing is captured: the churn cursor (the
 schedule itself is regenerated from the seed), live-VM insertion order,
 the migration engine's in-flight *insertion order* (it determines the
 SLA accountant's first-seen record order), monitor rings, SLA windows,
-per-step metrics and cost-model totals.  Demand traces and the churn
+per-step metrics and cost-model totals.  Demand walks and the churn
 schedule are deliberately *not* stored — they are pure functions of the
 seeds.
 """
@@ -44,7 +45,7 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from repro.cloudsim.datacenter import Datacenter
-from repro.cloudsim.events import Event, EventKind, EventLog
+from repro.cloudsim.events import EventKind, EventLog
 from repro.cloudsim.metrics import MetricsCollector
 from repro.cloudsim.monitor import UtilizationMonitor
 from repro.cloudsim.simulation import (
@@ -73,9 +74,48 @@ _TRACE_BASE_RANGE = (0.15, 0.75)
 _TRACE_SIGMA = 0.08
 _TRACE_LO = 0.02
 _TRACE_HI = 1.0
+#: Walk deltas drawn per refill.  Drawing ``n`` normals at once yields
+#: the same stream as ``n`` single draws, so this sets speed only.
+_WALK_BLOCK = 64
 
 #: Version of the :meth:`ServiceSimulation.snapshot` state layout.
 _STATE_FORMAT = 1
+
+
+class _DemandWalk:
+    """One VM's utilization walk, advanced a step at a time.
+
+    An AR(1)-style random walk in utilization space seeded with
+    ``(workload_seed, uid)``, which makes it independent of creation
+    order: step ``k`` of a VM's life is the level after ``k + 1``
+    clamped deltas, whenever the walk is built.
+    """
+
+    __slots__ = ("_rng", "_deltas", "_next", "level", "position")
+
+    def __init__(self, workload_seed: int, uid: int) -> None:
+        self._rng = np.random.default_rng((workload_seed, uid))
+        self.level = float(self._rng.uniform(*_TRACE_BASE_RANGE))
+        self._deltas: List[float] = []
+        self._next = 0
+        #: Deltas applied so far.
+        self.position = 0
+
+    def advance_to(self, position: int) -> float:
+        """Apply deltas until ``position`` have been; return the level."""
+        level = self.level
+        while self.position < position:
+            if self._next == len(self._deltas):
+                self._deltas = self._rng.normal(
+                    0.0, _TRACE_SIGMA, size=_WALK_BLOCK
+                ).tolist()
+                self._next = 0
+            delta = self._deltas[self._next]
+            level = min(_TRACE_HI, max(_TRACE_LO, level + delta))
+            self._next += 1
+            self.position += 1
+        self.level = level
+        return level
 
 
 @dataclass
@@ -88,7 +128,7 @@ class _LiveVm:
     mips: float
     ram_mb: float
     bandwidth_mbps: float
-    trace: np.ndarray
+    walk: _DemandWalk
 
 
 @dataclass
@@ -199,9 +239,14 @@ class ServiceSimulation:
         vm = self.datacenter.vm(slot)
         vm.mips, vm.ram_mb, vm.bandwidth_mbps = mips, ram_mb, bandwidth_mbps
         self.datacenter.arrays.bind_vm_slot(slot, mips, ram_mb, bandwidth_mbps)
-        trace = self._demand_trace(uid, created_step, runtime.steps)
         runtime.live[uid] = _LiveVm(
-            uid, slot, created_step, mips, ram_mb, bandwidth_mbps, trace
+            uid,
+            slot,
+            created_step,
+            mips,
+            ram_mb,
+            bandwidth_mbps,
+            _DemandWalk(self.workload_seed, uid),
         )
 
     def _install_resume(
@@ -226,28 +271,6 @@ class ServiceSimulation:
         self._resume_rings = dict(rings)
 
     # ------------------------------------------------------------------
-    # Demand traces
-    # ------------------------------------------------------------------
-    def _demand_trace(
-        self, uid: int, created_step: int, total_steps: int
-    ) -> np.ndarray:
-        """The VM's utilization trace, a pure function of its identity.
-
-        Seeding with ``(workload_seed, uid)`` makes the trace
-        independent of creation order and regenerable bit-identically
-        after a checkpoint restore.
-        """
-        rng = np.random.default_rng((self.workload_seed, uid))  # meghlint: ignore[MEGH005] -- seeded by the constructor-plumbed workload_seed; (seed, uid) keying is the restore bit-identity contract
-        length = max(1, total_steps - created_step)
-        level = float(rng.uniform(*_TRACE_BASE_RANGE))
-        deltas = rng.normal(0.0, _TRACE_SIGMA, size=length)
-        trace = np.empty(length, dtype=np.float64)
-        for index in range(length):
-            level = min(_TRACE_HI, max(_TRACE_LO, level + deltas[index]))
-            trace[index] = level
-        return trace
-
-    # ------------------------------------------------------------------
     # Runtime construction
     # ------------------------------------------------------------------
     def _restore_runtime(
@@ -268,8 +291,9 @@ class ServiceSimulation:
         datacenter = self.datacenter
         pipeline = runtime.pipeline
 
-        # Live VMs, in their original insertion order; traces regenerate
-        # from (workload_seed, uid).
+        # Live VMs, in their original insertion order; demand walks
+        # restart from (workload_seed, uid) and catch up on their first
+        # step.
         slot_of: Dict[int, int] = {}
         placements: List[tuple[int, int]] = []
         for entry in state["live"]:
@@ -288,23 +312,11 @@ class ServiceSimulation:
             datacenter.place(slot, host)
         runtime.pending = [int(uid) for uid in state["pending"]]
 
-        # In-flight transfers must be re-registered in insertion order:
-        # the engine's iteration order feeds the SLA accountant's
-        # first-seen record order.
-        for flight in state["in_flight"]:
-            pipeline.engine.restore_flight(
-                vm_id=int(flight[0]),
-                source_pm_id=int(flight[1]),
-                dest_pm_id=int(flight[2]),
-                remaining_seconds=float(flight[3]),
-                total_seconds=float(flight[4]),
-                final_downtime_seconds=float(flight[5]),
-            )
-        pipeline.engine.total_migrations = int(
-            state["engine"]["total_migrations"]
-        )
-        pipeline.engine.total_gb_hops = float(
-            state["engine"]["total_gb_hops"]
+        # In-flight transfers are re-registered in insertion order: the
+        # engine's iteration order feeds the SLA accountant's first-seen
+        # record order.
+        pipeline.engine.restore(
+            {"in_flight": state["in_flight"], **state["engine"]}
         )
 
         pipeline.accountant = _sla_from_dict(state["sla"])
@@ -320,17 +332,14 @@ class ServiceSimulation:
             else {},
         )
 
-        energy = state["energy"]
-        pipeline.cost_model.energy._total_joules = float(energy["joules"])
-        pipeline.cost_model.energy._total_usd = float(energy["usd"])
-        pipeline.cost_model.sla._total_usd = float(state["sla_cost_usd"])
+        pipeline.cost_model.energy.restore(state["energy"])
+        pipeline.cost_model.sla.restore({"usd": state["sla_cost_usd"]})
 
         for pm_id in state["pm_asleep"]:
             datacenter.pm(int(pm_id)).sleep()
 
         if event_log is not None and state.get("events"):
-            for line in state["events"]:
-                event_log._events.append(Event.from_json(line))
+            event_log.restore(state["events"])
 
         runtime.cursor = int(state["churn_cursor"])
         pipeline.cost_since_decide = float(state["cost_since_decide"])
@@ -351,6 +360,7 @@ class ServiceSimulation:
         pipeline = runtime.pipeline
         arrays = self.datacenter.arrays
         monitor_counters, monitor_rings = pipeline.monitor.state()
+        engine_state = pipeline.engine.state()
         state: Dict[str, Any] = {
             "format": _STATE_FORMAT,
             "spec": self.spec,
@@ -376,20 +386,10 @@ class ServiceSimulation:
             "pm_asleep": [
                 int(pm_id) for pm_id in np.flatnonzero(arrays.pm_asleep)
             ],
-            "in_flight": [
-                [
-                    flight.vm_id,
-                    flight.source_pm_id,
-                    flight.dest_pm_id,
-                    flight.remaining_seconds,
-                    flight.total_seconds,
-                    flight.final_downtime_seconds,
-                ]
-                for flight in pipeline.engine._in_flight.values()
-            ],
+            "in_flight": engine_state["in_flight"],
             "engine": {
-                "total_migrations": pipeline.engine.total_migrations,
-                "total_gb_hops": pipeline.engine.total_gb_hops,
+                "total_migrations": engine_state["total_migrations"],
+                "total_gb_hops": engine_state["total_gb_hops"],
             },
             "monitor": {
                 **monitor_counters,
@@ -400,16 +400,9 @@ class ServiceSimulation:
                 _step_to_dict(step) for step in pipeline.collector.steps
             ],
             "cost_since_decide": pipeline.cost_since_decide,
-            "energy": {
-                "joules": pipeline.cost_model.energy._total_joules,
-                "usd": pipeline.cost_model.energy._total_usd,
-            },
-            "sla_cost_usd": pipeline.cost_model.sla._total_usd,
-            "events": (
-                [event.to_json() for event in event_log]
-                if event_log is not None
-                else None
-            ),
+            "energy": pipeline.cost_model.energy.state(),
+            "sla_cost_usd": pipeline.cost_model.sla.state()["usd"],
+            "events": event_log.state() if event_log is not None else None,
         }
         ring_arrays = {
             f"service_{name}_ring": ring
@@ -548,11 +541,13 @@ class ServiceSimulation:
     def _apply_demand(self, runtime: _Runtime, step: int) -> None:
         """Stage 3: every live VM's demand for this interval."""
         arrays = self.datacenter.arrays
+        demand = arrays.vm_demand
+        live = runtime.live
         for uid in runtime.pool.live_uids():
-            record = runtime.live[uid]
-            arrays.vm_demand[record.slot] = record.trace[
-                step - record.created_step
-            ]
+            record = live[uid]
+            demand[record.slot] = record.walk.advance_to(
+                step - record.created_step + 1
+            )
         arrays.mark_demand_dirty()
 
     # ------------------------------------------------------------------
