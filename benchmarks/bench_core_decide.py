@@ -8,8 +8,9 @@ batched Q scoring, and Boltzmann selection together.  A per-phase
 breakdown splits the total into ``candidate_seconds`` (the array-native
 :class:`~repro.core.candidates.CandidateIndex` plan), ``q_seconds``
 (batched ``SparseLstd.q_values`` — including any deferred rank-k
-flushes the reads trigger) and ``apply_seconds`` (the Sherman–Morrison
-``SparseLstd.update`` enqueues).
+flushes the reads trigger), ``apply_seconds`` (the Sherman–Morrison
+``SparseLstd.update`` enqueues) and ``select_seconds`` (the segmented
+Boltzmann draw, ``BoltzmannPolicy.select_rows``).
 
 ``--check-oracle`` additionally reruns the same seeded simulation twice
 — once through the vectorized candidate pipeline, once through the
@@ -73,6 +74,7 @@ class _PhaseTimers:
         self.candidate = 0.0
         self.q = 0.0
         self.apply = 0.0
+        self.select = 0.0
 
 
 def _instrument_phases(scheduler, timers: _PhaseTimers) -> None:
@@ -81,11 +83,12 @@ def _instrument_phases(scheduler, timers: _PhaseTimers) -> None:
     Instance-attribute shadows, so only this scheduler is touched:
     candidate = the CandidateIndex plan, q = batched Q reads (which also
     pay any pending rank-k flush), apply = Sherman–Morrison update
-    enqueues.
+    enqueues, select = the one sampling pass over the plan.
     """
     plan = scheduler.candidate_index.plan
     q_values = scheduler.lstd.q_values
     update = scheduler.lstd.update
+    select_rows = scheduler.policy.select_rows
 
     def timed(accumulate, function):
         def wrapper(*args, **kwargs):
@@ -105,9 +108,13 @@ def _instrument_phases(scheduler, timers: _PhaseTimers) -> None:
     def to_apply(dt):
         timers.apply += dt
 
+    def to_select(dt):
+        timers.select += dt
+
     scheduler.candidate_index.plan = timed(to_candidate, plan)
     scheduler.lstd.q_values = timed(to_q, q_values)
     scheduler.lstd.update = timed(to_apply, update)
+    scheduler.policy.select_rows = timed(to_select, select_rows)
 
 
 def measure_decide(
@@ -142,6 +149,7 @@ def measure_decide(
         "candidate_seconds": timers.candidate,
         "q_seconds": timers.q,
         "apply_seconds": timers.apply,
+        "select_seconds": timers.select,
         "total_migrations": result.total_migrations,
         "q_table_nonzeros": scheduler.q_table_nonzeros,
         "theta_cache_hits": scheduler.lstd.theta_cache_hits,

@@ -316,43 +316,32 @@ class MeghScheduler:
         already-fused basis coordinate for the learner.  Moves are
         capped at the migration budget with relief moves first.
         """
-        # One batched Q evaluation for the whole candidate set; per-VM
-        # slices below are views into this cache-backed array.
+        # One batched Q evaluation and one sampling pass for the whole
+        # candidate set; rows are segments of the flat plan arrays.
         flat_q = self.lstd.q_values(plan.action_indices)
         offsets = plan.offsets
-        dest_pm = plan.dest_pm
-        picks: List[tuple] = []
-        for r in range(plan.num_rows):
-            start = int(offsets[r])
-            end = int(offsets[r + 1])
-            raw_q = flat_q[start:end]
-            dests = dest_pm[start:end]
-            source = int(plan.sources[r])
-            mandatory = bool(plan.mandatory[r])
-            # Soft switching cost: consolidation moves must beat the
-            # stay-put Q by the hysteresis margin.  At high
-            # temperature the margin is negligible (exploration is
-            # unharmed); once the temperature decays it suppresses
-            # ping-pong between equally good homes.  Relief moves off
-            # overloaded hosts are exempt.
-            if mandatory:
-                q_values = raw_q.copy()
-            else:
-                q_values = raw_q + self.config.migration_margin * (
-                    dests != source
-                )
-            _, index = self.policy.select(dests, q_values)
-            picks.append(
-                (
-                    float(q_values[index]),
-                    int(plan.vm_ids[r]),
-                    int(dests[index]),
-                    float(raw_q[index]),
-                    int(plan.action_indices[start + index]),
-                    mandatory,
-                    source,
-                )
-            )
+        lengths = np.diff(offsets)
+        # Soft switching cost: consolidation moves must beat the stay-put
+        # Q by the hysteresis margin.  At high temperature the margin is
+        # negligible (exploration is unharmed); once the temperature
+        # decays it suppresses ping-pong between equally good homes.
+        # Relief moves off overloaded hosts are exempt.
+        q_values = np.where(
+            np.repeat(plan.mandatory, lengths),
+            flat_q,
+            flat_q
+            + self.config.migration_margin
+            * (plan.dest_pm != np.repeat(plan.sources, lengths)),
+        )
+        picked = offsets[:-1] + self.policy.select_rows(q_values, offsets)
+        dests = plan.dest_pm[picked]
+        columns = (
+            plan.vm_ids,
+            dests,
+            flat_q[picked],
+            plan.action_indices[picked],
+        )
+        stays = dests == plan.sources
         max_moves = max(
             1, int(self.config.max_migration_fraction * self.action_space.num_vms)
         )
@@ -360,23 +349,13 @@ class MeghScheduler:
         # moves at the 2 % budget.  Within the budget, moves that relieve
         # an overloaded host come first (they are why "when to migrate"
         # matters); remaining slots go to the best-Q consolidation moves.
-        noops = [
-            (vm_id, dest, raw, flat)
-            for _, vm_id, dest, raw, flat, _, source in picks
-            if dest == source
-        ]
-        ranked = sorted(
-            (
-                (not mandatory, q, vm_id, dest, raw, flat)
-                for q, vm_id, dest, raw, flat, mandatory, source in picks
-                if dest != source
-            ),
-            key=lambda entry: (entry[0], entry[1]),
-        )
-        moves = [
-            (vm_id, dest, raw, flat)
-            for _, _, vm_id, dest, raw, flat in ranked[:max_moves]
-        ]
+        # lexsort is stable, so equal keys keep row order.
+        moving = np.flatnonzero(~stays)
+        ranked = moving[
+            np.lexsort((q_values[picked[moving]], ~plan.mandatory[moving]))
+        ][:max_moves]
+        noops = list(zip(*(column[stays].tolist() for column in columns)))
+        moves = list(zip(*(column[ranked].tolist() for column in columns)))
         return moves, noops
 
     # ------------------------------------------------------------------

@@ -4,6 +4,11 @@ Actions are weighted ``exp((-Q + Q_min) / Temp)``: the cheapest action
 gets weight 1 and costlier ones exponentially less, so high temperatures
 explore broadly while ``Temp -> 0`` recovers greedy selection.  The
 temperature decays by ``exp(-epsilon)`` each step.
+
+Sampling is segmented: :meth:`BoltzmannPolicy.select_rows` draws one
+action for every row of a step's candidate plan in one array pass, the
+same picks and the same RNG stream as one ``Generator.choice`` per row
+(the per-row loop is the oracle ``tests/oracles/boltzmann.py``).
 """
 
 from __future__ import annotations
@@ -16,6 +21,9 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 ActionT = TypeVar("ActionT")
+
+#: ``Generator.choice``'s tolerance on ``|sum(p) - 1|``.
+_SUM_TOLERANCE = math.sqrt(np.finfo(np.float64).eps)
 
 
 class BoltzmannPolicy:
@@ -57,9 +65,11 @@ class BoltzmannPolicy:
         """Unnormalised Boltzmann weights (line 8 of Algorithm 2).
 
         Accepts any float sequence, including a NumPy array from
-        :meth:`repro.core.lstd.SparseLstd.q_values`; the elementwise
-        ``math.exp`` is kept deliberately (bit-identical to the
-        historical scalar path — candidate lists are tiny).
+        :meth:`repro.core.lstd.SparseLstd.q_values`.  The elementwise
+        ``math.exp`` is deliberate: ``np.exp`` may round differently in
+        the last place, and :meth:`select_rows` applies this same
+        ``math.exp`` over a whole plan in one pass, so both produce the
+        same floats.
         """
         if len(q_values) == 0:
             return []
@@ -87,18 +97,78 @@ class BoltzmannPolicy:
         """Sample an action; returns ``(action, index)``.
 
         ``actions`` may be any indexable sequence — including a NumPy
-        destination row from the vectorized candidate plan, hence the
-        explicit ``len()`` emptiness checks (ndarray truthiness is
-        ambiguous).  Only ``len(actions)`` and the probabilities feed
-        the RNG, so list and array callers draw identical streams.
+        destination row — hence the explicit ``len()`` emptiness checks
+        (ndarray truthiness is ambiguous).  This is :meth:`select_rows`
+        over a single row, so list and array callers draw identical
+        streams.
         """
         if len(actions) != len(q_values):
             raise ConfigurationError("actions and q_values lengths differ")
         if len(actions) == 0:
             raise ConfigurationError("cannot select from an empty action set")
-        probabilities = self.probabilities(q_values)
-        index = int(self._rng.choice(len(actions), p=probabilities))
+        row = np.asarray(q_values, dtype=np.float64)
+        index = int(self.select_rows(row, np.array([0, row.shape[0]]))[0])
         return actions[index], index
+
+    def select_rows(
+        self, q_values: np.ndarray, offsets: np.ndarray
+    ) -> np.ndarray:
+        """Sample one action per row of a segmented Q vector.
+
+        Row ``r`` is ``q_values[offsets[r]:offsets[r + 1]]``; returns
+        each row's chosen position within its row.  The picks and the
+        RNG stream are those of one ``Generator.choice(len(row),
+        p=probabilities(row))`` per row, bit for bit: the weights are
+        the same ``math.exp`` values, row totals and CDFs are
+        left-to-right cumulative sums (the scalar ``sum()`` and
+        ``choice``'s ``cdf = p.cumsum(); cdf /= cdf[-1]``), one
+        ``random(rows)`` draw yields the uniforms ``rows`` scalar draws
+        would, and ``count(cdf <= u)`` is ``searchsorted(side="right")``.
+        ``choice``'s checks are kept: ``ValueError`` on NaN, negative or
+        not-summing-to-1 probabilities (the sum check reads the CDF's
+        last entry, not ``choice``'s compensated sum; the two differ by
+        orders of magnitude less than its ``sqrt(eps)`` tolerance).
+        """
+        q = np.asarray(q_values, dtype=np.float64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        lengths = np.diff(offsets)
+        rows = lengths.shape[0]
+        if rows == 0:
+            return np.zeros(0, dtype=np.int64)
+        if lengths.min() <= 0:
+            raise ConfigurationError("cannot select from an empty action set")
+        if offsets[0] != 0 or offsets[-1] != q.shape[0]:
+            raise ConfigurationError("offsets must span q_values")
+        starts = offsets[:-1]
+        row_of = np.repeat(np.arange(rows, dtype=np.int64), lengths)
+        minimum = np.minimum.reduceat(q, starts)[row_of]
+        scaled = (-q + minimum) / self.temperature
+        grid = np.zeros((rows, int(lengths.max())))
+        column = np.arange(q.shape[0], dtype=np.int64) - starts[row_of]
+        cells = (row_of, column)
+        grid[cells] = np.fromiter(
+            map(math.exp, scaled.tolist()), np.float64, q.shape[0]
+        )
+        totals = np.cumsum(grid, axis=1)[:, -1]
+        underflow = totals <= 0.0
+        if underflow.any():
+            # All weights underflowed: fall back to uniform over the
+            # row's minimisers, preserving greedy behaviour.
+            ties = np.zeros_like(grid)
+            ties[cells] = q == minimum
+            grid[underflow] = ties[underflow]
+            totals = np.cumsum(grid, axis=1)[:, -1]
+        probabilities = grid / totals[:, None]
+        cdf = np.cumsum(probabilities, axis=1)
+        if np.isnan(cdf[:, -1]).any():
+            raise ValueError("Probabilities contain NaN")
+        if (probabilities < 0).any():
+            raise ValueError("Probabilities are not non-negative")
+        if (np.abs(cdf[:, -1] - 1.0) > _SUM_TOLERANCE).any():
+            raise ValueError("Probabilities do not sum to 1")
+        cdf /= cdf[:, -1:]
+        uniforms = self._rng.random(rows)
+        return np.count_nonzero(cdf <= uniforms[:, None], axis=1)
 
     def select_greedy(
         self, actions: Sequence[ActionT], q_values: Sequence[float]
@@ -174,6 +244,22 @@ class EpsilonGreedyPolicy:
         else:
             index = min(range(len(actions)), key=lambda i: q_values[i])
         return actions[index], index
+
+    def select_rows(
+        self, q_values: np.ndarray, offsets: np.ndarray
+    ) -> np.ndarray:
+        """One :meth:`select` per row of a segmented Q vector.
+
+        The draws are conditional (an integer is drawn only when a row
+        explores), so rows cannot share one draw; this is the ablation's
+        cold path.
+        """
+        q = np.asarray(q_values, dtype=np.float64)
+        picks = np.empty(len(offsets) - 1, dtype=np.int64)
+        for r in range(picks.shape[0]):
+            row = q[int(offsets[r]) : int(offsets[r + 1])]
+            picks[r] = self.select(row, row)[1]
+        return picks
 
     def select_greedy(
         self, actions: Sequence[ActionT], q_values: Sequence[float]

@@ -1,5 +1,6 @@
 """Unit tests for the initial placement policies."""
 
+import numpy as np
 import pytest
 
 from repro.cloudsim.allocation import (
@@ -10,7 +11,7 @@ from repro.cloudsim.allocation import (
     place_uniform_random,
 )
 from repro.cloudsim.datacenter import Datacenter
-from repro.errors import PlacementError
+from repro.errors import CapacityError, PlacementError
 
 from tests.conftest import make_pm, make_vm
 
@@ -44,6 +45,61 @@ class TestFirstFit:
         dc.place(0, 3)
         place_first_fit(dc)
         assert dc.host_of(0) == 3
+
+
+def _scan_first_fit(datacenter: Datacenter) -> None:
+    """The per-host scan: try ``place`` on every host in id order."""
+    for vm in datacenter.vms:
+        if datacenter.is_placed(vm.vm_id):
+            continue
+        for pm in datacenter.pms:
+            try:
+                datacenter.place(vm.vm_id, pm.pm_id)
+                break
+            except CapacityError:
+                continue
+        else:
+            raise PlacementError(f"VM {vm.vm_id} fits on no host")
+
+
+def _mixed_fleet(seed: int, impossible: bool = False):
+    """A heterogeneous-RAM fleet, some VMs pre-placed; with
+    ``impossible`` one VM is larger than every host."""
+    rng = np.random.default_rng(seed)
+    num_pms = int(rng.integers(1, 12))
+    num_vms = int(rng.integers(1, 30))
+    pm_ram = rng.choice([1024.0, 2048.0, 3072.5, 4096.0, 8192.0], num_pms)
+    vm_ram = rng.choice([128.0, 512.0, 613.25, 1024.0, 1740.0], num_vms)
+    if impossible:
+        vm_ram[int(rng.integers(0, num_vms))] = float(pm_ram.max()) + 1.0
+    datacenter = Datacenter(
+        [make_pm(i, ram_mb=float(ram)) for i, ram in enumerate(pm_ram)],
+        [make_vm(j, ram_mb=float(ram)) for j, ram in enumerate(vm_ram)],
+    )
+    for vm_id in rng.permutation(num_vms)[: int(rng.integers(0, 4))]:
+        pm_id = int(rng.integers(0, num_pms))
+        if vm_ram[vm_id] <= datacenter.ram_free_mb(pm_id):
+            datacenter.place(int(vm_id), pm_id)
+    return datacenter
+
+
+def _outcome(policy, datacenter):
+    try:
+        policy(datacenter)
+    except PlacementError as error:
+        return str(error), datacenter.placement()
+    return None, datacenter.placement()
+
+
+@pytest.mark.parametrize("impossible", [False, True])
+@pytest.mark.parametrize("seed", range(40))
+def test_first_fit_matches_the_host_scan(seed, impossible):
+    expected = _outcome(_scan_first_fit, _mixed_fleet(seed, impossible))
+    assert _outcome(place_first_fit, _mixed_fleet(seed, impossible)) == (
+        expected
+    )
+    if impossible:
+        assert expected[0] is not None
 
 
 class TestRoundRobin:
