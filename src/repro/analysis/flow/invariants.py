@@ -55,35 +55,31 @@ class MutationInvariant:
 
 
 _ALL_PM_AGGREGATES = frozenset(
-    {"_ram_dirty", "_demand_dirty", "_bw_dirty", "_delivered_dirty"}
+    {"_ram_dirty", "_demand_dirty", "_delivered_dirty"}
 )
 
 #: ``DatacenterArrays``: every hot-state vector that feeds a lazily
 #: rebuilt per-PM aggregate, paired with the dirty flag(s) guarding it.
 #: ``pm_vm_count`` (exact integer, maintained incrementally),
-#: ``pm_asleep``, and the per-PM capacity vectors (read fresh on every
-#: derived-utilization call, never cached) carry no flag on purpose.
+#: ``pm_asleep``, the per-PM capacity vectors (read fresh on every
+#: derived-utilization call, never cached) and ``vm_bandwidth_mbps``
+#: (no aggregate reads it) carry no flag on purpose.
 _DATACENTER_ARRAYS = MutationInvariant(
     class_name="DatacenterArrays",
     fields={
         "host_of": _ALL_PM_AGGREGATES,
         "vm_demand": frozenset({"_demand_dirty"}),
         "vm_delivered": frozenset({"_delivered_dirty"}),
-        "vm_bw_demand": frozenset({"_bw_dirty"}),
-        "vm_active": frozenset(
-            {"_demand_dirty", "_bw_dirty", "_delivered_dirty"}
-        ),
+        "vm_active": frozenset({"_demand_dirty", "_delivered_dirty"}),
         "vm_mips": frozenset({"_demand_dirty", "_delivered_dirty"}),
         "vm_ram_mb": frozenset({"_ram_dirty"}),
-        "vm_bandwidth_mbps": frozenset({"_bw_dirty"}),
     },
     marks={
         "mark_placement_dirty": _ALL_PM_AGGREGATES,
         "mark_demand_dirty": frozenset({"_demand_dirty"}),
-        "mark_bw_dirty": frozenset({"_bw_dirty"}),
         "mark_delivered_dirty": frozenset({"_delivered_dirty"}),
         "mark_activity_dirty": frozenset(
-            {"_demand_dirty", "_bw_dirty", "_delivered_dirty"}
+            {"_demand_dirty", "_delivered_dirty"}
         ),
     },
     flag_attrs=_ALL_PM_AGGREGATES,

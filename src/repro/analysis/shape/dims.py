@@ -135,7 +135,6 @@ FIELD_TYPES: Dict[str, ShapeInfo] = {
     "vm_bandwidth_mbps": _vector("float64", "N"),
     "vm_demand": _vector("float64", "N"),
     "vm_delivered": _vector("float64", "N"),
-    "vm_bw_demand": _vector("float64", "N"),
     "vm_active": _vector("bool", "N"),
     "host_of": _vector("int64", "N"),
     # DatacenterArrays per-PM state (axis M).
@@ -146,14 +145,11 @@ FIELD_TYPES: Dict[str, ShapeInfo] = {
     "pm_vm_count": _vector("int64", "M"),
     "_pm_ram_used": _vector("float64", "M"),
     "_pm_demand_mips": _vector("float64", "M"),
-    "_pm_bw_mbps": _vector("float64", "M"),
     "_pm_delivered_mips": _vector("float64", "M"),
     "_pm_ram_free": _vector("float64", "M"),
     # CandidateIndex static per-PM budget vectors (repro/core/candidates.py).
     "_mips_budget": _vector("float64", "M"),
     "_mips_budget_full": _vector("float64", "M"),
-    "_bw_budget": _vector("float64", "M"),
-    "_bw_budget_full": _vector("float64", "M"),
     # CandidateIndex K x M broadcast scratch (reused across steps).
     "_feas": ShapeInfo(("K", "M"), "bool"),
     "_aux": ShapeInfo(("K", "M"), "bool"),
@@ -180,11 +176,9 @@ METHOD_TYPES: Dict[str, ShapeInfo] = {
     "pm_ram_used_mb": _vector("float64", "M"),
     "pm_ram_free_mb": _vector("float64", "M"),
     "pm_demand_mips": _vector("float64", "M"),
-    "pm_bw_demand_mbps": _vector("float64", "M"),
     "pm_delivered_mips": _vector("float64", "M"),
     "pm_demand_utilization": _vector("float64", "M"),
     "pm_delivered_utilization": _vector("float64", "M"),
-    "pm_bw_demand_utilization": _vector("float64", "M"),
     "active_pm_mask": _vector("bool", "M"),
     "overloaded_pm_mask": _vector("bool", "M"),
     "_sum_by_host": _vector("float64", "M"),

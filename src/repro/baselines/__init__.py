@@ -11,8 +11,6 @@
 from repro.baselines.noop import NoMigrationScheduler
 from repro.baselines.random_policy import RandomScheduler
 from repro.baselines.madvm import MadVMScheduler
-from repro.baselines.maxweight import MaxWeightScheduler
-from repro.baselines.oracle import OracleScheduler
 from repro.baselines.qlearning import QLearningScheduler
 from repro.baselines.mmt.scheduler import MMTScheduler
 
@@ -20,8 +18,6 @@ __all__ = [
     "NoMigrationScheduler",
     "RandomScheduler",
     "MadVMScheduler",
-    "MaxWeightScheduler",
-    "OracleScheduler",
     "QLearningScheduler",
     "MMTScheduler",
 ]

@@ -18,19 +18,11 @@ from repro.cloudsim.power import (
 from repro.cloudsim.datacenter import Datacenter
 from repro.cloudsim.soa import DatacenterArrays
 from repro.cloudsim.migration import Migration, MigrationEngine
-from repro.cloudsim.network import (
-    FatTreeTopology,
-    FlatNetwork,
-    NetworkTopology,
-    StarNetwork,
-)
 from repro.cloudsim.sla import SlaAccountant
 from repro.cloudsim.monitor import UtilizationMonitor
 from repro.cloudsim.simulation import Simulation, SimulationResult
 from repro.cloudsim.metrics import StepMetrics, MetricsCollector
 from repro.cloudsim.events import Event, EventKind, EventLog
-from repro.cloudsim.faults import FaultEvent, FaultInjector, FaultTolerantScheduler
-from repro.cloudsim.precopy import PrecopyModel, PrecopyOutcome
 from repro.cloudsim.validation import (
     InvariantViolation,
     check_invariants,
@@ -49,10 +41,6 @@ __all__ = [
     "DatacenterArrays",
     "Migration",
     "MigrationEngine",
-    "NetworkTopology",
-    "FlatNetwork",
-    "StarNetwork",
-    "FatTreeTopology",
     "SlaAccountant",
     "UtilizationMonitor",
     "Simulation",
@@ -62,11 +50,6 @@ __all__ = [
     "Event",
     "EventKind",
     "EventLog",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultTolerantScheduler",
-    "PrecopyModel",
-    "PrecopyOutcome",
     "InvariantViolation",
     "check_invariants",
     "find_violations",

@@ -322,24 +322,6 @@ class Datacenter:
         """Whether the host's demanded load exceeds the ``beta`` threshold."""
         return self.demanded_utilization(pm_id) > beta
 
-    def bandwidth_demanded_mbps(self, pm_id: int) -> float:
-        """Aggregate network bandwidth demanded on the host this step."""
-        if not 0 <= pm_id < len(self._pms):
-            raise KeyError(pm_id)
-        return float(self.arrays.pm_bw_demand_mbps()[pm_id])
-
-    def bandwidth_demanded_utilization(self, pm_id: int) -> float:
-        """Demanded network load as a fraction of host link capacity."""
-        return self.bandwidth_demanded_mbps(pm_id) / self.pm(pm_id).bandwidth_mbps
-
-    def is_bandwidth_overloaded(self, pm_id: int, threshold: float) -> bool:
-        """Whether the host's network demand exceeds ``threshold``."""
-        return self.bandwidth_demanded_utilization(pm_id) > threshold
-
-    def overloaded_pm_ids(
-        self, beta: float, bandwidth_threshold: Optional[float] = None
-    ) -> List[int]:
-        """Hosts overloaded on CPU — or, when ``bandwidth_threshold`` is
-        given, on the network dimension as well (multi-resource mode)."""
-        mask = self.arrays.overloaded_pm_mask(beta, bandwidth_threshold)
-        return np.flatnonzero(mask).tolist()
+    def overloaded_pm_ids(self, beta: float) -> List[int]:
+        """Hosts whose demanded load exceeds the ``beta`` threshold."""
+        return np.flatnonzero(self.arrays.overloaded_pm_mask(beta)).tolist()

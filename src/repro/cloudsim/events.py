@@ -2,7 +2,7 @@
 
 Debugging a scheduler means asking "what exactly happened at step 412?".
 :class:`EventLog` records typed events — migrations started, completed,
-rejected; hosts overloaded, slept, woken; faults — with their step and
+rejected; hosts overloaded, slept, woken; VM lifecycle — with their step and
 payload, supports filtered queries, and round-trips through JSON Lines
 for offline analysis.
 
@@ -30,9 +30,6 @@ class EventKind(str, Enum):
     HOST_OVERLOADED = "host_overloaded"
     HOST_SLEPT = "host_slept"
     HOST_WOKEN = "host_woken"
-    HOST_FAILED = "host_failed"
-    HOST_REPAIRED = "host_repaired"
-    VM_DISPLACED = "vm_displaced"
     # VM lifecycle (service-mode churn; see repro.service).
     VM_CREATED = "vm_created"
     VM_RESIZED = "vm_resized"

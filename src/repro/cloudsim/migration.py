@@ -32,9 +32,6 @@ class _InFlight:
     dest_pm_id: int
     remaining_seconds: float
     total_seconds: float
-    #: Stop-and-copy residue charged when the transfer completes
-    #: (pre-copy model only; 0 under the single-shot model).
-    final_downtime_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -76,8 +73,6 @@ class MigrationEngine:
         datacenter: Datacenter,
         overhead_fraction: float = 0.10,
         alpha: float = 0.30,
-        topology=None,
-        precopy=None,
     ) -> None:
         if not 0.0 <= overhead_fraction < 1.0:
             raise MigrationError("overhead fraction must be in [0, 1)")
@@ -86,14 +81,8 @@ class MigrationEngine:
         self._dc = datacenter
         self._overhead = overhead_fraction
         self._alpha = alpha
-        self._topology = topology
-        #: Optional PrecopyModel: iterative dirty-page transfer timing
-        #: with an explicit stop-and-copy downtime at completion.
-        self._precopy = precopy
         self._in_flight: Dict[int, _InFlight] = {}
         self.total_migrations = 0
-        #: Total bytes-times-hops moved, for network-traffic cost modules.
-        self.total_gb_hops = 0.0
 
     @property
     def in_flight_vm_ids(self) -> Set[int]:
@@ -125,12 +114,10 @@ class MigrationEngine:
                     flight.dest_pm_id,
                     flight.remaining_seconds,
                     flight.total_seconds,
-                    flight.final_downtime_seconds,
                 ]
                 for flight in self._in_flight.values()
             ],
             "total_migrations": self.total_migrations,
-            "total_gb_hops": self.total_gb_hops,
         }
 
     def restore(self, state: Dict[str, Any]) -> None:
@@ -139,7 +126,10 @@ class MigrationEngine:
         Flights are re-registered in their stored insertion order:
         :meth:`advance` iterates the in-flight dict, and the resulting
         downtime-report order feeds the SLA accountant's first-seen
-        record order, which serialized results depend on.
+        record order, which serialized results depend on.  Trailing
+        flight fields and keys beyond those :meth:`state` writes are
+        ignored, so states saved with the retired pre-copy residue and
+        ``total_gb_hops`` still load.
         """
         for flight in state["in_flight"]:
             vm_id = int(flight[0])
@@ -151,10 +141,8 @@ class MigrationEngine:
                 dest_pm_id=int(flight[2]),
                 remaining_seconds=float(flight[3]),
                 total_seconds=float(flight[4]),
-                final_downtime_seconds=float(flight[5]),
             )
         self.total_migrations = int(state["total_migrations"])
-        self.total_gb_hops = float(state["total_gb_hops"])
 
     def start(self, migrations: Iterable[Migration]) -> MigrationOutcome:
         """Begin a batch of migrations, skipping infeasible ones.
@@ -182,38 +170,18 @@ class MigrationEngine:
             # TM = M / B (Section 3.3) with B the host network bandwidth:
             # the paper's "migration time of a VM of 0.5 GB RAM is at
             # least 4000 ms" corresponds to the 1 Gbps host link, not the
-            # VM's own traffic allocation.  With a topology attached, B
-            # is the path bandwidth instead (fat-tree cross-pod paths are
-            # slower than rack-local ones).
-            vm = self._dc.vm(mig.vm_id)
-            if self._topology is not None:
-                bandwidth = self._topology.path_bandwidth_mbps(
-                    source, mig.dest_pm_id
-                )
-                self.total_gb_hops += (
-                    vm.ram_mb
-                    / 1024.0
-                    * self._topology.hop_count(source, mig.dest_pm_id)
-                )
-            else:
-                bandwidth = min(
-                    self._dc.pm(source).bandwidth_mbps,
-                    self._dc.pm(mig.dest_pm_id).bandwidth_mbps,
-                )
-            if self._precopy is not None:
-                outcome = self._precopy.transfer(vm.ram_mb, bandwidth)
-                duration = outcome.total_seconds
-                final_downtime = outcome.downtime_seconds
-            else:
-                duration = vm.ram_mb * 8.0 / bandwidth
-                final_downtime = 0.0
+            # VM's own traffic allocation.
+            bandwidth = min(
+                self._dc.pm(source).bandwidth_mbps,
+                self._dc.pm(mig.dest_pm_id).bandwidth_mbps,
+            )
+            duration = self._dc.vm(mig.vm_id).ram_mb * 8.0 / bandwidth
             self._in_flight[mig.vm_id] = _InFlight(
                 vm_id=mig.vm_id,
                 source_pm_id=source,
                 dest_pm_id=mig.dest_pm_id,
                 remaining_seconds=duration,
                 total_seconds=duration,
-                final_downtime_seconds=final_downtime,
             )
             self.total_migrations += 1
             started.append(mig)
@@ -255,12 +223,6 @@ class MigrationEngine:
             flight.remaining_seconds -= interval_seconds
             if flight.remaining_seconds <= 0:
                 completed.append(vm_id)
-                if flight.final_downtime_seconds > 0.0:
-                    # The stop-and-copy residue of the pre-copy model.
-                    downtime[vm_id] = (
-                        downtime.get(vm_id, 0.0)
-                        + flight.final_downtime_seconds
-                    )
                 del self._in_flight[vm_id]
         return MigrationOutcome(
             started=(),

@@ -121,8 +121,6 @@ class Simulation:
         workload: Workload,
         config: Optional[SimulationConfig] = None,
         monitor_history: int = 12,
-        topology=None,
-        dynamic_provisioning: bool = False,
     ) -> None:
         StepPipeline.check_datacenter(datacenter)
         self.config = config or SimulationConfig()
@@ -138,17 +136,6 @@ class Simulation:
             )
         self.datacenter = datacenter
         self.workload = workload
-        self.topology = topology
-        #: With dynamic provisioning, a VM that goes inactive is
-        #: deprovisioned (its RAM reservation freed) and re-placed
-        #: first-fit when its next task arrives — task-based traces then
-        #: exercise the provisioning path instead of holding idle
-        #: reservations.
-        self.dynamic_provisioning = dynamic_provisioning
-        #: VMs awaiting capacity under dynamic provisioning, in arrival
-        #: order; the companion set makes membership checks O(1).
-        self.pending_vm_ids: list[int] = []
-        self._pending_set: set[int] = set()
         self.monitor = UtilizationMonitor(history_length=monitor_history)
         self._initial_placement = datacenter.placement()
 
@@ -164,8 +151,6 @@ class Simulation:
             pm.wake()
         for vm_id, pm_id in self._initial_placement.items():
             self.datacenter.place(vm_id, pm_id)
-        self.pending_vm_ids = []
-        self._pending_set = set()
         self.monitor = UtilizationMonitor(
             history_length=self.monitor.history_length
         )
@@ -174,17 +159,10 @@ class Simulation:
         self,
         scheduler: Scheduler,
         num_steps: Optional[int] = None,
-        cost_model: Optional[OperationCostModel] = None,
         event_log=None,
         validate_every_step: Optional[bool] = None,
     ) -> SimulationResult:
         """Run the scheduler for ``num_steps`` intervals (default: config).
-
-        ``cost_model`` swaps in an alternative
-        :class:`~repro.costs.model.OperationCostModel` (e.g. one built on
-        time-of-use electricity or tiered VM pricing from
-        :mod:`repro.costs.dynamic`); it must be freshly constructed, as
-        cost models accumulate state over a run.
 
         ``event_log`` (an :class:`~repro.cloudsim.events.EventLog`)
         receives structured migration/overload/sleep events for offline
@@ -206,8 +184,6 @@ class Simulation:
             self.datacenter,
             self.config,
             self.monitor,
-            topology=self.topology,
-            cost_model=cost_model,
             event_log=event_log,
             validate_every_step=validate_every_step,
             clock=time.perf_counter,
@@ -219,10 +195,10 @@ class Simulation:
 
     def _apply_workload(self, step: int) -> None:
         # One vector write per quantity.  The workload matrices were
-        # range-validated at construction, so the per-value checks of
-        # set_demand/set_bandwidth_demand are not repeated here.
+        # range-validated at construction, so set_demand's per-value
+        # checks are not repeated here.
         arrays = self.datacenter.arrays
-        active, utilization, bandwidth = self.workload.step_slice(step)
+        active, utilization = self.workload.step_slice(step)
         num_vms = arrays.num_vms
         active = active[:num_vms]
         arrays.vm_active[:] = active
@@ -230,37 +206,7 @@ class Simulation:
         np.copyto(arrays.vm_demand, utilization[:num_vms], where=active)
         arrays.vm_demand[inactive] = 0.0
         arrays.vm_delivered[inactive] = 0.0
-        if bandwidth is not None:
-            np.copyto(arrays.vm_bw_demand, bandwidth[:num_vms], where=active)
-        arrays.vm_bw_demand[inactive] = 0.0
         arrays.mark_activity_dirty()
-        if self.dynamic_provisioning:
-            self._provision()
-
-    def _provision(self) -> None:
-        """Deprovision idle VMs; first-fit newly active (or waiting) ones.
-
-        The pending queue preserves arrival order (FIFO), with a
-        companion set for O(1) membership tests.
-        """
-        arrays = self.datacenter.arrays
-        placed = arrays.host_of >= 0
-        active = arrays.vm_active
-        for vm_id in np.flatnonzero(~active & placed):
-            self.datacenter.remove(int(vm_id))
-        for vm_id in np.flatnonzero(active & ~placed):
-            key = int(vm_id)
-            if key not in self._pending_set:
-                self.pending_vm_ids.append(key)
-                self._pending_set.add(key)
-        # A VM whose task ended while it waited leaves the queue.
-        self.pending_vm_ids = [
-            vm_id
-            for vm_id in self.pending_vm_ids
-            if self.datacenter.vm(vm_id).is_active
-            and not first_fit_ram(self.datacenter, vm_id)
-        ]
-        self._pending_set = set(self.pending_vm_ids)
 
 
 def first_fit_ram(datacenter: Datacenter, vm_id: int) -> bool:
@@ -336,8 +282,6 @@ class StepPipeline:
         datacenter: Datacenter,
         config: SimulationConfig,
         monitor: UtilizationMonitor,
-        topology: Any = None,
-        cost_model: Optional[OperationCostModel] = None,
         event_log: Optional[EventLog] = None,
         validate_every_step: Optional[bool] = None,
         clock: Callable[[], float] = _no_clock,
@@ -356,24 +300,17 @@ class StepPipeline:
         )
         self.datacenter = datacenter
         self.config = config
-        self.bandwidth_threshold = (
-            dc_config.bandwidth_overload_threshold
-            if dc_config.bandwidth_aware
-            else None
-        )
         self.engine = MigrationEngine(
             datacenter,
             overhead_fraction=dc_config.migration_overhead_fraction,
             alpha=dc_config.migration_cpu_threshold,
-            topology=topology,
         )
         self.accountant = SlaAccountant(
             beta=dc_config.overload_threshold,
             window_seconds=config.costs.sla_billing_window_seconds,
             interval_seconds=config.interval_seconds,
-            bandwidth_threshold=self.bandwidth_threshold,
         )
-        self.cost_model = cost_model or OperationCostModel(config.costs)
+        self.cost_model = OperationCostModel(config.costs)
         self.collector = MetricsCollector()
         self.monitor = monitor
         self.event_log = event_log
@@ -444,7 +381,7 @@ class StepPipeline:
             datacenter.sleep_idle_hosts() if dc_config.sleep_idle_hosts else []
         )
         overloaded_ids = datacenter.overloaded_pm_ids(
-            dc_config.overload_threshold, self.bandwidth_threshold
+            dc_config.overload_threshold
         )
         if self.event_log is not None:
             _emit_events(

@@ -30,7 +30,7 @@ and windowed sums are strict left-to-right accumulations
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -185,9 +185,6 @@ class SlaAccountant:
         window_seconds: billing-window length for the violation tiers.
         interval_seconds: observation interval (defines window length in
             steps; defaults to 300 s).
-        bandwidth_threshold: when set, a host whose *network* demand
-            exceeds this fraction is overloaded too (multi-resource
-            mode, see ``DatacenterConfig.bandwidth_aware``).
 
     Attributes:
         hosts: per-host records, keyed by PM id, in first-seen order.
@@ -199,7 +196,6 @@ class SlaAccountant:
         beta: float = 0.70,
         window_seconds: float = DEFAULT_WINDOW_SECONDS,
         interval_seconds: float = 300.0,
-        bandwidth_threshold: Optional[float] = None,
     ) -> None:
         if not 0 < beta <= 1:
             raise ConfigurationError("beta must be in (0, 1]")
@@ -208,7 +204,6 @@ class SlaAccountant:
         self.beta = beta
         self.window_seconds = window_seconds
         self.interval_seconds = interval_seconds
-        self.bandwidth_threshold = bandwidth_threshold
         self.hosts: Dict[int, HostSlaRecord] = {}
         self.vms: Dict[int, VmSlaRecord] = {}
         # Array-backed counters (rows indexed by entity id, grown on
@@ -422,9 +417,7 @@ class SlaAccountant:
             self.hosts[pm_key] = HostSlaRecord(self, pm_key)
             self._host_seen[pm_key] = True
         self._host_active_s[active_ids] += interval
-        overloaded_mask = arrays.overloaded_pm_mask(
-            self.beta, self.bandwidth_threshold
-        )
+        overloaded_mask = arrays.overloaded_pm_mask(self.beta)
         self._host_overload_s[np.flatnonzero(overloaded_mask)] += interval
 
         placed = arrays.host_of >= 0

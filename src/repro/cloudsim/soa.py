@@ -10,7 +10,7 @@ dominated the step time.
 
 :class:`DatacenterArrays` keeps the dynamic state in dense NumPy vectors
 indexed by entity id — ``host_of[vm_id]`` (−1 = unplaced),
-``vm_demand``, ``vm_delivered``, ``vm_bw_demand``, ``vm_active`` — plus
+``vm_demand``, ``vm_delivered``, ``vm_active`` — plus
 per-PM aggregates (``pm_demand_mips``, ``pm_ram_used_mb``, …) that are
 rebuilt *lazily*: mutations only flip a dirty flag, and the first query
 after a mutation rebuilds the aggregate with one vectorized
@@ -43,7 +43,6 @@ class DatacenterArrays:
         host_of: ``int64[N]`` — hosting PM id, −1 when unplaced.
         vm_demand: ``float64[N]`` — demanded CPU utilization fraction.
         vm_delivered: ``float64[N]`` — delivered CPU utilization fraction.
-        vm_bw_demand: ``float64[N]`` — demanded network utilization.
         vm_active: ``bool[N]`` — whether the VM has a running workload.
         vm_mips / vm_ram_mb / vm_bandwidth_mbps: static VM capacities.
         pm_mips / pm_ram_mb / pm_bandwidth_mbps: static PM capacities.
@@ -64,7 +63,6 @@ class DatacenterArrays:
         # Dynamic per-VM state.
         self.vm_demand = np.zeros(num_vms, dtype=np.float64)
         self.vm_delivered = np.zeros(num_vms, dtype=np.float64)
-        self.vm_bw_demand = np.zeros(num_vms, dtype=np.float64)
         self.vm_active = np.ones(num_vms, dtype=bool)
         self.host_of = np.full(num_vms, -1, dtype=np.int64)
         # Dynamic per-PM state.
@@ -73,11 +71,9 @@ class DatacenterArrays:
         # Lazily-rebuilt aggregates and their dirty flags.
         self._pm_ram_used = np.zeros(num_pms, dtype=np.float64)
         self._pm_demand_mips = np.zeros(num_pms, dtype=np.float64)
-        self._pm_bw_mbps = np.zeros(num_pms, dtype=np.float64)
         self._pm_delivered_mips = np.zeros(num_pms, dtype=np.float64)
         self._ram_dirty = True
         self._demand_dirty = True
-        self._bw_dirty = True
         self._delivered_dirty = True
         # Derived-vector caches keyed on aggregate rebuild generations:
         # the dirty flags above answer "is the aggregate itself stale?";
@@ -96,22 +92,17 @@ class DatacenterArrays:
         """A place/remove/move invalidates every per-PM aggregate."""
         self._ram_dirty = True
         self._demand_dirty = True
-        self._bw_dirty = True
         self._delivered_dirty = True
 
     def mark_demand_dirty(self) -> None:
         self._demand_dirty = True
 
-    def mark_bw_dirty(self) -> None:
-        self._bw_dirty = True
-
     def mark_delivered_dirty(self) -> None:
         self._delivered_dirty = True
 
     def mark_activity_dirty(self) -> None:
-        """Deactivation zeroes demand, delivered and bandwidth at once."""
+        """Deactivation zeroes demand and delivered at once."""
         self._demand_dirty = True
-        self._bw_dirty = True
         self._delivered_dirty = True
 
     # ------------------------------------------------------------------
@@ -130,7 +121,6 @@ class DatacenterArrays:
         self.vm_bandwidth_mbps[index] = bandwidth_mbps
         self.vm_demand[index] = 0.0
         self.vm_delivered[index] = 0.0
-        self.vm_bw_demand[index] = 0.0
         self.vm_active[index] = True
         self.host_of[index] = -1
         self.mark_placement_dirty()
@@ -147,7 +137,6 @@ class DatacenterArrays:
         self.vm_bandwidth_mbps[index] = 0.0
         self.vm_demand[index] = 0.0
         self.vm_delivered[index] = 0.0
-        self.vm_bw_demand[index] = 0.0
         self.vm_active[index] = False
         self.host_of[index] = -1
         self.mark_placement_dirty()
@@ -184,14 +173,6 @@ class DatacenterArrays:
             )
             self._demand_dirty = False
         return self._pm_demand_mips
-
-    def pm_bw_demand_mbps(self) -> np.ndarray:
-        if self._bw_dirty:
-            self._pm_bw_mbps = self._sum_by_host(
-                self.vm_bw_demand * self.vm_bandwidth_mbps
-            )
-            self._bw_dirty = False
-        return self._pm_bw_mbps
 
     def pm_delivered_mips(self) -> np.ndarray:
         if self._delivered_dirty:
@@ -230,20 +211,11 @@ class DatacenterArrays:
         """Delivered load fraction per host, capped at 1."""
         return np.minimum(1.0, self.pm_delivered_mips() / self.pm_mips)
 
-    def pm_bw_demand_utilization(self) -> np.ndarray:
-        """Demanded network load fraction per host."""
-        return self.pm_bw_demand_mbps() / self.pm_bandwidth_mbps
-
     def active_pm_mask(self) -> np.ndarray:
         """Hosts currently serving at least one VM."""
         return self.pm_vm_count > 0
 
-    def overloaded_pm_mask(
-        self, beta: float, bandwidth_threshold: float | None = None
-    ) -> np.ndarray:
-        """Non-empty hosts whose CPU (or network) demand exceeds the
-        threshold — the same predicate as ``Datacenter.is_overloaded``."""
-        mask = self.pm_demand_utilization() > beta
-        if bandwidth_threshold is not None:
-            mask |= self.pm_bw_demand_utilization() > bandwidth_threshold
-        return mask & self.active_pm_mask()
+    def overloaded_pm_mask(self, beta: float) -> np.ndarray:
+        """Non-empty hosts whose CPU demand exceeds the threshold — the
+        same predicate as ``Datacenter.is_overloaded``."""
+        return (self.pm_demand_utilization() > beta) & self.active_pm_mask()

@@ -103,11 +103,6 @@ def find_violations(datacenter: Datacenter) -> List[str]:
                 f"VM {vm.vm_id} delivered {vm.delivered_utilization} "
                 f"outside [0, demanded {vm.demanded_utilization}]"
             )
-        if not 0.0 <= vm.demanded_bandwidth_utilization <= 1.0:
-            violations.append(
-                f"VM {vm.vm_id} bandwidth utilization out of [0, 1]: "
-                f"{vm.demanded_bandwidth_utilization}"
-            )
         if not vm.is_active and abs(vm.demanded_utilization) > DEMAND_EPSILON:
             violations.append(
                 f"inactive VM {vm.vm_id} demands "

@@ -38,9 +38,6 @@ class VirtualMachine:
             asks for (set each step from the trace).
         delivered_utilization: fraction of ``mips`` the host actually
             granted this step.
-        demanded_bandwidth_utilization: fraction of ``bandwidth_mbps``
-            the workload's network traffic currently uses (only set by
-            bandwidth-aware workloads; 0 otherwise).
     """
 
     def __init__(
@@ -51,7 +48,6 @@ class VirtualMachine:
         bandwidth_mbps: float,
         demanded_utilization: float = 0.0,
         delivered_utilization: float = 0.0,
-        demanded_bandwidth_utilization: float = 0.0,
         _active: bool = True,
     ) -> None:
         if vm_id < 0:
@@ -70,7 +66,6 @@ class VirtualMachine:
         self._index = -1
         self._demand = 0.0
         self._delivered = delivered_utilization
-        self._bw_demand = demanded_bandwidth_utilization
         self._active_flag = _active
         self.set_demand(demanded_utilization)
 
@@ -85,7 +80,6 @@ class VirtualMachine:
         arrays.vm_bandwidth_mbps[index] = self.bandwidth_mbps
         arrays.vm_demand[index] = self._demand
         arrays.vm_delivered[index] = self._delivered
-        arrays.vm_bw_demand[index] = self._bw_demand
         arrays.vm_active[index] = self._active_flag
         arrays.mark_placement_dirty()
         self._arrays = arrays
@@ -96,9 +90,7 @@ class VirtualMachine:
             f"VirtualMachine(vm_id={self.vm_id}, mips={self.mips}, "
             f"ram_mb={self.ram_mb}, bandwidth_mbps={self.bandwidth_mbps}, "
             f"demanded_utilization={self.demanded_utilization}, "
-            f"delivered_utilization={self.delivered_utilization}, "
-            f"demanded_bandwidth_utilization="
-            f"{self.demanded_bandwidth_utilization})"
+            f"delivered_utilization={self.delivered_utilization})"
         )
 
     # ------------------------------------------------------------------
@@ -137,22 +129,6 @@ class VirtualMachine:
             arrays.mark_delivered_dirty()
 
     @property
-    def demanded_bandwidth_utilization(self) -> float:
-        arrays = self._arrays
-        if arrays is None:
-            return self._bw_demand
-        return float(arrays.vm_bw_demand[self._index])
-
-    @demanded_bandwidth_utilization.setter
-    def demanded_bandwidth_utilization(self, value: float) -> None:
-        arrays = self._arrays
-        if arrays is None:
-            self._bw_demand = value
-        else:
-            arrays.vm_bw_demand[self._index] = value
-            arrays.mark_bw_dirty()
-
-    @property
     def _active(self) -> bool:
         """Raw active flag (no zeroing side effects; see ``set_active``)."""
         arrays = self._arrays
@@ -182,14 +158,6 @@ class VirtualMachine:
             )
         self.demanded_utilization = utilization
 
-    def set_bandwidth_demand(self, utilization: float) -> None:
-        """Set the workload's demanded network fraction for this step."""
-        if not 0.0 <= utilization <= 1.0:
-            raise ConfigurationError(
-                f"bandwidth utilization must be in [0, 1], got {utilization}"
-            )
-        self.demanded_bandwidth_utilization = utilization
-
     def set_active(self, active: bool) -> None:
         """Mark the VM as running a task (Google-style traces) or idle."""
         arrays = self._arrays
@@ -198,14 +166,12 @@ class VirtualMachine:
             if not active:
                 self._demand = 0.0
                 self._delivered = 0.0
-                self._bw_demand = 0.0
         else:
             index = self._index
             arrays.vm_active[index] = active
             if not active:
                 arrays.vm_demand[index] = 0.0
                 arrays.vm_delivered[index] = 0.0
-                arrays.vm_bw_demand[index] = 0.0
             arrays.mark_activity_dirty()
 
     @property
@@ -217,11 +183,6 @@ class VirtualMachine:
     def delivered_mips(self) -> float:
         """Absolute MIPS the host granted this step."""
         return self.delivered_utilization * self.mips
-
-    @property
-    def demanded_bandwidth_mbps(self) -> float:
-        """Absolute network bandwidth the workload is using this step."""
-        return self.demanded_bandwidth_utilization * self.bandwidth_mbps
 
     def migration_time_seconds(self) -> float:
         """Expected live-migration duration ``TM = M / B`` (Section 3.3).

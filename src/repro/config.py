@@ -98,20 +98,12 @@ class DatacenterConfig:
         migration_overhead_fraction: fraction of the migrating VM's CPU
             demand lost to the migration process while it is in flight.
             CloudSim charges 10 % by default; we follow that.
-        bandwidth_aware: treat network saturation on a host as overload
-            too (the Section-7 multi-resource extension).  Requires a
-            bandwidth-aware workload (see
-            :mod:`repro.workloads.bandwidth`).
-        bandwidth_overload_threshold: network-utilization fraction above
-            which a host counts as overloaded in bandwidth-aware mode.
     """
 
     overload_threshold: float = 0.70
     migration_cpu_threshold: float = 0.30
     sleep_idle_hosts: bool = True
     migration_overhead_fraction: float = 0.10
-    bandwidth_aware: bool = False
-    bandwidth_overload_threshold: float = 0.70
 
     def __post_init__(self) -> None:
         _require(0 < self.overload_threshold <= 1, "beta must be in (0, 1]")
@@ -121,10 +113,6 @@ class DatacenterConfig:
         _require(
             0 <= self.migration_overhead_fraction < 1,
             "migration overhead must be in [0, 1)",
-        )
-        _require(
-            0 < self.bandwidth_overload_threshold <= 1,
-            "bandwidth overload threshold must be in (0, 1]",
         )
 
 

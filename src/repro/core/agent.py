@@ -74,24 +74,18 @@ class MeghScheduler:
         beta: float = 0.70,
         seed: int = 0,
         policy=None,
-        bandwidth_beta: Optional[float] = None,
         trace=None,
         contracts=None,
         dynamic_slots: bool = False,
     ) -> None:
         if not 0 < beta <= 1:
             raise ConfigurationError("beta must be in (0, 1]")
-        if bandwidth_beta is not None and not 0 < bandwidth_beta <= 1:
-            raise ConfigurationError("bandwidth beta must be in (0, 1]")
         self.config = config or MeghConfig()
         self.beta = beta
-        self.bandwidth_beta = bandwidth_beta
         self.action_space = ActionSpace(num_vms=num_vms, num_pms=num_pms)
         self.basis = SparseBasis(self.action_space)
         #: Array-native candidate pipeline (see repro.core.candidates).
-        self.candidate_index = CandidateIndex(
-            beta=beta, bandwidth_beta=bandwidth_beta, config=self.config
-        )
+        self.candidate_index = CandidateIndex(beta=beta, config=self.config)
         self.lstd = SparseLstd(
             dimension=self.action_space.dimension,
             gamma=self.config.gamma,
@@ -143,11 +137,6 @@ class MeghScheduler:
             beta=dc_config.overload_threshold,
             seed=seed,
             contracts=contracts,
-            bandwidth_beta=(
-                dc_config.bandwidth_overload_threshold
-                if dc_config.bandwidth_aware
-                else None
-            ),
             dynamic_slots=getattr(simulation, "dynamic_slots", False),
         )
 

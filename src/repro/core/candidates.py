@@ -126,7 +126,6 @@ class CandidateIndex:
 
     Args:
         beta: host CPU overload threshold (matches the agent's).
-        bandwidth_beta: optional network overload threshold.
         config: the agent's :class:`~repro.config.MeghConfig` —
             ``consolidate_underloaded``, ``underload_threshold``,
             ``max_candidate_vms``, ``candidate_destinations`` and
@@ -138,20 +137,12 @@ class CandidateIndex:
     computed once per binding.
     """
 
-    def __init__(
-        self,
-        beta: float,
-        bandwidth_beta: Optional[float],
-        config: MeghConfig,
-    ) -> None:
+    def __init__(self, beta: float, config: MeghConfig) -> None:
         self.beta = beta
-        self.bandwidth_beta = bandwidth_beta
         self.config = config
         self._arrays: Optional["DatacenterArrays"] = None
         self._mips_budget = np.empty(0, dtype=np.float64)
         self._mips_budget_full = np.empty(0, dtype=np.float64)
-        self._bw_budget = np.empty(0, dtype=np.float64)
-        self._bw_budget_full = np.empty(0, dtype=np.float64)
         # K×M scratch (grown on demand, reused across steps).
         self._rows_capacity = 0
         self._feas = np.empty((0, 0), dtype=bool)
@@ -174,13 +165,6 @@ class CandidateIndex:
         headroom = self.config.destination_headroom
         self._mips_budget = (headroom * self.beta) * arrays.pm_mips
         self._mips_budget_full = (1.0 * self.beta) * arrays.pm_mips
-        if self.bandwidth_beta is not None:
-            self._bw_budget = (
-                headroom * self.bandwidth_beta
-            ) * arrays.pm_bandwidth_mbps
-            self._bw_budget_full = (
-                1.0 * self.bandwidth_beta
-            ) * arrays.pm_bandwidth_mbps
         self._rows_capacity = 0
 
     def _scratch(self, num_rows: int, num_pms: int):
@@ -277,8 +261,7 @@ class CandidateIndex:
         """K×M feasibility mask plus full-budget fallback rows.
 
         A destination is feasible when the VM's RAM fits and the
-        post-move demand stays within the headroom budget (CPU, and the
-        network dimension when ``bandwidth_beta`` is set).
+        post-move CPU demand stays within the headroom budget.
         Consolidation rows additionally require an occupied host;
         relief rows with *no* feasible destination fall back to the
         full beta budget (returned as per-row override vectors).
@@ -295,17 +278,6 @@ class CandidateIndex:
         np.add(pm_demand[None, :], vm_dmips[:, None], out=tmp)
         np.less_equal(tmp, self._mips_budget[None, :], out=aux)
         np.logical_and(feas, aux, out=feas)
-        pm_bw = None
-        vm_bw = None
-        if self.bandwidth_beta is not None:
-            pm_bw = arrays.pm_bw_demand_mbps()
-            vm_bw = (
-                arrays.vm_bw_demand[vm_rows]
-                * arrays.vm_bandwidth_mbps[vm_rows]
-            )
-            np.add(pm_bw[None, :], vm_bw[:, None], out=tmp)
-            np.less_equal(tmp, self._bw_budget[None, :], out=aux)
-            np.logical_and(feas, aux, out=feas)
         consolidation = np.flatnonzero(~mandatory)
         if consolidation.shape[0]:
             # Consolidation never wakes an empty host.
@@ -321,8 +293,6 @@ class CandidateIndex:
             row = (vm_ram[r] <= ram_free) & (
                 pm_demand + vm_dmips[r] <= self._mips_budget_full
             )
-            if pm_bw is not None and vm_bw is not None:
-                row &= pm_bw + vm_bw[r] <= self._bw_budget_full
             row[sources[r]] = False
             fallback[r] = row
         return feas, fallback
@@ -340,9 +310,7 @@ class CandidateIndex:
         arrays = datacenter.arrays
         if arrays is not self._arrays:
             self._bind(arrays)
-        overloaded = arrays.overloaded_pm_mask(
-            self.beta, self.bandwidth_beta
-        )
+        overloaded = arrays.overloaded_pm_mask(self.beta)
         util = arrays.pm_demand_utilization()
         vm_rows = self._candidate_vm_rows(arrays, overloaded, util)
         sources = arrays.host_of[vm_rows]

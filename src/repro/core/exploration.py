@@ -79,16 +79,13 @@ class BoltzmannPolicy:
         ]
 
     def probabilities(self, q_values: Sequence[float]) -> List[float]:
-        """Normalised selection probabilities."""
+        """Normalised selection probabilities.
+
+        The minimum's weight is ``exp(0.0) = 1.0``, so for finite Q the
+        total is at least 1 and never underflows.
+        """
         weights = self.weights(q_values)
         total = sum(weights)
-        if total <= 0.0:
-            # All weights underflowed: fall back to uniform over the
-            # minimisers, preserving greedy behaviour.
-            minimum = min(q_values)
-            mask = [1.0 if q == minimum else 0.0 for q in q_values]
-            total = sum(mask)
-            return [m / total for m in mask]
         return [w / total for w in weights]
 
     def select(
@@ -145,19 +142,12 @@ class BoltzmannPolicy:
         scaled = (-q + minimum) / self.temperature
         grid = np.zeros((rows, int(lengths.max())))
         column = np.arange(q.shape[0], dtype=np.int64) - starts[row_of]
-        cells = (row_of, column)
-        grid[cells] = np.fromiter(
+        grid[row_of, column] = np.fromiter(
             map(math.exp, scaled.tolist()), np.float64, q.shape[0]
         )
+        # Each row's minimum weighs exp(0.0) = 1.0, so a finite row's
+        # total is at least 1; NaN Q makes it NaN, caught below.
         totals = np.cumsum(grid, axis=1)[:, -1]
-        underflow = totals <= 0.0
-        if underflow.any():
-            # All weights underflowed: fall back to uniform over the
-            # row's minimisers, preserving greedy behaviour.
-            ties = np.zeros_like(grid)
-            ties[cells] = q == minimum
-            grid[underflow] = ties[underflow]
-            totals = np.cumsum(grid, axis=1)[:, -1]
         probabilities = grid / totals[:, None]
         cdf = np.cumsum(probabilities, axis=1)
         if np.isnan(cdf[:, -1]).any():

@@ -3,20 +3,10 @@
 from repro.costs.energy import EnergyCostModel
 from repro.costs.sla_cost import SlaCostModel
 from repro.costs.model import OperationCostModel, StepCost
-from repro.costs.dynamic import (
-    TieredVmPricingSlaCostModel,
-    TimeOfUseEnergyCostModel,
-    peak_offpeak_schedule,
-    spot_and_premium_prices,
-)
 
 __all__ = [
     "EnergyCostModel",
     "SlaCostModel",
     "OperationCostModel",
     "StepCost",
-    "TimeOfUseEnergyCostModel",
-    "TieredVmPricingSlaCostModel",
-    "peak_offpeak_schedule",
-    "spot_and_premium_prices",
 ]

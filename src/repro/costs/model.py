@@ -29,21 +29,11 @@ class StepCost:
 
 
 class OperationCostModel:
-    """Combines the energy and SLA models into Eq. (6)'s per-stage cost.
+    """Combines the energy and SLA models into Eq. (6)'s per-stage cost."""
 
-    Either sub-model can be replaced (e.g. with the time-of-use or
-    tiered-pricing variants from :mod:`repro.costs.dynamic`) — the
-    paper's claim that cost models are swappable without touching Megh.
-    """
-
-    def __init__(
-        self,
-        config: CostConfig,
-        energy: EnergyCostModel | None = None,
-        sla: SlaCostModel | None = None,
-    ) -> None:
-        self.energy = energy if energy is not None else EnergyCostModel(config)
-        self.sla = sla if sla is not None else SlaCostModel(config)
+    def __init__(self, config: CostConfig) -> None:
+        self.energy = EnergyCostModel(config)
+        self.sla = SlaCostModel(config)
 
     @property
     def total_usd(self) -> float:

@@ -4,15 +4,17 @@ The engine's cache and worker pipes move results as plain dicts, so the
 conversion must be *exact*: every stored float survives bit-for-bit
 (JSON's shortest-round-trip float repr guarantees this), every SLA
 window entry is preserved, and the nested configuration dataclasses are
-rebuilt field by field.  Derived quantities (totals, means, windowed
-fractions) are recomputed from the restored state, never stored — a
-round-tripped result therefore answers every query identically to the
-original.
+rebuilt field by field (keys of retired fields are ignored, so payloads
+written before a field was removed still load).  Derived quantities
+(totals, means, windowed fractions) are recomputed from the restored
+state, never stored — a round-tripped result therefore answers every
+query identically to the original.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from typing import Any, Dict
 
 from repro.cloudsim.metrics import MetricsCollector, StepMetrics
@@ -57,7 +59,6 @@ def _sla_to_dict(sla: SlaAccountant) -> Dict[str, Any]:
         "beta": sla.beta,
         "window_seconds": sla.window_seconds,
         "interval_seconds": sla.interval_seconds,
-        "bandwidth_threshold": sla.bandwidth_threshold,
         "hosts": {
             str(pm_id): {
                 "active_seconds": record.active_seconds,
@@ -83,7 +84,6 @@ def _sla_from_dict(data: Dict[str, Any]) -> SlaAccountant:
         beta=data["beta"],
         window_seconds=data["window_seconds"],
         interval_seconds=data["interval_seconds"],
-        bandwidth_threshold=data["bandwidth_threshold"],
     )
     for pm_id, host in data["hosts"].items():
         accountant.restore_host_record(
@@ -112,13 +112,19 @@ def _config_to_dict(config: SimulationConfig) -> Dict[str, Any]:
     }
 
 
+def _declared_fields(cls: Any, data: Dict[str, Any]) -> Dict[str, Any]:
+    return {field.name: data[field.name] for field in fields(cls)}
+
+
 def _config_from_dict(data: Dict[str, Any]) -> SimulationConfig:
     return SimulationConfig(
         interval_seconds=data["interval_seconds"],
         num_steps=data["num_steps"],
         seed=data["seed"],
-        costs=CostConfig(**data["costs"]),
-        datacenter=DatacenterConfig(**data["datacenter"]),
+        costs=CostConfig(**_declared_fields(CostConfig, data["costs"])),
+        datacenter=DatacenterConfig(
+            **_declared_fields(DatacenterConfig, data["datacenter"])
+        ),
     )
 
 

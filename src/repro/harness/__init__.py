@@ -19,7 +19,6 @@ from repro.harness.multiseed import (
     run_multi_seed,
 )
 from repro.harness.report import comparison_report, save_report
-from repro.harness.regret import regret_curve, regret_is_sublinear, total_regret
 from repro.harness.analysis import ComparativeClaims, claims_report, compare
 from repro.harness.sweeps import SweepCell, best_cell, render_sweep, sweep_megh
 
@@ -43,9 +42,6 @@ __all__ = [
     "render_aggregates",
     "comparison_report",
     "save_report",
-    "regret_curve",
-    "total_regret",
-    "regret_is_sublinear",
     "ComparativeClaims",
     "compare",
     "claims_report",

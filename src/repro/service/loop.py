@@ -389,7 +389,6 @@ class ServiceSimulation:
             "in_flight": engine_state["in_flight"],
             "engine": {
                 "total_migrations": engine_state["total_migrations"],
-                "total_gb_hops": engine_state["total_gb_hops"],
             },
             "monitor": {
                 **monitor_counters,

@@ -43,11 +43,9 @@ class Workload(Protocol):
         """Whether the VM has a running workload at the step."""
         ...
 
-    def step_slice(
-        self, step: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Whole per-step columns ``(active, utilization, bandwidth)``
-        (see :meth:`ArrayWorkload.step_slice`)."""
+    def step_slice(self, step: int) -> tuple[np.ndarray, np.ndarray]:
+        """Whole per-step columns ``(active, utilization)`` (see
+        :meth:`ArrayWorkload.step_slice`)."""
         ...
 
 
@@ -124,16 +122,13 @@ class ArrayWorkload:
         self._check(vm_id, step)
         return bool(self._active[vm_id, step])
 
-    def step_slice(
-        self, step: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Batched per-step view: ``(active, utilization, bandwidth)``.
+    def step_slice(self, step: int) -> tuple[np.ndarray, np.ndarray]:
+        """Batched per-step view: ``(active, utilization)``.
 
-        ``active`` and ``utilization`` are read-only length-``num_vms``
-        columns (the same values the per-VM ``is_active``/``utilization``
-        calls return, except that ``utilization`` is not zero-masked —
-        consumers apply the activity mask); ``bandwidth`` is ``None`` for
-        CPU-only workloads.  The simulation driver applies a whole
+        Both are read-only length-``num_vms`` columns (the same values
+        the per-VM ``is_active``/``utilization`` calls return, except
+        that ``utilization`` is not zero-masked — consumers apply the
+        activity mask).  The simulation driver applies a whole
         interval's workload from it in one vector pass.
         """
         if not 0 <= step < self.num_steps:
@@ -142,7 +137,7 @@ class ArrayWorkload:
         active.flags.writeable = False
         utilization = self._matrix[:, step].view()
         utilization.flags.writeable = False
-        return active, utilization, None
+        return active, utilization
 
     def slice_vms(self, vm_ids: Sequence[int]) -> "ArrayWorkload":
         """Restrict the workload to a subset of VMs (re-indexed densely)."""

@@ -8,9 +8,8 @@ pipeline's array stages and to their per-entity oracles
 * the SLA accountant's vectors and windows vs a dict-and-deque
   accumulator, record for record and in first-seen order;
 * the energy cost vs the per-PM watts loop;
-* ``observe_state``, the mean-active-utilization metric and (with
-  dynamic provisioning) the first-fit placement vs their object
-  formulas;
+* ``observe_state`` and the mean-active-utilization metric vs their
+  object formulas;
 * for Megh, the candidate plan vs the scalar generator.
 
 The stages are shadowed the way the repo's traced benchmark does it:
@@ -67,11 +66,7 @@ def _check_accountant(accountant, calls):
     """Shadow ``accountant.observe_step`` with the dict-and-deque
     accumulator; every record must agree after every step."""
     observe_step = accountant.observe_step
-    sla = oracle.SlaOracle(
-        accountant.beta,
-        accountant.window_steps,
-        accountant.bandwidth_threshold,
-    )
+    sla = oracle.SlaOracle(accountant.beta, accountant.window_steps)
 
     def checked(datacenter, interval_seconds, migration_downtime=()):
         observe_step(datacenter, interval_seconds, migration_downtime)
@@ -119,7 +114,6 @@ def _shadow_module(monkeypatch, calls):
     """Patch the module-level stages the pipeline calls by name."""
     real_observe = simulation_module.observe_state
     real_mean = simulation_module._mean_active_host_utilization
-    real_first_fit = simulation_module.first_fit_ram
 
     def observe_state(datacenter, step):
         state = real_observe(datacenter, step)
@@ -132,20 +126,6 @@ def _shadow_module(monkeypatch, calls):
         calls["mean_utilization"] += 1
         assert value == oracle.mean_active_host_utilization(datacenter)
         return value
-
-    def first_fit_ram(datacenter, vm_id):
-        # The oracle places first; undo it, then the real first-fit
-        # must pick the same host (or agree that none has room).
-        expected = oracle.first_fit_ram(datacenter, vm_id)
-        expected_host = datacenter.host_of(vm_id)
-        if expected:
-            datacenter.remove(vm_id)
-        placed = real_first_fit(datacenter, vm_id)
-        calls["first_fit"] += 1
-        calls["first_fit_placed"] += placed
-        assert placed == expected
-        assert datacenter.host_of(vm_id) == expected_host
-        return placed
 
     class CheckedPipeline(StepPipeline):
         def __init__(self, datacenter, config, monitor, **kwargs):
@@ -162,7 +142,6 @@ def _shadow_module(monkeypatch, calls):
     monkeypatch.setattr(
         simulation_module, "_mean_active_host_utilization", mean_utilization
     )
-    monkeypatch.setattr(simulation_module, "first_fit_ram", first_fit_ram)
     monkeypatch.setattr(simulation_module, "StepPipeline", CheckedPipeline)
 
 
@@ -250,15 +229,4 @@ class TestPipelineOracles:
             monkeypatch, simulation, MMTScheduler("THR"), 30
         )
         assert calls["migration_downtime"] > 0
-        assert result.total_migrations > 0
-
-    def test_dynamic_provisioning_run(self, monkeypatch):
-        simulation = build_google_simulation(
-            num_pms=8, num_vms=40, num_steps=30, seed=2
-        )
-        simulation.dynamic_provisioning = True
-        result, calls = _checked_run(
-            monkeypatch, simulation, MMTScheduler("THR"), 30
-        )
-        assert calls["first_fit_placed"] > 0
         assert result.total_migrations > 0

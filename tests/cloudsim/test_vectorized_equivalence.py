@@ -39,7 +39,6 @@ from tests.oracles import pipeline as oracle
 from tests.oracles.reference_datacenter import ReferenceDatacenter
 
 BETA = 0.70
-BW_THRESHOLD = 0.65
 
 
 def make_pair(num_pms, num_vms, seed, overhead=0.10):
@@ -66,10 +65,6 @@ def snapshot(dc):
             "demanded_mips": dc.demanded_mips(pm_id),
             "demanded_utilization": dc.demanded_utilization(pm_id),
             "delivered_utilization": dc.delivered_utilization(pm_id),
-            "bandwidth_demanded_mbps": dc.bandwidth_demanded_mbps(pm_id),
-            "bandwidth_demanded_utilization": (
-                dc.bandwidth_demanded_utilization(pm_id)
-            ),
             "is_overloaded": dc.is_overloaded(pm_id, BETA),
             "asleep": pm.asleep,
             "vms_on": sorted(dc.vms_on(pm_id)),
@@ -83,9 +78,6 @@ def snapshot(dc):
             "is_active": vm.is_active,
             "demanded_utilization": vm.demanded_utilization,
             "delivered_utilization": vm.delivered_utilization,
-            "demanded_bandwidth_utilization": (
-                vm.demanded_bandwidth_utilization
-            ),
             "demanded_mips": vm.demanded_mips,
             "delivered_mips": vm.delivered_mips,
         }
@@ -95,8 +87,7 @@ def snapshot(dc):
         "placement": dc.placement(),
         "active_pm_ids": dc.active_pm_ids(),
         "num_active_hosts": dc.num_active_hosts(),
-        "overloaded_cpu": dc.overloaded_pm_ids(BETA),
-        "overloaded_multi": dc.overloaded_pm_ids(BETA, BW_THRESHOLD),
+        "overloaded": dc.overloaded_pm_ids(BETA),
     }
 
 
@@ -144,7 +135,6 @@ class TestRandomizedOperationSequences:
             "move",
             "demand",
             "demand",
-            "bandwidth",
             "activity",
             "share_cpu",
             "overhead",
@@ -169,10 +159,6 @@ class TestRandomizedOperationSequences:
                 value = float(rng.uniform(0.0, 1.0))
                 reference.vm(vm_id).set_demand(value)
                 vectorized.vm(vm_id).set_demand(value)
-            elif op == "bandwidth":
-                value = float(rng.uniform(0.0, 1.0))
-                reference.vm(vm_id).set_bandwidth_demand(value)
-                vectorized.vm(vm_id).set_bandwidth_demand(value)
             elif op == "activity":
                 active = bool(rng.integers(2))
                 reference.vm(vm_id).set_active(active)

@@ -98,31 +98,6 @@ class TestDestinationProposals:
         }
         assert dests[0] == max(utils, key=utils.get)
 
-    def test_bandwidth_filter_excludes_saturated_links(self):
-        dc = self._dc(num_pms=3, num_vms=3, vm_mips=500.0)
-        for vm in dc.vms:
-            vm.bandwidth_mbps = 800.0
-        dc.place(0, 0)
-        dc.place(1, 1)
-        dc.place(2, 2)
-        dc.vm(0).set_demand(0.05)
-        dc.vm(0).set_bandwidth_demand(0.3)  # 240 Mbps of traffic
-        dc.vm(1).set_demand(0.3)
-        dc.vm(1).set_bandwidth_demand(0.5)  # host 1 already at 400 Mbps
-        dc.vm(2).set_demand(0.3)
-        dc.vm(2).set_bandwidth_demand(0.0)
-        agent = MeghScheduler(
-            num_vms=3, num_pms=3, seed=0, bandwidth_beta=0.7
-        )
-        observation = build_observation(dc)
-        dests = destinations_for(agent, observation, 0, current=0)
-        # Consolidation traffic budget: headroom * 0.7 * 1000 Mbps.
-        budget = agent.config.destination_headroom * 0.7 * 1000.0
-        assert 400.0 + 240.0 > budget  # host 1 would blow its link
-        assert 0.0 + 240.0 <= budget  # host 2 has room
-        assert 1 not in dests
-        assert 2 in dests
-
 
 class TestCostNormalization:
     def test_running_mean_tracks_stream(self):

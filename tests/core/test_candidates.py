@@ -3,8 +3,8 @@
 The vectorized :class:`~repro.core.candidates.CandidateIndex` must
 produce the *same ordered candidate lists element for element* as the
 scalar generator (``tests/oracles/megh_candidates.py``) — on
-randomized fleets covering churned/retired slots, bandwidth betas on and
-off, and the candidate caps on and off — and routing ``decide()``
+randomized fleets covering churned/retired slots and the candidate
+caps on and off — and routing ``decide()``
 through either generator must leave whole-run decision traces
 identical.  Also pins satellite fixes: exactly one overload-predicate
 evaluation per ``decide()``.
@@ -37,7 +37,6 @@ def random_datacenter(seed, num_pms=8, num_vms=20, churn=False):
     for j in range(num_vms):
         dc.place(j, int(rng.integers(0, num_pms)))
         dc.vm(j).set_demand(float(rng.uniform(0.0, 1.0)))
-        dc.vm(j).set_bandwidth_demand(float(rng.uniform(0.0, 0.8)))
     if churn:
         # Service-style retirement: remove, deactivate, placeholder
         # capacities on the object, cleared slot in the arrays — the
@@ -84,14 +83,6 @@ class TestDifferentialOracle:
         # placed+active VMs, where the views agree.
         dc = random_datacenter(seed, churn=True)
         agent = MeghScheduler(num_vms=20, num_pms=8, seed=seed)
-        assert_plan_matches_oracle(agent, dc)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_bandwidth_beta_on(self, seed):
-        dc = random_datacenter(seed + 100)
-        agent = MeghScheduler(
-            num_vms=20, num_pms=8, seed=seed, bandwidth_beta=0.7
-        )
         assert_plan_matches_oracle(agent, dc)
 
     @pytest.mark.parametrize(
@@ -181,13 +172,13 @@ class TestSingleOverloadEvaluation:
         original_mask = DatacenterArrays.overloaded_pm_mask
         original_ids = Datacenter.overloaded_pm_ids
 
-        def counting_mask(arrays_self, beta, bandwidth_threshold=None):
+        def counting_mask(arrays_self, beta):
             calls["mask"] += 1
-            return original_mask(arrays_self, beta, bandwidth_threshold)
+            return original_mask(arrays_self, beta)
 
-        def counting_ids(dc_self, beta, bandwidth_threshold=None):
+        def counting_ids(dc_self, beta):
             calls["ids"] += 1
-            return original_ids(dc_self, beta, bandwidth_threshold)
+            return original_ids(dc_self, beta)
 
         return calls, counting_mask, counting_ids
 
@@ -215,9 +206,7 @@ class TestSingleOverloadEvaluation:
 class TestScratchReuse:
     def test_broadcast_buffers_are_reused(self):
         dc = random_datacenter(11)
-        index = CandidateIndex(
-            beta=0.7, bandwidth_beta=None, config=MeghConfig()
-        )
+        index = CandidateIndex(beta=0.7, config=MeghConfig())
         index.plan(dc)
         first = index._feas
         index.plan(dc)

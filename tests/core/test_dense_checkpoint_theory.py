@@ -10,7 +10,11 @@ from repro.core.checkpoint import load_agent, save_agent
 from repro.core.dense import DenseLstd
 from repro.core.exploration import EpsilonGreedyPolicy
 from repro.core.lstd import SparseLstd
-from repro.core.theory import (
+from repro.errors import ConfigurationError
+from repro.harness.builders import build_planetlab_simulation
+from repro.mdp.action import ActionSpace, MigrationAction
+
+from tests.core.theory import (
     bellman_operator,
     fixed_point_iteration,
     projection_matrix,
@@ -18,9 +22,6 @@ from repro.core.theory import (
     verify_contraction,
     verify_unique_projection,
 )
-from repro.errors import ConfigurationError
-from repro.harness.builders import build_planetlab_simulation
-from repro.mdp.action import ActionSpace, MigrationAction
 
 
 class TestDenseMatchesSparse:

@@ -17,7 +17,8 @@
   :func:`fixed_point_iteration` exhibits the geometric convergence.
 
 These are the proof obligations, checked numerically; the tests in
-``tests/core/test_theory.py`` pin them down.
+``tests/core/test_dense_checkpoint_theory.py`` pin them down.  Nothing
+in ``src/`` depends on them, so they live with that test.
 """
 
 from __future__ import annotations

@@ -9,8 +9,6 @@ qualitative orderings at small scale.
 import pytest
 
 from repro.baselines.madvm import MadVMScheduler
-from repro.baselines.maxweight import MaxWeightScheduler
-from repro.baselines.oracle import OracleScheduler
 from repro.baselines.mmt.scheduler import MMTScheduler
 from repro.baselines.noop import NoMigrationScheduler
 from repro.baselines.qlearning import QLearningScheduler
@@ -37,8 +35,6 @@ ALL_SCHEDULER_FACTORIES = {
     "LR-MMT": lambda sim: MMTScheduler("LR"),
     "LRR-MMT": lambda sim: MMTScheduler("LRR"),
     "Megh": lambda sim: MeghScheduler.from_simulation(sim, seed=0),
-    "MaxWeight": lambda sim: MaxWeightScheduler(),
-    "Oracle": lambda sim: OracleScheduler.from_simulation(sim),
     "MadVM": lambda sim: MadVMScheduler.from_simulation(sim, seed=0),
     "Q-learning": lambda sim: QLearningScheduler(seed=0),
 }

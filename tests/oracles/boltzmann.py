@@ -25,14 +25,9 @@ def left_to_right_sum(values: Sequence[float]) -> float:
 
 
 def probabilities(policy, q_values: Sequence[float]) -> List[float]:
-    """One row's Boltzmann distribution, with the underflow fallback."""
+    """One row's Boltzmann distribution."""
     weights = policy.weights(q_values)
     total = left_to_right_sum(weights)
-    if total <= 0.0:
-        minimum = min(q_values)
-        mask = [1.0 if q == minimum else 0.0 for q in q_values]
-        total = left_to_right_sum(mask)
-        return [m / total for m in mask]
     return [w / total for w in weights]
 
 

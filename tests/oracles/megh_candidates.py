@@ -32,9 +32,7 @@ def candidate_actions(agent, observation) -> List[List[MigrationAction]]:
     """
     datacenter = observation.datacenter
     source_vms: List[int] = []
-    overloaded_ids = datacenter.overloaded_pm_ids(
-        agent.beta, agent.bandwidth_beta
-    )
+    overloaded_ids = datacenter.overloaded_pm_ids(agent.beta)
     for pm_id in overloaded_ids:
         source_vms.extend(
             vm_id
@@ -134,14 +132,6 @@ def feasible_destinations(
         new_demand = datacenter.demanded_mips(pm.pm_id) + vm.demanded_mips
         if new_demand > headroom * agent.beta * pm.mips:
             continue
-        if agent.bandwidth_beta is not None:
-            new_traffic = (
-                datacenter.bandwidth_demanded_mbps(pm.pm_id)
-                + vm.demanded_bandwidth_mbps
-            )
-            budget = headroom * agent.bandwidth_beta * pm.bandwidth_mbps
-            if new_traffic > budget:
-                continue
         feasible.append(pm.pm_id)
     return feasible
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, List, Mapping, Tuple
 
 from repro.mdp.state import DatacenterState
 
@@ -96,15 +96,9 @@ class VmRecord:
 class SlaOracle:
     """The SLA accountant as per-record scalars and deque windows."""
 
-    def __init__(
-        self,
-        beta: float,
-        window_steps: int,
-        bandwidth_threshold: Optional[float] = None,
-    ) -> None:
+    def __init__(self, beta: float, window_steps: int) -> None:
         self.beta = beta
         self.window_steps = window_steps
-        self.bandwidth_threshold = bandwidth_threshold
         self.hosts: Dict[int, HostRecord] = {}
         self.vms: Dict[int, VmRecord] = {}
 
@@ -126,12 +120,7 @@ class SlaOracle:
         for pm_id in datacenter.active_pm_ids():
             record = self.host_record(pm_id)
             record.active_seconds += interval_seconds
-            overloaded = datacenter.is_overloaded(pm_id, self.beta) or (
-                self.bandwidth_threshold is not None
-                and datacenter.is_bandwidth_overloaded(
-                    pm_id, self.bandwidth_threshold
-                )
-            )
+            overloaded = datacenter.is_overloaded(pm_id, self.beta)
             if overloaded:
                 record.overload_seconds += interval_seconds
             for vm_id in sorted(datacenter.vms_on(pm_id)):

@@ -217,30 +217,11 @@ class ReferenceDatacenter:
     def is_overloaded(self, pm_id: int, beta: float) -> bool:
         return self.demanded_utilization(pm_id) > beta
 
-    def bandwidth_demanded_mbps(self, pm_id: int) -> float:
-        return sum(
-            self._vms[j].demanded_bandwidth_mbps
-            for j in sorted(self._vms_on[pm_id])
-        )
-
-    def bandwidth_demanded_utilization(self, pm_id: int) -> float:
-        return self.bandwidth_demanded_mbps(pm_id) / self.pm(pm_id).bandwidth_mbps
-
-    def is_bandwidth_overloaded(self, pm_id: int, threshold: float) -> bool:
-        return self.bandwidth_demanded_utilization(pm_id) > threshold
-
-    def overloaded_pm_ids(
-        self, beta: float, bandwidth_threshold: Optional[float] = None
-    ) -> List[int]:
+    def overloaded_pm_ids(self, beta: float) -> List[int]:
         overloaded = []
         for pm in self._pms:
             if not self._vms_on[pm.pm_id]:
                 continue
-            if self.is_overloaded(pm.pm_id, beta) or (
-                bandwidth_threshold is not None
-                and self.is_bandwidth_overloaded(
-                    pm.pm_id, bandwidth_threshold
-                )
-            ):
+            if self.is_overloaded(pm.pm_id, beta):
                 overloaded.append(pm.pm_id)
         return overloaded
