@@ -11,6 +11,11 @@ from repro.workloads.planetlab import (
     generate_planetlab_workload,
     load_planetlab_directory,
 )
+from repro.workloads.google_trace import (
+    GoogleTraceInterval,
+    load_google_task_events,
+    parse_task_events,
+)
 from repro.workloads.google import (
     GoogleClusterWorkloadConfig,
     GoogleTask,
@@ -21,6 +26,11 @@ from repro.workloads.synthetic import (
     periodic_workload,
     random_walk_workload,
     spike_workload,
+)
+from repro.workloads.queueing import (
+    QueueingWorkloadConfig,
+    expected_busy_fraction,
+    generate_queueing_workload,
 )
 from repro.workloads.traces import (
     export_task_events,
@@ -47,12 +57,18 @@ __all__ = [
     "generate_planetlab_workload",
     "load_planetlab_directory",
     "GoogleClusterWorkloadConfig",
+    "GoogleTraceInterval",
+    "load_google_task_events",
+    "parse_task_events",
     "GoogleTask",
     "generate_google_workload",
     "constant_workload",
     "periodic_workload",
     "random_walk_workload",
     "spike_workload",
+    "QueueingWorkloadConfig",
+    "generate_queueing_workload",
+    "expected_busy_fraction",
     "save_workload_npz",
     "load_workload_npz",
     "save_workload_csv",

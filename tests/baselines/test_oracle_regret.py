@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from repro.baselines.noop import NoMigrationScheduler
-from repro.baselines.oracle import OracleScheduler
 from repro.cloudsim.datacenter import Datacenter
 from repro.cloudsim.simulation import Simulation
 from repro.config import SimulationConfig
 from repro.errors import ConfigurationError
 from repro.harness.builders import build_planetlab_simulation
-from repro.harness.regret import (
+from repro.harness.runner import run_comparison
+from repro.workloads.base import ArrayWorkload
+
+from tests.baselines.oracle import OracleScheduler
+from tests.baselines.regret import (
     regret_curve,
     regret_is_sublinear,
     total_regret,
 )
-from repro.harness.runner import run_comparison
-from repro.workloads.base import ArrayWorkload
-
 from tests.conftest import make_pm, make_vm
 
 

@@ -20,6 +20,8 @@ from repro.harness.builders import (
 )
 from repro.harness.runner import run_comparison, run_scheduler
 
+from tests.baselines.oracle import OracleScheduler
+
 
 @pytest.fixture(scope="module")
 def planetlab_sim():
@@ -35,6 +37,7 @@ ALL_SCHEDULER_FACTORIES = {
     "LR-MMT": lambda sim: MMTScheduler("LR"),
     "LRR-MMT": lambda sim: MMTScheduler("LRR"),
     "Megh": lambda sim: MeghScheduler.from_simulation(sim, seed=0),
+    "Oracle": lambda sim: OracleScheduler.from_simulation(sim),
     "MadVM": lambda sim: MadVMScheduler.from_simulation(sim, seed=0),
     "Q-learning": lambda sim: QLearningScheduler(seed=0),
 }
