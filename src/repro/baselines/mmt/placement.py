@@ -8,6 +8,7 @@ threshold.  This is the placement stage shared by every MMT variant.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,16 +26,16 @@ class PlacementContext:
     "before" power ``P(min(1, demand / mips))``.  So is each VM's score
     on every host at zero pending, ``(P(after) − P(before)) + wake``:
     :meth:`prime` computes the scores of every VM a round may place in
-    one 2-D pass.  Build a fresh context whenever the datacenter's
-    placement or demand may have changed.
+    one 2-D pass per power model and keeps only the feasible ones, row
+    by row.  Build a fresh context whenever the datacenter's placement
+    or demand may have changed.
 
     Empty hosts with equal operands (power model, capacity, free RAM,
     demand, wake cost) are *twins*: no VM's source, so every VM scores
-    them alike, and the lowest id wins the tie.  A class of twins is
-    primed as one column; a call of ``k`` VMs only needs the class's
-    first ``k`` non-excluded members, since at most ``k − 1`` of them
-    take a commitment before its last VM is placed.  On a fleet with
-    most hosts asleep this shrinks the score matrix by an order of
+    them alike, and the lowest free id wins the tie.  A class of twins
+    is primed once, under its first member; a call resolves it to the
+    lowest member it neither excludes nor has committed to.  On a fleet
+    with most hosts asleep this shrinks the primed scores by an order of
     magnitude without changing a plan.
     """
 
@@ -48,148 +49,167 @@ class PlacementContext:
         utilization = np.minimum(1.0, self.pm_demand / self.pm_mips)
         self.before = np.empty(arrays.num_pms, dtype=np.float64)
         self.wake = np.zeros(arrays.num_pms, dtype=np.float64)
-        # Group index per host: one power_batch per group scores a VM.
+        # Group index per host.
         self.group_of = np.empty(arrays.num_pms, dtype=np.int64)
         for index, (model, pm_ids) in enumerate(self.groups):
             self.group_of[pm_ids] = index
             self.before[pm_ids] = model.power_batch(utilization[pm_ids])
             self.wake[pm_ids[arrays.pm_asleep[pm_ids]]] = model.power(0.0)
-        # Twin classes of two or more members, ids ascending, keyed by
-        # their first member; every other host is primed on its own.
+        # Twin classes: sort the empty hosts by their operands (a stable
+        # sort, so members stay in ascending id order) and cut where
+        # adjacent rows differ.  Classes of two or more members are keyed
+        # by their first member; every other host is primed on its own.
         empty = np.flatnonzero(arrays.pm_vm_count == 0)
-        operands = np.stack(
-            [
-                self.group_of[empty],
-                self.pm_mips[empty],
-                self.ram_free[empty],
-                self.pm_demand[empty],
-                self.wake[empty],
-            ],
-            axis=1,
-        )
-        _, inverse, counts = np.unique(
-            operands, axis=0, return_inverse=True, return_counts=True
-        )
-        by_class = empty[np.argsort(inverse.ravel(), kind="stable")]
-        classes = np.split(by_class, np.cumsum(counts)[:-1])
-        self.twins = {
-            int(members[0]): members
-            for members in classes
-            if members.size > 1
-        }
+        operands = [
+            self.wake[empty],
+            self.pm_demand[empty],
+            self.ram_free[empty],
+            self.pm_mips[empty],
+            self.group_of[empty],
+        ]
+        order = np.lexsort(operands)
+        by_class = empty[order]
+        same = np.ones(max(empty.size - 1, 0), dtype=bool)
+        for operand in operands:
+            ranked = operand[order]
+            same &= ranked[1:] == ranked[:-1]
+        first = np.ones(empty.size, dtype=bool)
+        first[1:] = ~same
+        starts = np.flatnonzero(first)
+        sizes = np.diff(np.append(starts, empty.size))
+        self.twins: Dict[int, List[int]] = {}
+        for start, size in zip(starts.tolist(), sizes.tolist()):
+            if size > 1:
+                members = by_class[start : start + size].tolist()
+                self.twins[members[0]] = members
         hidden = np.zeros(arrays.num_pms, dtype=bool)
-        for members in self.twins.values():
-            hidden[members[1:]] = True
-        self.base = np.flatnonzero(~hidden)
-        # Primed scores: one row per VM, one column per base host that
-        # is feasible for at least one of them.
+        hidden[by_class[np.repeat(sizes > 1, sizes) & ~first]] = True
+        # Every other host, grouped by power model (ids ascending within
+        # a group): one power_batch per group scores a block of columns.
+        base = np.flatnonzero(~hidden)
+        self.base = base[np.argsort(self.group_of[base], kind="stable")]
+        # Python copies of the per-host operands that re-score a host
+        # holding commitments of the call.
+        self._ram_free = self.ram_free.tolist()
+        self._pm_demand = self.pm_demand.tolist()
+        self._pm_mips = self.pm_mips.tolist()
+        self._wake = self.wake.tolist()
+        models = [model for model, _ in self.groups]
+        self._model = [models[group] for group in self.group_of.tolist()]
+        # Primed scores: the feasible (VM, base host) pairs, row-major.
         self.threshold: Optional[float] = None
-        self.row_of = np.full(arrays.num_vms, -1, dtype=np.int64)
-        self.row_mips = np.empty(0, dtype=np.float64)
-        self.row_ram = np.empty(0, dtype=np.float64)
-        self.columns = np.empty(0, dtype=np.int64)
-        self.scores = np.empty((0, 0), dtype=np.float64)
-        self._singles = np.empty(0, dtype=np.int64)
-        self._twin_columns: List[Tuple[int, np.ndarray]] = []
-        self._layouts: Dict[int, Tuple[np.ndarray, ...]] = {}
-        self.budget = np.empty(0, dtype=np.float64)
-
-    def power(self, pm_ids: np.ndarray, utilization: np.ndarray) -> np.ndarray:
-        """Each host's power model evaluated at its ``utilization``."""
-        watts = np.empty(pm_ids.size, dtype=np.float64)
-        group_of = self.group_of[pm_ids]
-        for index, (model, _) in enumerate(self.groups):
-            members = group_of == index
-            watts[members] = model.power_batch(utilization[members])
-        return watts
+        self._budget: List[float] = []
+        self._rows: Dict[int, Tuple[float, float, int, int, int]] = {}
+        self._pair_hosts = np.empty(0, dtype=np.int64)
+        self._pair_scores = np.empty(0, dtype=np.float64)
 
     def prime(self, vm_ids: Iterable[int], threshold: float) -> None:
         """Score every base host for each of ``vm_ids`` at zero pending.
 
-        A score is ``inf`` where the host lacks the RAM, would pass
-        ``threshold`` of its capacity, or is the VM's source.  Only the
-        feasible (VM, host) pairs are evaluated, and only hosts feasible
-        for some VM get a column.  Replaces any earlier priming.
+        Only the feasible pairs are scored and kept: a host lacking the
+        RAM, passing ``threshold`` of its capacity, or the VM's source
+        has no score.  Replaces any earlier priming.
         """
         arrays = self.arrays
         vm_ids = np.asarray(list(vm_ids), dtype=np.int64)
         mips = arrays.vm_demand[vm_ids] * arrays.vm_mips[vm_ids]
         ram = arrays.vm_ram_mb[vm_ids]
+        budget = threshold * self.pm_mips
         base = self.base
-        self.budget = threshold * self.pm_mips
-        feasible = (ram[:, None] <= self.ram_free[base]) & (
-            self.pm_demand[base] + mips[:, None] <= self.budget[base]
-        )
+        if vm_ids.size:
+            # A host that lacks room for the least RAM and MIPS of the
+            # set fits none of its VMs.
+            base = base[
+                (ram.min() <= self.ram_free[base])
+                & (self.pm_demand[base] + mips.min() <= budget[base])
+            ]
         sources = arrays.host_of[vm_ids]
-        placed = np.flatnonzero(sources >= 0)
-        feasible[placed, np.searchsorted(base, sources[placed])] = False
-        kept = np.flatnonzero(feasible.any(axis=0))
-        columns = base[kept]
-        rows, cols = np.nonzero(feasible[:, kept])
-        hosts = columns[cols]
-        after = np.minimum(
-            1.0, (self.pm_demand[hosts] + mips[rows]) / self.pm_mips[hosts]
+        feasible = (
+            (ram[:, None] <= self.ram_free[base])
+            & (self.pm_demand[base] + mips[:, None] <= budget[base])
+            & (base != sources[:, None])
         )
-        scores = np.full((vm_ids.size, columns.size), np.inf)
-        scores[rows, cols] = (
-            self.power(hosts, after) - self.before[hosts]
-        ) + self.wake[hosts]
+        scores = np.empty(feasible.shape, dtype=np.float64)
+        edges = np.searchsorted(
+            self.group_of[base], np.arange(len(self.groups) + 1)
+        ).tolist()
+        for (model, _), lo, hi in zip(self.groups, edges, edges[1:]):
+            hosts = base[lo:hi]
+            load = self.pm_demand[hosts] + mips[:, None]
+            after = np.minimum(1.0, load / self.pm_mips[hosts])
+            scores[:, lo:hi] = (
+                model.power_batch(after) - self.before[hosts]
+            ) + self.wake[hosts]
+        rows, cols = np.nonzero(feasible)
+        self._pair_hosts = base[cols]
+        self._pair_scores = scores[feasible]
+        bounds = np.searchsorted(rows, np.arange(vm_ids.size + 1)).tolist()
         self.threshold = threshold
-        self.row_of[self.row_of >= 0] = -1
-        self.row_of[vm_ids] = np.arange(vm_ids.size)
-        self.row_mips, self.row_ram = mips, ram
-        self.columns, self.scores = columns, scores
-        self._twin_columns = [
-            (col, self.twins[pm_id])
-            for col, pm_id in enumerate(columns.tolist())
-            if pm_id in self.twins
-        ]
-        singles = np.ones(columns.size, dtype=bool)
-        singles[[col for col, _ in self._twin_columns]] = False
-        self._singles = np.flatnonzero(singles)
-        self._layouts = {}
+        self._budget = budget.tolist()
+        self._rows = dict(
+            zip(
+                vm_ids.tolist(),
+                zip(
+                    mips.tolist(),
+                    ram.tolist(),
+                    sources.tolist(),
+                    bounds[:-1],
+                    bounds[1:],
+                ),
+            )
+        )
 
-    def rows(self, vm_ids: Sequence[int], threshold: float) -> np.ndarray:
-        """Score rows of ``vm_ids``, priming them first when needed."""
-        rows = self.row_of[np.asarray(vm_ids, dtype=np.int64)]
-        if threshold != self.threshold or np.any(rows < 0):
+    def rows(
+        self, vm_ids: Sequence[int], threshold: float
+    ) -> List[Tuple[float, float, int, int, int]]:
+        """``(mips, ram, source, start, stop)`` of each of ``vm_ids``,
+        priming them first when needed; ``start:stop`` spans the VM's
+        primed pairs."""
+        rows = self._rows
+        if threshold != self.threshold or not all(
+            map(rows.__contains__, vm_ids)
+        ):
             self.prime(vm_ids, threshold)
-            rows = self.row_of[np.asarray(vm_ids, dtype=np.int64)]
-        return rows
+            rows = self._rows
+        return [rows[vm_id] for vm_id in vm_ids]
 
-    def call_columns(
-        self, count: int, excluded: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Hosts a call of ``count`` VMs scores, and their primed columns.
+    def best_primed(
+        self,
+        start: int,
+        stop: int,
+        excluded: bytes,
+        committed: Dict[int, List[float]],
+    ) -> Tuple[float, int]:
+        """The minimum ``(score, host id)`` of primed pairs ``start:stop``
+        over hosts neither ``excluded`` (one byte per host, non-zero
+        when excluded) nor ``committed``; ``(inf, -1)`` when there is
+        none.
 
-        Every primed host, with each twin class expanded to its first
-        ``count`` members not ``excluded``; ascending host id.  The
-        layout without exclusions is cached per ``count``: it serves
-        every call that excludes none of its twin members.
+        One pass over the row; a key scoring no more than the best so
+        far resolves to its first free host — itself, or a twin class's
+        first free member — and ties go to the lower resolved id.
         """
-        layout = self._layouts.get(count)
-        if layout is None:
-            layout = self._layouts[count] = self._layout(count, None)
-        pm_ids, cols, twin_members = layout
-        if excluded[twin_members].any():
-            pm_ids, cols, _ = self._layout(count, excluded)
-        return pm_ids, cols
-
-    def _layout(
-        self, count: int, excluded: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        hosts = [self.columns[self._singles]]
-        cols = [self._singles]
-        for col, members in self._twin_columns:
-            if excluded is not None:
-                members = members[~excluded[members]]
-            members = members[:count]
-            hosts.append(members)
-            cols.append(np.full(members.size, col))
-        pm_ids = np.concatenate(hosts)
-        order = np.argsort(pm_ids)
-        twin_members = np.concatenate(hosts[1:] or [pm_ids[:0]])
-        return pm_ids[order], np.concatenate(cols)[order], twin_members
+        best_score, best_host = math.inf, -1
+        twins = self.twins
+        for score, key in zip(
+            self._pair_scores[start:stop].tolist(),
+            self._pair_hosts[start:stop].tolist(),
+        ):
+            if score > best_score:
+                continue
+            if key in twins:
+                for host in twins[key]:
+                    if not excluded[host] and host not in committed:
+                        break
+                else:
+                    continue
+            elif excluded[key] or key in committed:
+                continue
+            else:
+                host = key
+            if score < best_score or host < best_host:
+                best_score, best_host = score, host
+        return best_score, best_host
 
 
 def _excluded_mask(excluded_hosts, num_pms: int) -> np.ndarray:
@@ -220,62 +240,56 @@ def power_aware_best_fit(
     invariants and primed VM scores between the calls of one planning
     round; without it the call builds its own.
     """
-    excluded = _excluded_mask(excluded_hosts, datacenter.num_pms)
+    # Bytes index as Python ints: the walk tests one host at a time.
+    excluded = _excluded_mask(excluded_hosts, datacenter.num_pms).tobytes()
     vm_ids = list(vm_ids)
     if context is None:
         context = PlacementContext(datacenter)
-    plan: Dict[int, int] = {}
     rows = context.rows(vm_ids, threshold)
-    pm_ids, cols = context.call_columns(len(vm_ids), excluded)
-    if pm_ids.size == 0:
-        return plan
-    # Each VM's row holds its zero-pending score on every host of the
-    # call, primed with the same operands as the historical per-PM scan
-    # (kept as the test oracle ``tests/oracles/pabfd.py``) — load
+    budget, pm_mips = context._budget, context._pm_mips
+    model_of, wake = context._model, context._wake
+    plan: Dict[int, int] = {}
+    # Each VM's primed pairs hold its zero-pending score on every
+    # feasible host, with the same operands as the historical per-PM
+    # scan (kept as the test oracle ``tests/oracles/pabfd.py``) — load
     # ``(demand + pending) + vm_demand``, room ``free − pending``,
     # increase ``(P(after) − P(before)) + wake``.  Within the call only
-    # excluded hosts (``inf``) and hosts this call has committed VMs to
-    # (re-scored below with their pending load) differ from the primed
-    # row; pending load only adds, so a host infeasible at zero pending
-    # stays infeasible.  ``argmin`` keeps the first minimiser like the
-    # scan's strict ``<`` in ascending id order, so the plan is
-    # bit-identical to the scalar version's.
-    scores = context.scores[rows[:, None], cols]
-    scores[:, excluded[pm_ids]] = np.inf
-    vm_mips = context.row_mips[rows]
-    vm_ram = context.row_ram[rows].tolist()
-    budget = context.budget
-    # Per committed column: [pending MIPS, pending RAM, load, room, P(load)].
+    # excluded hosts and hosts this call has committed VMs to differ
+    # from the primed scores: the first are skipped, the second
+    # re-scored below with their pending load.  Pending load only adds,
+    # so a host infeasible at zero pending (or the VM's source) stays
+    # infeasible.  The minimum by ``(score, host id)`` is the scan's
+    # strict ``<`` in ascending id order, so the plan is bit-identical
+    # to the scan's.
+    # Per committed host: [pending MIPS, pending RAM, load, room, P(load)].
     committed: Dict[int, List[float]] = {}
-    for index in np.argsort(-vm_mips, kind="stable").tolist():
-        row = scores[index]
-        mips = float(vm_mips[index])
-        ram = vm_ram[index]
-        for col, (_, _, load, room, before) in committed.items():
-            if row[col] == np.inf:
+    demand = [-row[0] for row in rows]
+    for index in sorted(range(len(rows)), key=demand.__getitem__):
+        mips, ram, source, start, stop = rows[index]
+        best_score, best_host = context.best_primed(
+            start, stop, excluded, committed
+        )
+        for pm_id, (_, _, load, room, before) in committed.items():
+            if pm_id == source or ram > room or load + mips > budget[pm_id]:
                 continue
-            pm_id = int(pm_ids[col])
-            if ram > room or load + mips > budget[pm_id]:
-                row[col] = np.inf
-                continue
-            model = context.groups[context.group_of[pm_id]][0]
-            after = min(1.0, (load + mips) / context.pm_mips[pm_id])
-            row[col] = (model.power(after) - before) + context.wake[pm_id]
-        best = int(row.argmin())
-        if row[best] == np.inf:
+            after = min(1.0, (load + mips) / pm_mips[pm_id])
+            score = (model_of[pm_id].power(after) - before) + wake[pm_id]
+            if score < best_score or (
+                score == best_score and pm_id < best_host
+            ):
+                best_score, best_host = score, pm_id
+        if best_host < 0:
             continue
-        pm_id = int(pm_ids[best])
-        plan[vm_ids[index]] = pm_id
-        pending = committed.setdefault(best, [0.0, 0.0, 0.0, 0.0, 0.0])
+        plan[vm_ids[index]] = best_host
+        pending = committed.setdefault(best_host, [0.0, 0.0, 0.0, 0.0, 0.0])
         pending[0] += mips
         pending[1] += ram
         # Recompute (not ``+=``) the load and room so they equal the
         # scan's ``demand + pending`` and ``free − pending`` exactly.
-        pending[2] = float(context.pm_demand[pm_id] + pending[0])
-        pending[3] = float(context.ram_free[pm_id] - pending[1])
-        model = context.groups[context.group_of[pm_id]][0]
-        pending[4] = model.power(
-            min(1.0, pending[2] / float(context.pm_mips[pm_id]))
+        pending[2] = context._pm_demand[best_host] + pending[0]
+        pending[3] = context._ram_free[best_host] - pending[1]
+        pending[4] = model_of[best_host].power(
+            min(1.0, pending[2] / pm_mips[best_host])
         )
     return plan
 

@@ -92,8 +92,8 @@ class MMTScheduler:
             else []
         )
         # Planning leaves the datacenter untouched, so every PABFD call
-        # of this step shares one set of per-host invariants and one
-        # score matrix over every VM the step may place.
+        # of this step shares one set of per-host invariants and the
+        # primed scores of every VM the step may place.
         context = PlacementContext(datacenter)
         context.prime(
             to_place + [vm_id for _, vm_ids in evacuations for vm_id in vm_ids],
@@ -181,13 +181,13 @@ class MMTScheduler:
         migrations: List[Migration] = []
         evacuated = np.zeros(datacenter.num_pms, dtype=bool)
         for pm_id, vm_ids in candidates:
-            excluded = evacuated.copy()
-            excluded[pm_id] = True
+            # The source host is unscored in its own VMs' primed rows,
+            # so only the hosts evacuated so far are excluded.
             plan = power_aware_best_fit(
                 datacenter,
                 vm_ids,
                 threshold=self.placement_threshold,
-                excluded_hosts=excluded,
+                excluded_hosts=evacuated,
                 context=context,
             )
             if len(plan) != len(vm_ids):

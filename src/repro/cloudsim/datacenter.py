@@ -187,7 +187,8 @@ class Datacenter:
     def fits(self, vm_id: int, pm_id: int) -> bool:
         """Whether the VM's RAM reservation fits on the host right now."""
         vm = self.vm(vm_id)
-        if self.host_of(vm_id) == pm_id:
+        self.pm(pm_id)
+        if self._host_of.get(vm_id) == pm_id:
             return True
         return vm.ram_mb <= self.ram_free_mb(pm_id)
 
@@ -215,7 +216,12 @@ class Datacenter:
                 f"VM {vm_id} ({vm.ram_mb} MB) does not fit on PM {pm_id} "
                 f"({self.ram_free_mb(pm_id)} MB free)"
             )
-        pm.wake()
+        self._attach(vm_id, pm_id)
+
+    def _attach(self, vm_id: int, pm_id: int) -> None:
+        """Put an unplaced VM on a host whose RAM was checked, waking
+        the host."""
+        self._pms[pm_id].wake()
         self._host_of[vm_id] = pm_id
         self._vms_on[pm_id].add(vm_id)
         self.arrays.host_of[vm_id] = pm_id
@@ -237,7 +243,9 @@ class Datacenter:
         """Relocate a VM; returns the source PM id.
 
         Raises :class:`CapacityError` if the destination lacks RAM.  A
-        move to the VM's current host is a no-op.
+        move to the VM's current host is a no-op.  RAM is checked once,
+        before the VM leaves its source: a move costs one rebuild of the
+        RAM aggregate, at the next query.
         """
         source = self.host_of(vm_id)
         if source is None:
@@ -249,7 +257,7 @@ class Datacenter:
                 f"VM {vm_id} does not fit on PM {dest_pm_id}"
             )
         self.remove(vm_id)
-        self.place(vm_id, dest_pm_id)
+        self._attach(vm_id, dest_pm_id)
         return source
 
     def sleep_idle_hosts(self) -> List[int]:

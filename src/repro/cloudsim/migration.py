@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Set
 
 from repro.cloudsim.datacenter import Datacenter
-from repro.errors import CapacityError, MigrationError
+from repro.errors import MigrationError
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,8 @@ class MigrationEngine:
         A migration is rejected (not raised) when the VM is already in
         flight, the destination has insufficient RAM, or the destination
         equals the current host.  Rejections are reported so schedulers
-        can learn from them.
+        can learn from them.  A destination that is not a host of the
+        datacenter raises :class:`~repro.errors.UnknownEntityError`.
         """
         started: List[Migration] = []
         rejected: List[Migration] = []
@@ -159,14 +160,14 @@ class MigrationEngine:
                 rejected.append(mig)
                 continue
             source = self._dc.host_of(mig.vm_id)
-            if source is None or source == mig.dest_pm_id:
+            if (
+                source is None
+                or source == mig.dest_pm_id
+                or not self._dc.fits(mig.vm_id, mig.dest_pm_id)
+            ):
                 rejected.append(mig)
                 continue
-            try:
-                self._dc.move(mig.vm_id, mig.dest_pm_id)
-            except CapacityError:
-                rejected.append(mig)
-                continue
+            self._dc.move(mig.vm_id, mig.dest_pm_id)
             # TM = M / B (Section 3.3) with B the host network bandwidth:
             # the paper's "migration time of a VM of 0.5 GB RAM is at
             # least 4000 ms" corresponds to the 1 Gbps host link, not the

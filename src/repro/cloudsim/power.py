@@ -76,7 +76,12 @@ class SpecPowerModel:
         if low >= 10:
             return self.watts[10]
         frac = u - low
-        return self.watts[low] * (1.0 - frac) + self.watts[low + 1] * frac
+        below, above = self.watts[low], self.watts[low + 1]
+        watts = below * (1.0 - frac) + above * frac
+        # Rounding can carry the blend an ulp past its segment (86 W at
+        # 0 % gave 85.99999999999999 W at u = 6.7e-18): keep it inside.
+        lo, hi = (below, above) if below <= above else (above, below)
+        return lo if watts < lo else hi if watts > hi else watts
 
     @cached_property
     def _watts_array(self) -> np.ndarray:
@@ -86,8 +91,9 @@ class SpecPowerModel:
         """Vectorized ``power``; bit-identical to the scalar formula.
 
         Same operation sequence as :meth:`power` — clamp, scale by 10,
-        truncate, interpolate — applied elementwise, so each output
-        equals the scalar call on the same input down to the last bit.
+        truncate, interpolate, hold inside the segment — applied
+        elementwise, so each output equals the scalar call on the same
+        input down to the last bit.
         At 100 % the segment is held at 9 with ``frac = 1``:
         ``watts[9] * 0.0 + watts[10] * 1.0`` is exactly ``watts[10]``,
         the scalar's saturated branch, without a masked second pass.
@@ -95,11 +101,20 @@ class SpecPowerModel:
         u = np.asarray(utilizations, dtype=np.float64)
         # Two ufuncs rather than ``np.clip``, whose Python-level dispatch
         # costs more than the clamp on the short vectors PABFD scores.
-        u = np.minimum(np.maximum(u, 0.0), 1.0) * 10.0
-        low = np.minimum(u.astype(np.int64), 9)
+        # Later steps reuse this call's own temporaries in place, which
+        # needs an input of at least one dimension.
+        u = np.minimum(np.maximum(u, 0.0), 1.0)
+        u *= 10.0
+        low = u.astype(np.int64)
+        np.minimum(low, 9, out=low)
         frac = u - low
-        watts = self._watts_array
-        return watts[low] * (1.0 - frac) + watts[low + 1] * frac
+        below, above = self._watts_array[low], self._watts_array[low + 1]
+        watts = below * (1.0 - frac)
+        watts += above * frac
+        lo = np.minimum(below, above, out=frac)
+        hi = np.maximum(below, above, out=u)
+        np.maximum(watts, lo, out=watts)
+        return np.minimum(watts, hi, out=watts)
 
     @property
     def idle_power(self) -> float:

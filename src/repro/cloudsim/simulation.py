@@ -165,7 +165,7 @@ class Simulation:
         """Run the scheduler for ``num_steps`` intervals (default: config).
 
         ``event_log`` (an :class:`~repro.cloudsim.events.EventLog`)
-        receives structured migration/overload/sleep events for offline
+        receives structured migration/overload/sleep/wake events for offline
         analysis.
 
         ``validate_every_step`` runs the
@@ -231,6 +231,15 @@ def _mean_active_host_utilization(datacenter: Datacenter) -> float:
     # Left-to-right total (cumsum) in host-id order: the accumulation
     # order of a per-host loop, bit for bit.
     return float(np.cumsum(capped)[-1]) / active_ids.size
+
+
+def emit_wakes(
+    event_log: EventLog, step: int, datacenter: Datacenter, asleep: np.ndarray
+) -> None:
+    """Log ``host_woken`` for each host of ``asleep`` (ids of the hosts
+    asleep before a placement) that is awake now, in id order."""
+    for pm_id in asleep[~datacenter.arrays.pm_asleep[asleep]].tolist():
+        event_log.emit(step, EventKind.HOST_WOKEN, pm_id=pm_id)
 
 
 def _emit_events(
@@ -365,7 +374,12 @@ class StepPipeline:
                     f"{scheduler.name} returned None instead of a list"
                 )
             self.cost_since_decide = 0.0
+            if self.event_log is not None:
+                # A started migration wakes a sleeping destination.
+                asleep = np.flatnonzero(datacenter.arrays.pm_asleep)
             outcome = self.engine.start(migrations)
+            if self.event_log is not None:
+                emit_wakes(self.event_log, step, datacenter, asleep)
         else:
             outcome = _NO_MIGRATIONS
         datacenter.share_cpu()

@@ -51,6 +51,7 @@ from repro.cloudsim.monitor import UtilizationMonitor
 from repro.cloudsim.simulation import (
     SimulationResult,
     StepPipeline,
+    emit_wakes,
     first_fit_ram,
 )
 from repro.config import SimulationConfig
@@ -529,13 +530,20 @@ class ServiceSimulation:
                 step, EventKind.VM_DELETED, uid=event.uid, vm_id=slot
             )
 
-    def _place_pending(self, runtime: _Runtime) -> None:
+    def _place_pending(
+        self, runtime: _Runtime, step: int, event_log: Optional[EventLog]
+    ) -> None:
         """Stage 2: first-fit queued arrivals, FIFO, host-id order."""
+        datacenter = self.datacenter
+        if event_log is not None:
+            asleep = np.flatnonzero(datacenter.arrays.pm_asleep)
         runtime.pending = [
             uid
             for uid in runtime.pending
-            if not first_fit_ram(self.datacenter, runtime.live[uid].slot)
+            if not first_fit_ram(datacenter, runtime.live[uid].slot)
         ]
+        if event_log is not None:
+            emit_wakes(event_log, step, datacenter, asleep)
 
     def _apply_demand(self, runtime: _Runtime, step: int) -> None:
         """Stage 3: every live VM's demand for this interval."""
@@ -634,7 +642,7 @@ class ServiceSimulation:
 
         for step in range(runtime.start_step, steps):
             self._apply_churn(runtime, step, scheduler, event_log)
-            self._place_pending(runtime)
+            self._place_pending(runtime, step, event_log)
             self._apply_demand(runtime, step)
             pipeline.step(
                 step,

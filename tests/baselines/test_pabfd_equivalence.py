@@ -226,6 +226,77 @@ class TestArrayMatchesScalar:
         assert plan == [(1, 1), (2, 1), (3, 1)]
 
 
+class TestTwinResolution:
+    """A twin class competes under its first free member's id."""
+
+    def _fleet(self, *ram_mb):
+        # Host 0 holds the VMs; the others are empty and awake and
+        # differ only in RAM (an operand), so every one of them scores
+        # exactly alike, twin or not.
+        pms = [_pm(0, HP_PROLIANT_G4, mips=16000.0, ram_mb=8192.0)]
+        pms += [
+            _pm(i, HP_PROLIANT_G5, mips=1000.0, ram_mb=ram)
+            for i, ram in enumerate(ram_mb, start=1)
+        ]
+        dc = Datacenter(pms, [_vm(j, ram_mb=1024.0) for j in range(2)])
+        for j in range(2):
+            dc.place(j, 0)
+            dc.vm(j).set_demand(0.3)
+        return dc
+
+    def test_excluded_first_twin_loses_tie_to_single_between(self):
+        dc = self._fleet(4096.0, 8192.0, 4096.0)
+        assert PlacementContext(dc).twins == {1: [1, 3]}
+        # Twin 1 free: the class wins the tie under id 1.
+        assert assert_same_plan(dc, [0], 0.7) == [(0, 1)]
+        # Twin 1 excluded: the class resolves to 3 and the single
+        # host 2 wins the exact tie.
+        assert assert_same_plan(dc, [0], 0.7, excluded=[1]) == [(0, 2)]
+        assert assert_same_plan(dc, [0], 0.7, excluded=[1, 2]) == [(0, 3)]
+
+    def test_tied_twin_classes_compare_their_free_members(self):
+        # Classes {1, 3} and {2, 4}: with both first members excluded
+        # the first class's host 3 beats the second class's host 4,
+        # although the second class's key 2 is below 3.
+        dc = self._fleet(4096.0, 8192.0, 4096.0, 8192.0)
+        assert PlacementContext(dc).twins == {1: [1, 3], 2: [2, 4]}
+        assert assert_same_plan(dc, [0], 0.7, excluded=[1, 2]) == [(0, 3)]
+        assert assert_same_plan(dc, [0], 0.7, excluded=[1]) == [(0, 2)]
+
+    def test_twin_member_committed_earlier_in_the_call(self):
+        # Each twin fits one VM's RAM: the second VM skips the first
+        # twin, now committed and full, for the next free member.
+        pms = [_pm(0, HP_PROLIANT_G4, mips=16000.0, ram_mb=8192.0)]
+        pms += [
+            _pm(i, HP_PROLIANT_G5, mips=1000.0, ram_mb=1024.0)
+            for i in range(1, 4)
+        ]
+        dc = Datacenter(pms, [_vm(j, ram_mb=1024.0) for j in range(3)])
+        for j in range(3):
+            dc.place(j, 0)
+            dc.vm(j).set_demand(0.3)
+        assert PlacementContext(dc).twins == {1: [1, 2, 3]}
+        assert assert_same_plan(dc, [0, 1, 2], 0.7) == [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+        ]
+        assert assert_same_plan(dc, [0, 1], 0.7, excluded=[2]) == [
+            (0, 1),
+            (1, 3),
+        ]
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.7, 1.0])
+    def test_committed_twin_rescored_against_the_next_member(self, threshold):
+        # With room for both VMs the committed twin is re-scored with
+        # its pending load and competes with the next free twin and the
+        # single host between them.
+        dc = self._fleet(4096.0, 8192.0, 4096.0)
+        assert_same_plan(dc, [0, 1], threshold)
+        assert_same_plan(dc, [0, 1], threshold, excluded=[1])
+        assert_same_plan(dc, [0, 1], threshold, excluded=[2])
+
+
 def _scalar_pabfd(datacenter, vm_ids, threshold, excluded_hosts=(), context=None):
     excluded = np.asarray(excluded_hosts)
     if excluded.dtype == bool:
@@ -278,6 +349,35 @@ class TestRunLevelEquivalence:
         assert array_steps == scalar_steps
         assert array_result.total_cost_usd == scalar_result.total_cost_usd
         assert array_result.total_migrations == scalar_result.total_migrations
+
+    def test_thr_mostly_sleeping_fleet_results_identical(self, monkeypatch):
+        # 24 VMs first-fit onto 40 hosts: most hosts sleep empty, so
+        # twin classes hold most of the fleet and take placements.
+        twin_destinations = []
+        power_aware_best_fit = scheduler_module.power_aware_best_fit
+
+        def recording(
+            datacenter, vm_ids, threshold, excluded_hosts=(), context=None
+        ):
+            plan = power_aware_best_fit(
+                datacenter, vm_ids, threshold, excluded_hosts, context
+            )
+            members = {h for m in context.twins.values() for h in m}
+            twin_destinations.extend(h for h in plan.values() if h in members)
+            return plan
+
+        size = {"num_pms": 40, "num_vms": 24}
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                scheduler_module, "power_aware_best_fit", recording
+            )
+            array_steps, array_result = _decisions("THR", **size)
+        scalar_steps, scalar_result = _decisions("THR", monkeypatch, **size)
+        assert twin_destinations, "twins must take some placements"
+        assert array_steps == scalar_steps
+        assert _without_timings(array_result) == _without_timings(
+            scalar_result
+        )
 
     def test_lrr_quarter_paper_fleet_results_identical(self, monkeypatch):
         # The perfbench ``mmt-planetlab`` fleet, past the detector window.

@@ -4,9 +4,10 @@ import pytest
 
 from repro.cloudsim.datacenter import Datacenter
 from repro.cloudsim.migration import Migration, MigrationEngine
-from repro.errors import MigrationError
+from repro.errors import MigrationError, UnknownEntityError
 
 from tests.conftest import make_pm, make_vm
+from tests.oracles.reference_datacenter import ReferenceDatacenter
 
 
 @pytest.fixture
@@ -62,6 +63,60 @@ class TestStart:
             MigrationEngine(dc, overhead_fraction=1.0)
         with pytest.raises(MigrationError):
             MigrationEngine(dc, alpha=1.5)
+
+
+class TestRefusals:
+    """Refused moves raise nothing and change nothing, on the SoA
+    datacenter and on the reference oracle alike."""
+
+    @pytest.mark.parametrize("backend", [Datacenter, ReferenceDatacenter])
+    def test_mixed_batch(self, backend):
+        # Four 1024-MB VMs on host 0; host 1 has room for one of them.
+        pms = [make_pm(0), make_pm(1, ram_mb=1536.0), make_pm(2)]
+        dc = backend(pms, [make_vm(j) for j in range(4)])
+        for vm_id in range(4):
+            dc.place(vm_id, 0)
+        engine = MigrationEngine(dc)
+        assert engine.start([Migration(3, 2)]).started == (Migration(3, 2),)
+        batch = [
+            Migration(0, 1),  # fits
+            Migration(1, 1),  # host 1 is full after the first move
+            Migration(3, 0),  # VM 3 is in flight
+            Migration(2, 0),  # no-op: VM 2 is on host 0
+        ]
+        outcome = engine.start(batch)
+        assert outcome.started == (Migration(0, 1),)
+        assert outcome.rejected == tuple(batch[1:])
+        assert dc.placement() == {0: 1, 1: 0, 2: 0, 3: 2}
+        assert [dc.ram_free_mb(pm_id) for pm_id in range(3)] == [
+            2048.0,
+            512.0,
+            3072.0,
+        ]
+        assert engine.in_flight_vm_ids == {0, 3}
+        assert engine.total_migrations == 2
+
+    @pytest.mark.parametrize("backend", [Datacenter, ReferenceDatacenter])
+    @pytest.mark.parametrize("dest", [3, -1])
+    def test_unknown_destination_raises(self, backend, dest):
+        dc = backend([make_pm(i) for i in range(3)], [make_vm(0)])
+        dc.place(0, 0)
+        engine = MigrationEngine(dc)
+        with pytest.raises(UnknownEntityError):
+            engine.start([Migration(0, dest)])
+        assert dc.placement() == {0: 0}
+        assert not engine.is_migrating(0)
+
+    def test_started_move_costs_one_ram_rebuild(self, engine_setup):
+        dc, engine = engine_setup
+        dc.ram_free_mb(0)  # the RAM aggregate is now clean
+        rebuilds = dc.arrays._ram_rebuilds
+        outcome = engine.start(
+            [Migration(0, 1), Migration(0, 2), Migration(1, 2)]
+        )
+        dc.ram_free_mb(0)
+        assert len(outcome.started) == 2
+        assert dc.arrays._ram_rebuilds - rebuilds == 2
 
 
 class TestAdvance:

@@ -64,6 +64,14 @@ class TestSpecPowerModel:
         power = HP_PROLIANT_G5.power(u)
         assert HP_PROLIANT_G5.idle_power <= power <= HP_PROLIANT_G5.max_power
 
+    @pytest.mark.parametrize("model", [HP_PROLIANT_G4, HP_PROLIANT_G5])
+    def test_blend_stays_inside_its_segment(self, model):
+        # ``idle * (1 - f) + next * f`` at f = 6.7e-17 rounds one ulp
+        # below idle (85.99999999999999 W on the G4).
+        u = 6.72823042465913e-18
+        assert model.power(u) == model.idle_power
+        assert model.power_batch(np.array([u]))[0] == model.idle_power
+
 
 class TestLinearPowerModel:
     def test_endpoints(self):

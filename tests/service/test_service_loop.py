@@ -169,6 +169,9 @@ class TestTraceReplay:
         agent = MeghScheduler.from_simulation(service, seed=6)
         log = EventLog()
         original = service.run(agent, event_log=log)
+        # The log also holds non-lifecycle kinds, which replay skips.
+        assert log.query(kind=EventKind.HOST_WOKEN)
+        assert log.query(kind=EventKind.HOST_SLEPT)
         path = str(tmp_path / "lifecycle.jsonl")
         log.save_jsonl(path)
 
