@@ -9,7 +9,7 @@ the Table 2/3 aggregates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,15 @@ class MetricsCollector:
     @property
     def total_cost_usd(self) -> float:
         """Total operation cost over the run (Table row 1)."""
-        return sum(s.total_cost_usd for s in self.steps)
+        return ordered_sum(s.total_cost_usd for s in self.steps)
 
     @property
     def total_energy_cost_usd(self) -> float:
-        return sum(s.energy_cost_usd for s in self.steps)
+        return ordered_sum(s.energy_cost_usd for s in self.steps)
 
     @property
     def total_sla_cost_usd(self) -> float:
-        return sum(s.sla_cost_usd for s in self.steps)
+        return ordered_sum(s.sla_cost_usd for s in self.steps)
 
     @property
     def total_migrations(self) -> int:
@@ -71,7 +71,9 @@ class MetricsCollector:
         """Average per-step execution time (Table row 4)."""
         if not self.steps:
             return 0.0
-        return sum(s.scheduler_seconds for s in self.steps) / len(self.steps)
+        return ordered_sum(s.scheduler_seconds for s in self.steps) / len(
+            self.steps
+        )
 
     @property
     def mean_scheduler_milliseconds(self) -> float:
@@ -123,6 +125,19 @@ class MetricsCollector:
             if all(abs(v - final) <= tolerance * abs(final) for v in tail):
                 return index
         return len(costs)
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right total ``((0 + v0) + v1) + ...``; ``0`` when empty.
+
+    Builtin ``sum`` compensates float rounding from CPython 3.12 on, so
+    its totals depend on the interpreter; this loop's do not.  It starts
+    from the int ``0`` as ``sum`` does, so an empty total keeps its type.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def _rolling_mean(values: Sequence[float], window: int) -> List[float]:

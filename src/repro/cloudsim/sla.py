@@ -15,17 +15,27 @@ Vectorized accounting
 ---------------------
 The accountant keeps its counters in dense NumPy vectors indexed by
 entity id — cumulative seconds in ``float64[cap]`` vectors, billing
-windows in ``(cap, W)`` matrices kept in chronological order (rows
-shift left when full, like a bounded deque's append/evict).
+windows in ``(cap, W)`` matrices used as per-row ring buffers.  Each
+row keeps the slot its next entry goes to; an append writes that slot,
+over the oldest entry once the row is full (a bounded deque's
+append/evict, without shifting the row).  A row that is not full holds
+its entries in slots ``0..len-1`` and +0.0 in the rest; a full row's
+oldest entry sits in its next slot.
 :class:`HostSlaRecord` and :class:`VmSlaRecord` are views over one row
 of those arrays, handed out by :meth:`SlaAccountant.host_record` /
 :meth:`SlaAccountant.vm_record`.
+
+Each row also keeps an integer count of the non-zero downtime entries
+in its window.  A VM whose count is zero has a windowed downtime
+fraction of exactly 0.0, so the per-step SLA cost reads only the rows
+with a positive count (:meth:`SlaAccountant.fractions_with_downtime`).
 
 ``observe_step`` reads the datacenter's
 :class:`~repro.cloudsim.soa.DatacenterArrays` store: one masked vector
 update per counter, exactly one ``+= interval`` per entity per step,
 and windowed sums are strict left-to-right accumulations
-(``np.cumsum``) — the accumulation order of a per-VM loop, bit for bit.
+(``np.cumsum``) over each ring read oldest first — the accumulation
+order of a per-VM loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
+from repro.cloudsim.metrics import ordered_sum
 from repro.errors import ConfigurationError
 
 #: Default billing window: two hours of 5-minute intervals.  Short enough
@@ -89,8 +100,8 @@ class VmSlaRecord:
     """Per-VM SLA counters: cumulative plus a trailing billing window.
 
     A view over one row of an accountant's vectors and of its
-    ``(cap, W)`` window matrices, which hold the ``(downtime,
-    requested)`` entries in chronological order.
+    ``(cap, W)`` window matrices, whose rows are ring buffers of the
+    ``(downtime, requested)`` entries.
     """
 
     __slots__ = ("_owner", "_row")
@@ -144,10 +155,13 @@ class VmSlaRecord:
     def window_entries(self) -> List[Tuple[float, float]]:
         """Chronological ``(downtime, requested)`` entries, oldest first."""
         owner, row = self._owner, self._row
+        width = owner._win_down.shape[1]
         n = int(owner._win_len[row])
+        oldest = int(owner._win_next[row]) if n == width else 0
+        slots = [(oldest + k) % width for k in range(n)]
         return [
             (float(owner._win_down[row, k]), float(owner._win_req[row, k]))
-            for k in range(n)
+            for k in slots
         ]
 
     def record_step(self, downtime: float, requested: float) -> None:
@@ -217,13 +231,18 @@ class SlaAccountant:
         self._win_down = np.zeros((0, width), dtype=np.float64)
         self._win_req = np.zeros((0, width), dtype=np.float64)
         self._win_len = np.zeros(0, dtype=np.int64)
+        # The slot each row's next entry goes to.
+        self._win_next = np.zeros(0, dtype=np.int64)
+        # Non-zero downtime entries in each row's window.
+        self._win_downtime_count = np.zeros(0, dtype=np.int64)
+        # Tracked VM ids in first-seen order: the ``vms`` dict's keys.
+        self._vm_order = np.zeros(0, dtype=np.int64)
         # Mirrors of dict membership, so the batched path can find the
         # not-yet-tracked entities without a per-id dict probe.
         self._host_seen = np.zeros(0, dtype=bool)
         self._vm_seen = np.zeros(0, dtype=bool)
         # Scratch buffers for the batched observe path.
         self._buf_down = np.zeros(0, dtype=np.float64)
-        self._buf_req = np.zeros(0, dtype=np.float64)
         self._buf_in_step = np.zeros(0, dtype=bool)
 
     @property
@@ -255,6 +274,11 @@ class SlaAccountant:
         self._vm_mig_down_s = self._grow_1d(self._vm_mig_down_s, capacity)
         self._vm_over_down_s = self._grow_1d(self._vm_over_down_s, capacity)
         self._win_len = self._grow_1d(self._win_len, capacity)
+        self._win_next = self._grow_1d(self._win_next, capacity)
+        self._win_downtime_count = self._grow_1d(
+            self._win_downtime_count, capacity
+        )
+        self._vm_order = self._grow_1d(self._vm_order, capacity)
         self._vm_seen = self._grow_1d(self._vm_seen, capacity)
         width = self._win_down.shape[1]
         for name in ("_win_down", "_win_req"):
@@ -263,7 +287,6 @@ class SlaAccountant:
             grown[: old.shape[0]] = old
             setattr(self, name, grown)
         self._buf_down = np.zeros(capacity, dtype=np.float64)
-        self._buf_req = np.zeros(capacity, dtype=np.float64)
         self._buf_in_step = np.zeros(capacity, dtype=bool)
 
     # ------------------------------------------------------------------
@@ -282,9 +305,15 @@ class SlaAccountant:
         record = self.vms.get(vm_id)
         if record is None:
             self._ensure_vm_capacity(vm_id + 1)
-            record = VmSlaRecord(self, vm_id)
-            self.vms[vm_id] = record
-            self._vm_seen[vm_id] = True
+            record = self._track_vm(vm_id)
+        return record
+
+    def _track_vm(self, vm_id: int) -> VmSlaRecord:
+        """Create the record of a not-yet-tracked id (capacity ensured)."""
+        record = VmSlaRecord(self, vm_id)
+        self._vm_order[len(self.vms)] = vm_id
+        self.vms[vm_id] = record
+        self._vm_seen[vm_id] = True
         return record
 
     def restore_host_record(
@@ -309,9 +338,7 @@ class SlaAccountant:
         record.requested_seconds = requested_seconds
         record.migration_downtime_seconds = migration_downtime_seconds
         record.overload_downtime_seconds = overload_downtime_seconds
-        self._win_down[vm_id] = 0.0
-        self._win_req[vm_id] = 0.0
-        self._win_len[vm_id] = 0
+        self._clear_window(vm_id)
         for downtime, requested in window:
             self._record_window_single(vm_id, downtime, requested)
         return record
@@ -326,58 +353,76 @@ class SlaAccountant:
         the slot ever served.  A never-seen id is a no-op.
         """
         if vm_id < self._win_len.shape[0]:
-            self._win_down[vm_id] = 0.0
-            self._win_req[vm_id] = 0.0
-            self._win_len[vm_id] = 0
+            self._clear_window(vm_id)
 
     # ------------------------------------------------------------------
     # Window maintenance
     # ------------------------------------------------------------------
+    def _clear_window(self, row: int) -> None:
+        """Empty one VM's window: zeroed slots, no entries, no downtime."""
+        self._win_down[row] = 0.0
+        self._win_req[row] = 0.0
+        self._win_len[row] = 0
+        self._win_next[row] = 0
+        self._win_downtime_count[row] = 0
+
     def _record_window_single(
         self, row: int, downtime: float, requested: float
     ) -> None:
         """Append one entry to a single VM's window."""
         width = self._win_down.shape[1]
-        n = int(self._win_len[row])
-        if n >= width:
-            self._win_down[row, :-1] = self._win_down[row, 1:]
-            self._win_req[row, :-1] = self._win_req[row, 1:]
-            self._win_down[row, width - 1] = downtime
-            self._win_req[row, width - 1] = requested
-        else:
-            self._win_down[row, n] = downtime
-            self._win_req[row, n] = requested
-            self._win_len[row] = n + 1
+        slot = int(self._win_next[row])
+        # Truth of a float is "non-zero": -0.0 counts as no downtime.
+        if self._win_down[row, slot]:
+            self._win_downtime_count[row] -= 1
+        self._win_down[row, slot] = downtime
+        self._win_req[row, slot] = requested
+        if self._win_down[row, slot]:
+            self._win_downtime_count[row] += 1
+        self._win_next[row] = (slot + 1) % width
+        self._win_len[row] = min(int(self._win_len[row]) + 1, width)
 
     def _record_window_batch(
-        self, rows: np.ndarray, downtime: np.ndarray, requested: np.ndarray
+        self, rows: np.ndarray, downtime: np.ndarray, requested: float
     ) -> None:
-        """Append one entry to many VMs' windows in one vector pass."""
+        """Append one entry to many VMs' windows in one vector pass.
+
+        ``rows`` must be distinct.  Each row's next slot holds +0.0
+        until the row is full and its oldest entry after, so reading it
+        before the write finds what the append evicts.
+        """
         width = self._win_down.shape[1]
-        lens = self._win_len[rows]
-        full = lens >= width
-        full_rows = rows[full]
-        if full_rows.size:
-            # Advanced indexing copies the RHS before the scattered
-            # assignment, so the left shift is safe in place.
-            self._win_down[full_rows, :-1] = self._win_down[full_rows, 1:]
-            self._win_req[full_rows, :-1] = self._win_req[full_rows, 1:]
-        pos = np.where(full, width - 1, lens)
-        self._win_down[rows, pos] = downtime
-        self._win_req[rows, pos] = requested
-        self._win_len[rows] = np.minimum(lens + 1, width)
+        slot = self._win_next[rows]
+        flat = rows * width + slot
+        flat_down = self._win_down.reshape(-1)
+        self._win_downtime_count[rows] += downtime.astype(bool).view(
+            np.int8
+        ) - flat_down[flat].astype(bool).view(np.int8)
+        flat_down[flat] = downtime
+        self._win_req.reshape(-1)[flat] = requested
+        slot += 1
+        slot[slot == width] = 0
+        self._win_next[rows] = slot
+        filling = rows[self._win_len[rows] < width]
+        if filling.size:
+            self._win_len[filling] += 1
 
     def _window_fraction_rows(self, rows: np.ndarray) -> np.ndarray:
         """Windowed downtime fractions for the given rows.
 
-        Row sums are left-to-right (``np.cumsum``), like a loop over the
-        window's entries, bit for bit; unfilled tail slots hold +0.0,
-        which never perturbs a left-to-right sum of non-negative terms.
+        Each row's ``W`` slots are read oldest first and summed left to
+        right (``np.cumsum``), like a loop over the window's entries,
+        bit for bit; a row that is not full ends in unfilled +0.0
+        slots, which never perturb a left-to-right sum of non-negative
+        terms.
         """
-        if rows.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        requested = np.cumsum(self._win_req[rows], axis=1)[:, -1]
-        downtime = np.cumsum(self._win_down[rows], axis=1)[:, -1]
+        width = self._win_down.shape[1]
+        oldest = np.where(self._win_len[rows] == width, self._win_next[rows], 0)
+        slots = (rows * width)[:, None] + (
+            (oldest[:, None] + np.arange(width, dtype=np.int64)) % width
+        )
+        requested = np.cumsum(self._win_req.reshape(-1)[slots], axis=1)[:, -1]
+        downtime = np.cumsum(self._win_down.reshape(-1)[slots], axis=1)[:, -1]
         fractions = np.zeros(rows.shape[0], dtype=np.float64)
         served = requested > 0.0
         fractions[served] = downtime[served] / requested[served]
@@ -436,38 +481,32 @@ class SlaAccountant:
         new_ids = eligible_ids[~self._vm_seen[eligible_ids]]
         if new_ids.size:
             order = np.lexsort((new_ids, arrays.host_of[new_ids]))
-            for vm_id in new_ids[order]:
-                vm_key = int(vm_id)
-                self.vms[vm_key] = VmSlaRecord(self, vm_key)
-                self._vm_seen[vm_key] = True
+            for vm_id in new_ids[order].tolist():
+                self._track_vm(vm_id)
 
+        # Every VM in the step (eligible or migrated) requests the whole
+        # interval; its downtime is capped at that.
         num = self._buf_down.shape[0]
         down = self._buf_down
-        req = self._buf_req
         in_step = self._buf_in_step
         down[:num] = 0.0
-        req[:num] = 0.0
         in_step[:num] = False
         down[overloaded_vm_ids] = interval
-        req[eligible_ids] = interval
         in_step[eligible_ids] = True
         for vm_id, seconds in dict(migration_downtime).items():
             self.vm_record(vm_id).migration_downtime_seconds += seconds
             # Buffers may have been reallocated by vm_record's growth.
             down = self._buf_down
-            req = self._buf_req
             in_step = self._buf_in_step
             down[vm_id] += seconds
-            if not in_step[vm_id]:
-                req[vm_id] = interval
-                in_step[vm_id] = True
+            in_step[vm_id] = True
 
         participants = np.flatnonzero(in_step)
         if participants.size:
             self._record_window_batch(
                 participants,
-                np.minimum(down[participants], req[participants]),
-                req[participants],
+                np.minimum(down[participants], interval),
+                interval,
             )
 
     # ------------------------------------------------------------------
@@ -478,20 +517,23 @@ class SlaAccountant:
         record = self.vms.get(vm_id)
         return record.downtime_fraction if record else 0.0
 
-    def windowed_downtime_fractions(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched ``(vm_ids, fractions)`` over every tracked VM.
+    def fractions_with_downtime(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Batched ``(vm_ids, fractions)`` over the tracked VMs whose
+        billing window holds a non-zero downtime entry.
 
-        Ids come back in first-seen order (the ``vms`` dict order), so a
+        Every other tracked VM's windowed fraction is exactly zero.  Ids
+        come back in first-seen order (the ``vms`` dict order), so a
         cost model summing per-VM terms over this vector accumulates in
-        exactly the order the per-record loop would.
+        the order the per-record loop would.
         """
-        vm_ids = np.fromiter(self.vms.keys(), dtype=np.int64, count=len(self.vms))
+        order = self._vm_order[: len(self.vms)]
+        vm_ids = order[self._win_downtime_count[order] > 0]
         return vm_ids, self._window_fraction_rows(vm_ids)
 
     def overall_sla_violation(self) -> float:
         """Mean lifetime downtime fraction across VMs — a QoS summary."""
         if not self.vms:
             return 0.0
-        return sum(
+        return ordered_sum(
             r.cumulative_downtime_fraction for r in self.vms.values()  # meghlint: ignore[MEGH009] -- cold path: end-of-run summary
         ) / len(self.vms)

@@ -10,6 +10,7 @@ and a per-step migration cap of 2 % of the VMs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -27,6 +28,11 @@ DEFAULT_VM_PRICE_USD_PER_HOUR = 1.2
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigurationError(message)
+
+
+def _positive_sign(value: float) -> bool:
+    """``value >= 0`` with the sign bit clear: rejects -0.0 and NaN."""
+    return value >= 0 and math.copysign(1.0, value) > 0
 
 
 @dataclass(frozen=True)
@@ -62,9 +68,15 @@ class CostConfig:
 
     def __post_init__(self) -> None:
         _require(self.energy_price_usd_per_kwh >= 0, "energy price must be >= 0")
-        _require(self.vm_price_usd_per_hour >= 0, "VM price must be >= 0")
+        # The SLA cost skips the +0.0 refunds of VMs without downtime;
+        # that is exact only while no refund term can be -0.0.
         _require(
-            0 <= self.payback_minor <= self.payback_major <= 1,
+            _positive_sign(self.vm_price_usd_per_hour), "VM price must be >= 0"
+        )
+        _require(
+            0 <= self.payback_minor <= self.payback_major <= 1
+            and _positive_sign(self.payback_minor)
+            and _positive_sign(self.payback_major),
             "paybacks must satisfy 0 <= minor <= major <= 1",
         )
         _require(

@@ -41,7 +41,8 @@ class SlaCostModel:
         self._total_usd = float(state["usd"])
 
     def payback_rate(self, downtime_fraction: float) -> float:
-        """Refund fraction for a VM at the given downtime percentage."""
+        """Refund fraction for a VM at the given downtime percentage
+        (the scalar form of :meth:`step_cost`'s tier ladder)."""
         if downtime_fraction > self._config.major_downtime_threshold:
             return self._config.payback_major
         if downtime_fraction > self._config.minor_downtime_threshold:
@@ -55,15 +56,19 @@ class SlaCostModel:
         if interval_seconds <= 0:
             raise ConfigurationError("interval must be > 0")
         hours = interval_seconds / 3600.0
-        if type(self).payback_rate is SlaCostModel.payback_rate:
-            # Batched path: evaluate the violation tiers over every
-            # tracked VM's windowed fraction in one pass and total the
-            # per-VM refunds left-to-right in first-seen order — the
-            # same operation sequence as the per-record loop, so the
-            # result is bit-identical.
-            vm_ids, fractions = accountant.windowed_downtime_fractions()
-            if vm_ids.size == 0:
-                return 0.0
+        # A VM without downtime in its window has a fraction of exactly
+        # zero, above neither threshold (CostConfig keeps them >= 0), so
+        # only the VMs with downtime can owe a refund.  Their terms are
+        # totalled left to right in first-seen order.  Every term is a
+        # product of factors with a clear sign bit (CostConfig rejects
+        # negative values and -0.0; ``hours`` is > 0), so no term is
+        # -0.0, and adding the +0.0 terms of the skipped VMs would leave
+        # each partial total unchanged: the result equals a loop over
+        # every record bit for bit, and a step without a violation
+        # returns 0.0.
+        _, fractions = accountant.fractions_with_downtime()
+        usd = 0.0
+        if fractions.size:
             rates = np.where(
                 fractions > self._config.major_downtime_threshold,
                 self._config.payback_major,
@@ -75,12 +80,5 @@ class SlaCostModel:
             )
             terms = rates * self._config.vm_price_usd_per_hour * hours
             usd = float(np.cumsum(terms)[-1])
-        else:
-            # A subclass overrode the tier schedule: honor it per record.
-            usd = 0.0
-            for record in accountant.vms.values():
-                rate = self.payback_rate(record.downtime_fraction)
-                if rate > 0.0:
-                    usd += rate * self._config.vm_price_usd_per_hour * hours
         self._total_usd += usd
         return usd

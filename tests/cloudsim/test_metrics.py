@@ -1,8 +1,13 @@
 """Unit tests for the metrics collector and figure series."""
 
+import builtins
+
 import pytest
 
+from repro.baselines.random_policy import RandomScheduler
 from repro.cloudsim.metrics import MetricsCollector, StepMetrics
+from repro.cloudsim.sla import SlaAccountant
+from repro.harness.builders import build_planetlab_simulation
 
 
 def step(i, energy=1.0, sla=0.5, migrations=2, hosts=3, seconds=0.001):
@@ -49,6 +54,72 @@ class TestAggregates:
         assert c.total_cost_usd == 0.0
         assert c.mean_active_hosts == 0.0
         assert c.mean_scheduler_seconds == 0.0
+
+
+def _neumaier_sum(values, start=0):
+    """CPython 3.12's compensated float ``sum``, in pure Python."""
+    total, compensation, is_float = start, 0.0, False
+    for value in values:
+        if isinstance(value, float):
+            is_float = True
+            total = float(total)
+            t = total + value
+            if abs(total) >= abs(value):
+                compensation += (total - t) + value
+            else:
+                compensation += (value - t) + total
+            total = t
+        else:
+            total += value
+    return total + compensation if is_float else total
+
+
+class TestOrderedTotals:
+    """Float totals are left-to-right, whatever builtin ``sum`` does."""
+
+    def _totals(self, metrics, accountant):
+        return (
+            metrics.total_cost_usd,
+            metrics.total_energy_cost_usd,
+            metrics.total_sla_cost_usd,
+            metrics.mean_scheduler_seconds,
+            accountant.overall_sla_violation(),
+        )
+
+    def test_totals_ignore_a_compensated_builtin_sum(self, monkeypatch):
+        result = build_planetlab_simulation(
+            num_pms=4, num_vms=6, num_steps=12, seed=0
+        ).run(RandomScheduler(migrations_per_step=1, seed=0))
+        # Ten 0.1s: left to right 0.9999999999999999, compensated 1.0.
+        crafted = MetricsCollector()
+        for i in range(10):
+            crafted.record(step(i, energy=0.1, sla=0.1, seconds=0.1))
+        accountant = SlaAccountant()
+        for vm_id in range(10):
+            record = accountant.vm_record(vm_id)
+            record.requested_seconds = 10.0
+            record.migration_downtime_seconds = 1.0
+        before = [
+            self._totals(result.metrics, result.sla),
+            self._totals(crafted, accountant),
+        ]
+        assert _neumaier_sum([0.1] * 10) != before[1][1]
+
+        monkeypatch.setattr(builtins, "sum", _neumaier_sum)
+        assert sum([0.1] * 10) == 1.0
+        after = [
+            self._totals(result.metrics, result.sla),
+            self._totals(crafted, accountant),
+        ]
+        assert after == before
+        assert [x.hex() for x in after[0]] == [x.hex() for x in before[0]]
+
+    def test_empty_totals_keep_value_and_type(self):
+        empty = MetricsCollector()
+        assert empty.total_cost_usd == 0 and type(empty.total_cost_usd) is int
+        assert type(empty.total_energy_cost_usd) is int
+        assert type(empty.total_sla_cost_usd) is int
+        assert type(empty.mean_scheduler_seconds) is float
 
 
 class TestSeries:

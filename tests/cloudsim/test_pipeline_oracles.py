@@ -5,9 +5,10 @@ pipeline's array stages and to their per-entity oracles
 (:mod:`tests.oracles.pipeline`), and requires ``==`` results:
 
 * the monitor's ring histories vs a dict-of-deques monitor;
-* the SLA accountant's vectors and windows vs a dict-and-deque
+* the SLA accountant's vectors and ring windows vs a dict-and-deque
   accumulator, record for record and in first-seen order;
-* the energy cost vs the per-PM watts loop;
+* the energy cost vs the per-PM watts loop, and the SLA cost vs the
+  per-record tier loop;
 * ``observe_state`` and the mean-active-utilization metric vs their
   object formulas;
 * for Megh, the candidate plan vs the scalar generator.
@@ -92,6 +93,10 @@ def _check_accountant(accountant, calls):
             )
             assert record.window_entries() == list(expected.window)
             assert record.downtime_fraction == expected.downtime_fraction
+            assert (
+                accountant._win_downtime_count[vm_id]
+                == expected.downtime_entries
+            )
 
     accountant.observe_step = checked
 
@@ -108,6 +113,24 @@ def _check_energy(energy, price, calls):
         return usd
 
     energy.step_cost = checked
+
+
+def _check_sla_cost(sla, config, calls):
+    """Shadow the SLA cost model's ``step_cost`` with the record loop."""
+    step_cost = sla.step_cost
+
+    def checked(accountant, interval_seconds):
+        expected = oracle.sla_step_cost(
+            sla, config, accountant, interval_seconds
+        )
+        usd = step_cost(accountant, interval_seconds)
+        calls["sla_cost"] += 1
+        calls["sla_cost_charged"] += usd > 0.0
+        assert type(usd) is float
+        assert usd == expected
+        return usd
+
+    sla.step_cost = checked
 
 
 def _shadow_module(monkeypatch, calls):
@@ -137,6 +160,7 @@ def _shadow_module(monkeypatch, calls):
                 config.costs.energy_price_usd_per_watt_second,
                 calls,
             )
+            _check_sla_cost(self.cost_model.sla, config.costs, calls)
 
     monkeypatch.setattr(simulation_module, "observe_state", observe_state)
     monkeypatch.setattr(
@@ -167,7 +191,12 @@ def _checked_run(monkeypatch, simulation, scheduler, num_steps):
     result = simulation.run(scheduler, validate_every_step=False)
     # Every stage was compared on every step.
     for stage in (
-        "monitor", "sla", "energy", "observe_state", "mean_utilization"
+        "monitor",
+        "sla",
+        "energy",
+        "sla_cost",
+        "observe_state",
+        "mean_utilization",
     ):
         assert calls[stage] == num_steps, stage
     return result, calls
@@ -217,6 +246,30 @@ class TestPipelineOracles:
         result, _ = _checked_run(monkeypatch, simulation, agent, 30)
         assert calls_plan["candidates"] == 30
         assert result.total_migrations > 0
+
+    def test_megh_run_wraps_every_window(self, monkeypatch):
+        # 72 steps of a 24-step window: every ring wraps at least twice.
+        simulation = build_planetlab_simulation(
+            num_pms=10, num_vms=16, num_steps=72, seed=4
+        )
+        assert simulation.config.interval_seconds * 24 == (
+            simulation.config.costs.sla_billing_window_seconds
+        )
+        agent = MeghScheduler.from_simulation(
+            simulation, seed=4, contracts=False
+        )
+        result, calls = _checked_run(monkeypatch, simulation, agent, 72)
+        assert result.total_migrations > 0
+        assert calls["sla_cost_charged"] > 0
+
+    def test_thr_mmt_run_wraps_every_window(self, monkeypatch):
+        simulation = _thr_simulation(5, num_steps=72)
+        result, calls = _checked_run(
+            monkeypatch, simulation, MMTScheduler("THR"), 72
+        )
+        assert result.total_migrations > 0
+        assert calls["migration_downtime"] > 0
+        assert calls["sla_cost_charged"] > 0
 
     def test_google_static_run(self, monkeypatch):
         # Task VMs keep their reservations while idle, so MMT migrates

@@ -3,9 +3,10 @@
 Each is the per-entity formula a stage computed before the
 struct-of-arrays rewrite, written against the generic datacenter API so
 it runs on either datacenter; the array stages of ``observe_state``,
-the energy cost, the mean-utilization metric, ``first_fit_ram``, the
-SLA accountant (:class:`SlaOracle`) and the monitor
-(:class:`DequeMonitor`) must agree with them bit for bit.  Hosted VMs
+the energy cost, the SLA cost (:func:`sla_step_cost`), the
+mean-utilization metric, ``first_fit_ram``, the SLA accountant
+(:class:`SlaOracle`) and the monitor (:class:`DequeMonitor`) must agree
+with them bit for bit.  Hosted VMs
 are visited in ascending id order, the accumulation order the array
 code reproduces.
 """
@@ -16,6 +17,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Tuple
 
+from repro.cloudsim.metrics import ordered_sum
+from repro.config import CostConfig
+from repro.costs.sla_cost import SlaCostModel
 from repro.mdp.state import DatacenterState
 
 
@@ -85,12 +89,34 @@ class VmRecord:
             self.window.popleft()
 
     @property
+    def downtime_entries(self) -> int:
+        """Non-zero downtime entries in the window."""
+        return len([d for d, _ in self.window if d != 0.0])
+
+    @property
     def downtime_fraction(self) -> float:
-        requested = sum(r for _, r in self.window)
+        requested = ordered_sum(r for _, r in self.window)
         if requested <= 0.0:
             return 0.0
-        downtime = sum(d for d, _ in self.window)
+        downtime = ordered_sum(d for d, _ in self.window)
         return downtime / requested
+
+
+def sla_step_cost(
+    model: SlaCostModel,
+    config: CostConfig,
+    accountant,
+    interval_seconds: float,
+) -> float:
+    """One interval's SLA refunds as a loop over every tracked record,
+    in first-seen order, through the scalar tier schedule."""
+    hours = interval_seconds / 3600.0
+    usd = 0.0
+    for record in accountant.vms.values():
+        rate = model.payback_rate(record.downtime_fraction)
+        if rate > 0.0:
+            usd += rate * config.vm_price_usd_per_hour * hours
+    return usd
 
 
 class SlaOracle:

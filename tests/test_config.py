@@ -34,6 +34,10 @@ class TestCostConfig:
         [
             {"energy_price_usd_per_kwh": -1.0},
             {"vm_price_usd_per_hour": -0.1},
+            # A -0.0 refund factor would make a refund term -0.0.
+            {"vm_price_usd_per_hour": -0.0},
+            {"payback_minor": -0.0},
+            {"payback_minor": -0.0, "payback_major": -0.0},
             {"payback_minor": 0.5, "payback_major": 0.2},
             {"minor_downtime_threshold": 0.01, "major_downtime_threshold": 0.001},
             {"sla_billing_window_seconds": 0.0},

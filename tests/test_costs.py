@@ -1,5 +1,7 @@
 """Tests for the energy, SLA, and aggregate operation-cost models."""
 
+import math
+
 import pytest
 
 from repro.cloudsim.datacenter import Datacenter
@@ -92,6 +94,32 @@ class TestSlaCost:
         accountant.vm_record(0).record_step(0.0, 300.0)
         model = SlaCostModel(CostConfig())
         assert model.step_cost(accountant, 300.0) == 0.0
+
+    @pytest.mark.parametrize("downtime", [0.0, 0.1])
+    def test_step_without_violation_returns_positive_zero(self, downtime):
+        # VM 1's downtime (if any) sits below the minor tier.
+        accountant = SlaAccountant()
+        accountant.vm_record(0).record_step(0.0, 300.0)
+        accountant.vm_record(1).record_step(downtime, 300.0)
+        model = SlaCostModel(CostConfig())
+        for _ in range(3):
+            cost = model.step_cost(accountant, 300.0)
+            assert type(cost) is float
+            assert math.copysign(1.0, cost) == 1.0 and cost == 0.0
+        assert math.copysign(1.0, model.total_usd) == 1.0
+
+    def test_only_vms_with_downtime_are_read(self):
+        accountant = SlaAccountant()
+        for vm_id in (5, 2, 9, 0):
+            accountant.vm_record(vm_id).record_step(0.0, 300.0)
+        accountant.vm_record(9).record_step(30.0, 300.0)
+        accountant.vm_record(2).record_step(300.0, 300.0)
+        vm_ids, fractions = accountant.fractions_with_downtime()
+        # First-seen order, not id order.
+        assert vm_ids.tolist() == [2, 9]
+        assert fractions.tolist() == [
+            accountant.downtime_fraction(2), accountant.downtime_fraction(9)
+        ]
 
     def test_invalid_interval(self):
         model = SlaCostModel(CostConfig())
