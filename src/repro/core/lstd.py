@@ -93,7 +93,7 @@ class RewardVector(MutableMapping):
         if self._data.pop(key, None) is not None:  # meghlint: ignore[MEGH011] -- internal discard: retirement invalidates the dependent rows itself
             self._dense[key] = 0.0  # meghlint: ignore[MEGH011] -- internal discard: retirement invalidates the dependent rows itself
 
-    def keys_in(self, indices: Set[int]) -> Set[int]:
+    def keys_in(self, indices: Iterable[int]) -> Set[int]:
         """The members of ``indices`` that hold an entry."""
         return self._data.keys() & indices
 
@@ -305,6 +305,10 @@ class SparseLstd:
                 scale=-1.0 / denominator,
                 assume_normalized=normalized,
             )
+            if not dirty.shape[0]:
+                # An all-zero right factor touches no row of B, but the
+                # z[a] change below still reaches column a's support.
+                dirty = self._B.column_support(a)
             self.updates_applied += 1
             if self._t_rows is not None:
                 self._track_entry(a, a, 1.0)
@@ -415,15 +419,32 @@ class SparseLstd:
 
         1. **Row clears** — for each ``i`` in ``S`` with tracked row
            ``t``, ``T' = T - e_i t^T`` gives (Sherman–Morrison)
-           ``B' = B + B e_i (t^T B) / (1 - t^T B e_i)``.
-        2. **Column clears** — after all row clears, for each ``j`` in
-           ``S`` with remaining tracked column entries ``w`` (all in rows
-           outside ``S`` now), ``T' = T - w e_j^T`` gives
-           ``B' = B + (B w)(e_j^T B) / (1 - e_j^T B w)``.
+           ``B' = B + B e_i (t^T B) / (1 - t^T B e_i)``.  The left
+           factor is column ``i`` of ``B``, the shape of Eq. 11, so the
+           clear is staged through
+           :meth:`SparseMatrix.rank_one_update_from_column` and the
+           deferred kernel replays it bit for bit (the ``kern`` module's
+           argument); with the kernel off the same call scatters eagerly.
+        2. **Column clears** — after the row clears ``T`` reads
+           ``[[delta I, 0], [C, D]]`` on ``(S, rest)``, whose inverse is
+           ``[[I/delta, 0], [-D^{-1} C / delta, D^{-1}]]``.  Removing
+           ``C`` leaves ``D^{-1}`` alone, so the column clears only zero
+           ``S`` columns outside the ``S`` rows — which step 3 does
+           anyway.  For each ``j`` in ``S`` with remaining tracked
+           column entries ``w`` (all in rows outside ``S`` now), the
+           clear is ``B' = B + (B w)(e_j^T B) / (1 - e_j^T B w)``.  In
+           floats it is skipped exactly when row ``j`` of ``B`` holds
+           nothing but its diagonal: the right factor then writes only
+           column ``j``, which step 3 zeroes whatever it holds, and its
+           denominator is exactly ``1``.  Later clears read ``S``
+           columns only through right-factor entries, which land in
+           ``S`` columns again, so the skip changes no value that
+           survives the snap.  The tracker bookkeeping still runs.
+           Any other column clear is applied eagerly, unchanged.
         3. **Snap** — ``T'`` is now block-diagonal with ``delta I`` on
            the ``S`` block, so ``B'``'s ``S`` rows and columns are
-           exactly ``(1/delta) e_i``; they are hard-written to remove
-           floating-point residue deterministically.
+           exactly ``(1/delta) e_i``; :meth:`SparseMatrix.reset_indices`
+           writes them, removing floating-point residue deterministically.
 
         ``T`` stays strictly diagonally dominant throughout
         (``gamma < 1``), so the denominators are mathematically nonzero;
@@ -439,10 +460,11 @@ class SparseLstd:
         rows of ``B`` at tracked columns), so the three steps are
         no-ops on it and skipping it is exact.  A slot's block is
         mostly pristine, which keeps retirement proportional to what
-        the slot learned rather than to its width.
+        the slot learned rather than to its width.  A ``range`` (a
+        slot's block) is used as is, with no per-index conversion.
 
-        ``z`` entries for ``S`` are deleted, and exactly the theta-cache
-        rows whose ``B`` row or ``B``-row-dot-``z`` changed are
+        ``z`` entries for ``S`` are deleted, and the theta-cache rows
+        whose ``B`` row or ``B``-row-dot-``z`` may have changed are
         invalidated: the left-factor supports of the applied clears, the
         rows holding a retired column before the snap, and the learned
         retired indices.  Returns the number of indices retired.
@@ -452,39 +474,41 @@ class SparseLstd:
                 "retire_actions requires operator tracking; call "
                 "enable_operator_tracking() before the first update"
             )
-        requested = {int(i) for i in indices}
-        if not requested:
+        block: Sequence[int]
+        if isinstance(indices, range):
+            block = indices if indices.step > 0 else indices[::-1]
+        else:
+            block = sorted({int(i) for i in indices})
+        if not block:
             return 0
-        if min(requested) < 0 or max(requested) >= self.dimension:
-            for i in sorted(requested):
+        if block[0] < 0 or block[-1] >= self.dimension:
+            for i in block:
                 self._check_action(i)
         self._sync_with_b()
-        # Retirement's generic rank-1 corrections read whole columns and
-        # scatter through dict left factors; settle every staged update
-        # first so the slot's rows are exact before they are undone.
         B = self._B
-        B.flush_pending()
         t_rows, t_cols = self._t_rows, self._t_cols
         inverse_delta = 1.0 / self.delta
         learned = sorted(
-            (t_rows.keys() & requested)
-            | (t_cols.keys() & requested)
-            | self._z.keys_in(requested)
-            | B.non_diagonal_indices(requested, inverse_delta)
+            (t_rows.keys() & block)
+            | (t_cols.keys() & block)
+            | self._z.keys_in(block)
+            | B.non_diagonal_indices(block, inverse_delta)
         )
-        dirty: Set[int] = set(learned)
+        if not learned:
+            self.retirements_applied += 1
+            return len(block)
+        dirty: List[np.ndarray] = [np.array(learned, dtype=np.int64)]
 
-        # (1) row clears.
+        # (1) row clears, staged.
         for i in learned:
             trow = t_rows.get(i)
             if trow:
-                bu = B.column(i)
                 denominator = 1.0
                 vtb: Dict[int, float] = {}
                 for j in sorted(trow):
                     weight = trow[j]
-                    denominator -= weight * B.get(j, i)
                     row_idx, row_val = B.row_view(j)
+                    denominator -= weight * _row_entry(row_idx, row_val, i)
                     for column, value in zip(
                         row_idx.tolist(), row_val.tolist()
                     ):
@@ -492,8 +516,15 @@ class SparseLstd:
                 if abs(denominator) < DENOMINATOR_FLOOR:
                     self.retirements_skipped += 1
                 else:
-                    B.rank_one_update(bu, vtb, scale=1.0 / denominator)
-                    dirty.update(bu)
+                    count = len(vtb)
+                    dirty.append(
+                        B.rank_one_update_from_column(
+                            i,
+                            np.fromiter(vtb.keys(), np.int64, count),
+                            np.fromiter(vtb.values(), np.float64, count),
+                            scale=1.0 / denominator,
+                        )
+                    )
             if trow is not None:
                 for j in list(trow):
                     rows_of = t_cols.get(j)
@@ -512,18 +543,20 @@ class SparseLstd:
                 t_cols.pop(j, None)
                 continue
             entries = [(r, t_rows[r][j]) for r in sorted(rows_of)]
-            bw: Dict[int, float] = {}
-            denominator = 1.0
-            for r, weight in entries:
-                denominator -= weight * B.get(j, r)
-                for row_index, value in B.column(r).items():
-                    bw[row_index] = bw.get(row_index, 0.0) + weight * value
-            row_j = B.row(j)
-            if abs(denominator) < DENOMINATOR_FLOOR:
-                self.retirements_skipped += 1
-            else:
-                B.rank_one_update(bw, row_j, scale=1.0 / denominator)
-                dirty.update(bw)
+            row_idx, _ = B.row_view(j)
+            if row_idx.shape[0] != 1 or row_idx[0] != j:
+                bw: Dict[int, float] = {}
+                denominator = 1.0
+                for r, weight in entries:
+                    denominator -= weight * B.get(j, r)
+                    for row_index, value in B.column(r).items():
+                        bw[row_index] = bw.get(row_index, 0.0) + weight * value
+                row_j = B.row(j)
+                if abs(denominator) < DENOMINATOR_FLOOR:
+                    self.retirements_skipped += 1
+                else:
+                    B.rank_one_update(bw, row_j, scale=1.0 / denominator)
+                    dirty.append(np.fromiter(bw, np.int64, len(bw)))
             for r, _ in entries:
                 remaining = t_rows[r]
                 del remaining[j]
@@ -532,24 +565,14 @@ class SparseLstd:
             del t_cols[j]
 
         # (3) snap the learned part of the S block of B to (1/delta) I.
-        for i in learned:
-            for j in list(B.row(i)):
-                B.set(i, j, 0.0)
-            holders = B.rows_with_column(i)
-            dirty.update(holders)
-            for r in holders:
-                B.set(r, i, 0.0)
-            B.set(i, i, inverse_delta)
+        dirty.append(B.reset_indices(learned, inverse_delta))
 
         for i in learned:
             self._z._discard(i)
-        if dirty:
-            self.invalidate_theta_cache(
-                np.fromiter(dirty, dtype=np.int64, count=len(dirty))
-            )
+        self._theta_fresh[np.concatenate(dirty)] = False
         self._b_mutations_seen = B.mutations
         self.retirements_applied += 1
-        return len(requested)
+        return len(block)
 
     # ------------------------------------------------------------------
     # Q evaluation (cached)

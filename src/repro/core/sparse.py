@@ -44,7 +44,7 @@ representation preserving and bumps nothing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -56,6 +56,9 @@ PRUNE_EPSILON = 1e-14
 
 #: Smallest materialized-row capacity; growth doubles from here.
 _MIN_CAPACITY = 4
+
+#: Right factor of :meth:`SparseMatrix.reset_indices`' column zeroing.
+_MINUS_ONE = np.array([-1.0])
 
 
 class _Row:
@@ -474,21 +477,88 @@ class SparseMatrix:
             rows.sort()
         return rows
 
-    def non_diagonal_indices(self, indices: Set[int], value: float) -> Set[int]:
+    def non_diagonal_indices(
+        self, indices: Sequence[int], value: float
+    ) -> Set[int]:
         """The ``i`` in ``indices`` whose row or column is not ``value * e_i``.
 
         An index passes when its row is the implicit diagonal holding
         exactly ``value`` and no stored row holds its column; anything
         else (including a materialized row that happens to equal
-        ``value * e_i``) is returned.  Costs the size of ``indices``,
-        not of the matrix.
+        ``value * e_i``) is returned.  ``value`` must be nonzero: a
+        materialized row keeps ``0.0`` in the implicit store, so one
+        vectorized read of the diagonal flags it.  ``indices`` is a
+        ``range`` or a list of distinct in-range indices.  Costs the
+        size of ``indices``, not of the matrix.
         """
         self.flush_pending()
-        changed = (self._rows.keys() & indices) | (self._cols.keys() & indices)
-        rest = np.fromiter(indices - changed, dtype=np.int64)
-        off = rest[self._diag[rest] != value]
-        changed.update(off.tolist())
+        if isinstance(indices, range):
+            block = np.arange(
+                indices.start, indices.stop, indices.step, dtype=np.int64
+            )
+        else:
+            block = np.asarray(indices, dtype=np.int64)
+        changed = self._cols.keys() & indices
+        changed.update(block[self._diag[block] != value].tolist())
         return changed
+
+    def reset_indices(self, indices: Sequence[int], value: float) -> np.ndarray:
+        """Set row and column ``i`` to ``value * e_i`` for each ``i``.
+
+        Each column is zeroed by one rank-1 write through the Eq. 11
+        path, ``B += -B[:, i] e_i^T``: every holder ``w`` becomes
+        ``w + (-w) = +0.0``, which the eager scatter and the compiled
+        replay both prune, so the deferred kernel stages the whole
+        column at integer cost.  One grouped flush applies them; then
+        each row is dropped whole and ``value`` goes back into the
+        implicit diagonal store, the layout of a never-touched row.  A
+        holder that is not finite (``inf - inf`` is NaN) survives the
+        write and is erased entry by entry.  ``indices`` must be
+        distinct.
+
+        Returns a superset of the rows whose stored entries changed
+        outside ``indices`` — what a row-keyed cache must invalidate.
+        """
+        parts: List[np.ndarray] = []
+        for i in indices:
+            parts.append(
+                self.rank_one_update_from_column(
+                    i,
+                    np.array([i], dtype=np.int64),
+                    _MINUS_ONE,
+                    scale=1.0,
+                    assume_normalized=True,
+                )
+            )
+        self.flush_pending()
+        for i in indices:
+            survivors = self._cols.get(i)
+            if survivors:
+                for r in sorted(survivors):
+                    self.set(r, i, 0.0)
+        self.mutations += 1
+        rows, cols = self._rows, self._cols
+        for i in indices:
+            # Column i now has no stored holder: its cached support would
+            # only ever be a stale superset.
+            self._support_cache.pop(i, None)
+            row = rows.pop(i, None)
+            if row is not None:
+                for j in row.idx[: row.n].tolist():
+                    holders = cols[j]
+                    holders.discard(i)
+                    if not holders:
+                        del cols[j]
+                self._nnz -= row.n
+            self._nnz -= int(np.count_nonzero(self._diag[i]))
+            if abs(value) > PRUNE_EPSILON:
+                self._diag[i] = value
+                self._nnz += 1
+            else:
+                self._diag[i] = 0.0
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(parts)
 
     # ------------------------------------------------------------------
     # Dot products

@@ -7,12 +7,15 @@ whole cache.  A Hypothesis state machine drives twin learners through
 the same updates, external writes and retirements, and after every
 rule the twins' ``B``, ``z`` and counters must agree bit for bit while
 the fast twin's theta cache stays exact.  A small churn-service run
-then checks the same agreement after every real slot departure.
+then checks the same agreement after every real slot departure.  Both
+run with the deferred kernel (the default) and with ``REPRO_KERNEL=off``,
+since the row clears and the snap stage through the kernel when it is on.
 """
 
 import struct
 from typing import List, Tuple
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -21,8 +24,10 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.core import kern
 from repro.core.agent import MeghScheduler
 from repro.core.lstd import SparseLstd
+from repro.core.sparse import SparseMatrix
 from repro.service.builders import build_churn_service
 
 from tests.oracles.retirement import retire_actions as oracle_retire
@@ -59,11 +64,18 @@ def assert_twins_equal(fast: SparseLstd, oracle: SparseLstd) -> None:
 class TwinRetirement(RuleBasedStateMachine):
     """Fast and oracle learners fed the same operations."""
 
+    #: ``B``'s kernel mode; ``None`` keeps the ``REPRO_KERNEL`` default.
+    kernel = None
+
     @initialize(gamma=st.sampled_from([0.5, 0.9]))
     def build(self, gamma):
         self.fast = SparseLstd(_DIMENSION, gamma=gamma)
         self.oracle = SparseLstd(_DIMENSION, gamma=gamma)
         for lstd in (self.fast, self.oracle):
+            if self.kernel is not None:
+                lstd.B = SparseMatrix.identity(
+                    _DIMENSION, scale=1.0 / lstd.delta, kernel=self.kernel
+                )
             lstd.enable_operator_tracking()
 
     @rule(a=indices, a_next=indices, cost=costs)
@@ -109,15 +121,59 @@ class TwinRetirement(RuleBasedStateMachine):
         self.fast.q_values(range(_DIMENSION))
 
 
-TwinRetirement.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=30, deadline=None
-)
+class EagerTwinRetirement(TwinRetirement):
+    """The same machine with the deferred kernel off."""
+
+    kernel = "off"
+
+
+for _machine in (TwinRetirement, EagerTwinRetirement):
+    _machine.TestCase.settings = settings(
+        max_examples=60, stateful_step_count=30, deadline=None
+    )
 TestTwinRetirement = TwinRetirement.TestCase
+TestEagerTwinRetirement = EagerTwinRetirement.TestCase
 
 
-def _trained(*steps) -> SparseLstd:
+_HAS_COMPILER = kern._find_compiler() is not None
+
+#: Every kernel mode runnable here; the compiled one needs a compiler.
+KERNELS = [
+    "off",
+    pytest.param(
+        "c",
+        marks=pytest.mark.skipif(
+            not _HAS_COMPILER, reason="no C compiler for the kernel"
+        ),
+    ),
+]
+
+
+def _spy_generic_clears(lstd: SparseLstd) -> List[int]:
+    """Record the generic column clears ``retire_actions`` applies.
+
+    Retirement reaches ``B.rank_one_update`` only through a column clear
+    it could not fold into the snap, so the returned list grows by one
+    element (the clear's right-factor width) per generic clear.
+    """
+    calls: List[int] = []
+    apply = lstd.B.rank_one_update
+
+    def spy(col, row, scale):
+        calls.append(len(row))
+        return apply(col, row, scale)
+
+    lstd.B.rank_one_update = spy
+    return calls
+
+
+def _trained(*steps, kernel=None) -> SparseLstd:
     """A 12-index learner after ``update(a, a_next, cost)`` steps."""
     lstd = SparseLstd(12, gamma=0.5)
+    if kernel is not None:
+        lstd.B = SparseMatrix.identity(
+            12, scale=1.0 / lstd.delta, kernel=kernel
+        )
     lstd.enable_operator_tracking()
     for a, a_next, cost in steps:
         lstd.update(a, a_next, cost)
@@ -151,6 +207,22 @@ class TestInvalidatedRows:
         lstd.z[1] = 3.0
         self._retire_block_zero(lstd)
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_column_clear_with_off_diagonal_row_matches_oracle(self, kernel):
+        # T[7, 1] leaves a column clear for index 1.  An external entry
+        # (1, 5) puts an off-diagonal value in row 1, so the clear also
+        # writes column 5, outside the snap's reach: it cannot fold.
+        lstd = _trained((7, 1, 2.0), kernel=kernel)
+        lstd.B.set(1, 5, 0.03)
+        lstd.z[5] = 1.5
+        twin = _twin_of(lstd)
+        generic = _spy_generic_clears(lstd)
+        lstd.q_values(range(12))
+        assert lstd.retire_actions(range(3)) == oracle_retire(twin, range(3))
+        assert generic == [2]
+        assert_twins_equal(lstd, twin)
+        assert lstd.verify_theta_cache() == []
+
     def test_pristine_indices_keep_the_prior(self):
         lstd = _trained((7, 1, 2.0), (4, 5, 1.0))
         before = list(lstd.B.items())
@@ -171,24 +243,55 @@ def _twin_of(lstd: SparseLstd) -> SparseLstd:
     return twin
 
 
-def test_churn_service_retirements_match_oracle():
-    """Every departure of a real churn run retires as the oracle does."""
+def _column_clears(lstd: SparseLstd, block: List[int]) -> int:
+    """Retired columns left with tracked entries once the rows are cleared."""
+    retired = set(block)
+    return len(
+        {
+            j
+            for i, j, _ in lstd.operator_entries()
+            if j in retired and i not in retired
+        }
+    )
+
+
+def _check_churn_departures() -> None:
+    """Every departure of a real churn run retires as the oracle does.
+
+    Every column clear of the run must also fold into the snap (its
+    retired ``B`` row holds only the diagonal), which a spy on the
+    generic path checks.
+    """
     service = build_churn_service(seed=2, num_steps=60)
     agent = MeghScheduler.from_simulation(service, seed=2)
     lstd = agent.lstd
     fast_retire = lstd.retire_actions
+    generic = _spy_generic_clears(lstd)
     checked = []
+    column_clears = []
 
     def checked_retire(block):
-        block = list(block)
+        retired = list(block)
         twin = _twin_of(lstd)
+        column_clears.append(_column_clears(lstd, retired))
         count = fast_retire(block)
-        assert count == oracle_retire(twin, block)
+        assert count == oracle_retire(twin, retired)
         assert_twins_equal(lstd, twin)
         assert lstd.verify_theta_cache() == []
-        checked.append(block)
+        checked.append(retired)
         return count
 
     lstd.retire_actions = checked_retire
     service.run(agent)
     assert len(checked) == lstd.retirements_applied > 0
+    assert sum(column_clears) > 0
+    assert generic == []
+
+
+def test_churn_service_retirements_match_oracle():
+    _check_churn_departures()
+
+
+def test_churn_service_retirements_match_oracle_eager(monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL", "off")
+    _check_churn_departures()

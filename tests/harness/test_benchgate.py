@@ -34,7 +34,7 @@ def _core_document(scale=1.0, oracle=True):
 
 def _sim_document(scale=1.0):
     return {
-        "sim_step": {
+        "sim_step_fast": {
             "after": {"steps_per_s_non_scheduler": 300.0 * scale},
         }
     }

@@ -6,8 +6,11 @@ monitor, state snapshot and candidate generator — then retires a slot
 and checks the learner's incremental inverse ``B`` against the oracle
 ``inv(delta I + T_tracked)`` recomputed densely from the
 forward-operator record.  The rank-1 clearing path is only correct if
-the two agree to numerical noise.
+the two agree to numerical noise.  A churn run under the compiled
+kernel must also equal the same run with the kernel off, bit for bit.
 """
+
+import struct
 
 import numpy as np
 import pytest
@@ -15,10 +18,12 @@ import pytest
 from repro.cloudsim.datacenter import Datacenter
 from repro.cloudsim.migration import Migration, MigrationEngine
 from repro.cloudsim.monitor import UtilizationMonitor
+from repro.core import kern
 from repro.core.agent import MeghScheduler
 from repro.errors import ConfigurationError
 from repro.mdp.interfaces import Observation
 from repro.mdp.state import observe_state
+from repro.service.builders import build_churn_service
 
 from tests.conftest import make_pm, make_vm
 from tests.oracles import pipeline as oracle
@@ -167,3 +172,47 @@ class TestRetirementOracle:
         _, _, agent, _ = scenario
         with pytest.raises(ConfigurationError):
             agent.retire_vm(_NUM_VMS)
+
+
+_HAS_COMPILER = kern._find_compiler() is not None
+
+
+def _churn_run(monkeypatch, kernel):
+    """A small churn run under ``kernel``; its result and final learner."""
+    monkeypatch.setenv("REPRO_KERNEL", kernel)
+    service = build_churn_service(seed=3, num_steps=80)
+    agent = MeghScheduler.from_simulation(service, seed=3)
+    assert agent.lstd.B.kernel_name == kernel
+    snapped = []
+    reset = agent.lstd.B.reset_indices
+
+    def spy(indices, value):
+        snapped.append(len(indices))
+        return reset(indices, value)
+
+    agent.lstd.B.reset_indices = spy
+    result = service.run(agent)
+    assert sum(snapped) > 0, "no departure retired a learned index"
+    return result, agent.lstd
+
+
+@pytest.mark.skipif(not _HAS_COMPILER, reason="no C compiler for the kernel")
+def test_service_kernel_matches_eager(monkeypatch):
+    """Retirement through the deferred kernel changes no bit of a run."""
+    staged, staged_lstd = _churn_run(monkeypatch, "c")
+    eager, eager_lstd = _churn_run(monkeypatch, "off")
+    assert staged.to_dict() == eager.to_dict()
+    assert _bits_of(staged_lstd.B.items()) == _bits_of(eager_lstd.B.items())
+    assert _bits_of(sorted(staged_lstd.z.items())) == _bits_of(
+        sorted(eager_lstd.z.items())
+    )
+    assert staged_lstd.retirements_applied == eager_lstd.retirements_applied
+    assert staged_lstd.retirements_skipped == eager_lstd.retirements_skipped
+
+
+def _bits_of(entries):
+    """Entries with each float as its raw bits (``-0.0`` and NaN aware)."""
+    return [
+        tuple(struct.pack("<d", x) if isinstance(x, float) else x for x in entry)
+        for entry in entries
+    ]
