@@ -9,6 +9,10 @@ stream over a 256-action pool at the paper's d = 1052 x 800 = 841,600):
   (served from the dirty-row cache) — the ISSUE's >= 5x criterion;
 * batched ``q_values`` throughput and a full ``theta()`` scan.
 
+The payload also carries ``b_items_sha256``, a SHA-256 of ``B``'s
+settled triplets in (row, column) order: the C kernel and the eager path
+must report the same digest for the same seed (CI compares the two).
+
 The update loop is also broken down by phase via the deferred kernel's
 profiling counters (``SparseMatrix.kernel_stats``): staging (enqueue)
 vs grouped replay (flush) vs the rest of the learning step.  Run with
@@ -28,6 +32,7 @@ from it.  The CI ``bench-smoke`` job runs it in ``--fast`` mode.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -146,6 +151,10 @@ def measure_lstd(
     theta_seconds = time.perf_counter() - started
 
     evaluations = eval_passes * len(indices)
+    operator = lstd.B.to_dict()
+    digest = hashlib.sha256()
+    for key in ("rows", "cols", "values"):
+        digest.update(operator[key].tobytes())
     row_nnz = [lstd.B.row_view(int(index))[0].shape[0] for index in indices]
     return {
         "dimension": dimension,
@@ -165,6 +174,7 @@ def measure_lstd(
         "mean_pool_row_nnz": float(np.mean(row_nnz)),
         "kernel": lstd.B.kernel_name,
         "phase_breakdown": phase_breakdown,
+        "b_items_sha256": digest.hexdigest(),
     }
 
 

@@ -8,14 +8,20 @@ events and retires learner slots::
     PYTHONPATH=src python benchmarks/bench_service_churn.py
     PYTHONPATH=src python benchmarks/bench_service_churn.py --fast
 
-Results merge into ``BENCH_service.json`` (section ``service_churn``),
-which ``repro bench --check`` gates against regressions.
+Each run is repeated :data:`REPEATS` times back to back: the recorded
+throughputs are the medians, with the min and max beside them, because
+one 0.6 s run can read 1.6x slower than the next on the same host.
+Results merge into ``BENCH_service.json``: section ``service_churn``,
+or ``service_churn_fast`` for ``--fast``.  The committed record holds
+both, so ``repro bench --check`` compares a fresh ``--fast`` run with a
+``--fast`` reference.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import time
 
@@ -31,6 +37,20 @@ from core_bench_util import DEFAULT_OUTPUT, merge_section  # noqa: E402
 
 SERVICE_OUTPUT = os.path.join(
     os.path.dirname(DEFAULT_OUTPUT), "BENCH_service.json"
+)
+
+#: Back-to-back runs per measurement.
+REPEATS = 3
+
+#: Throughputs recorded as median, min and max over the repeats.
+_RATES = ("steps_per_s", "events_per_s", "retirements_per_s")
+
+#: Simulated outcome every repeat of one seed must reproduce.
+_OUTCOME = (
+    "churn_events_applied",
+    "retirements_applied",
+    "total_migrations",
+    "q_table_nonzeros",
 )
 
 
@@ -80,6 +100,30 @@ def run_service(
     }
 
 
+def measure(seed: int, **params) -> dict:
+    """:func:`run_service` :data:`REPEATS` times: medians, min and max.
+
+    The simulated outcome must not change between repeats; a run that
+    does is a determinism bug, not noise, and raises.
+    """
+    runs = [run_service(seed=seed, **params) for _ in range(REPEATS)]
+    first = runs[0]
+    for run in runs[1:]:
+        if any(run[key] != first[key] for key in _OUTCOME):
+            raise RuntimeError("repeats of one seed gave different results")
+    section = dict(first)
+    section["repeats"] = REPEATS
+    section["duration_s"] = statistics.median(
+        run["duration_s"] for run in runs
+    )
+    for key in _RATES:
+        values = [run[key] for run in runs]
+        section[key] = statistics.median(values)
+        section[key + "_min"] = min(values)
+        section[key + "_max"] = max(values)
+    return section
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -107,11 +151,15 @@ def main() -> int:
             arrival_rate=1.5,
             mean_lifetime_steps=32.0,
         )
-    section = run_service(seed=args.seed, **params)
+    section = measure(args.seed, **params)
     section["fast"] = args.fast
-    merge_section(args.out, "service_churn", section)
+    name = "service_churn_fast" if args.fast else "service_churn"
+    merge_section(args.out, name, section)
     print(
-        f"service_churn: {section['steps_per_s']:.1f} steps/s, "
+        f"{name}: {section['steps_per_s']:.1f} steps/s "
+        f"({section['steps_per_s_min']:.1f}-"
+        f"{section['steps_per_s_max']:.1f}, median of "
+        f"{section['repeats']}), "
         f"{section['events_per_s']:.1f} events/s, "
         f"{section['retirements_per_s']:.1f} retirements/s "
         f"({section['num_pms']} PMs / {section['capacity']} slots / "

@@ -87,15 +87,27 @@ _DATACENTER_ARRAYS = MutationInvariant(
     scope="global",
 )
 
-#: ``SparseMatrix``: any write to the backing store must bump the
-#: ``mutations`` counter so the dirty-row theta cache can detect
+#: ``SparseMatrix``: any write to the backing store — the implicit
+#: diagonal, the slot tables, the pool and their store block — must bump
+#: the ``mutations`` counter so the dirty-row theta cache can detect
 #: out-of-band writes.  Scope is "class": the field names are generic
-#: and all mutation happens inside the class by design.
+#: and all mutation happens inside the class by design.  The slot-table
+#: layout helpers only move or allocate storage (a materialized row's
+#: relocation, the diagonal's move into a slot, a compaction, freeing an
+#: emptied row), never a logical entry, so they are exempt like the
+#: constructor.
 _SPARSE_MATRIX = MutationInvariant(
     class_name="SparseMatrix",
     fields={
         "_diag": frozenset({"mutations"}),
-        "_rows": frozenset({"mutations"}),
+        "_slot_of": frozenset({"mutations"}),
+        "_slot_row": frozenset({"mutations"}),
+        "_off": frozenset({"mutations"}),
+        "_len": frozenset({"mutations"}),
+        "_cap": frozenset({"mutations"}),
+        "_pool_idx": frozenset({"mutations"}),
+        "_pool_val": frozenset({"mutations"}),
+        "_store": frozenset({"mutations"}),
         "_cols": frozenset({"mutations"}),
         "_nnz": frozenset({"mutations"}),
     },
@@ -103,6 +115,18 @@ _SPARSE_MATRIX = MutationInvariant(
     flag_attrs=frozenset(),
     counter="mutations",
     scope="class",
+    exempt_methods=frozenset(
+        {
+            "__init__",
+            "_point_store",
+            "_new_slot",
+            "_reserve",
+            "_free_slot",
+            "_repack",
+            "_lay_out",
+            "_materialize",
+        }
+    ),
 )
 
 #: ``RewardVector``: every external write must report the touched index
@@ -143,7 +167,8 @@ _PENDING_UPDATES = MutationInvariant(
         "_pend_rows_n": frozenset({"mutations"}),
         "_dirty": frozenset({"mutations"}),
         "_dirty_count": frozenset({"mutations"}),
-        "_row_start": frozenset({"mutations"}),
+        "_watermark": frozenset({"mutations"}),
+        "_advanced": frozenset({"mutations"}),
     },
     marks={},
     flag_attrs=frozenset(),

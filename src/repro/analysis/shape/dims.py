@@ -294,7 +294,7 @@ SHAPE_CONTRACTS: Dict[str, ShapeContract] = {
 #: provably owning, C-contiguous constructor (``np.empty/zeros/ones``
 #: with this exact dtype) and records those sites as the certification
 #: witness.  ``uint8`` entries are the C ``uint8_t*`` flag bytes
-#: (``touched`` / ``cand``), declared here rather than silently allowed:
+#: (``cand``), declared here rather than silently allowed:
 #: MEGH012 accepts a creation assigned straight to one of these
 #: attributes when its dtype is exactly the declared one.
 ABI_BUFFER_DTYPES: Mapping[str, str] = {
@@ -303,10 +303,6 @@ ABI_BUFFER_DTYPES: Mapping[str, str] = {
     "_cmb_idx": "int64",
     "_cmb_val": "float64",
     "_cmb_entries": "float64",
-    "_out_idx": "int64",
-    "_out_val": "float64",
-    "_add_idx": "int64",
-    "_rem_idx": "int64",
     "_scratch_a_idx": "int64",
     "_scratch_a_val": "float64",
     "_scratch_b_idx": "int64",
@@ -314,15 +310,6 @@ ABI_BUFFER_DTYPES: Mapping[str, str] = {
     "_piv_sorted": "int64",
     "_piv_order": "int64",
     "_cand": "uint8",
-    "_row_idx_ptrs": "int64",
-    "_row_val_ptrs": "int64",
-    "_row_lens": "int64",
-    "_row_caps": "int64",
-    "_new_lens": "int64",
-    "_out_offsets": "int64",
-    "_add_offsets": "int64",
-    "_rem_offsets": "int64",
-    "_touched": "uint8",
     "_stats": "int64",
     # PendingUpdates staging arrays (pointer slots refreshed per flush).
     "_pivots": "int64",
@@ -335,8 +322,17 @@ ABI_BUFFER_DTYPES: Mapping[str, str] = {
     "_one_start": "int64",
     "_two_rows": "int64",
     "_two_starts": "int64",
-    # SparseMatrix row storage and implicit-diagonal store.
-    "idx": "int64",
-    "val": "float64",
+    # SparseMatrix slot tables, pool, store block and implicit diagonal.
+    "_slot_of": "int32",
+    "_slot_row": "int64",
+    "_off": "int64",
+    "_len": "int64",
+    "_cap": "int64",
+    "_pool_idx": "int64",
+    "_pool_val": "float64",
+    "_store": "int64",
     "_diag": "float64",
+    # CKernel column-change output.
+    "_chg_rows": "int64",
+    "_chg_cols": "int64",
 }

@@ -98,12 +98,7 @@ def _agent_payload(agent: MeghScheduler) -> Dict[str, np.ndarray]:
     # Force a full flush of any staged rank-1 updates so the serialized
     # COO triplets are the settled matrix and the checkpoint format (and
     # its byte-equality contract) is independent of REPRO_KERNEL.
-    agent.lstd.B.flush_pending()
-    rows, cols, values = [], [], []
-    for i, j, value in agent.lstd.B.items():
-        rows.append(i)
-        cols.append(j)
-        values.append(value)
+    operator = agent.lstd.B.to_dict()
     z_indices = list(agent.lstd.z.keys())
     z_values = [agent.lstd.z[i] for i in z_indices]
     config = agent.config
@@ -113,9 +108,9 @@ def _agent_payload(agent: MeghScheduler) -> Dict[str, np.ndarray]:
         "num_vms": np.array(agent.action_space.num_vms),
         "num_pms": np.array(agent.action_space.num_pms),
         "beta": np.array(agent.beta),
-        "b_rows": np.array(rows, dtype=np.int64),
-        "b_cols": np.array(cols, dtype=np.int64),
-        "b_values": np.array(values, dtype=np.float64),
+        "b_rows": operator["rows"],
+        "b_cols": operator["cols"],
+        "b_values": operator["values"],
         "z_indices": np.array(z_indices, dtype=np.int64),
         "z_values": np.array(z_values, dtype=np.float64),
         "temperature": np.array(agent.policy.temperature),
@@ -235,9 +230,14 @@ def _restore_agent(
     )
     # Learned state: rebuild B from triplets, z from its sparse pairs.
     lstd = agent.lstd
-    lstd.B = type(lstd.B)(lstd.dimension)
-    for i, j, value in zip(data["b_rows"], data["b_cols"], data["b_values"]):
-        lstd.B.set(int(i), int(j), float(value))
+    lstd.B = type(lstd.B).from_dict(
+        {
+            "dimension": lstd.dimension,
+            "rows": data["b_rows"],
+            "cols": data["b_cols"],
+            "values": data["b_values"],
+        }
+    )
     lstd.z = {
         int(i): float(v)
         for i, v in zip(data["z_indices"], data["z_values"])

@@ -13,11 +13,27 @@ dict build to obtain the left factor.  This module removes both costs by
 * Reads flush **exactly the rows they touch** (read-through resolution,
   wired up in ``SparseMatrix``).  A row flush replays the staged updates
   *in original submission order* from the row's watermark (the staged
-  rank at its last flush), reading each update's left-factor weight from
-  the row's own current state.
+  rank at its last flush, one byte a row in
+  :attr:`PendingUpdates._watermark`), reading each update's left-factor
+  weight from the row's own current state.
 * A grouped flush kernel applies all of a dirty row's pending deltas in
   one pass: a small C kernel compiled on demand with the system compiler
   and loaded through :mod:`ctypes` (:class:`CKernel`).
+
+Storage: the kernel works directly on the owning matrix's flat slot
+tables (see the ``sparse`` module docstring).  One ``int64`` block per
+matrix (layout :data:`S_DIAG` .. :data:`S_COMPACTIONS`, mirrored by the
+C ``S_*`` enum) carries the table pointers, the pool and slot bump
+allocators and the layout counters.  For each flushed row the kernel
+replays into scratch, then installs the result itself: in place when
+the row's capacity suffices, at the top of the pool when it outgrew it
+(a *relocation*), in a fresh slot when an implicit-diagonal row
+materializes, or by freeing the slot of a row that emptied.  A call
+passes only row ids and watermarks; Python then applies the column
+changes the kernel reports (a few per learning step), and when the
+kernel stops because a scratch buffer, the slot table or the pool is
+full it grows that (a pool or slot shortage compacts the tables) and
+calls again from the row that stopped.  No per-row Python runs.
 
 Bit-identity argument (the whole point — golden decision traces and the
 ShermanMorrisonAuditor must not move by one ulp):
@@ -38,6 +54,15 @@ ShermanMorrisonAuditor must not move by one ulp):
   epsilon prunes, and dead-insert drops are independent; only the
   per-row *submission order* of updates matters, and the replay
   preserves it.  Flushing row ``i`` now or later yields the same floats.
+* A direct write to a row while updates are staged (``set``, an eager
+  scatter) settles the row first (:meth:`PendingUpdates.settle_row`):
+  a dirty row is flushed, and a clean row's watermark moves to the
+  current rank, because the updates staged before the write skipped it
+  and must not replay against the written value.
+* Both backends prune by one rule: an entry is dropped iff
+  ``|v| <= PRUNE_EPSILON``, for a hit and a fresh insert alike, so a
+  NaN survives under both and kernel ≡ eager holds for non-finite ``B``
+  too.
 * The C backend performs the identical double-precision operations
   (``d = scale*w`` then ``d*v`` per entry) and is compiled with
   ``-ffp-contract=off -fno-fast-math`` so no fused multiply-add can
@@ -89,6 +114,9 @@ __all__ = [
 #: :func:`make_pending` at call time).
 DEFAULT_WINDOW = 128
 
+#: Largest window a per-row one-byte watermark can address.
+_MAX_WINDOW = 255
+
 _VALID_MODES = ("auto", "c", "off")
 
 
@@ -115,13 +143,16 @@ def resolve_mode() -> str:
 # The compiled backend
 # ----------------------------------------------------------------------
 
-#: The grouped flush kernel.  One call resolves a batch of dirty rows:
-#: for each row, replay the staged updates from the row's watermark in
-#: submission order against a working copy of the stored row (an update
-#: whose left-factor weight is zero is skipped), then emit the new row
-#: plus the exact added/removed column sets (computed by a sorted merge
-#: against the old row) so the Python side can maintain the column index
-#: without per-row set algebra.  All arithmetic is plain double
+#: The grouped flush kernel.  One call resolves a batch of dirty rows
+#: straight in the owning matrix's slot tables (layout: the ``S_*`` enum
+#: below, mirrored by the ``S_*`` constants of this module): for each
+#: row, replay the staged updates from the row's watermark in submission
+#: order against a working copy of the stored row (an update whose
+#: left-factor weight is zero is skipped), install the result in place
+#: -- moving a row that outgrew its capacity to the top of the pool, or
+#: giving a newly materialized row a slot -- and emit the exact column
+#: changes (a sorted merge against the old row) so the Python side
+#: touches only the column index.  All arithmetic is plain double
 #: precision in the same association as the eager scatter:
 #: ``d = scale * w; v = d * vals[t]``.
 _C_SOURCE = r"""
@@ -156,23 +187,34 @@ static void mark_pivot(const int64_t *piv_sorted, const int64_t *piv_order,
     }
 }
 
+/* The one prune rule of both backends: drop iff |v| <= eps.  A NaN
+ * compares false and survives, exactly as in the eager scatter. */
+#define KEEP(v, eps) (!(fabs(v) <= (eps)))
+
+/* Slot-table block of one SparseMatrix (must match the S_* constants
+ * in kern.py).  Pointers first, then the pool/slot bump allocators and
+ * the layout counters.  Row i lives at pool[off[s] .. off[s] + len[s])
+ * of slot s = slot_of[i] (capacity cap[s]); slot 0 is the null slot:
+ * slot_of[i] == 0 means the row is the implicit diagonal diag[i]. */
+enum {
+    S_DIAG = 0, S_SLOT_OF, S_SLOT_ROW, S_OFF, S_LEN, S_CAP,
+    S_POOL_IDX, S_POOL_VAL,
+    S_POOL_TOP, S_POOL_CAP, S_POOL_DEAD, S_SLOT_TOP, S_SLOT_CAP,
+    S_MIN_CAP, S_RELOCATIONS, S_COMPACTIONS,
+    S_FIELDS
+};
+
 /* Argument-block slot layout (must match CKernel._SLOT_* constants).
  * One persistent int64 array carries every scalar and buffer pointer so
- * the per-call ctypes dispatch converts two arguments instead of ~30 —
+ * the per-call ctypes dispatch converts two arguments instead of ~20 --
  * the hot path flushes one or two rows thousands of times per second
  * and the conversion overhead was measurable. */
 enum {
-    A_N_ROWS = 0,
-    A_ROWS, A_DIAG_BASE,
-    A_ROW_IDX_PTRS, A_ROW_VAL_PTRS, A_ROW_LENS, A_ROW_CAPS,
-    A_STARTS,
+    A_STORE = 0,
+    A_N_ROWS, A_ROW_BEGIN, A_ROWS, A_STARTS,
     A_N_UPDATES,
     A_PIVOTS, A_SCALES, A_UPD_OFFSETS, A_COLS, A_VALS,
-    A_OUT_OFFSETS, A_OUT_IDX, A_OUT_VAL,
-    A_OUT_CAP,
-    A_NEW_LENS,
-    A_ADD_OFFSETS, A_ADD_IDX, A_REM_OFFSETS, A_REM_IDX,
-    A_TOUCHED,
+    A_CHG_ROWS, A_CHG_COLS, A_CHG_CAP,
     A_SCRATCH_A_IDX, A_SCRATCH_A_VAL, A_SCRATCH_B_IDX, A_SCRATCH_B_VAL,
     A_SCRATCH_CAP,
     A_PIV_SORTED, A_PIV_ORDER, A_CAND,
@@ -180,35 +222,57 @@ enum {
     A_SLOTS
 };
 
-#define PTR(type, slot) ((type *)(intptr_t)a[slot])
+/* Stats block written by every flush call (CKernel._ST_* constants). */
+enum {
+    ST_APPLIED = 0, ST_SKIPPED, ST_NNZ_DELTA, ST_CHANGES,
+    ST_NEED, ST_NEED_SIZE,
+    ST_FIELDS
+};
 
-/* Replay staged rank-1 updates onto each requested row.
+/* Why a call stopped early: the caller grows what is named and calls
+ * again from the returned row (nothing of that row was written). */
+enum { NEED_NONE = 0, NEED_SCRATCH, NEED_CHANGES, NEED_SLOT, NEED_POOL };
+
+#define PTR(type, slot) ((type *)(intptr_t)a[slot])
+#define SPTR(type, slot) ((type *)(intptr_t)st[slot])
+
+/* Replay staged rank-1 updates onto rows[row_begin .. n_rows).
  *
  * The row is replayed by ping-pong two-pointer merges: each applied
  * update merges the current row image (sorted) with its scaled segment
  * (sorted) into the other scratch buffer.  Entry-wise this performs
- * exactly the eager scatter's float operations in the same order —
- * matched column: value + coeff*seg, kept iff |.| > eps; segment-only
- * column: coeff*seg, kept iff |.| > eps — so the result is
- * bit-identical to applying the updates eagerly.
+ * exactly the eager scatter's float operations in the same order --
+ * matched column: value + coeff*seg; segment-only column: coeff*seg;
+ * either kept iff KEEP -- so the result is bit-identical to applying
+ * the updates eagerly.
  *
- * The finished row is written straight back into the caller's row
- * arrays when they have capacity (new_lens[r] = length); otherwise it
- * goes to the out buffer at out_offsets[r] (new_lens[r] = ~length).
- * Unmaterialized rows (row_lens[r] < 0) start from the implicit
- * diagonal read off diag_base and always take the out-buffer path.
+ * The finished row is installed in the slot tables: in place when its
+ * capacity suffices; otherwise at the pool top with capacity
+ * max(min_cap, 2 * length) (the old region becomes dead space, counted
+ * as one relocation); a newly materialized row (implicit diagonal
+ * until now) takes the next slot; an emptied row frees its slot.
+ * Column changes go to chg_rows/chg_cols in row order, each row's
+ * added columns before its removed ones (a removed column is stored
+ * as ~column).
  *
- * Returns 0 on success, -1 on capacity overflow (caller sizes exactly,
- * so -1 indicates a marshaling bug, not a runtime condition). */
+ * Returns the number of rows done.  Fewer than n_rows means a buffer,
+ * the slot table or the pool is too small for the next row: stats
+ * name what (ST_NEED) and how much (ST_NEED_SIZE), and that row is
+ * untouched.  Stats always cover exactly the rows done by this call. */
 int64_t megh_flush_rows(const int64_t *a, double eps)
 {
+    int64_t *st = PTR(int64_t, A_STORE);
+    double  *diag = SPTR(double, S_DIAG);
+    int32_t *slot_of = SPTR(int32_t, S_SLOT_OF);
+    int64_t *slot_row = SPTR(int64_t, S_SLOT_ROW);
+    int64_t *off = SPTR(int64_t, S_OFF);
+    int64_t *len = SPTR(int64_t, S_LEN);
+    int64_t *cap = SPTR(int64_t, S_CAP);
+    int64_t *pool_idx = SPTR(int64_t, S_POOL_IDX);
+    double  *pool_val = SPTR(double, S_POOL_VAL);
+    int64_t min_cap = st[S_MIN_CAP];
     int64_t n_rows = a[A_N_ROWS];
     const int64_t *rows = PTR(const int64_t, A_ROWS);
-    const double  *diag_base = PTR(const double, A_DIAG_BASE);
-    const int64_t *row_idx_ptrs = PTR(const int64_t, A_ROW_IDX_PTRS);
-    const int64_t *row_val_ptrs = PTR(const int64_t, A_ROW_VAL_PTRS);
-    const int64_t *row_lens = PTR(const int64_t, A_ROW_LENS);
-    const int64_t *row_caps = PTR(const int64_t, A_ROW_CAPS);
     const int64_t *starts = PTR(const int64_t, A_STARTS);
     int64_t n_updates = a[A_N_UPDATES];
     const int64_t *pivots = PTR(const int64_t, A_PIVOTS);
@@ -216,16 +280,9 @@ int64_t megh_flush_rows(const int64_t *a, double eps)
     const int64_t *upd_offsets = PTR(const int64_t, A_UPD_OFFSETS);
     const int64_t *cols = PTR(const int64_t, A_COLS);
     const double  *vals = PTR(const double, A_VALS);
-    int64_t *out_offsets = PTR(int64_t, A_OUT_OFFSETS);
-    int64_t *out_idx = PTR(int64_t, A_OUT_IDX);
-    double  *out_val = PTR(double, A_OUT_VAL);
-    int64_t out_cap = a[A_OUT_CAP];
-    int64_t *new_lens = PTR(int64_t, A_NEW_LENS);
-    int64_t *add_offsets = PTR(int64_t, A_ADD_OFFSETS);
-    int64_t *add_idx = PTR(int64_t, A_ADD_IDX);
-    int64_t *rem_offsets = PTR(int64_t, A_REM_OFFSETS);
-    int64_t *rem_idx = PTR(int64_t, A_REM_IDX);
-    uint8_t *touched = PTR(uint8_t, A_TOUCHED);
+    int64_t *chg_rows = PTR(int64_t, A_CHG_ROWS);
+    int64_t *chg_cols = PTR(int64_t, A_CHG_COLS);
+    int64_t chg_cap = a[A_CHG_CAP];
     int64_t *sa_idx = PTR(int64_t, A_SCRATCH_A_IDX);
     double  *sa_val = PTR(double, A_SCRATCH_A_VAL);
     int64_t *sb_idx = PTR(int64_t, A_SCRATCH_B_IDX);
@@ -235,15 +292,15 @@ int64_t megh_flush_rows(const int64_t *a, double eps)
     int64_t *piv_order = PTR(int64_t, A_PIV_ORDER);
     uint8_t *cand = PTR(uint8_t, A_CAND);
     int64_t *stats = PTR(int64_t, A_STATS);
-    int64_t out_pos = 0, add_pos = 0, rem_pos = 0;
-    int64_t applied = 0, skipped = 0;
-    add_offsets[0] = 0;
-    rem_offsets[0] = 0;
+    int64_t applied = 0, skipped = 0, nnz_delta = 0, n_chg = 0;
+    int64_t need = NEED_NONE, need_size = 0;
+    int64_t r;
     /* Batch calls amortize a per-row candidate bitmap: a sorted copy of
      * the window's pivots lets each row find its applicable updates by
      * one linear merge against its columns instead of one binary search
-     * per (row, update).  Pair calls skip the setup — the sort would
-     * cost more than the searches it saves. */
+     * per (row, update).  Pair calls skip the setup -- the sort would
+     * cost more than the searches it saves.  Either way the applied /
+     * skipped counts are the same (the bitmap is an exact superset). */
     int use_mask = (n_rows > 4 && n_updates > 0);
     if (use_mask) {
         for (int64_t k = 0; k < n_updates; k++) {
@@ -257,27 +314,29 @@ int64_t megh_flush_rows(const int64_t *a, double eps)
             piv_order[j] = k;
         }
     }
-    for (int64_t r = 0; r < n_rows; r++) {
+    for (r = a[A_ROW_BEGIN]; r < n_rows; r++) {
         int64_t row_id = rows[r];
-        int64_t len = row_lens[r];
+        int64_t s = slot_of[row_id];
         const int64_t *cur_idx;
         const double  *cur_val;
         const int64_t *orig_idx;
-        int64_t n, orig_n;
+        int64_t n, orig_n, old_count;
+        int64_t row_applied = 0, row_skipped = 0;
         int which;  /* next merge destination: 0 -> scratch A, 1 -> B */
-        if (len >= 0) {
-            cur_idx = (const int64_t *)(intptr_t)row_idx_ptrs[r];
-            cur_val = (const double *)(intptr_t)row_val_ptrs[r];
-            n = len;
+        if (s > 0) {
+            cur_idx = pool_idx + off[s];
+            cur_val = pool_val + off[s];
+            n = len[s];
             orig_idx = cur_idx;
             orig_n = n;
+            old_count = n;
             which = 0;
         } else {
             /* Implicit-diagonal row: materialize into scratch A.  The
              * diagonal is NOT part of "old" for the column-index diff:
              * it had no column-index entry, so if it survives it must
              * be reported as added. */
-            double diagonal = diag_base[row_id];
+            double diagonal = diag[row_id];
             orig_idx = sa_idx;
             orig_n = 0;
             n = 0;
@@ -286,6 +345,7 @@ int64_t megh_flush_rows(const int64_t *a, double eps)
                 sa_val[0] = diagonal;
                 n = 1;
             }
+            old_count = n;
             cur_idx = sa_idx;
             cur_val = sa_val;
             which = 1;
@@ -305,18 +365,20 @@ int64_t megh_flush_rows(const int64_t *a, double eps)
                 else { cand[piv_order[v]] = 1; v++; }
             }
         }
-        uint8_t any = 0;
         for (int64_t k = starts[r]; k < n_updates; k++) {
-            if (use_mask && !cand[k]) { skipped++; continue; }
+            if (use_mask && !cand[k]) { row_skipped++; continue; }
             int64_t pos = lower_bound(cur_idx, n, pivots[k]);
             double w = (pos < n && cur_idx[pos] == pivots[k])
                 ? cur_val[pos] : 0.0;
-            if (w == 0.0) { skipped++; continue; }
-            any = 1;
-            applied++;
+            if (w == 0.0) { row_skipped++; continue; }
+            row_applied++;
             double coeff = scales[k] * w;
             int64_t t = upd_offsets[k], t_end = upd_offsets[k + 1];
-            if (n + (t_end - t) > scratch_cap) return -1;
+            if (n + (t_end - t) > scratch_cap) {
+                need = NEED_SCRATCH;
+                need_size = n + (t_end - t);
+                goto stop;
+            }
             int64_t *dst_idx = which ? sb_idx : sa_idx;
             double  *dst_val = which ? sb_val : sa_val;
             int64_t p = 0, m = 0;
@@ -327,7 +389,7 @@ int64_t megh_flush_rows(const int64_t *a, double eps)
                     dst_val[m++] = cur_val[p++];
                 } else if (cj > sj) {
                     double v = coeff * vals[t++];
-                    if (fabs(v) > eps) {
+                    if (KEEP(v, eps)) {
                         dst_idx[m] = sj;
                         dst_val[m++] = v;
                         if (use_mask)
@@ -336,7 +398,7 @@ int64_t megh_flush_rows(const int64_t *a, double eps)
                     }
                 } else {
                     double v = cur_val[p++] + coeff * vals[t++];
-                    if (fabs(v) > eps) { dst_idx[m] = cj; dst_val[m++] = v; }
+                    if (KEEP(v, eps)) { dst_idx[m] = cj; dst_val[m++] = v; }
                 }
             }
             while (p < n) {
@@ -345,7 +407,7 @@ int64_t megh_flush_rows(const int64_t *a, double eps)
             }
             while (t < t_end) {
                 double v = coeff * vals[t];
-                if (fabs(v) > eps) {
+                if (KEEP(v, eps)) {
                     dst_idx[m] = cols[t];
                     dst_val[m++] = v;
                     if (use_mask)
@@ -359,52 +421,123 @@ int64_t megh_flush_rows(const int64_t *a, double eps)
             n = m;
             which ^= 1;
         }
-        touched[r] = any;
-        if (!any) {
-            new_lens[r] = len;
-            out_offsets[r] = out_pos;
-            add_offsets[r + 1] = add_pos;
-            rem_offsets[r + 1] = rem_pos;
-            continue;
+        if (row_applied) {
+            /* Check every resource the install needs before writing
+             * anything, so a stop leaves the row untouched. */
+            int64_t new_cap = 0;
+            if (n_chg + orig_n + n > chg_cap) {
+                need = NEED_CHANGES;
+                need_size = n_chg + orig_n + n;
+                goto stop;
+            }
+            if (n > 0 && (s == 0 || cap[s] < n)) {
+                new_cap = 2 * n > min_cap ? 2 * n : min_cap;
+                if (s == 0 && st[S_SLOT_TOP] >= st[S_SLOT_CAP]) {
+                    need = NEED_SLOT;
+                    need_size = 1;
+                    goto stop;
+                }
+                if (st[S_POOL_TOP] + new_cap > st[S_POOL_CAP]) {
+                    need = NEED_POOL;
+                    need_size = new_cap;
+                    goto stop;
+                }
+            }
+            /* Sorted merge of old stored columns vs new columns -> the
+             * exact column-index delta (before the install overwrites
+             * the old image in place). */
+            int64_t x = 0, b = 0;
+            while (x < orig_n || b < n) {
+                if (x >= orig_n) {
+                    chg_rows[n_chg] = row_id;
+                    chg_cols[n_chg++] = cur_idx[b++];
+                } else if (b >= n || orig_idx[x] < cur_idx[b]) {
+                    x++;
+                } else if (orig_idx[x] == cur_idx[b]) {
+                    x++; b++;
+                } else {
+                    chg_rows[n_chg] = row_id;
+                    chg_cols[n_chg++] = cur_idx[b++];
+                }
+            }
+            x = 0; b = 0;
+            while (x < orig_n) {
+                if (b >= n || orig_idx[x] < cur_idx[b]) {
+                    chg_rows[n_chg] = row_id;
+                    chg_cols[n_chg++] = ~orig_idx[x++];
+                } else if (orig_idx[x] == cur_idx[b]) {
+                    x++; b++;
+                } else {
+                    b++;
+                }
+            }
+            if (s == 0) diag[row_id] = 0.0;
+            if (n == 0) {
+                if (s > 0) {
+                    st[S_POOL_DEAD] += cap[s];
+                    slot_row[s] = -1;
+                    len[s] = 0;
+                    slot_of[row_id] = 0;
+                }
+            } else {
+                if (new_cap) {
+                    if (s > 0) {
+                        st[S_POOL_DEAD] += cap[s];
+                        st[S_RELOCATIONS] += 1;
+                    } else {
+                        s = st[S_SLOT_TOP]++;
+                        slot_row[s] = row_id;
+                        slot_of[row_id] = (int32_t)s;
+                    }
+                    off[s] = st[S_POOL_TOP];
+                    cap[s] = new_cap;
+                    st[S_POOL_TOP] += new_cap;
+                }
+                memcpy(pool_idx + off[s], cur_idx, (size_t)n * sizeof(int64_t));
+                memcpy(pool_val + off[s], cur_val, (size_t)n * sizeof(double));
+                len[s] = n;
+            }
+            nnz_delta += n - old_count;
         }
-        /* Sorted merge of old stored columns vs new columns -> the exact
-         * column-index delta. */
-        int64_t x = 0, b = 0;
-        while (x < orig_n || b < n) {
-            if (x >= orig_n) { add_idx[add_pos++] = cur_idx[b++]; }
-            else if (b >= n) { rem_idx[rem_pos++] = orig_idx[x++]; }
-            else if (orig_idx[x] == cur_idx[b]) { x++; b++; }
-            else if (orig_idx[x] < cur_idx[b]) {
-                rem_idx[rem_pos++] = orig_idx[x++];
-            } else { add_idx[add_pos++] = cur_idx[b++]; }
-        }
-        add_offsets[r + 1] = add_pos;
-        rem_offsets[r + 1] = rem_pos;
-        if (len >= 0 && row_caps[r] >= n) {
-            /* Install in place: the caller's row arrays have room. */
-            int64_t *ridx = (int64_t *)(intptr_t)row_idx_ptrs[r];
-            double  *rval = (double *)(intptr_t)row_val_ptrs[r];
-            memcpy(ridx, cur_idx, (size_t)n * sizeof(int64_t));
-            memcpy(rval, cur_val, (size_t)n * sizeof(double));
-            new_lens[r] = n;
-            out_offsets[r] = out_pos;
-        } else {
-            if (out_pos + n > out_cap) return -1;
-            memcpy(out_idx + out_pos, cur_idx, (size_t)n * sizeof(int64_t));
-            memcpy(out_val + out_pos, cur_val, (size_t)n * sizeof(double));
-            out_offsets[r] = out_pos;
-            out_pos += n;
-            new_lens[r] = ~n;
-        }
+        applied += row_applied;
+        skipped += row_skipped;
     }
-    stats[0] = applied;
-    stats[1] = skipped;
-    return 0;
+stop:
+    stats[ST_APPLIED] = applied;
+    stats[ST_SKIPPED] = skipped;
+    stats[ST_NNZ_DELTA] = nnz_delta;
+    stats[ST_CHANGES] = n_chg;
+    stats[ST_NEED] = need;
+    stats[ST_NEED_SIZE] = need_size;
+    return r;
 }
 
-/* One learning-step row combine: sorted-union merge of two row images
- * computing row_a - gamma * row_next, plus the two column-``piv``
- * entry lookups the Sherman-Morrison denominator needs.
+/* Row i of the slot tables as (idx, val, length); an implicit row is
+ * synthesized into the one-entry buffers. */
+static int64_t store_row(const int64_t *st, int64_t i,
+                         const int64_t **idx, const double **val,
+                         int64_t *one_idx, double *one_val)
+{
+    int64_t s = SPTR(const int32_t, S_SLOT_OF)[i];
+    if (s > 0) {
+        int64_t o = SPTR(const int64_t, S_OFF)[s];
+        *idx = SPTR(const int64_t, S_POOL_IDX) + o;
+        *val = SPTR(const double, S_POOL_VAL) + o;
+        return SPTR(const int64_t, S_LEN)[s];
+    }
+    double diagonal = SPTR(const double, S_DIAG)[i];
+    *idx = one_idx;
+    *val = one_val;
+    if (diagonal == 0.0) return 0;
+    one_idx[0] = i;
+    one_val[0] = diagonal;
+    return 1;
+}
+
+/* One learning-step row combine: sorted-union merge of rows a and b
+ * (read from the slot tables) computing row_a - gamma * row_b, plus the
+ * two column-``piv`` entry lookups the Sherman-Morrison denominator
+ * needs.
  *
  * Float ops exactly match the NumPy construction in lstd.update (zeros
  * scatter, then subtract): a-only column -> val_a; shared column ->
@@ -414,15 +547,20 @@ int64_t megh_flush_rows(const int64_t *a, double eps)
  * Exact zeros are dropped, mirroring the ``values != 0.0`` filter the
  * staging path applies; output is sorted-unique by construction.
  *
- * Returns the output length.  Caller sizes out buffers to na + nb. */
-int64_t megh_combine_rows(const int64_t *idx_a, const double *val_a,
-                          int64_t na,
-                          const int64_t *idx_b, const double *val_b,
-                          int64_t nb,
-                          double gamma, int64_t piv,
+ * Returns the output length, or -(na + nb) without writing when
+ * out_cap is smaller than that (the caller grows and calls again). */
+int64_t megh_combine_rows(const int64_t *st, int64_t row_a, int64_t row_b,
+                          double gamma, int64_t piv, int64_t out_cap,
                           int64_t *out_idx, double *out_val,
                           double *entries)
 {
+    const int64_t *idx_a, *idx_b;
+    const double *val_a, *val_b;
+    int64_t one_a_idx[1], one_b_idx[1];
+    double one_a_val[1], one_b_val[1];
+    int64_t na = store_row(st, row_a, &idx_a, &val_a, one_a_idx, one_a_val);
+    int64_t nb = store_row(st, row_b, &idx_b, &val_b, one_b_idx, one_b_val);
+    if (na + nb > out_cap) return -(na + nb);
     int64_t i = 0, j = 0, n = 0;
     while (i < na && j < nb) {
         int64_t ca = idx_a[i], cb = idx_b[j];
@@ -457,6 +595,31 @@ int64_t megh_combine_rows(const int64_t *idx_a, const double *val_a,
     return n;
 }
 """
+
+#: Slot-table block layout of a :class:`~repro.core.sparse.SparseMatrix`
+#: (mirrors the C ``S_*`` enum above): one int64 array per matrix that
+#: carries the table pointers, the pool/slot bump allocators and the
+#: layout counters, read and written in place by both the kernel and
+#: the eager path.
+(
+    S_DIAG,
+    S_SLOT_OF,
+    S_SLOT_ROW,
+    S_OFF,
+    S_LEN,
+    S_CAP,
+    S_POOL_IDX,
+    S_POOL_VAL,
+    S_POOL_TOP,
+    S_POOL_CAP,
+    S_POOL_DEAD,
+    S_SLOT_TOP,
+    S_SLOT_CAP,
+    S_MIN_CAP,
+    S_RELOCATIONS,
+    S_COMPACTIONS,
+    S_FIELDS,
+) = range(17)
 
 #: Compile flags.  ``-ffp-contract=off`` and ``-fno-fast-math`` are
 #: load-bearing: a fused multiply-add or a fast-math rewrite would change
@@ -611,11 +774,46 @@ def _compiled_library_path() -> str:
 class CKernel:
     """ctypes wrapper around the compiled grouped flush kernel.
 
-    Holds reusable scratch/output buffers (grow-on-demand) so the hot
-    single-row flush allocates nothing beyond a few small arrays.
+    Holds reusable scratch/output buffers (grow-on-demand, grown when a
+    kernel call stops and names what ran short) so a flush allocates
+    nothing on the hot path.  The kernel reads and writes the matrix's
+    slot tables itself; Python only marshals row ids and watermarks and
+    applies the column-index changes the kernel reports.
     """
 
     name = "c"
+
+    # Slot indices -- must match the C ``A_*`` enum in _C_SOURCE.
+    (
+        _SLOT_STORE,
+        _SLOT_N_ROWS,
+        _SLOT_ROW_BEGIN,
+        _SLOT_ROWS,
+        _SLOT_STARTS,
+        _SLOT_N_UPDATES,
+        _SLOT_PIVOTS,
+        _SLOT_SCALES,
+        _SLOT_UPD_OFFSETS,
+        _SLOT_COLS,
+        _SLOT_VALS,
+        _SLOT_CHG_ROWS,
+        _SLOT_CHG_COLS,
+        _SLOT_CHG_CAP,
+        _SLOT_SCRATCH_A_IDX,
+        _SLOT_SCRATCH_A_VAL,
+        _SLOT_SCRATCH_B_IDX,
+        _SLOT_SCRATCH_B_VAL,
+        _SLOT_SCRATCH_CAP,
+        _SLOT_PIV_SORTED,
+        _SLOT_PIV_ORDER,
+        _SLOT_CAND,
+        _SLOT_STATS,
+        _N_SLOTS,
+    ) = range(24)
+
+    # Stats fields and stop reasons -- the C ``ST_*`` / ``NEED_*`` enums.
+    _ST_FIELDS = 6
+    _NEED_SCRATCH, _NEED_CHANGES, _NEED_SLOT, _NEED_POOL = 1, 2, 3, 4
 
     def __init__(self) -> None:
         library = _compiled_library_path()
@@ -631,9 +829,8 @@ class CKernel:
         self._flush.argtypes = [ctypes.c_void_p, ctypes.c_double]
         self._combine.restype = ctypes.c_int64
         self._combine.argtypes = [
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-            ctypes.c_double, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
         ]
         # Row-combine output buffers (grow-on-demand; see combine_rows).
@@ -647,142 +844,106 @@ class CKernel:
         # Argument block: one persistent int64 array carrying every
         # scalar and buffer pointer (slot layout mirrors the C enum).
         # Pointer slots are refreshed only when a buffer is (re)allocated,
-        # so a hot two-row flush updates six integer slots and converts
-        # two ctypes arguments instead of ~30.
+        # so a hot two-row flush updates a few integer slots and converts
+        # two ctypes arguments.
         self._args = np.zeros(self._N_SLOTS, dtype=np.int64)
         self._args_ptr = self._args.ctypes.data
-        self._out_idx = np.empty(256, dtype=np.int64)
-        self._out_val = np.empty(256, dtype=np.float64)
-        self._add_idx = np.empty(256, dtype=np.int64)
-        self._rem_idx = np.empty(256, dtype=np.int64)
-        self._scratch_a_idx = np.empty(256, dtype=np.int64)
-        self._scratch_a_val = np.empty(256, dtype=np.float64)
-        self._scratch_b_idx = np.empty(256, dtype=np.int64)
-        self._scratch_b_val = np.empty(256, dtype=np.float64)
-        # Plain-int capacity mirrors: the hot path compares these instead
-        # of reading ndarray shapes.
-        self._out_sz = 256
-        self._rem_sz = 256
-        self._scratch_sz = 256
+        self._stats = np.zeros(self._ST_FIELDS, dtype=np.int64)
+        self._args[self._SLOT_STATS] = self._stats.ctypes.data
+        self._chg_rows = np.empty(0, dtype=np.int64)
+        self._chg_cols = np.empty(0, dtype=np.int64)
+        self._grow_changes(256)
+        self._scratch_a_idx = np.empty(0, dtype=np.int64)
+        self._scratch_a_val = np.empty(0, dtype=np.float64)
+        self._scratch_b_idx = np.empty(0, dtype=np.int64)
+        self._scratch_b_val = np.empty(0, dtype=np.float64)
+        self._grow_scratch(256)
         # Batch-call candidate mask scratch (sized by the staged window).
-        self._piv_sorted = np.empty(256, dtype=np.int64)
-        self._piv_order = np.empty(256, dtype=np.int64)
-        self._cand = np.empty(256, dtype=np.uint8)
-        self._mask_sz = 256
-        self._rows_cap = 8
-        self._row_idx_ptrs = np.empty(self._rows_cap, dtype=np.int64)
-        self._row_val_ptrs = np.empty(self._rows_cap, dtype=np.int64)
-        self._row_lens = np.empty(self._rows_cap, dtype=np.int64)
-        self._row_caps = np.empty(self._rows_cap, dtype=np.int64)
-        self._new_lens = np.empty(self._rows_cap, dtype=np.int64)
-        self._out_offsets = np.empty(self._rows_cap + 1, dtype=np.int64)
-        self._add_offsets = np.empty(self._rows_cap + 1, dtype=np.int64)
-        self._rem_offsets = np.empty(self._rows_cap + 1, dtype=np.int64)
-        self._touched = np.zeros(self._rows_cap, dtype=np.uint8)
-        self._stats = np.zeros(2, dtype=np.int64)
+        self._piv_sorted = np.empty(0, dtype=np.int64)
+        self._piv_order = np.empty(0, dtype=np.int64)
+        self._cand = np.empty(0, dtype=np.uint8)
+        self._mask_sz = 0
+        self._grow_mask(256)
+        # Identity caches: pointer slots for the staged update arrays
+        # and the row/watermark vectors are refreshed only when those
+        # arrays are replaced.
+        self._pend_src: Tuple[object, ...] = ()
+        self._rows_src: Optional[object] = None
+        self._starts_src: Optional[object] = None
+
+    # ------------------------------------------------------------------
+    # Buffer growth (pointer slots refreshed with every reallocation)
+    # ------------------------------------------------------------------
+    def _grow_changes(self, size: int) -> None:
+        size = max(size, 2 * int(self._chg_rows.shape[0]))
+        self._chg_rows = np.empty(size, dtype=np.int64)
+        self._chg_cols = np.empty(size, dtype=np.int64)
         args = self._args
-        args[self._SLOT_OUT_IDX] = self._out_idx.ctypes.data
-        args[self._SLOT_OUT_VAL] = self._out_val.ctypes.data
-        args[self._SLOT_ADD_IDX] = self._add_idx.ctypes.data
-        args[self._SLOT_REM_IDX] = self._rem_idx.ctypes.data
+        args[self._SLOT_CHG_ROWS] = self._chg_rows.ctypes.data
+        args[self._SLOT_CHG_COLS] = self._chg_cols.ctypes.data
+        args[self._SLOT_CHG_CAP] = size
+
+    def _grow_scratch(self, size: int) -> None:
+        size = max(size, 2 * int(self._scratch_a_idx.shape[0]))
+        self._scratch_a_idx = np.empty(size, dtype=np.int64)
+        self._scratch_a_val = np.empty(size, dtype=np.float64)
+        self._scratch_b_idx = np.empty(size, dtype=np.int64)
+        self._scratch_b_val = np.empty(size, dtype=np.float64)
+        args = self._args
         args[self._SLOT_SCRATCH_A_IDX] = self._scratch_a_idx.ctypes.data
         args[self._SLOT_SCRATCH_A_VAL] = self._scratch_a_val.ctypes.data
         args[self._SLOT_SCRATCH_B_IDX] = self._scratch_b_idx.ctypes.data
         args[self._SLOT_SCRATCH_B_VAL] = self._scratch_b_val.ctypes.data
-        args[self._SLOT_ROW_IDX_PTRS] = self._row_idx_ptrs.ctypes.data
-        args[self._SLOT_ROW_VAL_PTRS] = self._row_val_ptrs.ctypes.data
-        args[self._SLOT_ROW_LENS] = self._row_lens.ctypes.data
-        args[self._SLOT_ROW_CAPS] = self._row_caps.ctypes.data
-        args[self._SLOT_NEW_LENS] = self._new_lens.ctypes.data
-        args[self._SLOT_OUT_OFFSETS] = self._out_offsets.ctypes.data
-        args[self._SLOT_ADD_OFFSETS] = self._add_offsets.ctypes.data
-        args[self._SLOT_REM_OFFSETS] = self._rem_offsets.ctypes.data
-        args[self._SLOT_TOUCHED] = self._touched.ctypes.data
+        args[self._SLOT_SCRATCH_CAP] = size
+
+    def _grow_mask(self, size: int) -> None:
+        size = max(size, 2 * self._mask_sz)
+        self._mask_sz = size
+        self._piv_sorted = np.empty(size, dtype=np.int64)
+        self._piv_order = np.empty(size, dtype=np.int64)
+        self._cand = np.empty(size, dtype=np.uint8)
+        args = self._args
         args[self._SLOT_PIV_SORTED] = self._piv_sorted.ctypes.data
         args[self._SLOT_PIV_ORDER] = self._piv_order.ctypes.data
         args[self._SLOT_CAND] = self._cand.ctypes.data
-        args[self._SLOT_STATS] = self._stats.ctypes.data
-        # Identity caches: pointer slots for the staged update arrays and
-        # the diagonal store are refreshed only when those arrays are
-        # replaced (growth in enqueue / a different matrix or pending).
-        self._pend_src: Tuple[object, ...] = ()
-        self._diag_src: Optional[object] = None
-        self._rows_src: Optional[object] = None
-        self._starts_src: Optional[object] = None
-
-    # Slot indices — must match the C enum in _C_SOURCE.
-    (
-        _SLOT_N_ROWS,
-        _SLOT_ROWS,
-        _SLOT_DIAG_BASE,
-        _SLOT_ROW_IDX_PTRS,
-        _SLOT_ROW_VAL_PTRS,
-        _SLOT_ROW_LENS,
-        _SLOT_ROW_CAPS,
-        _SLOT_STARTS,
-        _SLOT_N_UPDATES,
-        _SLOT_PIVOTS,
-        _SLOT_SCALES,
-        _SLOT_UPD_OFFSETS,
-        _SLOT_COLS,
-        _SLOT_VALS,
-        _SLOT_OUT_OFFSETS,
-        _SLOT_OUT_IDX,
-        _SLOT_OUT_VAL,
-        _SLOT_OUT_CAP,
-        _SLOT_NEW_LENS,
-        _SLOT_ADD_OFFSETS,
-        _SLOT_ADD_IDX,
-        _SLOT_REM_OFFSETS,
-        _SLOT_REM_IDX,
-        _SLOT_TOUCHED,
-        _SLOT_SCRATCH_A_IDX,
-        _SLOT_SCRATCH_A_VAL,
-        _SLOT_SCRATCH_B_IDX,
-        _SLOT_SCRATCH_B_VAL,
-        _SLOT_SCRATCH_CAP,
-        _SLOT_PIV_SORTED,
-        _SLOT_PIV_ORDER,
-        _SLOT_CAND,
-        _SLOT_STATS,
-        _N_SLOTS,
-    ) = range(34)
 
     def combine_rows(
         self,
-        raw_a: Tuple[int, int, int],
-        raw_b: Tuple[int, int, int],
+        matrix: "SparseMatrix",
+        row_a: int,
+        row_b: int,
         gamma: float,
         pivot: int,
     ) -> Tuple[np.ndarray, np.ndarray, float, float]:
-        """Fused learning-step combine: ``row_a - gamma * row_next``.
+        """Fused learning-step combine: ``row_a - gamma * row_b``.
 
-        Takes the two *settled* rows as raw ``(idx pointer, val pointer,
-        length)`` triples (see ``SparseMatrix._row_raw``) and returns the
-        sorted-unique, zero-free ``(columns, values)`` of the combination
-        plus the two column-``pivot`` entries the denominator needs —
-        one C call instead of ~10 small-array NumPy ops.  Bit-identical
-        to the NumPy construction in ``SparseLstd.update`` (see the C
-        comment).  The returned arrays are views into reusable scratch:
-        valid until the next ``combine_rows`` call, which is exactly the
-        staging path's copy-on-enqueue lifetime.
+        Reads the two *settled* rows (``flush_rows`` first) straight
+        from ``matrix``'s slot tables -- implicit-diagonal rows included
+        -- and returns the sorted-unique, zero-free ``(columns, values)``
+        of the combination plus the two column-``pivot`` entries the
+        denominator needs: one C call instead of ~10 small-array NumPy
+        ops.  Bit-identical to the NumPy construction in
+        ``SparseLstd.update`` (see the C comment).  The returned arrays
+        are views into reusable scratch: valid until the next
+        ``combine_rows`` call, which is exactly the staging path's
+        copy-on-enqueue lifetime.
         """
-        idx_a, val_a, na = raw_a
-        idx_b, val_b, nb = raw_b
-        total = na + nb
-        if total > self._cmb_sz:
-            size = max(total, 2 * self._cmb_sz)
+        store = matrix._store_ptr
+        n = self._combine(
+            store, row_a, row_b, gamma, pivot, self._cmb_sz,
+            self._cmb_idx_ptr, self._cmb_val_ptr, self._cmb_ent_ptr,
+        )
+        if n < 0:
+            size = max(-n, 2 * self._cmb_sz)
             self._cmb_sz = size
             self._cmb_idx = np.empty(size, dtype=np.int64)
             self._cmb_val = np.empty(size, dtype=np.float64)
             self._cmb_idx_ptr = self._cmb_idx.ctypes.data
             self._cmb_val_ptr = self._cmb_val.ctypes.data
-        n = self._combine(
-            idx_a, val_a, na,
-            idx_b, val_b, nb,
-            gamma, pivot,
-            self._cmb_idx_ptr, self._cmb_val_ptr, self._cmb_ent_ptr,
-        )
+            n = self._combine(
+                store, row_a, row_b, gamma, pivot, self._cmb_sz,
+                self._cmb_idx_ptr, self._cmb_val_ptr, self._cmb_ent_ptr,
+            )
         entries = self._cmb_entries
         return (
             self._cmb_idx[:n],
@@ -790,59 +951,6 @@ class CKernel:
             float(entries[0]),
             float(entries[1]),
         )
-
-    def _ensure_rows(self, n_rows: int) -> None:
-        if n_rows <= self._rows_cap:
-            return
-        cap = max(n_rows, 2 * self._rows_cap)
-        self._rows_cap = cap
-        self._row_idx_ptrs = np.empty(cap, dtype=np.int64)
-        self._row_val_ptrs = np.empty(cap, dtype=np.int64)
-        self._row_lens = np.empty(cap, dtype=np.int64)
-        self._row_caps = np.empty(cap, dtype=np.int64)
-        self._new_lens = np.empty(cap, dtype=np.int64)
-        self._out_offsets = np.empty(cap + 1, dtype=np.int64)
-        self._add_offsets = np.empty(cap + 1, dtype=np.int64)
-        self._rem_offsets = np.empty(cap + 1, dtype=np.int64)
-        self._touched = np.zeros(cap, dtype=np.uint8)
-        args = self._args
-        args[self._SLOT_ROW_IDX_PTRS] = self._row_idx_ptrs.ctypes.data
-        args[self._SLOT_ROW_VAL_PTRS] = self._row_val_ptrs.ctypes.data
-        args[self._SLOT_ROW_LENS] = self._row_lens.ctypes.data
-        args[self._SLOT_ROW_CAPS] = self._row_caps.ctypes.data
-        args[self._SLOT_NEW_LENS] = self._new_lens.ctypes.data
-        args[self._SLOT_OUT_OFFSETS] = self._out_offsets.ctypes.data
-        args[self._SLOT_ADD_OFFSETS] = self._add_offsets.ctypes.data
-        args[self._SLOT_REM_OFFSETS] = self._rem_offsets.ctypes.data
-        args[self._SLOT_TOUCHED] = self._touched.ctypes.data
-
-    def _ensure_out(self, out_cap: int, rem_cap: int, scratch_cap: int) -> None:
-        args = self._args
-        if self._out_sz < out_cap:
-            size = max(out_cap, 2 * self._out_sz)
-            self._out_sz = size
-            self._out_idx = np.empty(size, dtype=np.int64)
-            self._out_val = np.empty(size, dtype=np.float64)
-            self._add_idx = np.empty(size, dtype=np.int64)
-            args[self._SLOT_OUT_IDX] = self._out_idx.ctypes.data
-            args[self._SLOT_OUT_VAL] = self._out_val.ctypes.data
-            args[self._SLOT_ADD_IDX] = self._add_idx.ctypes.data
-        if self._rem_sz < rem_cap:
-            size = max(rem_cap, 2 * self._rem_sz)
-            self._rem_sz = size
-            self._rem_idx = np.empty(size, dtype=np.int64)
-            args[self._SLOT_REM_IDX] = self._rem_idx.ctypes.data
-        if self._scratch_sz < scratch_cap:
-            size = max(scratch_cap, 2 * self._scratch_sz)
-            self._scratch_sz = size
-            self._scratch_a_idx = np.empty(size, dtype=np.int64)
-            self._scratch_a_val = np.empty(size, dtype=np.float64)
-            self._scratch_b_idx = np.empty(size, dtype=np.int64)
-            self._scratch_b_val = np.empty(size, dtype=np.float64)
-            args[self._SLOT_SCRATCH_A_IDX] = self._scratch_a_idx.ctypes.data
-            args[self._SLOT_SCRATCH_A_VAL] = self._scratch_a_val.ctypes.data
-            args[self._SLOT_SCRATCH_B_IDX] = self._scratch_b_idx.ctypes.data
-            args[self._SLOT_SCRATCH_B_VAL] = self._scratch_b_val.ctypes.data
 
     def replay_rows(
         self,
@@ -853,113 +961,24 @@ class CKernel:
     ) -> Tuple[int, int]:
         """Flush ``rows`` (watermarks in ``starts``) in one kernel call.
 
-        All staging buffers are persistent and grow-on-demand: the hot
-        case (one or two rows flushed by a learning step's row reads)
-        allocates nothing beyond the gathered diagonal.
+        The kernel installs every flushed row in ``matrix``'s slot
+        tables itself.  What runs in Python is the column-index update
+        for the columns a row gained or lost, and, when the kernel
+        stops because a scratch buffer, the slot table or the pool is
+        full, growing it and calling again from that row.  The flush is
+        representation preserving (the logical matrix value is the same
+        with the pendings staged or applied), so ``matrix.mutations`` is
+        deliberately untouched.  Returns ``(applied, skipped)``.
         """
-        from repro.core.sparse import PRUNE_EPSILON, _MIN_CAPACITY, _Row
+        from repro.core.sparse import PRUNE_EPSILON
 
         n_rows = int(rows.shape[0])
         n_updates = pending._n
-        self._ensure_rows(n_rows)
         args = self._args
-        matrix_diag = matrix._diag
-        matrix_rows = matrix._rows
-        row_list = rows.tolist()
-        upd_offsets = pending._upd_offsets
-        total = int(upd_offsets[n_updates])
-        # One pass: record each stored row's array pointers (the kernel
-        # reads them in place — no staging copies; the pointers are the
-        # values cached on ``_Row`` at allocation time) and accumulate
-        # the worst-case output capacity (stored entries + implicit
-        # diagonal + every scattered segment from the watermark on).
-        row_idx_ptrs = self._row_idx_ptrs
-        row_val_ptrs = self._row_val_ptrs
-        row_lens = self._row_lens
-        row_caps = self._row_caps
-        if n_rows <= 4:
-            # Hot path (learning-step pair flush): scalar stores beat
-            # the vectorized bulk path below at this size.
-            start_list = starts.tolist()
-            stored_total = 0
-            out_cap = 0
-            scratch_cap = 1
-            for r, i in enumerate(row_list):
-                row = matrix_rows.get(i)
-                if row is not None:
-                    n = row.n
-                    row_lens[r] = n
-                    row_caps[r] = row.idx.shape[0]
-                    row_idx_ptrs[r] = row.idx_data
-                    row_val_ptrs[r] = row.val_data
-                    stored_total += n
-                else:
-                    n = 0
-                    row_lens[r] = -1
-                    row_caps[r] = 0
-                cap = n + (total - int(upd_offsets[start_list[r]])) + 1
-                out_cap += cap
-                if cap > scratch_cap:
-                    scratch_cap = cap
-            rem_cap = stored_total + n_rows
-        else:
-            # Batch path (window-full flush over many rows): build plain
-            # lists then bulk-assign — per-element numpy scalar stores
-            # dominate the large-batch prep otherwise.
-            lens_list: List[int] = []
-            caps_list: List[int] = []
-            idx_ptr_list: List[int] = []
-            val_ptr_list: List[int] = []
-            lens_append = lens_list.append
-            caps_append = caps_list.append
-            idx_append = idx_ptr_list.append
-            val_append = val_ptr_list.append
-            rows_get = matrix_rows.get
-            for i in row_list:
-                row = rows_get(i)
-                if row is not None:
-                    lens_append(row.n)
-                    caps_append(row.idx.shape[0])
-                    idx_append(row.idx_data)
-                    val_append(row.val_data)
-                else:
-                    lens_append(-1)
-                    caps_append(0)
-                    idx_append(0)
-                    val_append(0)
-            lens_arr = np.array(lens_list, dtype=np.int64)
-            row_lens[:n_rows] = lens_arr
-            row_caps[:n_rows] = caps_list
-            row_idx_ptrs[:n_rows] = idx_ptr_list
-            row_val_ptrs[:n_rows] = val_ptr_list
-            stored = np.maximum(lens_arr, 0)
-            caps_arr = stored + (total - upd_offsets[starts]) + 1
-            out_cap = int(caps_arr.sum())
-            scratch_cap = int(caps_arr.max())
-            rem_cap = int(stored.sum()) + n_rows
-            if n_updates > self._mask_sz:
-                size = max(n_updates, 2 * self._mask_sz)
-                self._mask_sz = size
-                self._piv_sorted = np.empty(size, dtype=np.int64)
-                self._piv_order = np.empty(size, dtype=np.int64)
-                self._cand = np.empty(size, dtype=np.uint8)
-                args[self._SLOT_PIV_SORTED] = self._piv_sorted.ctypes.data
-                args[self._SLOT_PIV_ORDER] = self._piv_order.ctypes.data
-                args[self._SLOT_CAND] = self._cand.ctypes.data
-        if (
-            out_cap > self._out_sz
-            or rem_cap > self._rem_sz
-            or scratch_cap > self._scratch_sz
-        ):
-            self._ensure_out(out_cap, rem_cap, scratch_cap)
-        if matrix_diag is not self._diag_src:
-            self._diag_src = matrix_diag
-            args[self._SLOT_DIAG_BASE] = matrix_diag.ctypes.data
-        # touched / stats need no reset: the kernel writes every slot
-        # [0, n_rows) and both stat fields unconditionally.
-        touched = self._touched
-        stats = self._stats
+        if n_rows > 4 and n_updates > self._mask_sz:
+            self._grow_mask(n_updates)
         old_src = self._pend_src
+        upd_offsets = pending._upd_offsets
         if (
             len(old_src) != 5
             or old_src[0] is not pending._pivots
@@ -980,95 +999,61 @@ class CKernel:
             args[self._SLOT_UPD_OFFSETS] = upd_offsets.ctypes.data
             args[self._SLOT_COLS] = pending._cols_flat.ctypes.data
             args[self._SLOT_VALS] = pending._vals_flat.ctypes.data
-        args[self._SLOT_N_ROWS] = n_rows
+        args[self._SLOT_STORE] = matrix._store_ptr
         if rows is not self._rows_src:
             self._rows_src = rows
             args[self._SLOT_ROWS] = rows.ctypes.data
         if starts is not self._starts_src:
             self._starts_src = starts
             args[self._SLOT_STARTS] = starts.ctypes.data
+        args[self._SLOT_N_ROWS] = n_rows
         args[self._SLOT_N_UPDATES] = n_updates
-        args[self._SLOT_OUT_CAP] = out_cap
-        args[self._SLOT_SCRATCH_CAP] = scratch_cap
-        status = self._flush(self._args_ptr, PRUNE_EPSILON)
-        if status != 0:
-            raise RuntimeError(
-                "megh_flush_rows capacity overflow (marshaling bug)"
-            )
-        # Install the flushed rows and maintain the column index / nnz.
-        # The common case was already installed in place by the kernel
-        # (new_lens[r] >= 0); the out-buffer path (new_lens[r] = ~length)
-        # covers rows whose arrays lacked capacity and rows that were
-        # unmaterialized (implicit diagonal only).  These writes are
-        # representation preserving (the logical matrix value is the same
-        # with the pendings staged or applied), so the matrix mutation
-        # counter is deliberately untouched.
-        out_offsets = self._out_offsets
-        new_lens = self._new_lens
-        add_offsets = self._add_offsets
-        rem_offsets = self._rem_offsets
-        out_idx = self._out_idx
-        out_val = self._out_val
-        add_idx = self._add_idx
-        rem_idx = self._rem_idx
-        matrix_cols = matrix._cols
-        nnz_delta = 0
-        if n_rows <= 8:
-            touched_rows = [r for r in range(n_rows) if touched[r]]
-        else:
-            touched_rows = np.nonzero(touched[:n_rows])[0].tolist()
-        for r in touched_rows:
-            i = row_list[r]
-            code = int(new_lens[r])
-            row = matrix_rows.get(i)
-            if code >= 0:
-                # Installed in place by the kernel; just commit the
-                # length and drop the row if it emptied out.
-                nnz_delta += code - row.n
-                if code == 0:
-                    del matrix_rows[i]
-                else:
-                    row.n = code
+        args[self._SLOT_ROW_BEGIN] = 0
+        applied = skipped = 0
+        while True:
+            done = self._flush(self._args_ptr, PRUNE_EPSILON)
+            (
+                row_applied, row_skipped, nnz_delta, changes, need, size
+            ) = self._stats.tolist()
+            applied += row_applied
+            skipped += row_skipped
+            matrix._nnz += nnz_delta
+            if changes:
+                self._apply_column_changes(matrix, changes)
+            if done == n_rows:
+                return applied, skipped
+            if need == self._NEED_SCRATCH:
+                self._grow_scratch(size)
+            elif need == self._NEED_CHANGES:
+                self._grow_changes(size)
             else:
-                n_new = ~code
-                start = int(out_offsets[r])
-                end = start + n_new
-                if row is None:
-                    old_count = 1 if matrix_diag[i] != 0.0 else 0  # meghlint: ignore[MEGH003] -- exact store sentinel: 0.0 means "absent"
-                    matrix_diag[i] = 0.0
+                matrix._repack(1 if need == self._NEED_SLOT else 0, size)
+            args[self._SLOT_ROW_BEGIN] = done
+
+    def _apply_column_changes(
+        self, matrix: "SparseMatrix", changes: int
+    ) -> None:
+        """Apply the kernel's column-index delta (``~j`` = removed)."""
+        matrix_cols = matrix._cols
+        support_cache = matrix._support_cache
+        for i, j in zip(
+            self._chg_rows[:changes].tolist(),
+            self._chg_cols[:changes].tolist(),
+        ):
+            if j >= 0:
+                rows_of_column = matrix_cols.get(j)
+                if rows_of_column is None:
+                    matrix_cols[j] = {i}
                 else:
-                    old_count = row.n
-                nnz_delta += n_new - old_count
-                if n_new == 0:
-                    if row is not None:
-                        del matrix_rows[i]
-                else:
-                    if row is None or row.idx.shape[0] < n_new:
-                        row = _Row(capacity=max(_MIN_CAPACITY, 2 * n_new))
-                        matrix_rows[i] = row
-                    row.idx[:n_new] = out_idx[start:end]
-                    row.val[:n_new] = out_val[start:end]
-                    row.n = n_new
-            a0, a1 = int(add_offsets[r]), int(add_offsets[r + 1])
-            if a1 > a0:
-                support_cache = matrix._support_cache
-                for j in add_idx[a0:a1].tolist():
-                    rows_of_column = matrix_cols.get(j)
-                    if rows_of_column is None:
-                        matrix_cols[j] = {i}
-                    else:
-                        rows_of_column.add(i)
-                    support_cache.pop(j, None)
-            r0, r1 = int(rem_offsets[r]), int(rem_offsets[r + 1])
-            if r1 > r0:
-                for j in rem_idx[r0:r1].tolist():
-                    rows_of_column = matrix_cols.get(j)
-                    if rows_of_column is not None:
-                        rows_of_column.discard(i)
-                        if not rows_of_column:
-                            del matrix_cols[j]
-        matrix._nnz += nnz_delta
-        return int(stats[0]), int(stats[1])
+                    rows_of_column.add(i)
+                support_cache.pop(j, None)
+            else:
+                j = ~j
+                rows_of_column = matrix_cols.get(j)
+                if rows_of_column is not None:
+                    rows_of_column.discard(i)
+                    if not rows_of_column:
+                        del matrix_cols[j]
 
 
 def _make_backend(mode: str) -> Optional[CKernel]:
@@ -1115,8 +1100,10 @@ class PendingUpdates:
         dimension: int,
         window: int = DEFAULT_WINDOW,
     ) -> None:
-        if window < 1:
-            raise ConfigurationError("pending window must be >= 1")
+        if not 1 <= window <= _MAX_WINDOW:
+            raise ConfigurationError(
+                f"pending window must be in [1, {_MAX_WINDOW}]"
+            )
         if dimension < 1:
             raise ConfigurationError("dimension must be >= 1")
         self.backend = backend
@@ -1136,9 +1123,14 @@ class PendingUpdates:
         #: Rows with unapplied staged contributions.
         self._dirty = np.zeros(dimension, dtype=bool)
         self._dirty_count = 0
-        #: Row -> first staged update not yet applied to it (rows flushed
-        #: mid-window; absent means 0).
-        self._row_start: Dict[int, int] = {}
+        #: Row -> first staged update not yet applied to it (nonzero only
+        #: for rows flushed mid-window; one byte a row, hence
+        #: :data:`_MAX_WINDOW`).  Batched flushes gather their watermarks
+        #: from it with one fancy index.
+        self._watermark = np.zeros(dimension, dtype=np.uint8)  # meghlint: ignore[MEGH012] -- integer bookkeeping, never a float operand; one byte a row keeps it small at d ~ 10^6
+        #: Clean rows whose watermark :meth:`settle_row` advanced this
+        #: window (cleared with the rest at the window's reset).
+        self._advanced: List[int] = []
         # Reusable single-row / row-pair marshaling buffers (the learning
         # step flushes exactly the two rows it is about to read).
         self._one_row = np.empty(1, dtype=np.int64)
@@ -1273,7 +1265,7 @@ class PendingUpdates:
             return
         started = time.perf_counter()
         self._one_row[0] = i
-        self._one_start[0] = self._row_start.get(i, 0)
+        self._one_start[0] = self._watermark[i]
         applied, skipped = self.backend.replay_rows(
             matrix, self._one_row, self._one_start, self
         )
@@ -1286,8 +1278,24 @@ class PendingUpdates:
         if self._dirty_count == 0:
             self._reset()
         else:
-            self._row_start[i] = self._n
+            self._watermark[i] = self._n
         self.flush_seconds += time.perf_counter() - started
+
+    def settle_row(self, matrix: "SparseMatrix", i: int) -> None:
+        """Bring row ``i`` up to date before a direct write to it.
+
+        A dirty row is flushed.  A clean row skipped every update staged
+        since its watermark (its weight was zero when they were staged),
+        but the write may give it one, so its watermark moves to the
+        current rank: those updates precede the write and must not
+        replay against the written value.
+        """
+        if self._dirty[i]:
+            self.flush_row(matrix, i)
+        elif self._n:
+            self._watermark[i] = self._n
+            self._advanced.append(i)
+            self.mutations += 1
 
     def flush_rows(self, matrix: "SparseMatrix", rows: np.ndarray) -> None:
         """Batched :meth:`flush_row` — one backend call for many rows."""
@@ -1312,13 +1320,9 @@ class PendingUpdates:
             pair[0] = i0
             pair[1] = i1
             starts = self._two_starts
-            row_start = self._row_start
-            if row_start:
-                starts[0] = row_start.get(i0, 0)
-                starts[1] = row_start.get(i1, 0)
-            else:
-                starts[0] = 0
-                starts[1] = 0
+            watermark = self._watermark
+            starts[0] = watermark[i0]
+            starts[1] = watermark[i1]
             applied, skipped = self.backend.replay_rows(
                 matrix, pair, starts, self
             )
@@ -1332,9 +1336,8 @@ class PendingUpdates:
             if self._dirty_count == 0:
                 self._reset()
             else:
-                watermark = self._n
-                row_start[i0] = watermark
-                row_start[i1] = watermark
+                watermark[i0] = self._n
+                watermark[i1] = self._n
             self.flush_seconds += time.perf_counter() - started
             return
         dirty_rows = rows[self._dirty[rows]]
@@ -1353,10 +1356,7 @@ class PendingUpdates:
         if self._dirty_count == 0:
             self._reset()
         else:
-            watermark = self._n
-            row_start = self._row_start
-            for i in dirty_rows.tolist():
-                row_start[i] = watermark
+            self._watermark[dirty_rows] = self._n
         self.flush_seconds += time.perf_counter() - started
 
     def flush_column(self, matrix: "SparseMatrix", j: int) -> None:
@@ -1387,13 +1387,8 @@ class PendingUpdates:
 
     def _replay_batch(self, matrix: "SparseMatrix", rows: np.ndarray) -> None:
         """Replay a sorted batch of dirty rows from their watermarks."""
-        row_start = self._row_start
-        if row_start:
-            starts = np.asarray(
-                [row_start.get(i, 0) for i in rows.tolist()], dtype=np.int64
-            )
-        else:
-            starts = np.zeros(rows.shape[0], dtype=np.int64)
+        starts = np.zeros(rows.shape[0], dtype=np.int64)
+        starts[:] = self._watermark[rows]
         applied, skipped = self.backend.replay_rows(
             matrix, rows, starts, self
         )
@@ -1406,6 +1401,11 @@ class PendingUpdates:
         """Drop all staged updates (every row has been flushed)."""
         self._n = 0
         self._upd_offsets[0] = 0
+        # Every row with a nonzero watermark was dirty this window or
+        # settled by a direct write.
+        self._watermark[self._pend_rows[: self._pend_rows_n]] = 0
+        if self._advanced:
+            self._watermark[self._advanced] = 0
+            self._advanced.clear()
         self._pend_rows_n = 0
-        self._row_start.clear()
         self.mutations += 1

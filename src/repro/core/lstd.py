@@ -249,18 +249,15 @@ class SparseLstd:
         self._row_pair[1] = a_next
         self._B.flush_rows(self._row_pair)
         combine = self._combine_rows
-        raw_a = raw_next = None
         if combine is not None:
-            raw_a = self._B._row_raw(a)
-            raw_next = self._B._row_raw(a_next)
-        if raw_a is not None and raw_next is not None:
-            # Compiled fast path: one C call performs the sorted-union
-            # merge, the ``row_a - gamma * row_next`` combine, the exact
-            # zero filter, and both denominator entry lookups —
-            # bit-identical to the NumPy construction below (see the C
-            # comment in kern.py).
+            # Compiled fast path: one C call reads both rows from B's
+            # slot tables and performs the sorted-union merge, the
+            # ``row_a - gamma * row_next`` combine, the exact zero
+            # filter, and both denominator entry lookups — bit-identical
+            # to the NumPy construction below (see the C comment in
+            # kern.py).
             columns, values, entry_a, entry_next = combine(
-                raw_a, raw_next, self.gamma, a
+                self._B, a, a_next, self.gamma, a
             )
             normalized = True
         else:
@@ -615,13 +612,12 @@ class SparseLstd:
         self._sync_with_b()
         stale = np.unique(index_array[~self._theta_fresh[index_array]])
         if stale.shape[0]:
-            # One grouped kernel call instead of a per-row flush inside
-            # each dot product (flush order never changes values).
-            self._B.flush_rows(stale)
-        dense_z = self._z.dense
-        for i in stale.tolist():
-            self._theta_cache[i] = self._B.row_dot_dense(i, dense_z)
-        if stale.shape[0]:
+            # One grouped kernel call and one slot lookup for the batch
+            # instead of a per-row flush inside each dot product (flush
+            # order never changes values).
+            self._theta_cache[stale] = self._B.row_dots_dense(
+                stale, self._z.dense
+            )
             self._theta_fresh[stale] = True
         self.theta_cache_misses += int(stale.shape[0])
         self.theta_cache_hits += int(index_array.shape[0] - stale.shape[0])

@@ -6,23 +6,37 @@ right factor combines two rows of ``B``.  Every operation Megh needs is
 therefore proportional to the number of stored non-zeros touched — the
 "triplet" property the paper credits for Megh's real-time speed.
 
-Storage layout (the vectorized rewrite of the original dict-of-dicts):
+Storage layout — flat slot tables, one store for both backends:
 
 * the diagonal of rows that have never seen fill-in lives in one dense
-  ``float64`` array (``B_0 = (1/delta) I`` costs one ``fill``, not ``d``
-  dict inserts);
-* a row touched by an update is *materialized* into a pair of parallel
-  NumPy arrays — sorted column indices and values — with amortized
-  doubling growth, so the Sherman–Morrison scatter in
-  :meth:`SparseMatrix.rank_one_update` is a vectorized
-  ``searchsorted`` + fused in-place add per touched row instead of a
-  Python dict transaction per touched *entry*;
+  ``float64`` array ``_diag`` (``B_0 = (1/delta) I`` costs one ``fill``,
+  not ``d`` inserts);
+* a row touched by an update is *materialized* into a **slot**:
+  ``_slot_of[i]`` (``int32``; ``0``, the null slot, for an implicit row)
+  names it, and
+  the per-slot arrays ``_off``/``_len``/``_cap`` place its sorted column
+  indices and values in the pooled arrays ``_pool_idx``/``_pool_val``
+  (``_slot_row`` maps a slot back to its row, ``-1`` once freed);
+* pool space and slots are bump-allocated.  A row that outgrows its
+  capacity moves to the top of the pool with capacity
+  ``max(_MIN_CAPACITY, 2 * length)`` (a *relocation*; the old region
+  becomes dead space), and an emptied row frees its slot and returns
+  to the implicit store.  When the pool or the slot table is full,
+  :meth:`SparseMatrix._repack` copies the live rows densely into
+  fresh arrays — doubled until at most half full — (a *compaction*);
+* the block ``_store`` (``int64``, layout ``kern.S_*``) carries the
+  table pointers, the two bump allocators and the relocation and
+  compaction counters, so the compiled flush kernel replays and
+  installs rows in these tables directly, and the fused row combine
+  reads them by row id;
 * a column index (``column -> set of materialized rows``) keeps column
   extraction proportional to the column's non-zeros.
 
 Rows are kept sorted by column index, which makes every traversal order
 deterministic (run-to-run reproducibility) and lets dot products gather
-straight out of a dense operand with one fancy-index read.
+straight out of a dense operand with one fancy-index read.  Only the
+values and the implicit/materialized split are observable; capacities,
+offsets and slot numbers are layout and never change a float.
 
 ``mutations`` counts every state change; callers that memoize derived
 quantities (:class:`repro.core.lstd.SparseLstd`'s dirty-row theta cache)
@@ -44,47 +58,44 @@ representation preserving and bumps nothing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core import kern
 from repro.errors import ConfigurationError
 
-#: Magnitudes below this are dropped from the store, bounding fill-in noise.
+#: Magnitudes at or below this are dropped from the store, bounding
+#: fill-in noise.  The one prune rule of both backends: drop iff
+#: ``|v| <= PRUNE_EPSILON``, so a NaN result is kept.
 PRUNE_EPSILON = 1e-14
 
 #: Smallest materialized-row capacity; growth doubles from here.
 _MIN_CAPACITY = 4
 
+#: Initial slot-table and pool sizes; both double on demand.
+_INITIAL_SLOTS = 64
+_INITIAL_POOL = 1024
+
 #: Right factor of :meth:`SparseMatrix.reset_indices`' column zeroing.
 _MINUS_ONE = np.array([-1.0])
 
 
-class _Row:
-    """One materialized sparse row: sorted parallel index/value arrays.
-
-    ``idx_data``/``val_data`` cache ``.ctypes.data`` for the C kernel:
-    constructing the ctypes interface per access costs more than the
-    kernel call itself on the hot path, so the pointers are refreshed
-    only where the arrays are (re)allocated (here and in ``_grow``).
-    """
-
-    __slots__ = ("idx", "val", "n", "idx_data", "val_data")
-
-    def __init__(self, capacity: int = _MIN_CAPACITY) -> None:
-        self.idx = np.empty(capacity, dtype=np.int64)
-        self.val = np.empty(capacity, dtype=np.float64)
-        self.n = 0
-        self.idx_data = self.idx.ctypes.data
-        self.val_data = self.val.ctypes.data
+def _gather_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Pool positions of runs ``[starts[k], starts[k] + lengths[k])``,
+    back to back (the vectorized walk over a set of slots)."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.shape[0] else 0
+    within = np.arange(total, dtype=np.int64)
+    within -= np.repeat(ends - lengths, lengths)
+    return np.repeat(starts, lengths) + within
 
 
 class SparseMatrix:
     """A ``dimension x dimension`` sparse matrix of floats.
 
     Never-touched rows store at most their diagonal entry in a shared
-    dense array; touched rows are array-backed (see the module
+    dense array; touched rows live in the slot tables (see the module
     docstring).  The public API is value-compatible with the historical
     dict-of-dicts implementation.
     """
@@ -95,7 +106,25 @@ class SparseMatrix:
         self.dimension = dimension
         #: Diagonal entries of rows that were never materialized.
         self._diag = np.zeros(dimension, dtype=np.float64)
-        self._rows: Dict[int, _Row] = {}
+        #: Row -> slot; slot 0 is the null slot, so ``0`` marks an
+        #: implicit-diagonal row and the zero-filled table costs no
+        #: memory for rows that are never materialized.
+        self._slot_of = np.zeros(dimension, dtype=np.int32)
+        self._slot_row = np.empty(_INITIAL_SLOTS, dtype=np.int64)
+        self._off = np.empty(_INITIAL_SLOTS, dtype=np.int64)
+        self._len = np.empty(_INITIAL_SLOTS, dtype=np.int64)
+        self._cap = np.empty(_INITIAL_SLOTS, dtype=np.int64)
+        self._pool_idx = np.empty(_INITIAL_POOL, dtype=np.int64)
+        self._pool_val = np.empty(_INITIAL_POOL, dtype=np.float64)
+        self._store = np.zeros(kern.S_FIELDS, dtype=np.int64)
+        #: The block's address, handed to the kernel on every call.
+        self._store_ptr = self._store.ctypes.data
+        self._slot_row[:1] = -1  # the null slot is never live
+        self._store[kern.S_SLOT_TOP] = 1
+        self._store[kern.S_SLOT_CAP] = _INITIAL_SLOTS
+        self._store[kern.S_POOL_CAP] = _INITIAL_POOL
+        self._store[kern.S_MIN_CAP] = _MIN_CAPACITY
+        self._point_store()
         self._cols: Dict[int, Set[int]] = {}
         #: Column -> cached ndarray of its stored support, for the hot
         #: enqueue-time prediction (:meth:`column_support`).  Invalidated
@@ -134,8 +163,15 @@ class SparseMatrix:
         benchmarks can diff two snapshots for a per-phase breakdown:
         ``enqueue_seconds``/``flush_seconds`` split the staging cost
         from the replay cost, and the count fields say how much work
-        each phase did.
+        each phase did.  ``relocations`` (rows moved inside the pool)
+        and ``compactions`` (pool/slot-table repacks) describe the
+        store, so both backends report them.
         """
+        store = self._store
+        layout = {
+            "relocations": int(store[kern.S_RELOCATIONS]),
+            "compactions": int(store[kern.S_COMPACTIONS]),
+        }
         pending = self._pending
         if pending is None:
             return {
@@ -149,6 +185,7 @@ class SparseMatrix:
                 "skipped": 0,
                 "enqueue_seconds": 0.0,
                 "flush_seconds": 0.0,
+                **layout,
             }
         return {
             "kernel": pending.backend.name,
@@ -161,21 +198,8 @@ class SparseMatrix:
             "skipped": pending.skipped,
             "enqueue_seconds": pending.enqueue_seconds,
             "flush_seconds": pending.flush_seconds,
+            **layout,
         }
-
-    def _row_raw(self, i: int) -> Optional[Tuple[int, int, int]]:
-        """Row ``i`` as a raw ``(idx pointer, val pointer, length)`` triple.
-
-        No flush and no bounds check: the caller must have settled the
-        row (``flush_rows``) and owns index validity.  Returns ``None``
-        for implicit-diagonal rows — callers fall back to
-        :meth:`row_view`'s synthesized arrays there.  Pointers stay
-        valid until the row's storage grows (any mutation of the row).
-        """
-        row = self._rows.get(i)
-        if row is None:
-            return None
-        return (row.idx_data, row.val_data, row.n)
 
     @classmethod
     def identity(
@@ -206,6 +230,12 @@ class SparseMatrix:
         pending = self._pending
         if pending is not None:
             pending.flush_row(self, i)
+
+    def _settle_row(self, i: int) -> None:
+        """Bring row ``i`` up to date before a direct write to it."""
+        pending = self._pending
+        if pending is not None:
+            pending.settle_row(self, i)
 
     def _flush_column(self, j: int) -> None:
         """Flush every row a staged update could touch in column ``j``."""
@@ -260,7 +290,7 @@ class SparseMatrix:
                 cached = np.fromiter(stored, dtype=np.int64, count=len(stored))
                 self._support_cache[j] = cached
             parts.append(cached)
-        if j not in self._rows and self._diag[j] != 0.0:  # meghlint: ignore[MEGH003] -- exact store sentinel
+        if self._slot_of[j] == 0 and self._diag[j] != 0.0:  # meghlint: ignore[MEGH003] -- exact store sentinel
             parts.append(np.array([j], dtype=np.int64))
         pending = self._pending
         if pending is not None and pending.has_pending:
@@ -272,79 +302,229 @@ class SparseMatrix:
         return np.concatenate(parts)
 
     # ------------------------------------------------------------------
-    # Row materialization and maintenance
+    # Slot-table layout.  These helpers move or allocate storage without
+    # changing any logical entry, so the MEGH011 table exempts them from
+    # the mutation counter (kern.py's kernel makes the same moves).
     # ------------------------------------------------------------------
-    def _materialize(self, i: int) -> _Row:
-        """Promote row ``i`` from the implicit-diagonal store to arrays."""
-        row = _Row()
+    def _point_store(self) -> None:
+        """Write the current table addresses into the store block."""
+        store = self._store
+        store[kern.S_DIAG] = self._diag.ctypes.data
+        store[kern.S_SLOT_OF] = self._slot_of.ctypes.data
+        store[kern.S_SLOT_ROW] = self._slot_row.ctypes.data
+        store[kern.S_OFF] = self._off.ctypes.data
+        store[kern.S_LEN] = self._len.ctypes.data
+        store[kern.S_CAP] = self._cap.ctypes.data
+        store[kern.S_POOL_IDX] = self._pool_idx.ctypes.data
+        store[kern.S_POOL_VAL] = self._pool_val.ctypes.data
+
+    def _new_slot(self, i: int, capacity: int) -> int:
+        """Give implicit row ``i`` an empty slot of ``capacity`` entries."""
+        store = self._store
+        slot = int(store[kern.S_SLOT_TOP])
+        offset = int(store[kern.S_POOL_TOP])
+        if (
+            slot >= store[kern.S_SLOT_CAP]
+            or offset + capacity > store[kern.S_POOL_CAP]
+        ):
+            self._repack(1, capacity)
+            slot = int(store[kern.S_SLOT_TOP])
+            offset = int(store[kern.S_POOL_TOP])
+        store[kern.S_SLOT_TOP] = slot + 1
+        store[kern.S_POOL_TOP] = offset + capacity
+        self._slot_row[slot] = i
+        self._off[slot] = offset
+        self._len[slot] = 0
+        self._cap[slot] = capacity
+        self._slot_of[i] = slot
+        return slot
+
+    def _reserve(self, i: int, needed: int) -> int:
+        """Room for ``needed`` entries in materialized row ``i``.
+
+        A row that is too small moves to the top of the pool with
+        capacity ``max(_MIN_CAPACITY, 2 * needed)``.  Returns the row's
+        slot (a compaction renumbers slots).
+        """
+        slot = int(self._slot_of[i])
+        capacity = int(self._cap[slot])
+        if needed <= capacity:
+            return slot
+        grown = max(_MIN_CAPACITY, 2 * needed)
+        store = self._store
+        if store[kern.S_POOL_TOP] + grown > store[kern.S_POOL_CAP]:
+            self._repack(0, grown)
+            slot = int(self._slot_of[i])
+        top = int(store[kern.S_POOL_TOP])
+        start = int(self._off[slot])
+        end = start + int(self._len[slot])
+        length = end - start
+        self._pool_idx[top : top + length] = self._pool_idx[start:end]
+        self._pool_val[top : top + length] = self._pool_val[start:end]
+        self._off[slot] = top
+        self._cap[slot] = grown
+        store[kern.S_POOL_TOP] = top + grown
+        store[kern.S_POOL_DEAD] += capacity
+        store[kern.S_RELOCATIONS] += 1
+        return slot
+
+    def _free_slot(self, i: int, slot: int) -> None:
+        """Return row ``i``'s slot; the row becomes implicit again.
+
+        Callers free only an emptied row, or drop a row whose entries
+        they have already taken out of the count and the column index.
+        """
+        self._store[kern.S_POOL_DEAD] += self._cap[slot]
+        self._slot_row[slot] = -1
+        self._len[slot] = 0
+        self._slot_of[i] = 0
+
+    def _repack(self, slots: int, entries: int) -> None:
+        """Compact the live rows into fresh tables (a *compaction*).
+
+        Afterwards at least ``slots`` free slots and a free pool region
+        of ``entries`` exist.  Slots are renumbered in their old order,
+        so no row order or float changes.
+        """
+        store = self._store
+        live = np.flatnonzero(
+            self._slot_row[: int(store[kern.S_SLOT_TOP])] >= 0
+        )
+        lengths = self._len[live]
+        source = _gather_index(self._off[live], lengths)
+        self._lay_out(
+            self._slot_row[live],
+            lengths,
+            self._cap[live],
+            self._pool_idx[source],
+            self._pool_val[source],
+            slots,
+            entries,
+        )
+        store[kern.S_COMPACTIONS] += 1
+
+    def _lay_out(
+        self,
+        rows: np.ndarray,
+        lengths: np.ndarray,
+        capacities: np.ndarray,
+        columns: np.ndarray,
+        values: np.ndarray,
+        slots: int,
+        entries: int,
+    ) -> None:
+        """Fresh tables holding ``rows`` in slots ``1..len(rows)``.
+
+        ``columns``/``values`` are the rows' entries back to back.  Each
+        table doubles from its current size until it is at most half
+        full with ``slots`` more slots and ``entries`` more pool entries.
+        """
+        store = self._store
+        count = int(rows.shape[0])
+        used = int(capacities.sum())
+        slot_cap = int(store[kern.S_SLOT_CAP])
+        while 2 * (count + 1 + slots) > slot_cap:
+            slot_cap *= 2
+        pool_cap = int(store[kern.S_POOL_CAP])
+        while 2 * (used + entries) > pool_cap:
+            pool_cap *= 2
+        offsets = np.zeros(count, dtype=np.int64)
+        if count > 1:
+            np.cumsum(capacities[:-1], out=offsets[1:])
+        target = _gather_index(offsets, lengths)
+        pool_idx = np.empty(pool_cap, dtype=np.int64)
+        pool_val = np.empty(pool_cap, dtype=np.float64)
+        pool_idx[target] = columns
+        pool_val[target] = values
+        slot_row = np.empty(slot_cap, dtype=np.int64)
+        off = np.empty(slot_cap, dtype=np.int64)
+        length = np.empty(slot_cap, dtype=np.int64)
+        cap = np.empty(slot_cap, dtype=np.int64)
+        slot_row[0] = -1
+        off[0] = length[0] = cap[0] = 0
+        slot_row[1 : count + 1] = rows
+        off[1 : count + 1] = offsets
+        length[1 : count + 1] = lengths
+        cap[1 : count + 1] = capacities
+        self._pool_idx = pool_idx
+        self._pool_val = pool_val
+        self._slot_row = slot_row
+        self._off = off
+        self._len = length
+        self._cap = cap
+        self._slot_of[rows] = np.arange(1, count + 1, dtype=np.int64)
+        store[kern.S_SLOT_TOP] = count + 1
+        store[kern.S_SLOT_CAP] = slot_cap
+        store[kern.S_POOL_TOP] = used
+        store[kern.S_POOL_CAP] = pool_cap
+        store[kern.S_POOL_DEAD] = 0
+        self._point_store()
+
+    def _materialize(self, i: int) -> int:
+        """Promote row ``i`` from the implicit-diagonal store to a slot."""
+        slot = self._new_slot(i, _MIN_CAPACITY)
         diagonal = self._diag[i]
         if diagonal != 0.0:  # meghlint: ignore[MEGH003] -- exact store sentinel: 0.0 means "absent"
-            row.idx[0] = i
-            row.val[0] = diagonal
-            row.n = 1
-            self._diag[i] = 0.0  # meghlint: ignore[MEGH011] -- representation-preserving move of the diagonal; no logical state change
-            self._cols.setdefault(i, set()).add(i)  # meghlint: ignore[MEGH011] -- representation-preserving move of the diagonal; no logical state change
+            offset = int(self._off[slot])
+            self._pool_idx[offset] = i
+            self._pool_val[offset] = diagonal
+            self._len[slot] = 1
+            self._diag[i] = 0.0
+            self._cols.setdefault(i, set()).add(i)
             self._support_cache.pop(i, None)
-        self._rows[i] = row  # meghlint: ignore[MEGH011] -- representation-preserving move of the diagonal; no logical state change
-        return row
+        return slot
 
-    def _grow(self, row: _Row, needed: int) -> None:
-        capacity = row.idx.shape[0]
-        if needed <= capacity:
-            return
-        new_capacity = max(2 * capacity, needed, _MIN_CAPACITY)
-        idx = np.empty(new_capacity, dtype=np.int64)
-        val = np.empty(new_capacity, dtype=np.float64)
-        idx[: row.n] = row.idx[: row.n]
-        val[: row.n] = row.val[: row.n]
-        row.idx = idx
-        row.val = val
-        row.idx_data = idx.ctypes.data
-        row.val_data = val.ctypes.data
-
+    # ------------------------------------------------------------------
+    # Row maintenance (the eager path's writes)
+    # ------------------------------------------------------------------
     def _insert_many(
         self,
         i: int,
-        row: _Row,
         positions: np.ndarray,
         columns: np.ndarray,
         values: np.ndarray,
     ) -> None:
-        """Merge ``columns``/``values`` (sorted) into the row at ``positions``."""
+        """Merge ``columns``/``values`` (sorted) into materialized row ``i``
+        at ``positions``."""
         count = int(columns.shape[0])
         if count == 0:
             return
-        n = row.n
+        n = int(self._len[self._slot_of[i]])
         needed = n + count
-        old_idx = row.idx[:n].copy()
-        old_val = row.val[:n].copy()
-        self._grow(row, needed)
+        slot = self._reserve(i, needed)
+        start = int(self._off[slot])
+        region_idx = self._pool_idx[start : start + needed]
+        region_val = self._pool_val[start : start + needed]
+        old_idx = region_idx[:n].copy()
+        old_val = region_val[:n].copy()
         target = np.zeros(needed, dtype=bool)
         target[positions + np.arange(count, dtype=np.int64)] = True
-        prefix_idx = row.idx[:needed]
-        prefix_val = row.val[:needed]
-        prefix_idx[target] = columns
-        prefix_val[target] = values
-        prefix_idx[~target] = old_idx
-        prefix_val[~target] = old_val
-        row.n = needed
+        region_idx[target] = columns
+        region_val[target] = values
+        region_idx[~target] = old_idx
+        region_val[~target] = old_val
+        self._len[slot] = needed  # meghlint: ignore[MEGH011] -- counter bumped by the public entry point (set/row_axpy) before delegating
         support_cache = self._support_cache
         for j in columns.tolist():
             self._cols.setdefault(j, set()).add(i)  # meghlint: ignore[MEGH011] -- counter bumped by the public entry point (set/row_axpy) before delegating
             support_cache.pop(j, None)
         self._nnz += count  # meghlint: ignore[MEGH011] -- counter bumped by the public entry point (set/row_axpy) before delegating
 
-    def _remove_positions(self, i: int, row: _Row, positions: np.ndarray) -> None:
+    def _remove_positions(self, i: int, positions: np.ndarray) -> None:
         count = int(positions.shape[0])
         if count == 0:
             return
-        n = row.n
-        removed = row.idx[positions]
+        slot = int(self._slot_of[i])
+        start = int(self._off[slot])
+        n = int(self._len[slot])
+        region_idx = self._pool_idx[start : start + n]
+        region_val = self._pool_val[start : start + n]
+        removed = region_idx[positions]
         keep = np.ones(n, dtype=bool)
         keep[positions] = False
-        row.idx[: n - count] = row.idx[:n][keep]
-        row.val[: n - count] = row.val[:n][keep]
-        row.n = n - count
+        region_idx[: n - count] = region_idx[keep]
+        region_val[: n - count] = region_val[keep]
+        self._len[slot] = n - count  # meghlint: ignore[MEGH011] -- counter bumped by the public entry point (set/row_axpy) before delegating
         for j in removed.tolist():
             rows_of_column = self._cols.get(j)
             if rows_of_column is not None:
@@ -352,8 +532,14 @@ class SparseMatrix:
                 if not rows_of_column:
                     del self._cols[j]  # meghlint: ignore[MEGH011] -- counter bumped by the public entry point (set/row_axpy) before delegating
         self._nnz -= count  # meghlint: ignore[MEGH011] -- counter bumped by the public entry point (set/row_axpy) before delegating
-        if row.n == 0:
-            del self._rows[i]  # meghlint: ignore[MEGH011] -- counter bumped by the public entry point (set/row_axpy) before delegating
+        if n == count:
+            self._free_slot(i, slot)
+
+    def _span(self, i: int) -> Tuple[int, int]:
+        """``(start, end)`` of materialized row ``i`` in the pool."""
+        slot = self._slot_of[i]
+        start = int(self._off[slot])
+        return start, start + int(self._len[slot])
 
     # ------------------------------------------------------------------
     # Scalar access
@@ -362,49 +548,48 @@ class SparseMatrix:
         """Entry ``(i, j)``; 0 when unstored."""
         self._check_index(i, j)
         self._flush_row(i)
-        row = self._rows.get(i)
-        if row is None:
+        if self._slot_of[i] == 0:
             return float(self._diag[i]) if i == j else 0.0
-        n = row.n
-        position = int(np.searchsorted(row.idx[:n], j))
-        if position < n and row.idx[position] == j:
-            return float(row.val[position])
+        start, end = self._span(i)
+        stored = self._pool_idx[start:end]
+        position = int(np.searchsorted(stored, j))
+        if position < end - start and stored[position] == j:
+            return float(self._pool_val[start + position])
         return 0.0
 
     def set(self, i: int, j: int, value: float) -> None:
         """Store (or, for tiny values, erase) entry ``(i, j)``."""
         self._check_index(i, j)
-        self._flush_row(i)
+        self._settle_row(i)
         self.mutations += 1
-        row = self._rows.get(i)
+        materialized = self._slot_of[i] > 0
         if abs(value) <= PRUNE_EPSILON:
-            if row is None:
+            if not materialized:
                 if i == j and self._diag[i] != 0.0:  # meghlint: ignore[MEGH003] -- exact store sentinel
                     self._diag[i] = 0.0
                     self._nnz -= 1
                 return
-            n = row.n
-            position = int(np.searchsorted(row.idx[:n], j))
-            if position < n and row.idx[position] == j:
+            start, end = self._span(i)
+            position = int(np.searchsorted(self._pool_idx[start:end], j))
+            if position < end - start and self._pool_idx[start + position] == j:
                 self._remove_positions(
-                    i, row, np.array([position], dtype=np.int64)
+                    i, np.array([position], dtype=np.int64)
                 )
             return
-        if row is None:
+        if not materialized:
             if i == j:
                 if self._diag[i] == 0.0:  # meghlint: ignore[MEGH003] -- exact store sentinel
                     self._nnz += 1
                 self._diag[i] = value
                 return
-            row = self._materialize(i)
-        n = row.n
-        position = int(np.searchsorted(row.idx[:n], j))
-        if position < n and row.idx[position] == j:
-            row.val[position] = value
+            self._materialize(i)
+        start, end = self._span(i)
+        position = int(np.searchsorted(self._pool_idx[start:end], j))
+        if position < end - start and self._pool_idx[start + position] == j:
+            self._pool_val[start + position] = value
             return
         self._insert_many(
             i,
-            row,
             np.array([position], dtype=np.int64),
             np.array([j], dtype=np.int64),
             np.array([value], dtype=np.float64),
@@ -419,28 +604,19 @@ class SparseMatrix:
     # ------------------------------------------------------------------
     def row(self, i: int) -> Dict[int, float]:
         """Non-zero entries of row ``i`` (a copy, in column order)."""
-        self._check_index(i, 0)
-        self._flush_row(i)
-        row = self._rows.get(i)
-        if row is None:
-            diagonal = self._diag[i]
-            if diagonal != 0.0:  # meghlint: ignore[MEGH003] -- exact store sentinel
-                return {i: float(diagonal)}
-            return {}
-        n = row.n
-        return dict(zip(row.idx[:n].tolist(), row.val[:n].tolist()))
+        indices, values = self.row_view(i)
+        return dict(zip(indices.tolist(), values.tolist()))
 
     def row_view(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """Row ``i`` as ``(indices, values)`` arrays sorted by column.
 
-        Materialized rows return *views* into the live storage — copy
+        Materialized rows return *views* into the live pool — copy
         before mutating the matrix.  Implicit-diagonal rows return fresh
         one-element (or empty) arrays.
         """
         self._check_index(i, 0)
         self._flush_row(i)
-        row = self._rows.get(i)
-        if row is None:
+        if self._slot_of[i] == 0:
             diagonal = self._diag[i]
             if diagonal != 0.0:  # meghlint: ignore[MEGH003] -- exact store sentinel
                 return (
@@ -451,7 +627,8 @@ class SparseMatrix:
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.float64),
             )
-        return row.idx[: row.n], row.val[: row.n]
+        start, end = self._span(i)
+        return self._pool_idx[start:end], self._pool_val[start:end]
 
     def column(self, j: int) -> Dict[int, float]:
         """Non-zero entries of column ``j`` (a copy, in row order)."""
@@ -472,7 +649,7 @@ class SparseMatrix:
         self._check_index(0, j)
         self._flush_column(j)
         rows = sorted(self._cols.get(j, ()))
-        if j not in self._rows and self._diag[j] != 0.0:  # meghlint: ignore[MEGH003] -- exact store sentinel
+        if self._slot_of[j] == 0 and self._diag[j] != 0.0:  # meghlint: ignore[MEGH003] -- exact store sentinel
             rows.append(j)
             rows.sort()
         return rows
@@ -513,8 +690,8 @@ class SparseMatrix:
         each row is dropped whole and ``value`` goes back into the
         implicit diagonal store, the layout of a never-touched row.  A
         holder that is not finite (``inf - inf`` is NaN) survives the
-        write and is erased entry by entry.  ``indices`` must be
-        distinct.
+        write under both backends and is erased entry by entry.
+        ``indices`` must be distinct.
 
         Returns a superset of the rows whose stored entries changed
         outside ``indices`` — what a row-keyed cache must invalidate.
@@ -537,19 +714,21 @@ class SparseMatrix:
                 for r in sorted(survivors):
                     self.set(r, i, 0.0)
         self.mutations += 1
-        rows, cols = self._rows, self._cols
+        cols = self._cols
         for i in indices:
             # Column i now has no stored holder: its cached support would
             # only ever be a stale superset.
             self._support_cache.pop(i, None)
-            row = rows.pop(i, None)
-            if row is not None:
-                for j in row.idx[: row.n].tolist():
+            slot = int(self._slot_of[i])
+            if slot > 0:
+                start, end = self._span(i)
+                for j in self._pool_idx[start:end].tolist():
                     holders = cols[j]
                     holders.discard(i)
                     if not holders:
                         del cols[j]
-                self._nnz -= row.n
+                self._nnz -= end - start
+                self._free_slot(i, slot)
             self._nnz -= int(np.count_nonzero(self._diag[i]))
             if abs(value) > PRUNE_EPSILON:
                 self._diag[i] = value
@@ -567,17 +746,15 @@ class SparseMatrix:
         """Dot product of row ``i`` with a sparse (dict) vector."""
         self._check_index(i, 0)
         self._flush_row(i)
-        row = self._rows.get(i)
-        if row is None:
+        if self._slot_of[i] == 0:
             diagonal = self._diag[i]
             if diagonal != 0.0:  # meghlint: ignore[MEGH003] -- exact store sentinel
                 return float(diagonal * vector.get(i, 0.0))
             return 0.0
-        n = row.n
-        if n == 0:
-            return 0.0
+        start, end = self._span(i)
+        n = end - start
         count = len(vector)
-        stored = row.idx[:n]
+        stored = self._pool_idx[start:end]
         gathered = np.zeros(n, dtype=np.float64)
         if count:
             keys = np.fromiter(vector.keys(), dtype=np.int64, count=count)
@@ -590,7 +767,7 @@ class SparseMatrix:
             hits = np.zeros(n, dtype=bool)
             hits[in_range] = keys[positions[in_range]] == stored[in_range]
             gathered[hits] = vals[positions[hits]]
-        return float(np.dot(row.val[:n], gathered))
+        return float(np.dot(self._pool_val[start:end], gathered))
 
     def row_dot_dense(self, i: int, dense_vector: np.ndarray) -> float:
         """Dot product of row ``i`` with a dense operand — the hot path.
@@ -600,16 +777,55 @@ class SparseMatrix:
         pending = self._pending
         if pending is not None:
             pending.flush_row(self, i)
-        row = self._rows.get(i)
-        if row is None:
+        slot = self._slot_of[i]
+        if slot == 0:
             diagonal = self._diag[i]
             if diagonal != 0.0:  # meghlint: ignore[MEGH003] -- exact store sentinel
                 return float(diagonal * dense_vector[i])
             return 0.0
-        n = row.n
-        if n == 0:
-            return 0.0
-        return float(np.dot(row.val[:n], dense_vector[row.idx[:n]]))
+        start = self._off[slot]
+        end = start + self._len[slot]
+        return float(
+            np.dot(
+                self._pool_val[start:end],
+                dense_vector[self._pool_idx[start:end]],
+            )
+        )
+
+    def row_dots_dense(
+        self, rows: np.ndarray, dense_vector: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`row_dot_dense` for each of ``rows`` (sorted unique).
+
+        The same float operations per row — one BLAS dot over each
+        materialized row, ``diag * x`` for an implicit one — with the
+        flush and the slot lookups done once for the batch.
+        """
+        self.flush_rows(rows)
+        out = np.zeros(rows.shape[0], dtype=np.float64)
+        slots = self._slot_of[rows]
+        implicit = slots == 0
+        if implicit.any():
+            diagonal_rows = rows[implicit]
+            diagonal = self._diag[diagonal_rows]
+            out[implicit] = np.where(
+                diagonal != 0.0,  # meghlint: ignore[MEGH003] -- exact store sentinel
+                diagonal * dense_vector[diagonal_rows],
+                0.0,
+            )
+        materialized = np.flatnonzero(~implicit)
+        if materialized.shape[0]:
+            stored = slots[materialized]
+            starts = self._off[stored]
+            ends = starts + self._len[stored]
+            pool_idx, pool_val = self._pool_idx, self._pool_val
+            for position, start, end in zip(
+                materialized.tolist(), starts.tolist(), ends.tolist()
+            ):
+                out[position] = np.dot(
+                    pool_val[start:end], dense_vector[pool_idx[start:end]]
+                )
+        return out
 
     # ------------------------------------------------------------------
     # The Sherman–Morrison core
@@ -661,6 +877,8 @@ class SparseMatrix:
         for i, weight in col.items():
             if weight == 0.0:  # meghlint: ignore[MEGH003] -- exact-zero short-circuit, not a tolerance decision
                 continue
+            if pending is not None:
+                pending.settle_row(self, i)
             self._scatter_add(i, columns, (scale * weight) * values)
 
     def rank_one_update_from_column(
@@ -730,7 +948,7 @@ class SparseMatrix:
                 )
                 self._support_cache[pivot] = cached
             parts.append(cached)
-        if pivot not in self._rows and self._diag[pivot] != 0.0:  # meghlint: ignore[MEGH003] -- exact store sentinel
+        if self._slot_of[pivot] == 0 and self._diag[pivot] != 0.0:  # meghlint: ignore[MEGH003] -- exact store sentinel
             parts.append(np.array([pivot], dtype=np.int64))
         self.mutations += 1
         if parts:
@@ -757,12 +975,17 @@ class SparseMatrix:
     def _scatter_add(
         self, i: int, columns: np.ndarray, deltas: np.ndarray
     ) -> None:
-        """Row ``i`` += sparse vector (``columns`` sorted, pre-scaled)."""
-        row = self._rows.get(i)
-        if row is None:
-            row = self._materialize(i)
-        n = row.n
-        stored = row.idx[:n]
+        """Row ``i`` += sparse vector (``columns`` sorted, pre-scaled).
+
+        Prunes by the rule the compiled replay uses: an entry goes iff
+        ``|v| <= PRUNE_EPSILON``, for a hit and for a fresh insert alike,
+        so a NaN is kept either way.
+        """
+        if self._slot_of[i] == 0:
+            self._materialize(i)
+        start, end = self._span(i)
+        n = end - start
+        stored = self._pool_idx[start:end]
         positions = np.searchsorted(stored, columns)
         in_range = positions < n
         exists = np.zeros(columns.shape[0], dtype=bool)
@@ -770,33 +993,35 @@ class SparseMatrix:
             exists[in_range] = stored[positions[in_range]] == columns[in_range]
         if exists.any():
             hit = positions[exists]
-            row.val[hit] += deltas[exists]
-            dead = hit[np.abs(row.val[hit]) <= PRUNE_EPSILON]
+            values = self._pool_val[start:end]
+            values[hit] += deltas[exists]
+            dead = hit[np.abs(values[hit]) <= PRUNE_EPSILON]
             if dead.shape[0]:
-                self._remove_positions(i, row, dead)
-                row = self._rows.get(i)
+                self._remove_positions(i, dead)
         fresh = ~exists
         if fresh.any():
-            alive = np.abs(deltas[fresh]) > PRUNE_EPSILON
+            fresh_deltas = deltas[fresh]
+            alive = ~(np.abs(fresh_deltas) <= PRUNE_EPSILON)
             new_columns = columns[fresh][alive]
             if new_columns.shape[0]:
-                if row is None:
-                    row = self._materialize(i)
+                if self._slot_of[i] == 0:
+                    self._materialize(i)
+                start, end = self._span(i)
                 new_positions = np.searchsorted(
-                    row.idx[: row.n], new_columns
+                    self._pool_idx[start:end], new_columns
                 )
                 self._insert_many(
-                    i, row, new_positions, new_columns, deltas[fresh][alive]
+                    i, new_positions, new_columns, fresh_deltas[alive]
                 )
         # Single exit: every path — hit-only, fresh-insert, or the
-        # boundary case where hits prune the row empty while all fresh
-        # inserts are dead — runs the empty-row cleanup.  (After
-        # _insert_many ``row.n > 0``, so the cleanup is a no-op there.)
-        if row is not None and row.n == 0 and i in self._rows:
-            del self._rows[i]  # meghlint: ignore[MEGH011] -- counter bumped by the public entry point (set/row_axpy) before delegating
+        # boundary case where the row was materialized empty and every
+        # fresh insert is dead — frees an emptied row's slot.
+        slot = int(self._slot_of[i])
+        if slot > 0 and self._len[slot] == 0:
+            self._free_slot(i, slot)
 
     # ------------------------------------------------------------------
-    # Introspection
+    # Introspection and bulk transfer
     # ------------------------------------------------------------------
     @property
     def nnz(self) -> int:
@@ -804,29 +1029,119 @@ class SparseMatrix:
         self.flush_pending()
         return self._nnz
 
+    def _triplets(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stored entry as ``(rows, cols, values)`` in (row, column)
+        order, gathered from the tables without a per-row loop."""
+        self.flush_pending()
+        implicit = np.flatnonzero(self._diag)
+        live = np.flatnonzero(
+            self._slot_row[: int(self._store[kern.S_SLOT_TOP])] >= 0
+        )
+        lengths = self._len[live]
+        source = _gather_index(self._off[live], lengths)
+        rows = np.concatenate(
+            (implicit, np.repeat(self._slot_row[live], lengths))
+        )
+        cols = np.concatenate((implicit, self._pool_idx[source]))
+        values = np.concatenate((self._diag[implicit], self._pool_val[source]))
+        # Each row is either implicit or one slot whose columns are
+        # sorted, so a stable sort by row yields (row, column) order.
+        order = np.argsort(rows, kind="stable")
+        return rows[order], cols[order], values[order]
+
     def items(self) -> Iterator[Tuple[int, int, float]]:
         """Iterate ``(i, j, value)`` in (row, column) order."""
-        self.flush_pending()
-        implicit = np.nonzero(self._diag)[0]
-        touched = sorted(set(self._rows).union(implicit.tolist()))
-        for i in touched:
-            row = self._rows.get(i)
-            if row is None:
-                yield (i, i, float(self._diag[i]))
-                continue
-            n = row.n
-            for j, value in zip(row.idx[:n].tolist(), row.val[:n].tolist()):
-                yield (i, j, value)
+        rows, cols, values = self._triplets()
+        return zip(rows.tolist(), cols.tolist(), values.tolist())
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The settled matrix as COO triplets in (row, column) order.
+
+        ``{"dimension": int, "rows": int64[nnz], "cols": int64[nnz],
+        "values": float64[nnz]}`` — what a checkpoint stores;
+        :meth:`from_dict` inverts it.
+        """
+        rows, cols, values = self._triplets()
+        return {
+            "dimension": self.dimension,
+            "rows": rows,
+            "cols": cols,
+            "values": values,
+        }
+
+    @classmethod
+    def from_dict(
+        cls, data: Dict[str, Any], kernel: Optional[str] = None
+    ) -> "SparseMatrix":
+        """Rebuild a matrix from :meth:`to_dict`'s triplets.
+
+        The result equals writing every triplet with :meth:`set` in
+        order — values, pruning, the implicit/materialized split, the
+        column index — and is built in bulk when the triplets are in
+        strictly increasing (row, column) order, as :meth:`to_dict`
+        emits them.  Any other order takes the :meth:`set` path.
+        Indices out of range raise :class:`ConfigurationError`.
+        """
+        matrix = cls(int(data["dimension"]), kernel=kernel)
+        rows = np.asarray(data["rows"], dtype=np.int64)
+        cols = np.asarray(data["cols"], dtype=np.int64)
+        values = np.asarray(data["values"], dtype=np.float64)
+        if not rows.shape == cols.shape == values.shape or rows.ndim != 1:
+            raise ConfigurationError(
+                "sparse triplets must be three 1-D arrays of one length"
+            )
+        if rows.shape[0] == 0:
+            return matrix
+        dimension = matrix.dimension
+        bad = (rows < 0) | (rows >= dimension) | (cols < 0) | (cols >= dimension)
+        if bad.any():
+            first = int(np.argmax(bad))
+            matrix._check_index(int(rows[first]), int(cols[first]))
+        ascending = (rows[1:] > rows[:-1]) | (
+            (rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1])
+        )
+        if not ascending.all():
+            for i, j, value in zip(rows.tolist(), cols.tolist(), values.tolist()):
+                matrix.set(i, j, value)
+            return matrix
+        matrix._load_sorted(rows, cols, values)
+        return matrix
+
+    def _load_sorted(
+        self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Bulk body of :meth:`from_dict` (unique ascending triplets)."""
+        self.mutations += 1
+        kept = ~(np.abs(values) <= PRUNE_EPSILON)
+        rows, cols, values = rows[kept], cols[kept], values[kept]
+        # A row is materialized iff it stores an off-diagonal entry.
+        in_slot = np.isin(rows, rows[rows != cols])
+        diagonal = ~in_slot
+        self._diag[rows[diagonal]] = values[diagonal]
+        slot_rows, lengths = np.unique(rows[in_slot], return_counts=True)
+        self._lay_out(
+            slot_rows,
+            lengths,
+            np.maximum(_MIN_CAPACITY, 2 * lengths),
+            cols[in_slot],
+            values[in_slot],
+            0,
+            0,
+        )
+        cols_index = self._cols
+        for i, j in zip(rows[in_slot].tolist(), cols[in_slot].tolist()):
+            holders = cols_index.get(j)
+            if holders is None:
+                cols_index[j] = {i}
+            else:
+                holders.add(i)
+        self._nnz = int(rows.shape[0])
 
     def to_dense(self) -> np.ndarray:
         """Dense copy — for tests and small ablations only."""
-        self.flush_pending()
+        rows, cols, values = self._triplets()
         dense = np.zeros((self.dimension, self.dimension))
-        implicit = np.nonzero(self._diag)[0]
-        dense[implicit, implicit] = self._diag[implicit]
-        for i, row in self._rows.items():
-            n = row.n
-            dense[i, row.idx[:n]] = row.val[:n]
+        dense[rows, cols] = values
         return dense
 
     def copy(self) -> "SparseMatrix":
@@ -834,12 +1149,15 @@ class SparseMatrix:
         self.flush_pending()
         clone = SparseMatrix(self.dimension, kernel=self._kernel_mode)
         clone._diag = self._diag.copy()
-        for i, row in self._rows.items():
-            duplicate = _Row(capacity=row.idx.shape[0])
-            duplicate.idx[: row.n] = row.idx[: row.n]
-            duplicate.val[: row.n] = row.val[: row.n]
-            duplicate.n = row.n
-            clone._rows[i] = duplicate
+        clone._slot_of = self._slot_of.copy()
+        clone._slot_row = self._slot_row.copy()
+        clone._off = self._off.copy()
+        clone._len = self._len.copy()
+        clone._cap = self._cap.copy()
+        clone._pool_idx = self._pool_idx.copy()
+        clone._pool_val = self._pool_val.copy()
+        clone._store[:] = self._store
+        clone._point_store()
         clone._cols = {j: set(rows) for j, rows in self._cols.items()}
         clone._nnz = self._nnz
         clone.mutations = self.mutations

@@ -14,10 +14,12 @@ amortization at tiny scale (the batched Q-evaluation legitimately runs
 at ~5% of its paper-scale throughput).  Each metric therefore carries
 its own calibrated floor: the minimum acceptable ``fresh / committed``
 ratio, set with ≳3× headroom below the ratio measured on the reference
-container.  The simulator step is compared like with like instead:
-``BENCH_sim.json`` commits a ``--fast`` reference (``sim_step_fast``)
-beside the paper-scale record, because the speed ratio of the two fleet
-sizes moves with every change to the step and would set the margin.
+container.  The simulator step and the service loop are compared like with like
+instead: ``BENCH_sim.json`` and ``BENCH_service.json`` commit a
+``--fast`` reference (``sim_step_fast``, ``service_churn_fast``) beside
+the full-size record, because the speed ratio of the two sizes moves
+with every change to the step and would set the margin.  Both scripts
+record the median of three back-to-back repeats.
 The gate catches collapses (an accidental O(n²) hot path, a dropped
 cache), not percent-level jitter.  ``--band`` scales every
 floor at once (e.g. ``--band 0.5`` halves them for noisy CI runners).
@@ -61,9 +63,9 @@ METRIC_FLOORS: Tuple[Tuple[str, str, float], ...] = (
     ("core", "lstd.warm_over_cold_speedup", 0.20),
     ("core", "decide.decide_ops_per_s", 0.75),
     ("sim", "sim_step_fast.after.steps_per_s_non_scheduler", 0.30),
-    ("service", "service_churn.steps_per_s", 0.50),
-    ("service", "service_churn.events_per_s", 0.30),
-    ("service", "service_churn.retirements_per_s", 0.25),
+    ("service", "service_churn_fast.steps_per_s", 0.50),
+    ("service", "service_churn_fast.events_per_s", 0.30),
+    ("service", "service_churn_fast.retirements_per_s", 0.25),
 )
 
 

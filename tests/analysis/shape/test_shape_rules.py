@@ -232,10 +232,10 @@ class TestRegistryAndEngineIntegration:
 class TestRepositoryAbiCoverage:
     def test_every_c_boundary_read_is_certified(self):
         """The acceptance bar for MEGH021: on the real tree, zero
-        uncertified ``.ctypes`` reads, and the certificate set covers a
-        substantial majority of the declared ABI buffers (the handful
-        of staging vectors that never cross the boundary directly flow
-        through contracted ``replay_rows`` parameters instead)."""
+        uncertified ``.ctypes`` reads, and the certificate set covers
+        every declared ABI buffer except the handful of staging vectors
+        that never cross the boundary directly (they flow through
+        contracted ``replay_rows`` parameters instead)."""
         parsed = []
         for file_path in iter_python_files([REPO_ROOT / "src"]):
             module = parse_module(
@@ -245,10 +245,16 @@ class TestRepositoryAbiCoverage:
                 parsed.append((module.path, module.tree))
         report = check_kernel_abi(build_project(parsed))
         assert report.diagnostics == []
-        assert len(report.certificates) >= 50
+        assert len(report.certificates) >= 30
         certified = report.certified_buffers()
         declared = set(ABI_BUFFER_DTYPES)
-        assert len(certified & declared) >= 30
+        assert declared - certified == {
+            "_one_row",
+            "_one_start",
+            "_pend_rows",
+            "_two_rows",
+            "_two_starts",
+        }
         assert all("constructed at" in c.witness or "contract on" in c.witness
                    or "owning constructor" in c.witness
                    for c in report.certificates)

@@ -308,12 +308,35 @@ class TestStagingSemantics:
             per_row.row_view(i)
         assert np.array_equal(dense_of(batched), dense_of(per_row))
 
+    @pytest.mark.parametrize("write", ["set", "scatter"])
+    @pytest.mark.parametrize("mode", KERNELS)
+    def test_direct_write_to_a_clean_row_mid_window(self, mode, write):
+        # Row 0 is clean while B += B[:, 2] e_3^T is staged (B[0, 2] is
+        # 0 then).  A direct write then gives it a column-2 entry, and a
+        # later update marks it dirty: its replay must not apply the
+        # update staged before the write.
+        matrix = SparseMatrix.identity(4, scale=1.0, kernel=mode)
+        matrix.rank_one_update_from_column(
+            2, np.array([3], dtype=np.int64), np.array([1.0]), 1.0
+        )
+        if write == "set":
+            matrix.set(0, 2, 5.0)
+        else:
+            matrix.rank_one_update({0: 1.0}, {2: 5.0}, scale=1.0)
+        matrix.rank_one_update_from_column(
+            0, np.array([1], dtype=np.int64), np.array([1.0]), 1.0
+        )
+        assert matrix.row(0) == {0: 1.0, 1: 1.0, 2: 5.0}
+        assert matrix.row(2) == {2: 1.0, 3: 1.0}
+
     def test_pending_updates_rejects_bad_config(self):
         backend = object()  # validation runs before the backend is used
         with pytest.raises(ConfigurationError):
             PendingUpdates(backend, dimension=0)
         with pytest.raises(ConfigurationError):
             PendingUpdates(backend, dimension=4, window=0)
+        with pytest.raises(ConfigurationError):
+            PendingUpdates(backend, dimension=4, window=256)
 
 
 class TestBackendParity:
@@ -408,7 +431,7 @@ class TestCombineRows:
         idx_b, val_b = matrix.row_view(9)
         backend = matrix.kernel_backend
         columns, values, entry_a, entry_b = backend.combine_rows(
-            matrix._row_raw(2), matrix._row_raw(9), gamma, pivot
+            matrix, 2, 9, gamma, pivot
         )
         # NumPy replica (the fallback path in SparseLstd.update).
         merged = np.concatenate((idx_a, idx_b))
@@ -435,7 +458,7 @@ class TestCombineRows:
         matrix.set(5, 2, 8.0)
         backend = matrix.kernel_backend
         columns, values, entry_a, entry_b = backend.combine_rows(
-            matrix._row_raw(0), matrix._row_raw(5), 0.5, 1
+            matrix, 0, 5, 0.5, 1
         )
         assert columns.tolist() == [1, 2, 4]
         assert values.tolist() == [2.0, 0.5 * -8.0, -1.0]
@@ -450,7 +473,7 @@ class TestCombineRows:
         matrix.set(5, 3, 2.0)
         backend = matrix.kernel_backend
         columns, values, _, _ = backend.combine_rows(
-            matrix._row_raw(0), matrix._row_raw(5), 0.5, 0
+            matrix, 0, 5, 0.5, 0
         )
         assert columns.shape[0] == 0
         assert values.shape[0] == 0

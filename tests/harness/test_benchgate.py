@@ -42,7 +42,7 @@ def _sim_document(scale=1.0):
 
 def _service_document(scale=1.0):
     return {
-        "service_churn": {
+        "service_churn_fast": {
             "steps_per_s": 900.0 * scale,
             "events_per_s": 2500.0 * scale,
             "retirements_per_s": 700.0 * scale,
