@@ -199,7 +199,7 @@ static void mark_pivot(const int64_t *piv_sorted, const int64_t *piv_order,
 enum {
     S_DIAG = 0, S_SLOT_OF, S_SLOT_ROW, S_OFF, S_LEN, S_CAP,
     S_POOL_IDX, S_POOL_VAL,
-    S_POOL_TOP, S_POOL_CAP, S_POOL_DEAD, S_SLOT_TOP, S_SLOT_CAP,
+    S_POOL_TOP, S_POOL_CAP, S_SLOT_TOP, S_SLOT_CAP,
     S_MIN_CAP, S_RELOCATIONS, S_COMPACTIONS,
     S_FIELDS
 };
@@ -474,7 +474,6 @@ int64_t megh_flush_rows(const int64_t *a, double eps)
             if (s == 0) diag[row_id] = 0.0;
             if (n == 0) {
                 if (s > 0) {
-                    st[S_POOL_DEAD] += cap[s];
                     slot_row[s] = -1;
                     len[s] = 0;
                     slot_of[row_id] = 0;
@@ -482,7 +481,6 @@ int64_t megh_flush_rows(const int64_t *a, double eps)
             } else {
                 if (new_cap) {
                     if (s > 0) {
-                        st[S_POOL_DEAD] += cap[s];
                         st[S_RELOCATIONS] += 1;
                     } else {
                         s = st[S_SLOT_TOP]++;
@@ -612,14 +610,13 @@ int64_t megh_combine_rows(const int64_t *st, int64_t row_a, int64_t row_b,
     S_POOL_VAL,
     S_POOL_TOP,
     S_POOL_CAP,
-    S_POOL_DEAD,
     S_SLOT_TOP,
     S_SLOT_CAP,
     S_MIN_CAP,
     S_RELOCATIONS,
     S_COMPACTIONS,
     S_FIELDS,
-) = range(17)
+) = range(16)
 
 #: Compile flags.  ``-ffp-contract=off`` and ``-fno-fast-math`` are
 #: load-bearing: a fused multiply-add or a fast-math rewrite would change

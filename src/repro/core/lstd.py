@@ -612,12 +612,13 @@ class SparseLstd:
         self._sync_with_b()
         stale = np.unique(index_array[~self._theta_fresh[index_array]])
         if stale.shape[0]:
-            # One grouped kernel call and one slot lookup for the batch
-            # instead of a per-row flush inside each dot product (flush
-            # order never changes values).
-            self._theta_cache[stale] = self._B.row_dots_dense(
-                stale, self._z.dense
-            )
+            # One grouped kernel call instead of a per-row flush inside
+            # each dot product (flush order never changes values).
+            self._B.flush_rows(stale)
+        dense_z = self._z.dense
+        for i in stale.tolist():
+            self._theta_cache[i] = self._B.row_dot_dense(i, dense_z)
+        if stale.shape[0]:
             self._theta_fresh[stale] = True
         self.theta_cache_misses += int(stale.shape[0])
         self.theta_cache_hits += int(index_array.shape[0] - stale.shape[0])

@@ -364,7 +364,6 @@ class SparseMatrix:
         self._off[slot] = top
         self._cap[slot] = grown
         store[kern.S_POOL_TOP] = top + grown
-        store[kern.S_POOL_DEAD] += capacity
         store[kern.S_RELOCATIONS] += 1
         return slot
 
@@ -374,7 +373,6 @@ class SparseMatrix:
         Callers free only an emptied row, or drop a row whose entries
         they have already taken out of the count and the column index.
         """
-        self._store[kern.S_POOL_DEAD] += self._cap[slot]
         self._slot_row[slot] = -1
         self._len[slot] = 0
         self._slot_of[i] = 0
@@ -457,7 +455,6 @@ class SparseMatrix:
         store[kern.S_SLOT_CAP] = slot_cap
         store[kern.S_POOL_TOP] = used
         store[kern.S_POOL_CAP] = pool_cap
-        store[kern.S_POOL_DEAD] = 0
         self._point_store()
 
     def _materialize(self, i: int) -> int:
@@ -792,41 +789,6 @@ class SparseMatrix:
             )
         )
 
-    def row_dots_dense(
-        self, rows: np.ndarray, dense_vector: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`row_dot_dense` for each of ``rows`` (sorted unique).
-
-        The same float operations per row — one BLAS dot over each
-        materialized row, ``diag * x`` for an implicit one — with the
-        flush and the slot lookups done once for the batch.
-        """
-        self.flush_rows(rows)
-        out = np.zeros(rows.shape[0], dtype=np.float64)
-        slots = self._slot_of[rows]
-        implicit = slots == 0
-        if implicit.any():
-            diagonal_rows = rows[implicit]
-            diagonal = self._diag[diagonal_rows]
-            out[implicit] = np.where(
-                diagonal != 0.0,  # meghlint: ignore[MEGH003] -- exact store sentinel
-                diagonal * dense_vector[diagonal_rows],
-                0.0,
-            )
-        materialized = np.flatnonzero(~implicit)
-        if materialized.shape[0]:
-            stored = slots[materialized]
-            starts = self._off[stored]
-            ends = starts + self._len[stored]
-            pool_idx, pool_val = self._pool_idx, self._pool_val
-            for position, start, end in zip(
-                materialized.tolist(), starts.tolist(), ends.tolist()
-            ):
-                out[position] = np.dot(
-                    pool_val[start:end], dense_vector[pool_idx[start:end]]
-                )
-        return out
-
     # ------------------------------------------------------------------
     # The Sherman–Morrison core
     # ------------------------------------------------------------------
@@ -1073,14 +1035,13 @@ class SparseMatrix:
     def from_dict(
         cls, data: Dict[str, Any], kernel: Optional[str] = None
     ) -> "SparseMatrix":
-        """Rebuild a matrix from :meth:`to_dict`'s triplets.
+        """Rebuild a matrix from :meth:`to_dict`'s triplets, in bulk.
 
-        The result equals writing every triplet with :meth:`set` in
-        order — values, pruning, the implicit/materialized split, the
-        column index — and is built in bulk when the triplets are in
-        strictly increasing (row, column) order, as :meth:`to_dict`
-        emits them.  Any other order takes the :meth:`set` path.
-        Indices out of range raise :class:`ConfigurationError`.
+        The triplets may come in any order; of a repeated (row, column)
+        pair the last one wins, so the values, pruning and column index
+        equal writing every triplet with :meth:`set` in order.  A row is
+        materialized iff it keeps an off-diagonal entry.  Indices out of
+        range raise :class:`ConfigurationError`.
         """
         matrix = cls(int(data["dimension"]), kernel=kernel)
         rows = np.asarray(data["rows"], dtype=np.int64)
@@ -1097,14 +1058,12 @@ class SparseMatrix:
         if bad.any():
             first = int(np.argmax(bad))
             matrix._check_index(int(rows[first]), int(cols[first]))
-        ascending = (rows[1:] > rows[:-1]) | (
-            (rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1])
-        )
-        if not ascending.all():
-            for i, j, value in zip(rows.tolist(), cols.tolist(), values.tolist()):
-                matrix.set(i, j, value)
-            return matrix
-        matrix._load_sorted(rows, cols, values)
+        # A stable sort keeps repeats in input order; the last one wins.
+        order = np.lexsort((cols, rows))
+        rows, cols, values = rows[order], cols[order], values[order]
+        last = np.ones(rows.shape[0], dtype=bool)
+        last[:-1] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        matrix._load_sorted(rows[last], cols[last], values[last])
         return matrix
 
     def _load_sorted(

@@ -170,23 +170,24 @@ class TestLayoutCounters:
         matrix.set(7, 1, 0.0)  # row 7 materialized but holds only (7, 7)
         clone = SparseMatrix.from_dict(matrix.to_dict(), kernel=mode)
         assert list(clone.items()) == list(matrix.items())
-        # A checkpoint restore writes triplets one by one: a row holding
-        # only its diagonal comes back implicit, row 2 stays stored.
+        # A restore materializes only rows with an off-diagonal entry: a
+        # row holding only its diagonal comes back implicit, row 2 stays
+        # stored.
         assert clone.non_diagonal_indices(range(8), 0.5) == {2, 5, 6}
         assert clone.rows_with_column(5) == [2, 5]
 
     def test_unsorted_triplets_match_entry_by_entry_writes(self, mode):
         data = {
             "dimension": 6,
-            "rows": np.array([3, 1, 3, 1], dtype=np.int64),
-            "cols": np.array([0, 4, 0, 1], dtype=np.int64),
-            "values": np.array([2.0, 1.0, -1.0, 1e-20]),
+            "rows": np.array([3, 1, 2, 3, 1, 2], dtype=np.int64),
+            "cols": np.array([0, 4, 5, 0, 1, 5], dtype=np.int64),
+            "values": np.array([2.0, 1.0, 1.5, -1.0, 1e-20, 0.0]),
         }
         matrix = SparseMatrix.from_dict(data, kernel=mode)
         reference = SparseMatrix(6, kernel=mode)
         for i, j, value in zip(data["rows"], data["cols"], data["values"]):
             reference.set(int(i), int(j), float(value))
-        assert list(matrix.items()) == list(reference.items())
+        assert _observe(matrix) == _observe(reference)
         assert list(matrix.items()) == [(1, 4, 1.0), (3, 0, -1.0)]
 
 
