@@ -10,9 +10,7 @@ and asserts the shipped default (0.60) stays within 1.5x of the best
 """
 
 from benchmarks.conftest import run_once
-from repro.config import MeghConfig
-from repro.core.agent import MeghScheduler
-from repro.harness.builders import build_planetlab_simulation
+from repro.engine.registry import BuilderSpec, SchedulerSpec
 from repro.harness.multiseed import run_multi_seed
 
 HEADROOMS = (0.4, 0.6, 0.85, 1.0)
@@ -20,24 +18,21 @@ SEEDS = (0, 1, 2)
 DEFAULT = 0.4
 
 
-def test_ablation_destination_headroom(benchmark, emit):
+def test_ablation_destination_headroom(benchmark, emit, engine):
     def experiment():
         factories = {
-            f"h={headroom:.2f}": (
-                lambda sim, headroom=headroom: MeghScheduler.from_simulation(
-                    sim,
-                    config=MeghConfig(destination_headroom=headroom),
-                    seed=0,
-                )
+            f"h={headroom:.2f}": SchedulerSpec.create(
+                "megh", seed=0, config={"destination_headroom": headroom}
             )
             for headroom in HEADROOMS
         }
         return run_multi_seed(
-            lambda seed: build_planetlab_simulation(
-                num_pms=16, num_vms=21, num_steps=600, seed=seed
+            BuilderSpec.create(
+                "planetlab", num_pms=16, num_vms=21, num_steps=600
             ),
             factories,
             seeds=SEEDS,
+            engine=engine,
         )
 
     aggregates = run_once(benchmark, experiment)

@@ -14,9 +14,12 @@ from repro.harness.experiments import run_scalability_grid
 SIZES = ((10, 13), (20, 26), (40, 52), (80, 104))
 
 
-def test_fig6_scalability(benchmark, emit):
+def test_fig6_scalability(benchmark, emit, engine):
     points = run_once(
-        benchmark, lambda: run_scalability_grid(sizes=SIZES, num_steps=100)
+        benchmark,
+        lambda: run_scalability_grid(
+            sizes=SIZES, num_steps=100, engine=engine
+        ),
     )
     by_algorithm = {}
     for point in points:

@@ -19,47 +19,52 @@ TEMPERATURES = (0.5, 1.0, 3.0, 6.0, 10.0)
 EPSILONS = (0.001, 0.01, 0.1, 1.0)
 
 
-def test_fig8a_temperature_sensitivity(benchmark, emit):
-    points = run_once(
+def test_fig8a_temperature_sensitivity(benchmark, emit, engine):
+    cells = run_once(
         benchmark,
         lambda: run_temperature_sensitivity(
-            temperatures=TEMPERATURES, repeats=3, num_steps=300
+            temperatures=TEMPERATURES, repeats=3, num_steps=300, engine=engine
         ),
     )
     lines = ["Figure 8(a) (bench scale): per-step cost vs Temp0"]
-    for point in points:
+    by_value = {}
+    for cell in cells:
+        value = cell.parameter_dict()["initial_temperature"]
+        by_value[value] = cell.median_step_cost
         lines.append(
-            f"Temp0={point.value:5.1f}: median={point.median_cost:.4f} "
-            f"[p10={point.p10_cost:.4f}, p90={point.p90_cost:.4f}]"
+            f"Temp0={value:5.1f}: median={cell.median_step_cost:.4f} "
+            f"[p10={cell.p10_step_cost:.4f}, p90={cell.p90_step_cost:.4f}]"
         )
     emit("\n".join(lines))
 
-    by_value = {p.value: p.median_cost for p in points}
     # Weak U-shape: the paper's chosen Temp0 = 3 must not be worse than
     # both extremes of the sweep.
     assert by_value[3.0] <= max(by_value[0.5], by_value[10.0])
-    for point in points:
-        assert point.p10_cost <= point.median_cost <= point.p90_cost
+    for cell in cells:
+        assert (
+            cell.p10_step_cost <= cell.median_step_cost <= cell.p90_step_cost
+        )
 
 
-def test_fig8b_epsilon_sensitivity(benchmark, emit):
-    points = run_once(
+def test_fig8b_epsilon_sensitivity(benchmark, emit, engine):
+    cells = run_once(
         benchmark,
         lambda: run_epsilon_sensitivity(
-            epsilons=EPSILONS, repeats=3, num_steps=300
+            epsilons=EPSILONS, repeats=3, num_steps=300, engine=engine
         ),
     )
     lines = ["Figure 8(b) (bench scale): per-step cost vs epsilon"]
-    for point in points:
+    for cell in cells:
         lines.append(
-            f"eps={point.value:7.3f}: median={point.median_cost:.4f} "
-            f"[p10={point.p10_cost:.4f}, p90={point.p90_cost:.4f}]"
+            f"eps={cell.parameter_dict()['temperature_decay']:7.3f}: "
+            f"median={cell.median_step_cost:.4f} "
+            f"[p10={cell.p10_step_cost:.4f}, p90={cell.p90_step_cost:.4f}]"
         )
     emit("\n".join(lines))
 
     # "Sporadic" response: all medians the same order of magnitude —
     # epsilon tunes convergence speed, it cannot sink the system.
-    medians = [p.median_cost for p in points]
+    medians = [cell.median_step_cost for cell in cells]
     assert max(medians) <= 5.0 * min(medians)
-    for point in points:
-        assert point.median_cost > 0.0
+    for cell in cells:
+        assert cell.median_step_cost > 0.0

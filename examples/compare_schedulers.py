@@ -11,16 +11,11 @@ Run:
 
 import argparse
 
-from repro import (
-    NoMigrationScheduler,
-    RandomScheduler,
-    build_planetlab_simulation,
-)
-from repro.harness.runner import (
-    madvm_factory,
-    megh_factory,
-    mmt_factories,
-    run_comparison,
+from repro.engine import (
+    BuilderSpec,
+    ExecutionEngine,
+    SchedulerSpec,
+    spec_paper_factories,
 )
 from repro.harness.tables import render_comparison
 
@@ -33,22 +28,18 @@ def main() -> None:
     parser.add_argument("--vms", type=int, default=21)
     args = parser.parse_args()
 
-    simulation = build_planetlab_simulation(
-        num_pms=args.pms,
-        num_vms=args.vms,
-        num_steps=args.steps,
-        seed=args.seed,
+    builder = BuilderSpec.create(
+        "planetlab", num_pms=args.pms, num_vms=args.vms, num_steps=args.steps
+    )
+    factories = spec_paper_factories(include_madvm=True, seed=args.seed)
+    factories["NoMigration"] = SchedulerSpec.create("noop")
+    factories["Random"] = SchedulerSpec.create(
+        "random", migrations_per_step=1, seed=args.seed
     )
 
-    factories = dict(mmt_factories())
-    factories["Megh"] = megh_factory(seed=args.seed)
-    factories["MadVM"] = madvm_factory(seed=args.seed)
-    factories["NoMigration"] = lambda sim: NoMigrationScheduler()
-    factories["Random"] = lambda sim: RandomScheduler(
-        migrations_per_step=1, seed=args.seed
+    results = ExecutionEngine().run_comparison(
+        builder, factories, seed=args.seed
     )
-
-    results = run_comparison(simulation, factories)
     print(
         render_comparison(
             results,

@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="run simulations on N parallel worker processes via the "
-        "execution engine (compare/table/figure experiments)",
+        "execution engine (compare, tables, fig2-fig6, fig8)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -124,10 +124,18 @@ def _check_counts(args) -> None:
         raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
 
 
+#: Experiments that run in process and so take no engine flags.
+_IN_PROCESS = ("fig7", "profile")
+
+
+def _engine_flags_given(args) -> bool:
+    """True when ``--jobs``/``--cache-dir``/``--journal`` ask for more
+    than the default inline, uncached, unjournaled engine."""
+    return args.jobs != 1 or bool(args.cache_dir) or bool(args.journal)
+
+
 def _make_engine(args):
-    """Build an ExecutionEngine when the flags ask for one, else None."""
-    if args.jobs == 1 and not args.cache_dir and not args.journal:
-        return None
+    """The ExecutionEngine every experiment runs through."""
     from repro.engine import ExecutionEngine
 
     return ExecutionEngine(
@@ -137,10 +145,9 @@ def _make_engine(args):
     )
 
 
-def _run_compare(args, engine=None) -> str:
+def _run_compare(args, engine) -> str:
     from repro.engine.registry import BuilderSpec, spec_paper_factories
     from repro.harness.report import comparison_report, save_report
-    from repro.harness.runner import run_comparison
 
     seed = args.seed or 0
     steps = args.steps or 600
@@ -148,10 +155,7 @@ def _run_compare(args, engine=None) -> str:
         args.workload, num_pms=args.pms, num_vms=args.vms, num_steps=steps
     )
     factories = spec_paper_factories(include_madvm=True, seed=seed)
-    if engine is not None:
-        results = engine.run_comparison(builder, factories, seed=seed)
-    else:
-        results = run_comparison(builder(seed), factories)
+    results = engine.run_comparison(builder, factories, seed=seed)
     title = (
         f"Scheduler comparison — {args.workload}, "
         f"{args.pms} PMs / {args.vms} VMs / {steps} steps, seed {seed}"
@@ -173,7 +177,7 @@ def _run_table(
     experiment: str,
     steps: Optional[int],
     seed: Optional[int],
-    engine=None,
+    engine,
 ) -> str:
     preset = experiments.PRESETS[experiment]
     if steps is not None:
@@ -193,7 +197,7 @@ def _run_figure_pair(
     experiment: str,
     steps: Optional[int],
     seed: Optional[int],
-    engine=None,
+    engine,
 ) -> str:
     preset = experiments.PRESETS[experiment]
     if steps is not None:
@@ -246,9 +250,9 @@ def _run_profile(args) -> str:
     return header + buffer.getvalue()
 
 
-def _run_fig6(steps: Optional[int], seed: Optional[int]) -> str:
+def _run_fig6(steps: Optional[int], seed: Optional[int], engine) -> str:
     points = experiments.run_scalability_grid(
-        num_steps=steps or 100, seed=seed or 0
+        num_steps=steps or 100, seed=seed or 0, engine=engine
     )
     lines = ["fig6: per-step execution time vs fleet size"]
     for point in points:
@@ -273,21 +277,27 @@ def _run_fig7(steps: Optional[int], seed: Optional[int]) -> str:
     return "\n".join(lines)
 
 
-def _run_fig8(steps: Optional[int], seed: Optional[int]) -> str:
+def _run_fig8(steps: Optional[int], seed: Optional[int], engine) -> str:
     del seed  # repeats use their own seeds
-    temp = experiments.run_temperature_sensitivity(num_steps=steps or 300)
-    eps = experiments.run_epsilon_sensitivity(num_steps=steps or 300)
+    temp = experiments.run_temperature_sensitivity(
+        num_steps=steps or 300, engine=engine
+    )
+    eps = experiments.run_epsilon_sensitivity(
+        num_steps=steps or 300, engine=engine
+    )
     lines = ["fig8(a): per-step cost vs Temp0"]
-    for point in temp:
+    for cell in temp:
         lines.append(
-            f"Temp0={point.value:6.2f}: median={point.median_cost:.4f} "
-            f"p10={point.p10_cost:.4f} p90={point.p90_cost:.4f}"
+            f"Temp0={cell.parameter_dict()['initial_temperature']:6.2f}: "
+            f"median={cell.median_step_cost:.4f} "
+            f"p10={cell.p10_step_cost:.4f} p90={cell.p90_step_cost:.4f}"
         )
     lines.append("fig8(b): per-step cost vs epsilon")
-    for point in eps:
+    for cell in eps:
         lines.append(
-            f"eps={point.value:8.4f}: median={point.median_cost:.4f} "
-            f"p10={point.p10_cost:.4f} p90={point.p90_cost:.4f}"
+            f"eps={cell.parameter_dict()['temperature_decay']:8.4f}: "
+            f"median={cell.median_step_cost:.4f} "
+            f"p10={cell.p10_step_cost:.4f} p90={cell.p90_step_cost:.4f}"
         )
     return "\n".join(lines)
 
@@ -342,6 +352,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     engine = None
     try:
         _check_counts(args)
+        if experiment in _IN_PROCESS and _engine_flags_given(args):
+            raise ConfigurationError(
+                f"--jobs/--cache-dir/--journal do not apply to "
+                f"{experiment}: it runs in process, not as engine jobs"
+            )
         engine = _make_engine(args)
         if experiment == "compare":
             print(_run_compare(args, engine))
@@ -352,11 +367,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif experiment in ("fig2", "fig3", "fig4", "fig5"):
             print(_run_figure_pair(experiment, args.steps, args.seed, engine))
         elif experiment == "fig6":
-            print(_run_fig6(args.steps, args.seed))
+            print(_run_fig6(args.steps, args.seed, engine))
         elif experiment == "fig7":
             print(_run_fig7(args.steps, args.seed))
         elif experiment == "fig8":
-            print(_run_fig8(args.steps, args.seed))
+            print(_run_fig8(args.steps, args.seed, engine))
         else:
             print(f"unknown experiment {experiment!r}; try 'list'")
             return 2
@@ -370,7 +385,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     finally:
         if engine is not None:
-            print(engine.summary(), file=sys.stderr)
+            if _engine_flags_given(args):
+                print(engine.summary(), file=sys.stderr)
             engine.close()
     return 0
 

@@ -35,7 +35,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cloudsim.simulation import SimulationResult
 from repro.engine import events as ev
@@ -509,29 +509,14 @@ class ExecutionEngine:
     # -- harness-shaped entry points -------------------------------------
     def run_matrix(
         self,
-        builder: Callable[[int], Any],
-        factories: "Dict[str, Callable[[Any], Any]]",
+        builder: BuilderSpec,
+        factories: Dict[str, SchedulerSpec],
         seeds: Sequence[int],
         num_steps: Optional[int] = None,
     ) -> List[Dict[str, SimulationResult]]:
-        """Run every factory at every seed; one result dict per seed.
-
-        ``builder``/``factories`` must be spec-carrying callables
-        (:class:`BuilderSpec` / :class:`SchedulerSpec`) for parallel or
-        cached execution; arbitrary callables are accepted only at
-        ``jobs=1`` with no cache, where they run exactly like the legacy
-        serial harness.
-        """
+        """Run every factory at every seed; one result dict per seed."""
+        _require_specs(builder, factories.values())
         names = list(factories)
-        if not _is_spec_pair(builder, factories):
-            if self.jobs > 1 or self.cache is not None:
-                raise ConfigurationError(
-                    "parallel or cached execution needs registry-backed "
-                    "specs (BuilderSpec/SchedulerSpec from "
-                    "repro.engine.registry); plain callables cannot cross "
-                    "process boundaries or derive stable cache keys"
-                )
-            return self._run_matrix_inline(builder, factories, seeds, num_steps)
         specs = [
             job_spec(
                 builder,
@@ -552,37 +537,10 @@ class ExecutionEngine:
             )
         return grouped
 
-    def _run_matrix_inline(
-        self, builder, factories, seeds, num_steps
-    ) -> List[Dict[str, SimulationResult]]:
-        from repro.harness.runner import run_comparison
-
-        grouped = []
-        for seed in seeds:
-            for name in factories:
-                self.journal.emit(ev.QUEUED, "", tag=f"{name}@seed{seed}")
-            simulation = builder(seed)
-            results = {}
-            for name, factory in factories.items():
-                tag = f"{name}@seed{seed}"
-                self.journal.emit(ev.STARTED, "", tag=tag)
-                started = time.perf_counter()
-                results[name] = run_comparison(
-                    simulation, {name: factory}, num_steps=num_steps
-                )[name]
-                self.journal.emit(
-                    ev.FINISHED,
-                    "",
-                    tag=tag,
-                    duration_seconds=time.perf_counter() - started,
-                )
-            grouped.append(results)
-        return grouped
-
     def run_comparison(
         self,
-        builder: Callable[[int], Any],
-        factories: "Dict[str, Callable[[Any], Any]]",
+        builder: BuilderSpec,
+        factories: Dict[str, SchedulerSpec],
         seed: int = 0,
         num_steps: Optional[int] = None,
     ) -> Dict[str, SimulationResult]:
@@ -598,6 +556,7 @@ class ExecutionEngine:
         """Run a Megh config grid: one result list (per seed) per config."""
         import dataclasses
 
+        _require_specs(builder, ())
         specs = []
         for cell, config in enumerate(configs):
             params = (
@@ -643,7 +602,13 @@ class ExecutionEngine:
         self.journal.close()
 
 
-def _is_spec_pair(builder, factories) -> bool:
-    return isinstance(builder, BuilderSpec) and all(
-        isinstance(factory, SchedulerSpec) for factory in factories.values()
-    )
+def _require_specs(builder, factories) -> None:
+    """Reject anything but registry-backed specs, at any ``jobs``."""
+    if not isinstance(builder, BuilderSpec) or not all(
+        isinstance(factory, SchedulerSpec) for factory in factories
+    ):
+        raise ConfigurationError(
+            "the engine runs registry-backed specs only (BuilderSpec/"
+            "SchedulerSpec from repro.engine.registry); plain callables "
+            "cannot cross process boundaries or derive stable cache keys"
+        )

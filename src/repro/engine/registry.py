@@ -13,8 +13,9 @@ constructors without registering them first.
 :class:`BuilderSpec` and :class:`SchedulerSpec` wrap registry entries in
 frozen, picklable callables with the harness's native signatures
 (``builder(seed) -> Simulation`` and ``factory(simulation) ->
-Scheduler``), so the same objects drive the legacy serial paths *and*
-carry enough structure for the engine to derive :class:`JobSpec`s.
+Scheduler``), so the same objects serve as plain factories for
+:func:`repro.harness.runner.run_comparison` and carry enough structure
+for the engine to derive :class:`JobSpec`s.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ def spec_mmt_factories(
     detectors: Sequence[str] = ("THR", "IQR", "MAD", "LR", "LRR"),
     thr_threshold: float = 0.7,
 ) -> Dict[str, SchedulerSpec]:
-    """Spec-carrying equivalent of :func:`repro.harness.runner.mmt_factories`."""
+    """The paper's five MMT contenders, THR at ``thr_threshold``."""
     factories: Dict[str, SchedulerSpec] = {}
     for detector in detectors:
         if detector == "THR":

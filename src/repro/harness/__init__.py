@@ -20,7 +20,7 @@ from repro.harness.multiseed import (
 )
 from repro.harness.report import comparison_report, save_report
 from repro.harness.analysis import ComparativeClaims, claims_report, compare
-from repro.harness.sweeps import SweepCell, best_cell, render_sweep, sweep_megh
+from repro.harness.sweeps import SweepCell, render_sweep, sweep_megh
 
 __all__ = [
     "build_simulation",
@@ -47,6 +47,5 @@ __all__ = [
     "claims_report",
     "SweepCell",
     "sweep_megh",
-    "best_cell",
     "render_sweep",
 ]

@@ -13,22 +13,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.cloudsim.simulation import Simulation, SimulationResult
 from repro.config import MeghConfig, SimulationConfig
 from repro.core.agent import MeghScheduler
+from repro.engine import (
+    BuilderSpec,
+    ExecutionEngine,
+    SchedulerSpec,
+    job_spec,
+    spec_mmt_factories,
+    spec_paper_factories,
+)
 from repro.harness.builders import (
     build_google_simulation,
     build_planetlab_simulation,
 )
-from repro.harness.runner import (
-    SchedulerFactory,
-    madvm_factory,
-    megh_factory,
-    mmt_factories,
-    run_comparison,
-)
+from repro.harness.sweeps import SweepCell, sweep_megh
 
 
 @dataclass(frozen=True)
@@ -124,15 +124,12 @@ PRESETS: Dict[str, ExperimentPreset] = {
 }
 
 
-def preset_builder_spec(preset: ExperimentPreset):
+def preset_builder_spec(preset: ExperimentPreset) -> BuilderSpec:
     """Engine :class:`~repro.engine.registry.BuilderSpec` for a preset.
 
     The preset's workload name maps directly onto the engine registry's
-    ``planetlab``/``google`` builders, so every preset experiment can be
-    executed (and cached) as declarative jobs.
+    ``planetlab``/``google`` builders.
     """
-    from repro.engine.registry import BuilderSpec
-
     return BuilderSpec.create(
         preset.workload,
         num_pms=preset.num_pms,
@@ -142,95 +139,62 @@ def preset_builder_spec(preset: ExperimentPreset):
     )
 
 
+def _run_preset(
+    preset: ExperimentPreset,
+    factories: Dict[str, SchedulerSpec],
+    seed: int,
+    engine: Optional[ExecutionEngine],
+    num_steps: Optional[int] = None,
+) -> Dict[str, SimulationResult]:
+    """Run a line-up on a preset's fleet as engine jobs."""
+    return (engine or ExecutionEngine()).run_comparison(
+        preset_builder_spec(preset), factories, seed=seed, num_steps=num_steps
+    )
+
+
 def run_table_experiment(
     preset: ExperimentPreset,
     include_madvm: bool = False,
     num_steps: Optional[int] = None,
     seed: Optional[int] = None,
-    engine=None,
+    engine: Optional[ExecutionEngine] = None,
 ) -> Dict[str, SimulationResult]:
     """Run the Table-2/3 line-up on a preset.
 
-    ``engine`` (an :class:`repro.engine.ExecutionEngine`) executes the
-    line-up as declarative jobs — parallel across schedulers, cached,
-    and journaled — with results identical to the serial path for all
-    simulated metrics.
+    ``engine`` sets how the jobs run (workers, cache, journal); the
+    default runs them inline.
     """
-    effective_seed = preset.seed if seed is None else seed
-    if engine is not None:
-        from repro.engine.registry import spec_paper_factories
-
-        return engine.run_comparison(
-            preset_builder_spec(preset),
-            spec_paper_factories(
-                include_madvm=include_madvm, seed=effective_seed
-            ),
-            seed=effective_seed,
-            num_steps=num_steps,
-        )
-    simulation = ExperimentPreset(
-        **{
-            **preset.__dict__,
-            "seed": effective_seed,
-        }
-    ).build()
-    factories: Dict[str, SchedulerFactory] = dict(mmt_factories())
-    factories["Megh"] = megh_factory(seed=effective_seed)
-    if include_madvm:
-        factories["MadVM"] = madvm_factory(seed=effective_seed)
-    return run_comparison(simulation, factories, num_steps=num_steps)
+    seed = preset.seed if seed is None else seed
+    factories = spec_paper_factories(include_madvm=include_madvm, seed=seed)
+    return _run_preset(preset, factories, seed, engine, num_steps)
 
 
 def run_megh_vs_thr(
-    preset: ExperimentPreset, seed: Optional[int] = None, engine=None
+    preset: ExperimentPreset,
+    seed: Optional[int] = None,
+    engine: Optional[ExecutionEngine] = None,
 ) -> Dict[str, SimulationResult]:
     """Run the Figure-2/3 pair (Megh and THR-MMT) on a preset."""
-    effective_seed = preset.seed if seed is None else seed
-    if engine is not None:
-        from repro.engine.registry import SchedulerSpec, spec_mmt_factories
-
-        return engine.run_comparison(
-            preset_builder_spec(preset),
-            {
-                "THR-MMT": spec_mmt_factories(detectors=("THR",))["THR-MMT"],
-                "Megh": SchedulerSpec.create("megh", seed=effective_seed),
-            },
-            seed=effective_seed,
-        )
-    simulation = ExperimentPreset(
-        **{**preset.__dict__, "seed": effective_seed}
-    ).build()
+    seed = preset.seed if seed is None else seed
     factories = {
-        "THR-MMT": mmt_factories(detectors=("THR",))["THR-MMT"],
-        "Megh": megh_factory(seed=effective_seed),
+        "THR-MMT": spec_mmt_factories(detectors=("THR",))["THR-MMT"],
+        "Megh": SchedulerSpec.create("megh", seed=seed),
     }
-    return run_comparison(simulation, factories)
+    return _run_preset(preset, factories, seed, engine)
 
 
 def run_megh_vs_madvm(
-    preset: ExperimentPreset, seed: Optional[int] = None, engine=None
+    preset: ExperimentPreset,
+    seed: Optional[int] = None,
+    engine: Optional[ExecutionEngine] = None,
 ) -> Dict[str, SimulationResult]:
     """Run the Figure-4/5 pair (Megh and MadVM) on a preset."""
-    effective_seed = preset.seed if seed is None else seed
-    if engine is not None:
-        from repro.engine.registry import SchedulerSpec
-
-        return engine.run_comparison(
-            preset_builder_spec(preset),
-            {
-                "Megh": SchedulerSpec.create("megh", seed=effective_seed),
-                "MadVM": SchedulerSpec.create("madvm", seed=effective_seed),
-            },
-            seed=effective_seed,
-        )
-    simulation = ExperimentPreset(
-        **{**preset.__dict__, "seed": effective_seed}
-    ).build()
+    seed = preset.seed if seed is None else seed
     factories = {
-        "Megh": megh_factory(seed=effective_seed),
-        "MadVM": madvm_factory(seed=effective_seed),
+        "Megh": SchedulerSpec.create("megh", seed=seed),
+        "MadVM": SchedulerSpec.create("madvm", seed=seed),
     }
-    return run_comparison(simulation, factories)
+    return _run_preset(preset, factories, seed, engine)
 
 
 # ----------------------------------------------------------------------
@@ -251,39 +215,50 @@ def run_scalability_grid(
     num_steps: int = 100,
     seed: int = 0,
     algorithms: Sequence[str] = ("THR-MMT", "Megh"),
+    engine: Optional[ExecutionEngine] = None,
 ) -> List[ScalabilityPoint]:
     """Measure per-step decision time across fleet sizes (Figure 6).
 
     The paper's grid is m, n in {100..800}; the bench grid is scaled down
     but spans the same 8x range so the growth *shape* (THR-MMT superlinear,
-    Megh sublinear, crossover) is visible.
+    Megh sublinear, crossover) is visible.  Every size × algorithm is one
+    engine job; a cached job replays its recorded timings, so fresh
+    timings need a cold cache.
     """
-    points: List[ScalabilityPoint] = []
-    for num_pms, num_vms in sizes:
-        simulation = build_planetlab_simulation(
+    lineup = {
+        "THR-MMT": spec_mmt_factories(detectors=("THR",))["THR-MMT"],
+        "Megh": SchedulerSpec.create("megh", seed=seed),
+    }
+    cells = [
+        (num_pms, num_vms, name)
+        for num_pms, num_vms in sizes
+        for name in lineup
+        if name in algorithms
+    ]
+    specs = [
+        job_spec(
+            BuilderSpec.create(
+                "planetlab",
+                num_pms=num_pms,
+                num_vms=num_vms,
+                num_steps=num_steps,
+            ),
+            lineup[name],
+            seed,
+            tag=f"{name}@{num_pms}x{num_vms}",
+        )
+        for num_pms, num_vms, name in cells
+    ]
+    results = (engine or ExecutionEngine()).run_strict(specs)
+    return [
+        ScalabilityPoint(
             num_pms=num_pms,
             num_vms=num_vms,
-            num_steps=num_steps,
-            seed=seed,
+            algorithm=name,
+            mean_step_ms=result.mean_scheduler_ms,
         )
-        factories: Dict[str, SchedulerFactory] = {}
-        if "THR-MMT" in algorithms:
-            factories["THR-MMT"] = mmt_factories(detectors=("THR",))[
-                "THR-MMT"
-            ]
-        if "Megh" in algorithms:
-            factories["Megh"] = megh_factory(seed=seed)
-        results = run_comparison(simulation, factories)
-        for name, result in results.items():
-            points.append(
-                ScalabilityPoint(
-                    num_pms=num_pms,
-                    num_vms=num_vms,
-                    algorithm=name,
-                    mean_step_ms=result.mean_scheduler_ms,
-                )
-            )
-    return points
+        for (num_pms, num_vms, name), result in zip(cells, results)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +283,10 @@ def run_qtable_growth(
     """Track Q-table non-zeros over time for several fleet sizes (Fig 7).
 
     The paper sets N = M and observes linear growth in time with a
-    vertical shift roughly linear in the number of PMs.
+    vertical shift roughly linear in the number of PMs.  This runs in
+    process, not as engine jobs: it reads the learner's
+    :class:`~repro.core.qtable.QTableTracker`, which a
+    :class:`SimulationResult` does not carry.
     """
     growths: List[QTableGrowth] = []
     for num_pms in pm_counts:
@@ -336,20 +314,12 @@ def run_qtable_growth(
 # ----------------------------------------------------------------------
 # Figure 8: parameter sensitivity
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SensitivityPoint:
-    """Per-step cost distribution for one parameter value."""
-
-    parameter: str
-    value: float
-    median_cost: float
-    p10_cost: float
-    p90_cost: float
-    repeats: int
-
-
-def _per_step_costs(result: SimulationResult) -> List[float]:
-    return result.metrics.per_step_cost_series()
+def _sensitivity_builder(
+    num_pms: int, num_vms: int, num_steps: int
+) -> BuilderSpec:
+    return BuilderSpec.create(
+        "planetlab", num_pms=num_pms, num_vms=num_vms, num_steps=num_steps
+    )
 
 
 def run_temperature_sensitivity(
@@ -359,19 +329,17 @@ def run_temperature_sensitivity(
     num_pms: int = 16,
     num_vms: int = 21,
     num_steps: int = 300,
-) -> List[SensitivityPoint]:
+    engine: Optional[ExecutionEngine] = None,
+) -> List[SweepCell]:
     """Sweep Temp0 (Figure 8(a)); the paper's sweep is 0.5..10 step 0.5
-    with 25 repeats and epsilon fixed at 0.001."""
-    return _sweep(
-        "Temp0",
-        temperatures,
-        lambda value: MeghConfig(
-            initial_temperature=value, temperature_decay=epsilon
-        ),
-        repeats,
-        num_pms,
-        num_vms,
-        num_steps,
+    with 25 repeats and epsilon fixed at 0.001.  Repeat ``r`` runs seed
+    ``r``; per-step costs pool across repeats."""
+    return sweep_megh(
+        _sensitivity_builder(num_pms, num_vms, num_steps),
+        grid={"initial_temperature": list(temperatures)},
+        base_config=MeghConfig(temperature_decay=epsilon),
+        seeds=range(repeats),
+        engine=engine,
     )
 
 
@@ -382,55 +350,14 @@ def run_epsilon_sensitivity(
     num_pms: int = 16,
     num_vms: int = 21,
     num_steps: int = 300,
-) -> List[SensitivityPoint]:
+    engine: Optional[ExecutionEngine] = None,
+) -> List[SweepCell]:
     """Sweep epsilon (Figure 8(b)); the paper uses 30 log-spaced values in
     [1e-3, 1] with Temp0 fixed at 1."""
-    return _sweep(
-        "epsilon",
-        epsilons,
-        lambda value: MeghConfig(
-            initial_temperature=temperature, temperature_decay=value
-        ),
-        repeats,
-        num_pms,
-        num_vms,
-        num_steps,
+    return sweep_megh(
+        _sensitivity_builder(num_pms, num_vms, num_steps),
+        grid={"temperature_decay": list(epsilons)},
+        base_config=MeghConfig(initial_temperature=temperature),
+        seeds=range(repeats),
+        engine=engine,
     )
-
-
-def _sweep(
-    parameter: str,
-    values: Sequence[float],
-    config_for,
-    repeats: int,
-    num_pms: int,
-    num_vms: int,
-    num_steps: int,
-) -> List[SensitivityPoint]:
-    points: List[SensitivityPoint] = []
-    for value in values:
-        costs: List[float] = []
-        for repeat in range(repeats):
-            simulation = build_planetlab_simulation(
-                num_pms=num_pms,
-                num_vms=num_vms,
-                num_steps=num_steps,
-                seed=repeat,
-            )
-            scheduler = MeghScheduler.from_simulation(
-                simulation, config=config_for(value), seed=repeat
-            )
-            result = simulation.run(scheduler)
-            costs.extend(_per_step_costs(result))
-        data = np.asarray(costs)
-        points.append(
-            SensitivityPoint(
-                parameter=parameter,
-                value=float(value),
-                median_cost=float(np.median(data)),
-                p10_cost=float(np.quantile(data, 0.10)),
-                p90_cost=float(np.quantile(data, 0.90)),
-                repeats=repeats,
-            )
-        )
-    return points

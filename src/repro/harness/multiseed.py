@@ -2,8 +2,8 @@
 
 The paper repeats its scalability and sensitivity experiments 25 times
 over random PM/VM subsets.  :func:`run_multi_seed` provides that rigor
-for any comparison: it rebuilds the simulation per seed, runs every
-scheduler factory on it, and aggregates each metric into mean ± std plus
+for any comparison: it runs every scheduler spec on a fresh simulation
+per seed as engine jobs, and aggregates each metric into mean ± std plus
 the per-seed values, together with win counts (how often each algorithm
 had the lowest total cost).
 """
@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.cloudsim.simulation import Simulation, SimulationResult
+from repro.cloudsim.simulation import SimulationResult
 from repro.errors import ConfigurationError
-from repro.harness.runner import SchedulerFactory, run_comparison
 
-#: Builds a fresh simulation for a given seed.
-SimulationBuilder = Callable[[int], Simulation]
+if TYPE_CHECKING:  # the engine loads on first use, not with the package
+    from repro.engine import BuilderSpec, ExecutionEngine, SchedulerSpec
 
 
 @dataclass(frozen=True)
@@ -81,11 +80,7 @@ def cheapest_algorithm(results: Dict[str, SimulationResult]) -> str:
 def aggregate_seed_results(
     results_by_seed: Sequence[Dict[str, SimulationResult]],
 ) -> Dict[str, SeedAggregate]:
-    """Fold per-seed comparison results into :class:`SeedAggregate`s.
-
-    Shared by the serial loop and the execution engine's parallel path;
-    given the same per-seed results it is bit-identical either way.
-    """
+    """Fold per-seed comparison results into :class:`SeedAggregate`s."""
     if not results_by_seed:
         raise ConfigurationError("need results for at least one seed")
     names = list(results_by_seed[0])
@@ -120,31 +115,25 @@ def aggregate_seed_results(
 
 
 def run_multi_seed(
-    builder: SimulationBuilder,
-    factories: Dict[str, SchedulerFactory],
+    builder: BuilderSpec,
+    factories: Dict[str, SchedulerSpec],
     seeds: Sequence[int],
-    engine=None,
+    engine: Optional[ExecutionEngine] = None,
 ) -> Dict[str, SeedAggregate]:
-    """Run every factory on a fresh simulation per seed and aggregate.
+    """Run every spec on a fresh simulation per seed and aggregate.
 
-    ``engine`` (an :class:`repro.engine.ExecutionEngine`) routes the
-    seed × factory grid through the execution subsystem — parallel
-    workers, result caching, and fault journaling — instead of the
-    in-process loop.  Parallel/cached execution requires spec-carrying
-    callables (``BuilderSpec``/``SchedulerSpec`` from
-    :mod:`repro.engine.registry`); the aggregates are identical to the
-    serial path's for all simulated metrics.
+    The seed × scheduler grid runs as engine jobs; ``engine`` sets
+    workers, cache and journal, and the default runs them inline.
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
     if not factories:
         raise ConfigurationError("need at least one scheduler factory")
-    if engine is not None:
-        results_by_seed = engine.run_matrix(builder, factories, seeds)
-    else:
-        results_by_seed = [
-            run_comparison(builder(seed), factories) for seed in seeds
-        ]
+    from repro.engine import ExecutionEngine
+
+    results_by_seed = (engine or ExecutionEngine()).run_matrix(
+        builder, factories, seeds
+    )
     return aggregate_seed_results(results_by_seed)
 
 

@@ -2,17 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 from repro.cloudsim.simulation import Simulation, SimulationResult
-from repro.config import MeghConfig
-from repro.core.agent import MeghScheduler
-from repro.baselines.madvm import MadVMScheduler
-from repro.baselines.mmt.scheduler import MMTScheduler
 from repro.mdp.interfaces import Scheduler
-
-#: Factory signature: given a (reset) simulation, build a fresh scheduler.
-SchedulerFactory = Callable[[Simulation], Scheduler]
 
 
 def run_scheduler(
@@ -27,13 +20,14 @@ def run_scheduler(
 
 def run_comparison(
     simulation: Simulation,
-    factories: Dict[str, SchedulerFactory],
+    factories: Dict[str, Callable[[Simulation], Scheduler]],
     num_steps: Optional[int] = None,
 ) -> Dict[str, SimulationResult]:
     """Run several schedulers on identical replays of the same workload.
 
     Each scheduler sees the same initial placement and the same trace, so
     differences in the results are attributable to the scheduler alone.
+    A :class:`~repro.engine.registry.SchedulerSpec` is such a factory.
     """
     results: Dict[str, SimulationResult] = {}
     for name, factory in factories.items():
@@ -41,77 +35,3 @@ def run_comparison(
         scheduler = factory(simulation)
         results[name] = simulation.run(scheduler, num_steps=num_steps)
     return results
-
-
-def mmt_factories(
-    detectors: Sequence[str] = ("THR", "IQR", "MAD", "LR", "LRR"),
-    thr_threshold: float = 0.7,
-) -> Dict[str, SchedulerFactory]:
-    """Factories for the paper's five MMT contenders."""
-
-    def make(name: str) -> SchedulerFactory:
-        def factory(simulation: Simulation) -> Scheduler:
-            if name == "THR":
-                return MMTScheduler(
-                    "THR", utilization_threshold=thr_threshold
-                )
-            return MMTScheduler(name)
-
-        return factory
-
-    return {f"{name}-MMT": make(name) for name in detectors}
-
-
-def megh_factory(
-    config: Optional[MeghConfig] = None, seed: int = 0
-) -> SchedulerFactory:
-    """Factory for a Megh agent sized to the simulation at run time."""
-
-    def factory(simulation: Simulation) -> Scheduler:
-        return MeghScheduler.from_simulation(
-            simulation, config=config, seed=seed
-        )
-
-    return factory
-
-
-def madvm_factory(seed: int = 0, **kwargs) -> SchedulerFactory:
-    """Factory for a MadVM agent sized to the simulation at run time."""
-
-    def factory(simulation: Simulation) -> Scheduler:
-        return MadVMScheduler.from_simulation(
-            simulation, seed=seed, **kwargs
-        )
-
-    return factory
-
-
-def paper_factories(
-    megh_config: Optional[MeghConfig] = None,
-    include_madvm: bool = False,
-    seed: int = 0,
-) -> Dict[str, SchedulerFactory]:
-    """The Table-2/3 line-up: five MMT variants plus Megh (and MadVM)."""
-    factories = mmt_factories()
-    factories["Megh"] = megh_factory(config=megh_config, seed=seed)
-    if include_madvm:
-        factories["MadVM"] = madvm_factory(seed=seed)
-    return factories
-
-
-def comparison_rows(
-    results: Dict[str, SimulationResult]
-) -> List[Dict[str, object]]:
-    """Flatten results into Table-2/3 style rows."""
-    rows = []
-    for name, result in results.items():
-        rows.append(
-            {
-                "algorithm": name,
-                "total_cost_usd": round(result.total_cost_usd, 2),
-                "num_migrations": result.total_migrations,
-                "mean_active_hosts": round(result.mean_active_hosts, 1),
-                "exec_time_ms": round(result.mean_scheduler_ms, 3),
-            }
-        )
-    return rows

@@ -1,27 +1,25 @@
-"""Generic parameter sweeps over Megh configurations.
+"""Parameter sweeps over Megh configurations: the one sweep path.
 
-Figure 8 sweeps two specific knobs; research use wants arbitrary ones
-("what if gamma were 0.9 and the cap 10 %?").  :func:`sweep_megh` runs a
-grid over any :class:`~repro.config.MeghConfig` fields (one simulation
-rebuild per cell per seed), aggregates per-step-cost distributions, and
-returns typed results the sensitivity benches and notebooks can render.
+:func:`sweep_megh` runs a grid over any :class:`~repro.config.MeghConfig`
+fields as engine jobs (one simulation rebuild per cell per seed),
+aggregates per-step-cost distributions, and returns typed cells.  Figure
+8's Temp0 and epsilon sweeps are two one-field grids over it
+(:mod:`repro.harness.experiments`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cloudsim.simulation import Simulation
 from repro.config import MeghConfig
-from repro.core.agent import MeghScheduler
 from repro.errors import ConfigurationError
 
-#: Builds a fresh simulation for a given seed.
-SimulationBuilder = Callable[[int], Simulation]
+if TYPE_CHECKING:  # the engine loads on first use, not with the package
+    from repro.engine import BuilderSpec, ExecutionEngine
 
 
 @dataclass(frozen=True)
@@ -66,23 +64,20 @@ def _cell_from_results(
 
 
 def sweep_megh(
-    builder: SimulationBuilder,
+    builder: BuilderSpec,
     grid: Dict[str, Sequence[object]],
-    base_config: MeghConfig | None = None,
+    base_config: Optional[MeghConfig] = None,
     seeds: Sequence[int] = (0,),
-    engine=None,
+    engine: Optional[ExecutionEngine] = None,
 ) -> List[SweepCell]:
     """Run Megh over the Cartesian product of ``grid``'s values.
 
     ``grid`` maps :class:`MeghConfig` field names to the values to try;
     unknown field names raise immediately.  Each cell runs once per
-    seed; per-step costs pool across seeds.
-
-    ``engine`` (an :class:`repro.engine.ExecutionEngine`) submits the
-    whole grid — every cell × seed — as one batch of jobs, so a sweep
-    parallelizes across cells as well as seeds and replays unchanged
-    cells from cache.  The engine path requires ``builder`` to be a
-    :class:`repro.engine.registry.BuilderSpec`.
+    seed; per-step costs pool across seeds.  The whole grid — every
+    cell × seed — is one batch of engine jobs, so ``engine`` can spread
+    it over workers and replay unchanged cells from its cache; the
+    default runs it inline.
     """
     if not grid:
         raise ConfigurationError("grid must name at least one parameter")
@@ -101,32 +96,13 @@ def sweep_megh(
     configs = [
         replace(base, **dict(zip(names, values))) for values in points
     ]
-    if engine is not None:
-        per_cell = engine.run_sweep(builder, configs, seeds)
-        return [
-            _cell_from_results(tuple(zip(names, values)), results, len(seeds))
-            for values, results in zip(points, per_cell)
-        ]
-    cells: List[SweepCell] = []
-    for values, config in zip(points, configs):
-        results = []
-        for seed in seeds:
-            simulation = builder(seed)
-            agent = MeghScheduler.from_simulation(
-                simulation, config=config, seed=seed
-            )
-            results.append(simulation.run(agent))
-        cells.append(
-            _cell_from_results(tuple(zip(names, values)), results, len(seeds))
-        )
-    return cells
+    from repro.engine import ExecutionEngine
 
-
-def best_cell(cells: Sequence[SweepCell]) -> SweepCell:
-    """The grid point with the lowest mean total cost."""
-    if not cells:
-        raise ConfigurationError("no sweep cells to choose from")
-    return min(cells, key=lambda cell: cell.mean_total_cost)
+    per_cell = (engine or ExecutionEngine()).run_sweep(builder, configs, seeds)
+    return [
+        _cell_from_results(tuple(zip(names, values)), results, len(seeds))
+        for values, results in zip(points, per_cell)
+    ]
 
 
 def render_sweep(cells: Sequence[SweepCell], title: str = "") -> str:

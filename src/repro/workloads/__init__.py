@@ -32,15 +32,6 @@ from repro.workloads.queueing import (
     expected_busy_fraction,
     generate_queueing_workload,
 )
-from repro.workloads.traces import (
-    export_task_events,
-    load_task_events,
-    load_workload_csv,
-    load_workload_npz,
-    read_task_events,
-    save_workload_csv,
-    save_workload_npz,
-)
 from repro.workloads.statistics import (
     WorkloadStatistics,
     cullen_frey_coordinates,
@@ -69,13 +60,6 @@ __all__ = [
     "QueueingWorkloadConfig",
     "generate_queueing_workload",
     "expected_busy_fraction",
-    "save_workload_npz",
-    "load_workload_npz",
-    "save_workload_csv",
-    "load_workload_csv",
-    "export_task_events",
-    "read_task_events",
-    "load_task_events",
     "WorkloadStatistics",
     "summarize_workload",
     "cullen_frey_coordinates",

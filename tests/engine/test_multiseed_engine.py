@@ -1,9 +1,10 @@
-"""End-to-end: run_multi_seed through the engine vs the legacy loop.
+"""End-to-end: run_multi_seed through the engine vs an in-process loop.
 
-The tentpole guarantee: routing the seed × scheduler matrix through the
-execution engine produces aggregates bit-identical to the serial
-harness for every simulated metric, and a warm cache replays the whole
-matrix without executing a single simulation.
+Routing the seed × scheduler matrix through the execution engine
+produces aggregates bit-identical, for every simulated metric, to a
+reference that runs :func:`run_comparison` on a freshly built simulation
+per seed, and a warm cache replays the whole matrix without executing a
+single simulation.
 """
 
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from repro.engine import events as ev
 from repro.engine.pool import ExecutionEngine
 from repro.engine.registry import BuilderSpec, SchedulerSpec
-from repro.harness.multiseed import run_multi_seed
+from repro.harness.multiseed import aggregate_seed_results, run_multi_seed
+from repro.harness.runner import run_comparison
 
 SEEDS = [0, 1, 2]
 
@@ -45,7 +47,9 @@ def assert_aggregates_identical(legacy, engine_aggregates):
 
 class TestEngineEquivalence:
     def test_engine_matches_legacy_loop(self, builder, factories):
-        legacy = run_multi_seed(builder, factories, seeds=SEEDS)
+        legacy = aggregate_seed_results(
+            [run_comparison(builder(seed), factories) for seed in SEEDS]
+        )
         engine = ExecutionEngine(jobs=1)
         via_engine = run_multi_seed(
             builder, factories, seeds=SEEDS, engine=engine

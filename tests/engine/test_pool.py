@@ -179,6 +179,13 @@ class TestExecutionEngineFacade:
                 lambda seed: None, {"x": lambda sim: None}, [0]
             )
 
+    def test_plain_callables_rejected_inline(self):
+        engine = ExecutionEngine(jobs=1)
+        with pytest.raises(ConfigurationError, match="registry-backed"):
+            engine.run_matrix(
+                lambda seed: None, {"x": lambda sim: None}, [0]
+            )
+
     def test_plain_callables_rejected_with_cache(self, tmp_path):
         engine = ExecutionEngine(jobs=1, cache_dir=tmp_path)
         with pytest.raises(ConfigurationError, match="registry-backed"):

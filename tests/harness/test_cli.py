@@ -110,6 +110,37 @@ class TestCliConfigurationErrors:
         assert message in completed.stderr
         assert len(completed.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "experiment, flag",
+        [
+            ("fig7", ["--jobs", "2"]),
+            ("fig7", ["--cache-dir", "cache"]),
+            ("profile", ["--journal", "journal.jsonl"]),
+        ],
+    )
+    def test_engine_flags_on_in_process_experiment_exit_2(
+        self, tmp_path, experiment, flag
+    ):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", experiment,
+                "--steps", "2", *flag,
+            ],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        assert "Traceback" not in completed.stderr
+        assert "do not apply to " + experiment in completed.stderr
+        assert len(completed.stderr.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("under", [False, True])
     def test_kernel_cache_at_or_under_a_file_exits_2(self, tmp_path, under):
         blocker = tmp_path / "not-a-directory"

@@ -1,7 +1,19 @@
 """Tests for the experiment presets (scaled way down for test speed)."""
 
+import numpy as np
 import pytest
 
+from repro.config import MeghConfig
+from repro.core.agent import MeghScheduler
+from repro.engine import ExecutionEngine
+from repro.engine import events as ev
+from repro.engine.registry import (
+    SchedulerSpec,
+    spec_mmt_factories,
+    spec_paper_factories,
+)
+from repro.harness.builders import build_planetlab_simulation
+from repro.harness.runner import run_comparison
 from repro.harness.experiments import (
     ExperimentPreset,
     PRESETS,
@@ -115,25 +127,117 @@ class TestQTableGrowth:
 
 class TestSensitivity:
     def test_temperature_sweep_shape(self):
-        points = run_temperature_sensitivity(
+        cells = run_temperature_sensitivity(
             temperatures=(1.0, 3.0),
             repeats=1,
             num_pms=4,
             num_vms=6,
             num_steps=10,
         )
-        assert [p.value for p in points] == [1.0, 3.0]
-        for point in points:
-            assert point.parameter == "Temp0"
-            assert point.p10_cost <= point.median_cost <= point.p90_cost
+        assert [c.parameter_dict() for c in cells] == [
+            {"initial_temperature": 1.0},
+            {"initial_temperature": 3.0},
+        ]
+        for cell in cells:
+            assert cell.repeats == 1
+            assert (
+                cell.p10_step_cost
+                <= cell.median_step_cost
+                <= cell.p90_step_cost
+            )
 
     def test_epsilon_sweep_shape(self):
-        points = run_epsilon_sensitivity(
+        cells = run_epsilon_sensitivity(
             epsilons=(0.01, 0.1),
             repeats=1,
             num_pms=4,
             num_vms=6,
             num_steps=10,
         )
-        assert [p.value for p in points] == [0.01, 0.1]
-        assert all(p.parameter == "epsilon" for p in points)
+        assert [c.parameter_dict() for c in cells] == [
+            {"temperature_decay": 0.01},
+            {"temperature_decay": 0.1},
+        ]
+
+
+def simulated(result) -> dict:
+    """``result.to_dict()`` without the wall-clock ``scheduler_seconds``."""
+    data = result.to_dict()
+    for step in data["steps"]:
+        del step["scheduler_seconds"]
+    return data
+
+
+class TestSinglePath:
+    """Each experiment's engine jobs equal an in-process reference run."""
+
+    @pytest.mark.parametrize("experiment", ["table2", "fig2", "fig4"])
+    def test_matches_in_process_comparison(self, experiment):
+        preset = ExperimentPreset(
+            **{**PRESETS[experiment].__dict__, "num_steps": 20}
+        )
+        if experiment == "table2":
+            specs = spec_paper_factories(seed=preset.seed)
+            results = run_table_experiment(preset)
+        elif experiment == "fig2":
+            specs = {
+                "THR-MMT": spec_mmt_factories(detectors=("THR",))["THR-MMT"],
+                "Megh": SchedulerSpec.create("megh", seed=preset.seed),
+            }
+            results = run_megh_vs_thr(preset)
+        else:
+            specs = {
+                "Megh": SchedulerSpec.create("megh", seed=preset.seed),
+                "MadVM": SchedulerSpec.create("madvm", seed=preset.seed),
+            }
+            results = run_megh_vs_madvm(preset)
+        reference = run_comparison(preset.build(), specs)
+        assert list(results) == list(reference)
+        for name in reference:
+            assert simulated(results[name]) == simulated(reference[name])
+
+    @pytest.mark.parametrize(
+        "parameter, values",
+        [("Temp0", (1.0, 5.0)), ("epsilon", (0.001, 1.0))],
+    )
+    def test_fig8_cells_match_pooled_reference(self, parameter, values):
+        size = {"num_pms": 4, "num_vms": 6, "num_steps": 15}
+        repeats = 2
+        if parameter == "Temp0":
+            cells = run_temperature_sensitivity(
+                temperatures=values, repeats=repeats, **size
+            )
+            configs = [
+                MeghConfig(initial_temperature=v, temperature_decay=0.001)
+                for v in values
+            ]
+        else:
+            cells = run_epsilon_sensitivity(
+                epsilons=values, repeats=repeats, **size
+            )
+            configs = [
+                MeghConfig(initial_temperature=1.0, temperature_decay=v)
+                for v in values
+            ]
+        assert len(cells) == len(values)
+        for cell, config in zip(cells, configs):
+            costs = []
+            for repeat in range(repeats):
+                simulation = build_planetlab_simulation(seed=repeat, **size)
+                agent = MeghScheduler.from_simulation(
+                    simulation, config=config, seed=repeat
+                )
+                result = simulation.run(agent)
+                costs.extend(result.metrics.per_step_cost_series())
+            data = np.asarray(costs)
+            assert cell.repeats == repeats
+            assert cell.median_step_cost == float(np.median(data))
+            assert cell.p10_step_cost == float(np.quantile(data, 0.10))
+            assert cell.p90_step_cost == float(np.quantile(data, 0.90))
+
+    def test_scalability_grid_runs_as_engine_jobs(self):
+        engine = ExecutionEngine()
+        points = run_scalability_grid(
+            sizes=((4, 5), (8, 10)), num_steps=5, engine=engine
+        )
+        assert engine.journal.count(ev.FINISHED) == len(points) == 4

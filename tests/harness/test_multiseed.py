@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.baselines.noop import NoMigrationScheduler
-from repro.baselines.random_policy import RandomScheduler
+from repro.engine.registry import BuilderSpec, SchedulerSpec
 from repro.errors import ConfigurationError
-from repro.harness.builders import build_planetlab_simulation
 from repro.harness.multiseed import (
     MetricSummary,
     cheapest_algorithm,
@@ -14,15 +12,11 @@ from repro.harness.multiseed import (
 )
 
 
-def builder(seed: int):
-    return build_planetlab_simulation(
-        num_pms=4, num_vms=6, num_steps=15, seed=seed
-    )
-
+builder = BuilderSpec.create("planetlab", num_pms=4, num_vms=6, num_steps=15)
 
 FACTORIES = {
-    "NoMig": lambda sim: NoMigrationScheduler(),
-    "Random": lambda sim: RandomScheduler(migrations_per_step=1, seed=0),
+    "NoMig": SchedulerSpec.create("noop"),
+    "Random": SchedulerSpec.create("random", migrations_per_step=1, seed=0),
 }
 
 
@@ -76,9 +70,7 @@ class TestRunMultiSeed:
         # Two factories producing *identical* runs (same scheduler, same
         # seed) tie exactly on total cost; the win must go to the
         # lexicographically smaller name regardless of insertion order.
-        def noop(sim):
-            return NoMigrationScheduler()
-
+        noop = SchedulerSpec.create("noop")
         forward = run_multi_seed(
             builder, {"Alpha": noop, "Beta": noop}, seeds=[0]
         )

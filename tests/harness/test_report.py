@@ -10,7 +10,8 @@ from repro.harness.report import (
     markdown_table,
     save_report,
 )
-from repro.harness.runner import megh_factory, run_comparison
+from repro.engine.registry import SchedulerSpec
+from repro.harness.runner import run_comparison
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +21,7 @@ def results():
         sim,
         {
             "NoMig": lambda s: NoMigrationScheduler(),
-            "Megh": megh_factory(seed=0),
+            "Megh": SchedulerSpec.create("megh", seed=0),
         },
     )
 

@@ -3,6 +3,11 @@
 import pytest
 
 from repro.baselines.noop import NoMigrationScheduler
+from repro.engine.registry import (
+    SchedulerSpec,
+    spec_mmt_factories,
+    spec_paper_factories,
+)
 from repro.harness.builders import build_planetlab_simulation
 from repro.harness.figures import (
     downsample,
@@ -10,15 +15,7 @@ from repro.harness.figures import (
     render_figure,
     render_panel,
 )
-from repro.harness.runner import (
-    comparison_rows,
-    madvm_factory,
-    megh_factory,
-    mmt_factories,
-    paper_factories,
-    run_comparison,
-    run_scheduler,
-)
+from repro.harness.runner import run_comparison, run_scheduler
 from repro.harness.tables import comparison_table, format_table, render_comparison
 
 
@@ -27,7 +24,7 @@ def small_results():
     sim = build_planetlab_simulation(num_pms=5, num_vms=7, num_steps=15)
     factories = {
         "NoMig": lambda s: NoMigrationScheduler(),
-        "Megh": megh_factory(seed=0),
+        "Megh": SchedulerSpec.create("megh", seed=0),
     }
     return run_comparison(sim, factories)
 
@@ -50,7 +47,7 @@ class TestRunner:
         assert lengths == {15}
 
     def test_mmt_factories_cover_paper_variants(self):
-        assert set(mmt_factories()) == {
+        assert set(spec_mmt_factories()) == {
             "THR-MMT",
             "IQR-MMT",
             "MAD-MMT",
@@ -59,22 +56,16 @@ class TestRunner:
         }
 
     def test_paper_factories_include_megh(self):
-        factories = paper_factories(include_madvm=True)
+        factories = spec_paper_factories(include_madvm=True)
         assert "Megh" in factories
         assert "MadVM" in factories
 
     def test_factories_build_named_schedulers(self):
         sim = build_planetlab_simulation(num_pms=3, num_vms=4, num_steps=5)
-        assert mmt_factories()["THR-MMT"](sim).name == "THR-MMT"
-        assert megh_factory()(sim).name == "Megh"
-        assert madvm_factory()(sim).name == "MadVM"
-
-    def test_comparison_rows(self, small_results):
-        rows = comparison_rows(small_results)
-        assert len(rows) == 2
-        assert {row["algorithm"] for row in rows} == {"NoMig", "Megh"}
-        for row in rows:
-            assert row["total_cost_usd"] >= 0.0
+        factories = spec_paper_factories(include_madvm=True)
+        assert factories["THR-MMT"](sim).name == "THR-MMT"
+        assert factories["Megh"](sim).name == "Megh"
+        assert factories["MadVM"](sim).name == "MadVM"
 
 
 class TestTables:

@@ -3,15 +3,11 @@
 import pytest
 
 from repro.config import MeghConfig
+from repro.engine.registry import BuilderSpec
 from repro.errors import ConfigurationError
-from repro.harness.builders import build_planetlab_simulation
-from repro.harness.sweeps import best_cell, render_sweep, sweep_megh
+from repro.harness.sweeps import render_sweep, sweep_megh
 
-
-def builder(seed: int):
-    return build_planetlab_simulation(
-        num_pms=4, num_vms=6, num_steps=12, seed=seed
-    )
+builder = BuilderSpec.create("planetlab", num_pms=4, num_vms=6, num_steps=12)
 
 
 class TestSweep:
@@ -69,21 +65,12 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             sweep_megh(builder, grid={"gamma": [0.5]}, seeds=[])
 
+    def test_plain_builder_rejected(self):
+        with pytest.raises(ConfigurationError, match="registry-backed"):
+            sweep_megh(lambda seed: None, grid={"gamma": [0.5]})
+
 
 class TestHelpers:
-    def test_best_cell(self):
-        cells = sweep_megh(
-            builder, grid={"gamma": [0.3, 0.7]}, seeds=[0]
-        )
-        best = best_cell(cells)
-        assert best.mean_total_cost == min(
-            cell.mean_total_cost for cell in cells
-        )
-
-    def test_best_cell_empty(self):
-        with pytest.raises(ConfigurationError):
-            best_cell([])
-
     def test_render(self):
         cells = sweep_megh(builder, grid={"gamma": [0.5]}, seeds=[0])
         text = render_sweep(cells, title="sweep")

@@ -5,7 +5,9 @@ These are the historical scalar formulas of
 first) at a time.  :class:`ScalarDetector` evaluates them with a batched
 detector's parameters; :class:`ShadowDetector` serves a whole ``(W, M)``
 history matrix column by column through them, so a scheduler can run on
-the oracle in place of its batched detector.
+the oracle in place of its batched detector.  Sums run left to right
+(:func:`~tests.oracles.boltzmann.left_to_right_sum`), not through the
+builtin float ``sum``, which Python 3.12 compensates.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.cloudsim.monitor import (
     interquartile_range,
     median_absolute_deviation,
 )
+from tests.oracles.boltzmann import left_to_right_sum
 
 
 def _least_squares_fit(ys: Sequence[float]) -> Tuple[float, float]:
@@ -25,11 +28,13 @@ def _least_squares_fit(ys: Sequence[float]) -> Tuple[float, float]:
     n = len(ys)
     xs = range(n)
     mean_x = (n - 1) / 2.0
-    mean_y = sum(ys) / n
-    den = sum((x - mean_x) ** 2 for x in xs)
+    mean_y = left_to_right_sum(ys) / n
+    den = left_to_right_sum([(x - mean_x) ** 2 for x in xs])
     if den <= 0.0:
         return (mean_y, 0.0)
-    num = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    num = left_to_right_sum(
+        [(x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)]
+    )
     slope = num / den
     return (mean_y - slope * mean_x, slope)
 
@@ -38,18 +43,19 @@ def _weighted_fit(
     ys: Sequence[float], weights: Sequence[float]
 ) -> Tuple[float, float]:
     """Weighted least squares ``y = a + b x`` over ``x = 0..len-1``."""
-    total = sum(weights)
+    total = left_to_right_sum(weights)
     if total <= 0.0:
         return _least_squares_fit(ys)
     xs = range(len(ys))
-    mean_x = sum(w * x for w, x in zip(weights, xs)) / total
-    mean_y = sum(w * y for w, y in zip(weights, ys)) / total
-    den = sum(w * (x - mean_x) ** 2 for w, x in zip(weights, xs))
+    mean_x = left_to_right_sum([w * x for w, x in zip(weights, xs)]) / total
+    mean_y = left_to_right_sum([w * y for w, y in zip(weights, ys)]) / total
+    den = left_to_right_sum(
+        [w * (x - mean_x) ** 2 for w, x in zip(weights, xs)]
+    )
     if den <= 0.0:
         return (mean_y, 0.0)
-    num = sum(
-        w * (x - mean_x) * (y - mean_y)
-        for w, x, y in zip(weights, xs, ys)
+    num = left_to_right_sum(
+        [w * (x - mean_x) * (y - mean_y) for w, x, y in zip(weights, xs, ys)]
     )
     slope = num / den
     return (mean_y - slope * mean_x, slope)
