@@ -18,11 +18,9 @@ project invariants:
   packages (MEGH012, MEGH019–MEGH023);
 * an engine (:mod:`repro.analysis.engine`) that walks files, parses each
   module once for every pass, applies the rules, honours
-  ``# meghlint: ignore[RULE] -- reason`` suppressions, and reports
-  directives that never fire;
-* an accepted-findings baseline (:mod:`repro.analysis.baseline`) gating
-  CI on *no new findings* with a written reason per entry;
-* text and JSON reporters (:mod:`repro.analysis.reporting`);
+  ``# meghlint: ignore[RULE] -- reason`` suppressions — the one way to
+  accept a finding — and reports directives that never fire;
+* text, JSON and SARIF reporters (:mod:`repro.analysis.reporting`);
 * a CLI (:mod:`repro.analysis.cli`), reachable as ``repro lint`` /
   ``megh-repro lint`` or ``python -m repro.analysis``.
 
@@ -30,21 +28,12 @@ The runtime counterpart — contracts that audit the live LSPI state —
 lives in :mod:`repro.core.contracts`.
 """
 
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineEntry,
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    update_baseline,
-)
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.engine import (
     UNUSED_SUPPRESSION_RULE,
     LintConfig,
     LintResult,
     ParsedModule,
-    lint_file,
     lint_paths,
     lint_source,
     parse_module,
@@ -60,7 +49,6 @@ __all__ = [
     "LintResult",
     "ParsedModule",
     "parse_module",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "render_json",
@@ -71,10 +59,4 @@ __all__ = [
     "Rule",
     "all_rule_ids",
     "UNUSED_SUPPRESSION_RULE",
-    "Baseline",
-    "BaselineEntry",
-    "BaselineError",
-    "apply_baseline",
-    "load_baseline",
-    "update_baseline",
 ]

@@ -1,27 +1,17 @@
 """``repro lint`` — the meghlint command-line front end.
 
-Exit codes: 0 when clean, 1 when any finding survives suppression and
-baseline (or, under ``--strict-suppressions``, when stale suppressions
-or stale baseline entries exist), 2 on usage errors (unknown rule id,
-missing path, malformed baseline) **and** on analyzer crashes — CI
-treats 1 as "fix your findings" and 2 as "fix the linter".
+Exit codes: 0 when clean, 1 when any finding survives suppression (or,
+under ``--strict-suppressions``, when a suppression never fires), 2 on
+usage errors (unknown rule id, missing path) **and** on analyzer crashes
+— CI treats 1 as "fix your findings" and 2 as "fix the linter".
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    update_baseline,
-)
-from repro.analysis.cache import LintCache
 from repro.analysis.engine import (
     UNUSED_SUPPRESSION_RULE,
     LintConfig,
@@ -69,37 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "directory for the content-hash result cache; warm runs "
-            "skip re-analysis of unchanged files"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "accepted-findings file; matching findings are absorbed "
-            "so only new ones fail the run"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "rewrite the --baseline file from the current findings "
-            "(reasons carry over for surviving entries) and exit 0"
-        ),
-    )
-    parser.add_argument(
         "--strict-suppressions",
         action="store_true",
         help=(
-            "fail (exit 1) on suppression comments that never fire "
-            "and on stale baseline entries"
+            "fail (exit 1) on suppression comments that never fire"
         ),
     )
     parser.add_argument(
@@ -144,62 +107,24 @@ def run(argv: Optional[List[str]] = None) -> int:
     if args.list_rules:
         _print_rules()
         return 0
-    if args.update_baseline and args.baseline is None:
-        return _error("error: --update-baseline requires --baseline")
     try:
         config = LintConfig(
             select=_split_rule_ids(args.select),
             ignore=_split_rule_ids(args.ignore),
         )
-        config.validate()  # fail on unknown ids before touching the fs
-        previous: Optional[Baseline] = None
-        if args.baseline is not None and not args.update_baseline:
-            previous = load_baseline(args.baseline)
-        elif args.update_baseline and Path(args.baseline).exists():
-            previous = load_baseline(args.baseline)
-        cache = (
-            LintCache(args.cache_dir) if args.cache_dir is not None else None
-        )
-    except (ValueError, FileNotFoundError, BaselineError) as error:
-        return _error(f"error: {error}")
-    try:
-        result = lint_paths(args.paths, config, cache=cache)
-        if args.update_baseline:
-            fresh = update_baseline(result, previous)
-            fresh.save(args.baseline)
-            if previous is not None:
-                surviving = {entry.key() for entry in fresh.entries}
-                for entry in previous.entries:
-                    if entry.key() not in surviving:
-                        print(
-                            f"repro lint: purged baseline entry "
-                            f"{entry.rule} for {entry.path} (no matching "
-                            "finding remains)"
-                        )
-            print(
-                f"repro lint: baseline {args.baseline} updated with "
-                f"{len(fresh.entries)} entr"
-                + ("y" if len(fresh.entries) == 1 else "ies")
-            )
-            return 0
-        if previous is not None:
-            apply_baseline(result, previous)
+        result = lint_paths(args.paths, config)
     except (ValueError, FileNotFoundError) as error:
         return _error(f"error: {error}")
     except Exception as error:  # noqa: BLE001 — crash, not finding
         return _error(f"internal error: {type(error).__name__}: {error}")
-    strict_failures = args.strict_suppressions and (
-        bool(result.unused_suppressions) or bool(result.stale_baseline)
-    )
     if args.format == "json":
         print(render_json(result))
     elif args.format == "sarif":
         print(render_sarif(result))
     else:
         print(render_text(result, strict=args.strict_suppressions))
-    if not result.clean:
-        return 1
-    return 1 if strict_failures else 0
+    stale = args.strict_suppressions and bool(result.unused_suppressions)
+    return 1 if not result.clean or stale else 0
 
 
 if __name__ == "__main__":

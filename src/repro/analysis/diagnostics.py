@@ -46,18 +46,6 @@ class Diagnostic:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Union[str, int]]) -> "Diagnostic":
-        """Inverse of :meth:`to_dict` (used by the lint result cache)."""
-        return cls(
-            path=str(raw["path"]),
-            line=int(raw["line"]),
-            column=int(raw["column"]),
-            rule_id=str(raw["rule"]),
-            severity=Severity(str(raw["severity"])),
-            message=str(raw["message"]),
-        )
-
 
 def sort_key(diagnostic: Diagnostic) -> tuple:
     """Stable presentation order: by file, then position, then rule."""

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.cache import FileRecord, LintCache
 from repro.analysis.diagnostics import Diagnostic, Severity, sort_key
 from repro.analysis.flow import FLOW_RULES, build_project, run_flow
 from repro.analysis.rules import Rule, RuleContext, build_rules
@@ -162,17 +161,10 @@ class LintResult:
     diagnostics: List[Diagnostic] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    #: Findings absorbed by an accepted-findings baseline.
-    baselined: int = 0
-    #: Human-readable notes for baseline entries that over-count.
-    stale_baseline: List[str] = field(default_factory=list)
     #: ``MEGH013`` diagnostics for directives that never fired.  Kept
     #: out of ``diagnostics`` so they inform without failing the run;
     #: ``--strict-suppressions`` promotes them.
     unused_suppressions: List[Diagnostic] = field(default_factory=list)
-    #: Result-cache accounting (``None`` when no ``--cache-dir`` given).
-    cache_hits: Optional[int] = None
-    cache_misses: Optional[int] = None
 
     @property
     def errors(self) -> int:
@@ -328,19 +320,6 @@ def lint_source(
     return result
 
 
-def lint_file(
-    path: Union[str, Path],
-    config: Optional[LintConfig] = None,
-    result: Optional[LintResult] = None,
-) -> LintResult:
-    """Lint one file on disk (per-file rules only)."""
-    file_path = Path(path)
-    source = file_path.read_text(encoding="utf-8")
-    return lint_source(
-        source, path=str(file_path), config=config, result=result
-    )
-
-
 def iter_python_files(
     paths: Iterable[Union[str, Path]],
     config: Optional[LintConfig] = None,
@@ -393,30 +372,9 @@ def _collect_unused_suppressions(
             )
 
 
-def _suppression_marks(
-    module: ParsedModule, before: Dict[int, int]
-) -> Dict[str, int]:
-    """``line -> times fired`` since the ``before`` snapshot."""
-    marks: Dict[str, int] = {}
-    for line, suppression in module.suppressions.items():
-        delta = suppression.used - before.get(line, 0)
-        if delta > 0:
-            marks[str(line)] = delta
-    return marks
-
-
-def _replay_marks(module: ParsedModule, marks: Dict[str, int]) -> None:
-    """Re-apply cached suppression usage so MEGH013 stays exact."""
-    for line, count in marks.items():
-        suppression = module.suppressions.get(int(line))
-        if suppression is not None:
-            suppression.used += count
-
-
 def lint_paths(
     paths: Iterable[Union[str, Path]],
     config: Optional[LintConfig] = None,
-    cache: Optional[LintCache] = None,
 ) -> LintResult:
     """Lint every ``.py`` file under the given files/directories.
 
@@ -429,128 +387,36 @@ def lint_paths(
     config = config or LintConfig()
     config.validate()
     result = LintResult()
-    fingerprint = (
-        cache.config_fingerprint(config.select, config.ignore)
-        if cache is not None
-        else ""
-    )
     modules: List[ParsedModule] = []
-    shas: List[Tuple[str, str]] = []
     for file_path in iter_python_files(paths, config):
         source = file_path.read_text(encoding="utf-8")
-        # Always parse: the whole-program pass needs every AST, and the
-        # parse-once discipline is load-bearing.  A cache hit skips the
-        # per-file *rule execution*, nothing else.
         module = parse_module(source, path=str(file_path))
         modules.append(module)
-        if cache is None:
-            _apply_file_rules(module, config, result)
-            continue
-        sha = LintCache.source_sha(source)
-        shas.append((module.path, sha))
-        record = cache.lookup(module.path, sha, fingerprint)
-        if record is not None:
-            result.files_checked += 1
-            result.diagnostics.extend(record.replay_diagnostics())
-            result.suppressed += record.suppressed
-            _replay_marks(module, record.marks.get(module.path, {}))
-        else:
-            diagnostics_before = len(result.diagnostics)
-            suppressed_before = result.suppressed
-            used_before = {
-                line: suppression.used
-                for line, suppression in module.suppressions.items()
-            }
-            _apply_file_rules(module, config, result)
-            cache.store(
-                module.path,
-                fingerprint,
-                FileRecord(
-                    sha=sha,
-                    diagnostics=[
-                        diagnostic.to_dict()
-                        for diagnostic in result.diagnostics[
-                            diagnostics_before:
-                        ]
-                    ],
-                    suppressed=result.suppressed - suppressed_before,
-                    marks={
-                        module.path: _suppression_marks(module, used_before)
-                    },
-                ),
-            )
+        _apply_file_rules(module, config, result)
     if config.whole_program_enabled():
         by_path = {module.path: module for module in modules}
-        whole_record: Optional[FileRecord] = None
-        project_sha = ""
-        if cache is not None:
-            project_sha = LintCache.project_fingerprint(shas)
-            whole_record = cache.lookup_whole_program(
-                fingerprint, project_sha
-            )
-        if whole_record is not None:
-            result.diagnostics.extend(whole_record.replay_diagnostics())
-            result.suppressed += whole_record.suppressed
-            for path, marks in whole_record.marks.items():
-                module_for = by_path.get(path)
-                if module_for is not None:
-                    _replay_marks(module_for, marks)
-        else:
-            flow_input = [
-                (module.path, module.tree)
-                for module in modules
-                if module.tree is not None and not module.skipped
-            ]
-            select, ignore = config.flow_rule_sets()
-            # Build the project model once; meghflow and meghshape both
-            # consume the same instance (parse-once extends to
-            # build-once).
-            project = build_project(flow_input)
-            whole_program = run_flow(
-                flow_input, select, ignore, project=project
-            ) + run_shape(flow_input, select, ignore, project=project)
-            used_before_all = {
-                module.path: {
-                    line: suppression.used
-                    for line, suppression in module.suppressions.items()
-                }
-                for module in modules
-            }
-            kept: List[Diagnostic] = []
-            suppressed_delta = 0
-            for diagnostic in whole_program:
-                module_for = by_path.get(str(diagnostic.path))
-                if module_for is not None and _consume_suppression(
-                    module_for, diagnostic
-                ):
-                    result.suppressed += 1
-                    suppressed_delta += 1
-                else:
-                    result.diagnostics.append(diagnostic)
-                    kept.append(diagnostic)
-            if cache is not None:
-                all_marks: Dict[str, Dict[str, int]] = {}
-                for module in modules:
-                    delta = _suppression_marks(
-                        module, used_before_all[module.path]
-                    )
-                    if delta:
-                        all_marks[module.path] = delta
-                cache.store_whole_program(
-                    fingerprint,
-                    FileRecord(
-                        sha=project_sha,
-                        diagnostics=[d.to_dict() for d in kept],
-                        suppressed=suppressed_delta,
-                        marks=all_marks,
-                    ),
-                )
+        flow_input = [
+            (module.path, module.tree)
+            for module in modules
+            if module.tree is not None and not module.skipped
+        ]
+        select, ignore = config.flow_rule_sets()
+        # Build the project model once; meghflow and meghshape both
+        # consume the same instance (parse-once extends to build-once).
+        project = build_project(flow_input)
+        whole_program = run_flow(
+            flow_input, select, ignore, project=project
+        ) + run_shape(flow_input, select, ignore, project=project)
+        for diagnostic in whole_program:
+            module_for = by_path.get(str(diagnostic.path))
+            if module_for is not None and _consume_suppression(
+                module_for, diagnostic
+            ):
+                result.suppressed += 1
+            else:
+                result.diagnostics.append(diagnostic)
     if config.unused_suppression_check_enabled():
         _collect_unused_suppressions(modules, result)
-    if cache is not None:
-        cache.save()
-        result.cache_hits = cache.hits
-        result.cache_misses = cache.misses
     result.diagnostics.sort(key=sort_key)
     result.unused_suppressions.sort(key=sort_key)
     return result

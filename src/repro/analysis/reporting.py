@@ -13,15 +13,12 @@ from repro.analysis.engine import UNUSED_SUPPRESSION_RULE, LintResult
 def render_text(result: LintResult, strict: bool = False) -> str:
     """One line per finding plus a summary, ruff/flake8 style.
 
-    Unused-suppression and stale-baseline notes print after the
-    findings; with ``strict`` they are labelled as failures (the CLI
-    turns them into exit code 1).
+    Unused-suppression notes print after the findings; with ``strict``
+    they are labelled as failures (the CLI turns them into exit code 1).
     """
     lines = [diagnostic.format() for diagnostic in result.diagnostics]
     for diagnostic in result.unused_suppressions:
         lines.append(diagnostic.format())
-    for note in result.stale_baseline:
-        lines.append(f"stale baseline entry: {note}")
     noun = "file" if result.files_checked == 1 else "files"
     if result.clean:
         summary = f"meghlint: ok — {result.files_checked} {noun} checked"
@@ -33,18 +30,11 @@ def render_text(result: LintResult, strict: bool = False) -> str:
         )
     if result.suppressed:
         summary += f", {result.suppressed} suppressed"
-    if result.baselined:
-        summary += f", {result.baselined} baselined"
-    if result.cache_hits is not None:
+    stale = len(result.unused_suppressions)
+    if stale:
         summary += (
-            f", cache: {result.cache_hits} hit(s), "
-            f"{result.cache_misses} miss(es)"
-        )
-    hygiene = len(result.unused_suppressions) + len(result.stale_baseline)
-    if hygiene:
-        summary += (
-            f", {hygiene} stale suppression/baseline entr"
-            + ("y" if hygiene == 1 else "ies")
+            f", {stale} stale suppression"
+            + ("" if stale == 1 else "s")
             + (" (failing: --strict-suppressions)" if strict else "")
         )
     lines.append(summary)
@@ -62,11 +52,7 @@ def render_json(result: LintResult) -> str:
             "errors": result.errors,
             "warnings": result.warnings,
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
             "unused_suppressions": len(result.unused_suppressions),
-            "stale_baseline": len(result.stale_baseline),
-            "cache_hits": result.cache_hits,
-            "cache_misses": result.cache_misses,
             "clean": result.clean,
         },
         "diagnostics": [
@@ -75,7 +61,6 @@ def render_json(result: LintResult) -> str:
         "unused_suppressions": [
             diagnostic.to_dict() for diagnostic in result.unused_suppressions
         ],
-        "stale_baseline": list(result.stale_baseline),
     }
     return json.dumps(document, indent=2, sort_keys=True)
 
@@ -147,8 +132,8 @@ def render_sarif(result: LintResult) -> str:
 
     One run, one driver ("meghlint"), every registered rule in the
     driver's rule table so code-scanning UIs can show titles.  Findings
-    and unused-suppression notes both become results; suppressed and
-    baselined findings are — by definition — absent.
+    and unused-suppression notes both become results; suppressed
+    findings are — by definition — absent.
     """
     document = {
         "$schema": (

@@ -1,8 +1,8 @@
 """The MMT dynamic-consolidation family (Beloglazov & Buyya).
 
 Three pluggable stages: overload *detection* (THR, IQR, MAD, LR, LRR),
-VM *selection* (minimum migration time, plus random and highest-demand
-variants), and *placement* (power-aware best-fit decreasing).
+VM *selection* (minimum migration time), and *placement* (power-aware
+best-fit decreasing).
 """
 
 from repro.baselines.mmt.detection import (
@@ -14,12 +14,7 @@ from repro.baselines.mmt.detection import (
     ThresholdDetector,
     make_detector,
 )
-from repro.baselines.mmt.selection import (
-    HighestDemandSelection,
-    MinimumMigrationTimeSelection,
-    RandomSelection,
-    VmSelectionPolicy,
-)
+from repro.baselines.mmt.selection import MinimumMigrationTimeSelection
 from repro.baselines.mmt.placement import power_aware_best_fit
 from repro.baselines.mmt.scheduler import MMTScheduler
 
@@ -31,10 +26,7 @@ __all__ = [
     "LocalRegressionDetector",
     "RobustLocalRegressionDetector",
     "make_detector",
-    "VmSelectionPolicy",
     "MinimumMigrationTimeSelection",
-    "RandomSelection",
-    "HighestDemandSelection",
     "power_aware_best_fit",
     "MMTScheduler",
 ]

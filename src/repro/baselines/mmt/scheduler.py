@@ -3,7 +3,7 @@
 Per step, exactly as in Beloglazov & Buyya's two-phase loop:
 
 1. **Overload relief** — for every host the detector flags, evict VMs in
-   selection order (MMT by default) until the host's projected
+   minimum-migration-time order until the host's projected
    utilization drops below the detector's threshold; destinations come
    from PABFD.
 2. **Underload consolidation** — visit non-overloaded active hosts from
@@ -17,7 +17,7 @@ migration counts and cost variance the paper contrasts Megh with.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -28,10 +28,7 @@ from repro.baselines.mmt.placement import (
     hosts_by_utilization,
     power_aware_best_fit,
 )
-from repro.baselines.mmt.selection import (
-    MinimumMigrationTimeSelection,
-    VmSelectionPolicy,
-)
+from repro.baselines.mmt.selection import MinimumMigrationTimeSelection
 from repro.mdp.interfaces import Observation
 
 
@@ -41,7 +38,6 @@ class MMTScheduler:
     Args:
         detector: overload-detection policy, or a paper name
             ("THR", "IQR", "MAD", "LR", "LRR").
-        selection: VM-selection policy (default minimum migration time).
         placement_threshold: destination hosts are filled at most to this
             demanded-utilization fraction.
         consolidate: run the underload-consolidation phase.
@@ -52,7 +48,6 @@ class MMTScheduler:
     def __init__(
         self,
         detector: OverloadDetector | str = "THR",
-        selection: Optional[VmSelectionPolicy] = None,
         placement_threshold: float = 0.70,
         consolidate: bool = True,
         underload_threshold: float = 0.25,
@@ -65,17 +60,13 @@ class MMTScheduler:
                 "detector kwargs only apply when building by name"
             )
         self.detector = detector
-        self.selection = selection or MinimumMigrationTimeSelection()
+        self.selection = MinimumMigrationTimeSelection()
         self.placement_threshold = placement_threshold
         self.consolidate = consolidate
         self.underload_threshold = underload_threshold
         self.name = f"{detector.name}-{self.selection.name}"
 
     def decide(self, observation: Observation) -> List[Migration]:
-        # History-based selection policies (MC) bind to the simulation's
-        # monitor on first use.
-        if getattr(self.selection, "monitor", ...) is None:
-            self.selection.monitor = observation.monitor
         datacenter = observation.datacenter
         # The detector judges every host at once, once per step; both
         # phases read the same flags.

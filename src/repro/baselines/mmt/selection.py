@@ -1,31 +1,15 @@
-"""VM selection policies: which VM to evict from an overloaded host.
+"""VM selection: which VM to evict from an overloaded host.
 
 The paper's contenders all use **Minimum Migration Time** selection: evict
 the VM whose migration finishes fastest (``ram / bandwidth``), repeating
-until the host drops below the threshold.  Random and highest-demand
-selection are provided for ablations.
+until the host drops below the threshold.
 """
 
 from __future__ import annotations
 
-from typing import List, Protocol, Sequence
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.cloudsim.datacenter import Datacenter
-from repro.errors import ConfigurationError
-
-
-class VmSelectionPolicy(Protocol):
-    """Orders candidate VMs for eviction from a host."""
-
-    name: str
-
-    def select(
-        self, datacenter: Datacenter, vm_ids: Sequence[int]
-    ) -> List[int]:
-        """Return the candidates in eviction order (best first)."""
-        ...
 
 
 class MinimumMigrationTimeSelection:
@@ -40,101 +24,3 @@ class MinimumMigrationTimeSelection:
             vm_ids,
             key=lambda vm_id: datacenter.vm(vm_id).migration_time_seconds(),
         )
-
-
-class HighestDemandSelection:
-    """Evict the most CPU-hungry VM first — relieves overload fastest."""
-
-    name = "HighestDemand"
-
-    def select(
-        self, datacenter: Datacenter, vm_ids: Sequence[int]
-    ) -> List[int]:
-        return sorted(
-            vm_ids,
-            key=lambda vm_id: -datacenter.vm(vm_id).demanded_mips,
-        )
-
-
-class MaximumCorrelationSelection:
-    """MC: evict the VM most correlated with its host's total load.
-
-    Beloglazov & Buyya's Maximum Correlation policy: the VM whose
-    utilization history correlates most with the aggregate is the one
-    driving the host's peaks, so removing it de-risks the host most.
-    Needs a monitor for the histories; falls back to highest demand when
-    histories are too short.
-    """
-
-    name = "MC"
-
-    def __init__(self, monitor=None, min_history: int = 4) -> None:
-        if min_history < 2:
-            raise ConfigurationError("min_history must be >= 2")
-        self.monitor = monitor
-        self.min_history = min_history
-
-    def _correlation(self, xs: Sequence[float], ys: Sequence[float]) -> float:
-        n = min(len(xs), len(ys))
-        if n < 2:
-            return 0.0
-        xs, ys = list(xs[-n:]), list(ys[-n:])
-        mean_x = sum(xs) / n
-        mean_y = sum(ys) / n
-        cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-        var_x = sum((x - mean_x) ** 2 for x in xs)
-        var_y = sum((y - mean_y) ** 2 for y in ys)
-        if var_x <= 0.0 or var_y <= 0.0:
-            return 0.0
-        return cov / (var_x * var_y) ** 0.5
-
-    def select(
-        self, datacenter: Datacenter, vm_ids: Sequence[int]
-    ) -> List[int]:
-        if self.monitor is None:
-            return HighestDemandSelection().select(datacenter, vm_ids)
-        host_ids = {datacenter.host_of(vm_id) for vm_id in vm_ids}
-        host_histories = {
-            pm_id: self.monitor.host_history(pm_id) for pm_id in host_ids
-        }
-        scores = {}
-        for vm_id in vm_ids:
-            history = self.monitor.vm_history(vm_id)
-            host_history = host_histories.get(datacenter.host_of(vm_id), [])
-            if len(history) < self.min_history:
-                scores[vm_id] = -2.0  # last resort
-            else:
-                scores[vm_id] = self._correlation(history, host_history)
-        return sorted(vm_ids, key=lambda vm_id: -scores[vm_id])
-
-
-class RandomSelection:
-    """Evict uniformly at random (the RS policy of Beloglazov & Buyya)."""
-
-    name = "RS"
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = np.random.default_rng(seed)
-
-    def select(
-        self, datacenter: Datacenter, vm_ids: Sequence[int]
-    ) -> List[int]:
-        order = list(vm_ids)
-        self._rng.shuffle(order)
-        return order
-
-
-def make_selection(name: str, **kwargs) -> VmSelectionPolicy:
-    """Build a selection policy by name."""
-    registry = {
-        "MMT": MinimumMigrationTimeSelection,
-        "RS": RandomSelection,
-        "MC": MaximumCorrelationSelection,
-        "HIGHESTDEMAND": HighestDemandSelection,
-    }
-    key = name.upper()
-    if key not in registry:
-        raise ConfigurationError(
-            f"unknown selection {name!r}; choose from {sorted(registry)}"
-        )
-    return registry[key](**kwargs)

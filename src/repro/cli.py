@@ -15,7 +15,7 @@ whole-program meghflow pass (see :mod:`repro.analysis` and
     repro lint src/ benchmarks/
     repro lint --list-rules
     repro lint --format json src/repro/core
-    repro lint --baseline analysis/baseline.json --strict-suppressions
+    repro lint --strict-suppressions src benchmarks
 
 The ``profile`` subcommand wraps cProfile around a short simulation and
 prints the hottest functions (see ``docs/performance.md``)::

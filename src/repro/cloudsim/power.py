@@ -107,7 +107,7 @@ class SpecPowerModel:
         u *= 10.0
         low = u.astype(np.int64)
         np.minimum(low, 9, out=low)
-        frac = u - low
+        frac = u - low  # meghlint: ignore[MEGH012] -- power_array() mirrors the scalar power() operation order bit-for-bit; low holds truncated utilization levels in [0, 9], which are exact in float64, so the implicit upcast cannot change a single bit. Adding .astype() would diverge the code from the scalar reference it must match.
         below, above = self._watts_array[low], self._watts_array[low + 1]
         watts = below * (1.0 - frac)
         watts += above * frac

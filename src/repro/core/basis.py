@@ -76,7 +76,6 @@ class VmSlotPool:
         self._free: List[int] = list(range(capacity))
         heapq.heapify(self._free)
         self._slot_of: Dict[int, int] = {}
-        self._uid_of: Dict[int, int] = {}
 
     @classmethod
     def restore(
@@ -95,7 +94,6 @@ class VmSlotPool:
                 raise ConfigurationError(f"slot {slot} assigned twice")
             used.add(slot)
             pool._slot_of[uid] = slot
-            pool._uid_of[slot] = uid
         pool._free = [slot for slot in range(capacity) if slot not in used]
         heapq.heapify(pool._free)
         return pool
@@ -103,10 +101,6 @@ class VmSlotPool:
     @property
     def num_live(self) -> int:
         return len(self._slot_of)
-
-    @property
-    def num_free(self) -> int:
-        return len(self._free)
 
     def allocate(self, uid: int) -> Optional[int]:
         """Bind ``uid`` to the lowest free slot; ``None`` when full."""
@@ -116,7 +110,6 @@ class VmSlotPool:
             return None
         slot = heapq.heappop(self._free)
         self._slot_of[uid] = slot
-        self._uid_of[slot] = uid
         return slot
 
     def release(self, uid: int) -> int:
@@ -124,20 +117,9 @@ class VmSlotPool:
         slot = self._slot_of.pop(uid, None)
         if slot is None:
             raise ConfigurationError(f"uid {uid} is not allocated")
-        del self._uid_of[slot]
         heapq.heappush(self._free, slot)
         return slot
-
-    def slot_of(self, uid: int) -> Optional[int]:
-        return self._slot_of.get(uid)
-
-    def uid_of(self, slot: int) -> Optional[int]:
-        return self._uid_of.get(slot)
 
     def live_uids(self) -> List[int]:
         """Live uids in ascending order (deterministic iteration)."""
         return sorted(self._slot_of)
-
-    def slot_map(self) -> Dict[int, int]:
-        """Copy of the ``uid -> slot`` map (checkpoint serialization)."""
-        return dict(self._slot_of)

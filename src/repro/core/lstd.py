@@ -666,11 +666,6 @@ class SparseLstd:
         return inconsistent
 
     @property
-    def theta_cache_fresh_rows(self) -> int:
-        """Number of rows currently served straight from the cache."""
-        return int(self._theta_fresh.sum())
-
-    @property
     def q_table_nonzeros(self) -> int:
         """Stored non-zeros of ``B`` — the Figure-7 quantity."""
         return self.B.nnz

@@ -1,4 +1,4 @@
-"""Tests for VM selection policies and PABFD placement."""
+"""Tests for MMT VM selection and PABFD placement."""
 
 import pytest
 
@@ -6,14 +6,8 @@ from repro.baselines.mmt.placement import (
     hosts_by_utilization,
     power_aware_best_fit,
 )
-from repro.baselines.mmt.selection import (
-    HighestDemandSelection,
-    MinimumMigrationTimeSelection,
-    RandomSelection,
-    make_selection,
-)
+from repro.baselines.mmt.selection import MinimumMigrationTimeSelection
 from repro.cloudsim.datacenter import Datacenter
-from repro.errors import ConfigurationError
 
 from tests.conftest import make_pm, make_vm
 from tests.oracles.pabfd import power_increase
@@ -38,28 +32,6 @@ class TestSelection:
         order = MinimumMigrationTimeSelection().select(dc, [0, 1, 2])
         # Migration time ~ RAM/bandwidth: 512 < 1024 < 2048.
         assert order == [1, 2, 0]
-
-    def test_highest_demand(self, dc):
-        dc.vm(0).set_demand(0.1)  # 200 MIPS
-        dc.vm(1).set_demand(0.9)  # 900 MIPS
-        dc.vm(2).set_demand(0.4)  # 600 MIPS
-        order = HighestDemandSelection().select(dc, [0, 1, 2])
-        assert order == [1, 2, 0]
-
-    def test_random_is_permutation(self, dc):
-        order = RandomSelection(seed=0).select(dc, [0, 1, 2])
-        assert sorted(order) == [0, 1, 2]
-
-    def test_random_deterministic(self, dc):
-        a = RandomSelection(seed=3).select(dc, [0, 1, 2])
-        b = RandomSelection(seed=3).select(dc, [0, 1, 2])
-        assert a == b
-
-    def test_factory(self):
-        assert make_selection("MMT").name == "MMT"
-        assert make_selection("rs").name == "RS"
-        with pytest.raises(ConfigurationError):
-            make_selection("nope")
 
 
 class TestPowerIncrease:
@@ -162,66 +134,3 @@ class TestHostsByUtilization:
         order = hosts_by_utilization(dc)
         assert order[0] == 1
         assert order[-1] == 0
-
-
-class TestMaximumCorrelation:
-    def _monitor_with_histories(self, dc, histories):
-        from repro.cloudsim.monitor import UtilizationMonitor
-
-        monitor = UtilizationMonitor(history_length=8)
-        for step in range(len(next(iter(histories.values())))):
-            for vm_id, series in histories.items():
-                dc.vm(vm_id).set_demand(series[step])
-            monitor.observe(dc)
-        return monitor
-
-    def test_evicts_most_correlated_vm(self, dc):
-        from repro.baselines.mmt.selection import MaximumCorrelationSelection
-
-        # VM 0 tracks the host's swings; VMs 1-2 stay flat.
-        histories = {
-            0: [0.1, 0.8, 0.1, 0.8, 0.1, 0.8],
-            1: [0.4] * 6,
-            2: [0.3, 0.31, 0.3, 0.31, 0.3, 0.31],
-        }
-        monitor = self._monitor_with_histories(dc, histories)
-        policy = MaximumCorrelationSelection(monitor=monitor)
-        order = policy.select(dc, [0, 1, 2])
-        assert order[0] == 0
-
-    def test_falls_back_without_monitor(self, dc):
-        from repro.baselines.mmt.selection import MaximumCorrelationSelection
-
-        dc.vm(0).set_demand(0.1)
-        dc.vm(1).set_demand(0.9)
-        dc.vm(2).set_demand(0.4)
-        policy = MaximumCorrelationSelection(monitor=None)
-        order = policy.select(dc, [0, 1, 2])
-        assert order[0] == 1  # highest demand fallback
-
-    def test_short_history_ranked_last(self, dc):
-        from repro.baselines.mmt.selection import MaximumCorrelationSelection
-        from repro.cloudsim.monitor import UtilizationMonitor
-
-        monitor = UtilizationMonitor()
-        monitor.observe(dc)  # one sample only
-        policy = MaximumCorrelationSelection(monitor=monitor, min_history=4)
-        order = policy.select(dc, [0, 1])
-        assert sorted(order) == [0, 1]
-
-    def test_factory_includes_mc(self):
-        from repro.baselines.mmt.selection import make_selection
-
-        assert make_selection("MC").name == "MC"
-
-    def test_mc_binds_monitor_inside_scheduler(self):
-        from repro.baselines.mmt.scheduler import MMTScheduler
-        from repro.baselines.mmt.selection import MaximumCorrelationSelection
-        from repro.harness.builders import build_planetlab_simulation
-
-        sim = build_planetlab_simulation(num_pms=4, num_vms=6, num_steps=15)
-        scheduler = MMTScheduler(
-            "THR", selection=MaximumCorrelationSelection()
-        )
-        sim.run(scheduler)
-        assert scheduler.selection.monitor is sim.monitor
