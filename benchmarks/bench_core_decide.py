@@ -17,6 +17,8 @@ Boltzmann draw, ``BoltzmannPolicy.select_rows``).
 scalar oracle generator (``tests/oracles/megh_candidates.py``, imported
 from the checkout) — and fails unless the decision traces are
 element-for-element identical (``oracle_match`` in the payload).
+``planner`` records which candidate backend ran: ``c`` (the compiled
+plan) or ``off`` (the eager NumPy path, under ``REPRO_KERNEL=off``).
 
 Results merge into the ``"decide"`` section of ``BENCH_core.json``::
 
@@ -24,7 +26,7 @@ Results merge into the ``"decide"`` section of ``BENCH_core.json``::
     PYTHONPATH=src python benchmarks/bench_core_decide.py --fast   # CI smoke
 
 Standalone script (no pytest test functions); the CI ``bench-smoke``
-job runs it in ``--fast --check-oracle`` mode.
+job runs it in ``--fast --check-oracle`` mode under both planners.
 """
 
 from __future__ import annotations
@@ -146,6 +148,9 @@ def measure_decide(
         "decide_ms_p50": float(np.median(samples) * 1e3),
         "decide_ms_max": float(samples.max() * 1e3),
         "decide_ops_per_s": float(samples.shape[0] / samples.sum()),
+        # Which CandidateIndex backend planned: the compiled pass ("c")
+        # or the eager NumPy path ("off"), as REPRO_KERNEL selects.
+        "planner": "off" if scheduler.candidate_index.kernel is None else "c",
         "candidate_seconds": timers.candidate,
         "q_seconds": timers.q,
         "apply_seconds": timers.apply,

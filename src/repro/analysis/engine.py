@@ -161,10 +161,19 @@ class LintResult:
     diagnostics: List[Diagnostic] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
+    #: Suppressed findings per rule id; the counts sum to ``suppressed``.
+    suppressed_by_rule: Dict[str, int] = field(default_factory=dict)
     #: ``MEGH013`` diagnostics for directives that never fired.  Kept
     #: out of ``diagnostics`` so they inform without failing the run;
     #: ``--strict-suppressions`` promotes them.
     unused_suppressions: List[Diagnostic] = field(default_factory=list)
+
+    def note_suppressed(self, rule_id: str) -> None:
+        """Count one finding a directive absorbed."""
+        self.suppressed += 1
+        self.suppressed_by_rule[rule_id] = (
+            self.suppressed_by_rule.get(rule_id, 0) + 1
+        )
 
     @property
     def errors(self) -> int:
@@ -302,7 +311,7 @@ def _apply_file_rules(
     for rule in config.rules():
         for diagnostic in rule.check(context):
             if _consume_suppression(module, diagnostic):
-                result.suppressed += 1
+                result.note_suppressed(diagnostic.rule_id)
             else:
                 result.diagnostics.append(diagnostic)
 
@@ -412,7 +421,7 @@ def lint_paths(
             if module_for is not None and _consume_suppression(
                 module_for, diagnostic
             ):
-                result.suppressed += 1
+                result.note_suppressed(diagnostic.rule_id)
             else:
                 result.diagnostics.append(diagnostic)
     if config.unused_suppression_check_enabled():

@@ -52,6 +52,7 @@ def render_json(result: LintResult) -> str:
             "errors": result.errors,
             "warnings": result.warnings,
             "suppressed": result.suppressed,
+            "suppressed_by_rule": dict(result.suppressed_by_rule),
             "unused_suppressions": len(result.unused_suppressions),
             "clean": result.clean,
         },

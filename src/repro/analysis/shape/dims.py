@@ -225,6 +225,11 @@ _INT_VEC_ABI = ParamContract(
     require_owned=True,
     require_contiguous=True,
 )
+_PM_VEC_ABI = ParamContract(
+    ShapeInfo(("M",), "float64"),
+    require_owned=True,
+    require_contiguous=True,
+)
 
 #: Method name -> declared call-boundary contract (MEGH022 checks call
 #: sites; MEGH021 trusts the contract when certifying parameter reads
@@ -276,6 +281,18 @@ SHAPE_CONTRACTS: Dict[str, ShapeContract] = {
             ("vm_rows", ParamContract(ShapeInfo(("K",), "int64"))),
             ("sources", ParamContract(ShapeInfo(("K",), "int64"))),
             ("mandatory", ParamContract(ShapeInfo(("K",), "bool"))),
+        ),
+    ),
+    # Compiled candidate plan: the per-step PM vectors cross the C ABI
+    # (their ``.ctypes.data`` is read raw).
+    "_plan_compiled": ShapeContract(
+        qualname="repro.core.candidates.CandidateIndex._plan_compiled",
+        params=(
+            ("arrays", None),
+            ("overloaded", ParamContract(ShapeInfo(("M",), "bool"))),
+            ("util", _PM_VEC_ABI),
+            ("ram_free", _PM_VEC_ABI),
+            ("pm_demand", _PM_VEC_ABI),
         ),
     ),
     "_candidate_vm_rows": ShapeContract(
@@ -335,4 +352,17 @@ ABI_BUFFER_DTYPES: Mapping[str, str] = {
     # CKernel column-change output.
     "_chg_rows": "int64",
     "_chg_cols": "int64",
+    # CandidateIndex compiled plan: argument block, flag bytes, scratch
+    # and the static budget vectors.
+    "_plan_args": "int64",
+    "_plan_flags": "uint8",
+    "_plan_scratch": "int64",
+    "_mips_budget": "float64",
+    "_mips_budget_full": "float64",
+    # DatacenterArrays fleet vectors the compiled plan reads in place.
+    "host_of": "int64",
+    "vm_ram_mb": "float64",
+    "vm_demand": "float64",
+    "vm_mips": "float64",
+    "pm_vm_count": "int64",
 }

@@ -20,6 +20,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.cloudsim.metrics import ordered_sum
 from repro.cloudsim.migration import Migration
 from repro.baselines.mmt.placement import power_aware_best_fit
 from repro.errors import ConfigurationError
@@ -87,7 +88,7 @@ class QLearningScheduler:
         overloaded = min(overloaded, self.overload_buckets)
         active = datacenter.active_pm_ids()
         if active:
-            mean_util = sum(
+            mean_util = ordered_sum(
                 min(1.0, datacenter.demanded_utilization(pm_id))
                 for pm_id in active
             ) / len(active)

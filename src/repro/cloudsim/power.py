@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -178,12 +178,3 @@ def energy_joules(
     if duration_seconds < 0:
         raise ConfigurationError("duration must be >= 0")
     return power_model.power(utilization) * duration_seconds
-
-
-def average_power(
-    power_model: PowerModel, utilizations: Sequence[float]
-) -> float:
-    """Mean power draw over a sequence of utilization samples."""
-    if not utilizations:
-        return 0.0
-    return sum(power_model.power(u) for u in utilizations) / len(utilizations)

@@ -84,12 +84,17 @@ class MeghScheduler:
         self.beta = beta
         self.action_space = ActionSpace(num_vms=num_vms, num_pms=num_pms)
         self.basis = SparseBasis(self.action_space)
-        #: Array-native candidate pipeline (see repro.core.candidates).
-        self.candidate_index = CandidateIndex(beta=beta, config=self.config)
         self.lstd = SparseLstd(
             dimension=self.action_space.dimension,
             gamma=self.config.gamma,
             delta=self.config.delta,
+        )
+        #: Array-native candidate pipeline (see repro.core.candidates),
+        #: compiled when the learner's ``B`` has a compiled backend.
+        self.candidate_index = CandidateIndex(
+            beta=beta,
+            config=self.config,
+            kernel=self.lstd.B.kernel_backend,
         )
         #: Service mode: VM slots are reused across arrivals/departures,
         #: so the learner tracks its forward operator for retirement.

@@ -35,6 +35,15 @@ Scratch discipline: the K×M broadcast buffers are owned by the index
 and reused across steps (reallocated only when the fleet or the
 candidate cap grows), so steady-state planning does no per-step
 ndarray allocation proportional to K×M.
+
+Two backends, one plan: when the learner's ``B`` has a compiled
+backend (:class:`~repro.core.kern.CKernel`, selected by
+``REPRO_KERNEL``), :meth:`CandidateIndex.plan` builds the whole plan
+in one call of the kernel library's ``megh_plan_candidates``, which
+walks the same rules row by row with the same float operations.  The
+NumPy pipeline above is the eager path (``REPRO_KERNEL=off``, or no
+compiler) and the reference the compiled plan is tested against, array
+for array.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 import numpy as np
 
 from repro.config import MeghConfig
+from repro.core import kern
 from repro.mdp.action import MigrationAction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -130,6 +140,8 @@ class CandidateIndex:
             ``consolidate_underloaded``, ``underload_threshold``,
             ``max_candidate_vms``, ``candidate_destinations`` and
             ``destination_headroom`` shape the candidate set.
+        kernel: the learner's compiled backend (``B.kernel_backend``);
+            ``None`` plans on the eager NumPy path.
 
     The index binds lazily to ``datacenter.arrays`` on first use and
     rebinds automatically if the datacenter (or fleet size) changes;
@@ -137,9 +149,15 @@ class CandidateIndex:
     computed once per binding.
     """
 
-    def __init__(self, beta: float, config: MeghConfig) -> None:
+    def __init__(
+        self,
+        beta: float,
+        config: MeghConfig,
+        kernel: Optional[kern.CKernel] = None,
+    ) -> None:
         self.beta = beta
         self.config = config
+        self.kernel = kernel
         self._arrays: Optional["DatacenterArrays"] = None
         self._mips_budget = np.empty(0, dtype=np.float64)
         self._mips_budget_full = np.empty(0, dtype=np.float64)
@@ -148,6 +166,14 @@ class CandidateIndex:
         self._feas = np.empty((0, 0), dtype=bool)
         self._aux = np.empty((0, 0), dtype=bool)
         self._tmp = np.empty((0, 0), dtype=np.float64)
+        # Compiled path: argument block, flag bytes, int64 scratch and
+        # the output bounds (set per binding).
+        self._plan_args = np.zeros(kern.P_SLOTS, dtype=np.int64)
+        self._plan_args_ptr = self._plan_args.ctypes.data
+        self._plan_flags = np.zeros(0, dtype=np.uint8)
+        self._plan_scratch = np.empty(0, dtype=np.int64)
+        self._max_rows = 0
+        self._max_actions = 0
 
     # ------------------------------------------------------------------
     # Binding and scratch management
@@ -163,9 +189,56 @@ class CandidateIndex:
         """
         self._arrays = arrays
         headroom = self.config.destination_headroom
-        self._mips_budget = (headroom * self.beta) * arrays.pm_mips
-        self._mips_budget_full = (1.0 * self.beta) * arrays.pm_mips
+        # Owned buffers (the compiled plan reads them through pointers).
+        self._mips_budget = np.empty(arrays.num_pms, dtype=np.float64)
+        self._mips_budget_full = np.empty(arrays.num_pms, dtype=np.float64)
+        np.multiply(
+            headroom * self.beta, arrays.pm_mips, out=self._mips_budget
+        )
+        np.multiply(
+            1.0 * self.beta, arrays.pm_mips, out=self._mips_budget_full
+        )
         self._rows_capacity = 0
+        if self.kernel is not None:
+            self._bind_compiled(arrays)
+
+    def _bind_compiled(self, arrays: "DatacenterArrays") -> None:
+        """Point the compiled planner's argument block at this fleet.
+
+        The fleet vectors are updated in place by the simulator, so
+        their pointers hold for the binding; the per-step vectors
+        (utilization, free RAM, demand, flags) are set per call.  The
+        output bounds are exact: at most ``max_candidate_vms`` rows (all
+        VMs when 0), each with at most ``candidate_destinations``
+        destinations (the other M - 1 hosts when 0) plus the no-op.
+        """
+        num_vms, num_pms = arrays.num_vms, arrays.num_pms
+        config = self.config
+        self._plan_flags = np.zeros(2 * num_vms + num_pms, dtype=np.uint8)
+        self._plan_scratch = np.empty(
+            5 * num_pms + 2 * num_vms + 3, dtype=np.int64
+        )
+        cap = config.max_candidate_vms
+        limit = config.candidate_destinations
+        self._max_rows = min(cap, num_vms) if cap else num_vms
+        per_row = min(limit, num_pms - 1) if limit else num_pms - 1
+        self._max_actions = self._max_rows * (per_row + 1)
+        args = self._plan_args
+        args[kern.P_NUM_VMS] = num_vms
+        args[kern.P_NUM_PMS] = num_pms
+        args[kern.P_HOST_OF] = arrays.host_of.ctypes.data
+        args[kern.P_VM_RAM] = arrays.vm_ram_mb.ctypes.data
+        args[kern.P_VM_DEMAND] = arrays.vm_demand.ctypes.data
+        args[kern.P_VM_MIPS] = arrays.vm_mips.ctypes.data
+        args[kern.P_PM_VM_COUNT] = arrays.pm_vm_count.ctypes.data
+        args[kern.P_BUDGET] = self._mips_budget.ctypes.data
+        args[kern.P_BUDGET_FULL] = self._mips_budget_full.ctypes.data
+        args[kern.P_FLAGS] = self._plan_flags.ctypes.data
+        args[kern.P_SCRATCH] = self._plan_scratch.ctypes.data
+        args[kern.P_CONSOLIDATE] = int(config.consolidate_underloaded)
+        args[kern.P_MAX_VMS] = cap
+        args[kern.P_MAX_DESTS] = limit
+        args[kern.P_ACTION_CAP] = self._max_actions
 
     def _scratch(self, num_rows: int, num_pms: int):
         """Reusable K×M broadcast buffers, grown geometrically."""
@@ -243,10 +316,14 @@ class CandidateIndex:
         if source_vms.shape[0] == 0:
             return source_vms.astype(np.int64)
         # Order-preserving dedup (first occurrence wins, like the scalar
-        # `seen` set): unique() returns first indices, re-sorted to the
-        # original order.
-        _, first = np.unique(source_vms, return_index=True)
-        return source_vms[np.sort(first)]
+        # `seen` set): a stable argsort puts each id's first index first
+        # in its run; those indices, re-sorted, keep the original order.
+        order = np.argsort(source_vms, kind="stable")
+        ordered = source_vms[order]
+        first = np.empty(ordered.shape[0], dtype=bool)
+        first[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        return source_vms[np.sort(order[first])]
 
     # ------------------------------------------------------------------
     # Feasibility (batched (VM × PM) broadcast)
@@ -312,6 +389,14 @@ class CandidateIndex:
             self._bind(arrays)
         overloaded = arrays.overloaded_pm_mask(self.beta)
         util = arrays.pm_demand_utilization()
+        if self.kernel is not None:
+            return self._plan_compiled(
+                arrays,
+                overloaded,
+                util,
+                arrays.pm_ram_free_mb(),
+                arrays.pm_demand_mips(),
+            )
         vm_rows = self._candidate_vm_rows(arrays, overloaded, util)
         sources = arrays.host_of[vm_rows]
         mandatory = overloaded[sources]
@@ -320,6 +405,56 @@ class CandidateIndex:
         )
         return self._materialize(
             vm_rows, sources, mandatory, feas, fallback, util, arrays.num_pms
+        )
+
+    def _plan_compiled(
+        self,
+        arrays: "DatacenterArrays",
+        overloaded: np.ndarray,
+        util: np.ndarray,
+        ram_free: np.ndarray,
+        pm_demand: np.ndarray,
+    ) -> CandidatePlan:
+        """The plan from one ``megh_plan_candidates`` call.
+
+        The outputs are slices of one array allocated by this call, so a
+        returned plan never aliases memory a later call writes.
+        """
+        num_vms, num_pms = arrays.num_vms, arrays.num_pms
+        flags = self._plan_flags
+        flags[:num_vms] = arrays.vm_active
+        flags[num_vms : num_vms + num_pms] = overloaded
+        args = self._plan_args
+        args[kern.P_UTIL] = util.ctypes.data
+        args[kern.P_RAM_FREE] = ram_free.ctypes.data
+        args[kern.P_PM_DEMAND] = pm_demand.ctypes.data
+        rows, actions = self._max_rows, self._max_actions
+        out = np.empty(4 * rows + 1 + 2 * actions, dtype=np.int64)
+        base = out.ctypes.data
+        args[kern.P_VM_IDS] = base
+        args[kern.P_SOURCES] = base + 8 * rows
+        args[kern.P_MANDATORY] = base + 16 * rows
+        args[kern.P_OFFSETS] = base + 24 * rows
+        dest_start = 4 * rows + 1
+        action_start = dest_start + actions
+        args[kern.P_DEST_PM] = base + 8 * dest_start
+        args[kern.P_ACTIONS] = base + 8 * action_start
+        num_rows = self.kernel.plan_candidates(
+            self._plan_args_ptr, self.config.underload_threshold
+        )
+        if num_rows < 0:
+            raise RuntimeError(
+                "megh_plan_candidates: fleet arrays out of their bounds"
+            )
+        num_actions = int(args[kern.P_N_ACTIONS])
+        return CandidatePlan(
+            vm_ids=out[:num_rows],
+            sources=out[rows : rows + num_rows],
+            mandatory=out[2 * rows : 2 * rows + num_rows] != 0,
+            dest_pm=out[dest_start : dest_start + num_actions],
+            offsets=out[3 * rows : 3 * rows + num_rows + 1],
+            action_indices=out[action_start : action_start + num_actions],
+            num_pms=num_pms,
         )
 
     def _materialize(

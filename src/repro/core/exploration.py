@@ -18,6 +18,7 @@ from typing import List, Sequence, Tuple, TypeVar
 
 import numpy as np
 
+from repro.cloudsim.metrics import ordered_sum
 from repro.errors import ConfigurationError
 
 ActionT = TypeVar("ActionT")
@@ -85,7 +86,7 @@ class BoltzmannPolicy:
         total is at least 1 and never underflows.
         """
         weights = self.weights(q_values)
-        total = sum(weights)
+        total = ordered_sum(weights)
         return [w / total for w in weights]
 
     def select(

@@ -68,12 +68,24 @@ ShermanMorrisonAuditor must not move by one ulp):
   ``-ffp-contract=off -fno-fast-math`` so no fused multiply-add can
   change a rounding.
 
+A second entry point of the same library, ``megh_plan_candidates``,
+builds a whole :class:`~repro.core.candidates.CandidatePlan` in one
+call (source selection, the VM × PM feasibility test, the relief-row
+fallback, the ``candidate_destinations`` top-k, the no-op and the fused
+action indices).  :class:`CKernel` loads it and
+:class:`~repro.core.candidates.CandidateIndex` marshals it (layout: the
+``P_*`` constants); its only float operations are one multiply, one add
+and compares, on the eager NumPy path's operands, so the plan is the
+eager plan array for array.
+
 Backend selection: ``REPRO_KERNEL=auto`` (default; the C kernel when a
 compiler is available, the eager path otherwise), ``c`` (require the
-compiled kernel), ``off`` (eager path, no deferral).  The eager path is
-both the no-compiler fallback and the bit-identity reference the C
-kernel is tested against.  :data:`DEFAULT_WINDOW` bounds the staged
-rank; ``REPRO_KERNEL_CACHE`` relocates the compiled-object cache.
+compiled kernel), ``off`` (eager path, no deferral).  It selects the
+candidate planner too: the plan is compiled exactly when ``B`` has a
+compiled backend.  The eager path is both the no-compiler fallback and
+the bit-identity reference the C kernel is tested against.
+:data:`DEFAULT_WINDOW` bounds the staged rank; ``REPRO_KERNEL_CACHE``
+relocates the compiled-object cache.
 
 Flush writes to the owning matrix's backing store are *representation
 preserving* — the logical matrix value does not change, so they do not
@@ -592,6 +604,177 @@ int64_t megh_combine_rows(const int64_t *st, int64_t row_a, int64_t row_b,
     }
     return n;
 }
+
+/* Candidate-plan argument block (must match the P_* constants in
+ * kern.py).  The flag bytes hold vm_active (N), the overloaded mask (M)
+ * and the dedup marks (N, all zero between calls); the int64 scratch is
+ * carved below.  The outputs go to a fresh array of every call. */
+enum {
+    P_NUM_VMS = 0, P_NUM_PMS,
+    P_HOST_OF, P_VM_RAM, P_VM_DEMAND, P_VM_MIPS, P_PM_VM_COUNT,
+    P_UTIL, P_RAM_FREE, P_PM_DEMAND, P_BUDGET, P_BUDGET_FULL,
+    P_FLAGS, P_SCRATCH,
+    P_CONSOLIDATE, P_MAX_VMS, P_MAX_DESTS,
+    P_VM_IDS, P_SOURCES, P_MANDATORY, P_OFFSETS, P_DEST_PM, P_ACTIONS,
+    P_ACTION_CAP, P_N_ACTIONS,
+    P_SLOTS
+};
+
+/* Whether host a precedes host b in the eager path's stable argsort of
+ * -util: higher utilization first, NaN last, ties in ascending id.
+ * Negation is exact, so -ua < -ub is ua > ub. */
+static int ranks_before(const double *util, int64_t a, int64_t b)
+{
+    double ua = util[a], ub = util[b];
+    if (ua != ua || ub != ub) return (ub != ub) && (ua == ua || a < b);
+    return ua > ub || (ua == ub && a < b);
+}
+
+/* Append host h's VMs (ascending id) to the candidate rows: the cap
+ * counts VMs before the dedup, a VM already listed is skipped. */
+#define EMIT_HOST(h) do {                                              \
+        int64_t q_ = (h) ? bucket[(h) - 1] : 0;                        \
+        for (; q_ < bucket[h]; q_++) {                                 \
+            int64_t v_ = by_host[q_];                                  \
+            if (max_vms && emitted >= max_vms) goto sources_done;      \
+            emitted++;                                                 \
+            if (!seen[v_]) { seen[v_] = 1; vm_ids[n_rows++] = v_; }    \
+        }                                                              \
+    } while (0)
+
+/* One step's candidate plan (CandidateIndex.plan's compiled path): the
+ * rows, their feasible destinations, the no-op and the fused action
+ * indices, array for array the eager NumPy pipeline's.  The only float
+ * operations are vm_demand * vm_mips, pm_demand + that product, and
+ * compares, the eager path's operations on the same operands.  Returns
+ * the row count (P_N_ACTIONS holds the action count), or -1 when a
+ * host id or VM count is out of range or the output bound would be
+ * exceeded (nothing valid written). */
+int64_t megh_plan_candidates(int64_t *a, double underload)
+{
+    int64_t n_vms = a[P_NUM_VMS], n_pms = a[P_NUM_PMS];
+    const int64_t *host_of = PTR(const int64_t, P_HOST_OF);
+    const double *vm_ram = PTR(const double, P_VM_RAM);
+    const double *vm_demand = PTR(const double, P_VM_DEMAND);
+    const double *vm_mips = PTR(const double, P_VM_MIPS);
+    const int64_t *pm_count = PTR(const int64_t, P_PM_VM_COUNT);
+    const double *util = PTR(const double, P_UTIL);
+    const double *ram_free = PTR(const double, P_RAM_FREE);
+    const double *pm_demand = PTR(const double, P_PM_DEMAND);
+    const double *budget = PTR(const double, P_BUDGET);
+    const double *budget_full = PTR(const double, P_BUDGET_FULL);
+    const uint8_t *vm_active = PTR(const uint8_t, P_FLAGS);
+    const uint8_t *overloaded = vm_active + n_vms;
+    uint8_t *seen = PTR(uint8_t, P_FLAGS) + n_vms + n_pms;
+    int64_t *bucket = PTR(int64_t, P_SCRATCH);      /* n_pms + 1 */
+    int64_t *by_host = bucket + n_pms + 1;          /* n_vms */
+    int64_t *under = by_host + n_vms;               /* n_pms */
+    int64_t *under_sorted = under + n_pms;          /* n_pms */
+    int64_t *level = under_sorted + n_pms;          /* n_vms + 2 */
+    int64_t *dests = level + n_vms + 2;             /* n_pms */
+    int64_t *top = dests + n_pms;                   /* n_pms */
+    int64_t max_vms = a[P_MAX_VMS], limit = a[P_MAX_DESTS];
+    int64_t *vm_ids = PTR(int64_t, P_VM_IDS);
+    int64_t *sources = PTR(int64_t, P_SOURCES);
+    int64_t *mandatory = PTR(int64_t, P_MANDATORY);
+    int64_t *offsets = PTR(int64_t, P_OFFSETS);
+    int64_t *dest_pm = PTR(int64_t, P_DEST_PM);
+    int64_t *actions = PTR(int64_t, P_ACTIONS);
+    int64_t action_cap = a[P_ACTION_CAP];
+    int64_t n_rows = 0, emitted = 0, pos = 0, p, v, i, r;
+
+    /* Placed active VMs grouped by host: a counting sort filled in
+     * ascending VM id, so each group is ascending (the eager path's
+     * stable argsort by host).  Afterwards host p's group is
+     * by_host[p ? bucket[p - 1] : 0 .. bucket[p]). */
+    for (p = 0; p < n_pms; p++)
+        if (pm_count[p] > n_vms) return -1;  /* level[] is n_vms + 2 */
+    memset(bucket, 0, (size_t)(n_pms + 1) * sizeof(int64_t));
+    for (v = 0; v < n_vms; v++) {
+        if (host_of[v] >= n_pms) return -1;
+        if (host_of[v] >= 0 && vm_active[v]) bucket[host_of[v] + 1]++;
+    }
+    for (p = 0; p < n_pms; p++) bucket[p + 1] += bucket[p];
+    for (v = 0; v < n_vms; v++)
+        if (host_of[v] >= 0 && vm_active[v]) by_host[bucket[host_of[v]]++] = v;
+
+    /* Relief rows: overloaded hosts in ascending id. */
+    for (p = 0; p < n_pms; p++)
+        if (overloaded[p]) EMIT_HOST(p);
+    if (a[P_CONSOLIDATE]) {
+        /* Occupied hosts with 0 < util <= underload, stable-sorted by
+         * their placed-VM count (inactive VMs included). */
+        int64_t n_under = 0, max_count = 0;
+        for (p = 0; p < n_pms; p++) {
+            if (pm_count[p] > 0 && util[p] > 0.0 && util[p] <= underload) {
+                under[n_under++] = p;
+                if (pm_count[p] > max_count) max_count = pm_count[p];
+            }
+        }
+        memset(level, 0, (size_t)(max_count + 2) * sizeof(int64_t));
+        for (i = 0; i < n_under; i++) level[pm_count[under[i]] + 1]++;
+        for (i = 0; i <= max_count; i++) level[i + 1] += level[i];
+        for (i = 0; i < n_under; i++)
+            under_sorted[level[pm_count[under[i]]]++] = under[i];
+        for (i = 0; i < n_under; i++) EMIT_HOST(under_sorted[i]);
+    }
+sources_done:
+    for (r = 0; r < n_rows; r++) seen[vm_ids[r]] = 0;
+
+    offsets[0] = 0;
+    for (r = 0; r < n_rows; r++) {
+        int64_t vm = vm_ids[r], src = host_of[vm], n = 0;
+        int relief = overloaded[src] != 0;
+        double ram = vm_ram[vm], dmips = vm_demand[vm] * vm_mips[vm];
+        /* Feasible: RAM fits and pm_demand + dmips stays within the
+         * headroom budget; consolidation only packs occupied hosts. */
+        for (p = 0; p < n_pms; p++)
+            if (p != src && ram <= ram_free[p]
+                && pm_demand[p] + dmips <= budget[p]
+                && (relief || pm_count[p] > 0))
+                dests[n++] = p;
+        /* A relief row with nowhere to go retries at the full budget. */
+        if (relief && n == 0)
+            for (p = 0; p < n_pms; p++)
+                if (p != src && ram <= ram_free[p]
+                    && pm_demand[p] + dmips <= budget_full[p])
+                    dests[n++] = p;
+        if (limit && n > limit) {
+            /* The limit most-utilized destinations: insertion into a
+             * sorted prefix, stable because dests ascend. */
+            int64_t kept = 0;
+            for (i = 0; i < n; i++) {
+                int64_t d = dests[i], j;
+                if (kept == limit && !ranks_before(util, d, top[kept - 1]))
+                    continue;
+                j = kept < limit ? kept++ : limit - 1;
+                while (j > 0 && ranks_before(util, d, top[j - 1])) {
+                    top[j] = top[j - 1];
+                    j--;
+                }
+                top[j] = d;
+            }
+            memcpy(dests, top, (size_t)limit * sizeof(int64_t));
+            n = limit;
+        }
+        /* The stay-put no-op leads unless a relief row can move. */
+        int noop = !relief || n == 0;
+        if (pos + n + noop > action_cap) return -1;
+        sources[r] = src;
+        mandatory[r] = relief;
+        if (noop) {
+            dest_pm[pos] = src;
+            actions[pos++] = vm * n_pms + src;
+        }
+        for (i = 0; i < n; i++) {
+            dest_pm[pos] = dests[i];
+            actions[pos++] = vm * n_pms + dests[i];
+        }
+        offsets[r + 1] = pos;
+    }
+    a[P_N_ACTIONS] = pos;
+    return n_rows;
+}
 """
 
 #: Slot-table block layout of a :class:`~repro.core.sparse.SparseMatrix`
@@ -617,6 +800,39 @@ int64_t megh_combine_rows(const int64_t *st, int64_t row_a, int64_t row_b,
     S_COMPACTIONS,
     S_FIELDS,
 ) = range(16)
+
+#: Candidate-plan argument block layout (mirrors the C ``P_*`` enum):
+#: one int64 array per :class:`~repro.core.candidates.CandidateIndex`
+#: carrying the fleet's array pointers, the config caps, the scratch
+#: and the output pointers of ``megh_plan_candidates``.
+(
+    P_NUM_VMS,
+    P_NUM_PMS,
+    P_HOST_OF,
+    P_VM_RAM,
+    P_VM_DEMAND,
+    P_VM_MIPS,
+    P_PM_VM_COUNT,
+    P_UTIL,
+    P_RAM_FREE,
+    P_PM_DEMAND,
+    P_BUDGET,
+    P_BUDGET_FULL,
+    P_FLAGS,
+    P_SCRATCH,
+    P_CONSOLIDATE,
+    P_MAX_VMS,
+    P_MAX_DESTS,
+    P_VM_IDS,
+    P_SOURCES,
+    P_MANDATORY,
+    P_OFFSETS,
+    P_DEST_PM,
+    P_ACTIONS,
+    P_ACTION_CAP,
+    P_N_ACTIONS,
+    P_SLOTS,
+) = range(26)
 
 #: Compile flags.  ``-ffp-contract=off`` and ``-fno-fast-math`` are
 #: load-bearing: a fused multiply-add or a fast-math rewrite would change
@@ -818,12 +1034,17 @@ class CKernel:
             self._lib = ctypes.CDLL(library)
             self._flush = self._lib.megh_flush_rows
             self._combine = self._lib.megh_combine_rows
+            #: ``megh_plan_candidates(args, underload_threshold)``: the
+            #: candidate plan's compiled path, marshaled by CandidateIndex.
+            self.plan_candidates = self._lib.megh_plan_candidates
         except (OSError, AttributeError) as error:  # AttributeError: symbol missing
             raise KernelUnavailableError(
                 f"REPRO_KERNEL: cannot load {library}: {error}"
             ) from error
         self._flush.restype = ctypes.c_int64
         self._flush.argtypes = [ctypes.c_void_p, ctypes.c_double]
+        self.plan_candidates.restype = ctypes.c_int64
+        self.plan_candidates.argtypes = [ctypes.c_void_p, ctypes.c_double]
         self._combine.restype = ctypes.c_int64
         self._combine.argtypes = [
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
@@ -1053,6 +1274,23 @@ class CKernel:
                         del matrix_cols[j]
 
 
+def unique_sorted(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-d integer array, by one sort and a mask.
+
+    The same values and dtype as ``np.unique(values)``, without its
+    NumPy 2.x call to ``np.ma.is_masked``: the first ``np.unique`` of a
+    process imports ``numpy.ma`` (about 15 ms and 0.6 MB of RSS), which
+    would otherwise land inside Megh's first timed ``decide()``.
+    """
+    ordered = np.sort(values)
+    if ordered.shape[0] < 2:
+        return ordered
+    keep = np.empty(ordered.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def _make_backend(mode: str) -> Optional[CKernel]:
     """Instantiate the backend for ``mode`` (``None`` means eager)."""
     if mode == "off":
@@ -1213,12 +1451,12 @@ class PendingUpdates:
             candidates = rows[was_clean]
             if candidates.shape[0] <= 16:
                 # Steady state: the handful of just-flushed rows get
-                # re-marked; a set dedup beats np.unique's overhead.
+                # re-marked; a set dedup beats a sorting one.
                 fresh = np.fromiter(
                     set(candidates.tolist()), dtype=np.int64
                 )
             else:
-                fresh = np.unique(candidates)
+                fresh = unique_sorted(candidates)
             self._dirty[fresh] = True
             count_new = int(fresh.shape[0])
             self._dirty_count += count_new
@@ -1344,7 +1582,7 @@ class PendingUpdates:
             self.flush_row(matrix, int(dirty_rows[0]))
             return
         started = time.perf_counter()
-        dirty_rows = np.unique(dirty_rows)
+        dirty_rows = unique_sorted(dirty_rows)
         self._replay_batch(matrix, dirty_rows)
         self.row_flushes += int(dirty_rows.shape[0])
         self.mutations += 1
@@ -1374,7 +1612,7 @@ class PendingUpdates:
                 self._reset()
             return
         started = time.perf_counter()
-        rows = np.unique(self._pend_rows[: self._pend_rows_n])
+        rows = unique_sorted(self._pend_rows[: self._pend_rows_n])
         rows = rows[self._dirty[rows]]
         self._replay_batch(matrix, rows)
         self._dirty[rows] = False

@@ -42,6 +42,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.kern import unique_sorted
 from repro.core.sparse import SparseMatrix
 from repro.errors import ConfigurationError
 
@@ -610,7 +611,9 @@ class SparseLstd:
                 f"batch spans [{low}, {high}]"
             )
         self._sync_with_b()
-        stale = np.unique(index_array[~self._theta_fresh[index_array]])
+        stale = unique_sorted(
+            index_array[~self._theta_fresh[index_array]]
+        )
         if stale.shape[0]:
             # One grouped kernel call instead of a per-row flush inside
             # each dot product (flush order never changes values).

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+from repro.cloudsim.metrics import ordered_sum
+
 
 @dataclass
 class QTableTracker:
@@ -35,10 +37,12 @@ class QTableTracker:
             return 0.0
         xs, ys = self.steps, self.nonzeros
         n = len(xs)
-        mean_x = sum(xs) / n
-        mean_y = sum(ys) / n
-        num = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-        den = sum((x - mean_x) ** 2 for x in xs)
+        mean_x = ordered_sum(xs) / n
+        mean_y = ordered_sum(ys) / n
+        num = ordered_sum(
+            (x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)
+        )
+        den = ordered_sum((x - mean_x) ** 2 for x in xs)
         if den == 0:
             return 0.0
         return num / den
@@ -48,6 +52,6 @@ class QTableTracker:
         if not self.samples:
             return 0.0
         xs, ys = self.steps, self.nonzeros
-        mean_x = sum(xs) / len(xs)
-        mean_y = sum(ys) / len(ys)
+        mean_x = ordered_sum(xs) / len(xs)
+        mean_y = ordered_sum(ys) / len(ys)
         return mean_y - self.growth_rate() * mean_x

@@ -11,6 +11,7 @@ and must carry a written reason, and nothing else survives.
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 
 from repro.analysis import LintResult, lint_paths, parse_module
 from repro.analysis.engine import iter_python_files
-from repro.analysis.reporting import render_text
+from repro.analysis.reporting import render_json, render_text
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 LINTED = [REPO_ROOT / name for name in ("src", "benchmarks", "examples")]
@@ -72,3 +73,30 @@ def test_examples_are_lint_clean():
     result = lint_paths([REPO_ROOT / "examples"])
     assert result.clean, "\n" + render_text(result)
     assert not result.unused_suppressions
+
+
+#: A rule-ledger row of docs/static_analysis.md: rule id, then the
+#: Defects and Suppressed cells.
+_LEDGER_ROW = re.compile(r"^\| (MEGH\d{3}) [^|]*\|[^|]*\| ([^|]*) \|")
+
+
+def test_rule_ledger_suppressed_column_matches_the_tool(tree_result):
+    """The ledger's Suppressed column is re-counted from the per-rule
+    map of ``repro lint --format json``, so it cannot drift."""
+    summary = json.loads(render_json(tree_result))["summary"]
+    by_rule = summary["suppressed_by_rule"]
+    assert sum(by_rule.values()) == summary["suppressed"]
+    ledger = (REPO_ROOT / "docs" / "static_analysis.md").read_text(
+        encoding="utf-8"
+    )
+    listed = {}
+    for line in ledger.splitlines():
+        match = _LEDGER_ROW.match(line)
+        if match is not None and match.group(2)[:1].isdigit():
+            listed[match.group(1)] = int(match.group(2).split()[0])
+    assert len(listed) >= 10
+    assert listed == {
+        rule: by_rule.get(rule, 0) for rule in listed
+    }, "docs/static_analysis.md rule ledger is stale"
+    assert set(by_rule) <= set(listed)
+    assert f"({summary['suppressed']} in\nall" in ledger

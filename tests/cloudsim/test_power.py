@@ -9,7 +9,6 @@ from repro.cloudsim.power import (
     HP_PROLIANT_G5,
     LinearPowerModel,
     SpecPowerModel,
-    average_power,
     energy_joules,
 )
 from repro.errors import ConfigurationError
@@ -106,13 +105,6 @@ class TestEnergyHelpers:
         model = LinearPowerModel(idle_watts=100.0, peak_watts=200.0)
         with pytest.raises(ConfigurationError):
             energy_joules(model, 0.5, -1.0)
-
-    def test_average_power_empty(self):
-        assert average_power(HP_PROLIANT_G4, []) == 0.0
-
-    def test_average_power(self):
-        model = LinearPowerModel(idle_watts=0.0, peak_watts=100.0)
-        assert average_power(model, [0.0, 1.0]) == pytest.approx(50.0)
 
 
 class TestPowerBatch:

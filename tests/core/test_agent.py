@@ -178,3 +178,43 @@ class TestEndToEnd:
         # Underloaded everywhere, but consolidation is off and nothing
         # overloads: no migrations at all.
         assert result.total_migrations == 0
+
+
+class TestFirstDecideImports:
+    """NumPy 2.x imports ``numpy.ma`` on a process's first plain
+    ``np.unique`` (about 15 ms, inside the first timed ``decide()`` and
+    so inside Fig 6's first job); Megh's path must not call it."""
+
+    def test_megh_steps_leave_numpy_ma_unimported(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import sys\n"
+            "from repro.harness.builders import build_planetlab_simulation\n"
+            "from repro.harness.runner import run_scheduler\n"
+            "from repro.core.agent import MeghScheduler\n"
+            "sim = build_planetlab_simulation(\n"
+            "    num_pms=10, num_vms=13, num_steps=3, seed=0)\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+            "scheduler = MeghScheduler.from_simulation(sim, seed=0)\n"
+            "run_scheduler(sim, scheduler)\n"
+            "assert len(scheduler.qtable.samples) == 3\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+        )
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]

@@ -6,9 +6,13 @@ scalar generator (``tests/oracles/megh_candidates.py``) — on
 randomized fleets covering churned/retired slots and the candidate
 caps on and off — and routing ``decide()``
 through either generator must leave whole-run decision traces
-identical.  Also pins satellite fixes: exactly one overload-predicate
-evaluation per ``decide()``.
+identical.  Every differential check runs both backends of the index:
+the compiled plan (``megh_plan_candidates``) and the eager NumPy path,
+which must agree array for array.  Also pins exactly one
+overload-predicate evaluation per ``decide()``.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from repro.cloudsim.datacenter import Datacenter
 from repro.cloudsim.soa import DatacenterArrays
 from repro.config import MeghConfig
 from repro.core.agent import MeghScheduler
+from repro.core import kern
 from repro.core.candidates import CandidateIndex
 from repro.mdp.interfaces import Observation
 
@@ -28,15 +33,65 @@ from tests.oracles.pipeline import observe_state as oracle_observe_state
 from tests.oracles.reference_datacenter import ReferenceDatacenter
 
 
-def random_datacenter(seed, num_pms=8, num_vms=20, churn=False):
-    """A randomized placed fleet; ``churn`` retires some slots."""
+#: The plan arrays two backends must agree on, array for array.
+PLAN_FIELDS = (
+    "vm_ids", "sources", "mandatory", "dest_pm", "offsets", "action_indices"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def compiled_kernel():
+    """The compiled backend, or ``None`` where no compiler exists."""
+    try:
+        return kern.CKernel()
+    except kern.KernelUnavailableError:
+        return None
+
+
+def backend_indexes(beta, config):
+    """Fresh indexes, one per backend: eager, then compiled if present."""
+    kernels = [None] + [k for k in (compiled_kernel(),) if k is not None]
+    return [
+        CandidateIndex(beta=beta, config=config, kernel=kernel)
+        for kernel in kernels
+    ]
+
+
+def assert_plans_equal(plan, reference):
+    """Array for array: same dtype, shape and elements."""
+    for name in PLAN_FIELDS:
+        got, want = getattr(plan, name), getattr(reference, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    assert plan.num_pms == reference.num_pms
+
+
+def random_datacenter(
+    seed, num_pms=8, num_vms=20, churn=False, demand_low=0.0, ram_choices=None
+):
+    """A randomized placed fleet; ``churn`` retires some slots.
+
+    ``demand_low`` bounds the uniform VM demand from below (raise it for
+    overloaded hosts); ``ram_choices`` draws each VM's RAM from a set (a VM that
+    fits nowhere it is drawn to stays unplaced).
+    """
     rng = np.random.default_rng(seed)
     pms = [make_pm(i) for i in range(num_pms)]
-    vms = [make_vm(j, mips=1000.0, ram_mb=256.0) for j in range(num_vms)]
+    rams = (
+        [256.0] * num_vms
+        if ram_choices is None
+        else [float(rng.choice(ram_choices)) for _ in range(num_vms)]
+    )
+    vms = [
+        make_vm(j, mips=1000.0, ram_mb=rams[j]) for j in range(num_vms)
+    ]
     dc = Datacenter(pms, vms)
     for j in range(num_vms):
-        dc.place(j, int(rng.integers(0, num_pms)))
-        dc.vm(j).set_demand(float(rng.uniform(0.0, 1.0)))
+        pm_id = int(rng.integers(0, num_pms))
+        if dc.ram_free_mb(pm_id) >= rams[j]:
+            dc.place(j, pm_id)
+        dc.vm(j).set_demand(float(rng.uniform(demand_low, 1.0)))
     if churn:
         # Service-style retirement: remove, deactivate, placeholder
         # capacities on the object, cleared slot in the arrays — the
@@ -53,11 +108,14 @@ def random_datacenter(seed, num_pms=8, num_vms=20, churn=False):
 
 
 def assert_plan_matches_oracle(agent, dc):
-    """Vectorized plan == scalar lists, element for element."""
+    """Vectorized plan == scalar lists, element for element, and the
+    compiled and eager backends agree array for array."""
     observation = build_observation(dc)
     oracle = candidate_actions(agent, observation)
     plan = agent.candidate_index.plan(dc)
     assert plan.to_action_lists() == oracle
+    for index in backend_indexes(agent.beta, agent.config):
+        assert_plans_equal(index.plan(dc), plan)
     # Structural invariants of the flat encoding.
     num_pms = dc.num_pms
     assert plan.num_rows == len(oracle)
@@ -122,6 +180,208 @@ class TestDifferentialOracle:
         for seed in (300, 301):
             dc = random_datacenter(seed)
             assert_plan_matches_oracle(agent, dc)
+
+
+class TestBackendAxes:
+    """Corners of the plan rules, each checked against the scalar
+    oracle under both backends."""
+
+    def test_underload_threshold_above_beta_dedups_after_the_cap(self):
+        # With underload_threshold >= beta a host can be overloaded and
+        # underloaded at once: its VMs are listed twice, the cap counts
+        # both listings, and the dedup keeps the first.
+        config = MeghConfig(underload_threshold=0.95, max_candidate_vms=12)
+        overlapped = 0
+        for seed in range(6):
+            dc = random_datacenter(seed + 400, num_vms=28, demand_low=0.5)
+            agent = MeghScheduler(
+                num_vms=28, num_pms=8, config=config, seed=seed
+            )
+            arrays = dc.arrays
+            util = arrays.pm_demand_utilization()
+            overlapped += int(
+                np.count_nonzero(
+                    arrays.overloaded_pm_mask(agent.beta)
+                    & (util <= config.underload_threshold)
+                )
+            )
+            assert_plan_matches_oracle(agent, dc)
+        assert overlapped > 0
+        # PM 0 (util 0.75, three VMs) is listed as overloaded and again
+        # as underloaded, before PM 2 (util 0.1, four VMs): the cap of
+        # seven cuts [0, 1, 2, 0, 1, 2, 3 | 4, 5, 6] and leaves 4 rows.
+        pms = [make_pm(i) for i in range(4)]
+        vms = [make_vm(j, mips=1000.0, ram_mb=256.0) for j in range(7)]
+        dc = Datacenter(pms, vms)
+        for j in range(3):
+            dc.place(j, 0)
+            dc.vm(j).set_demand(1.0)
+        for j in range(3, 7):
+            dc.place(j, 2)
+            dc.vm(j).set_demand(0.1)
+        config = MeghConfig(underload_threshold=0.95, max_candidate_vms=7)
+        agent = MeghScheduler(num_vms=7, num_pms=4, config=config, seed=0)
+        plan = agent.candidate_index.plan(dc)
+        assert plan.vm_ids.tolist() == [0, 1, 2, 3]
+        assert_plan_matches_oracle(agent, dc)
+
+    def test_relief_rows_fall_back_to_the_full_budget(self):
+        # PM 0 is overloaded; every other host already carries 500 MIPS,
+        # so 500 + 1000 exceeds the 0.4 * 0.7 headroom budget (1120) but
+        # not the full beta budget (2800).
+        pms = [make_pm(i) for i in range(4)]
+        vms = [make_vm(j, mips=1000.0, ram_mb=256.0) for j in range(6)]
+        dc = Datacenter(pms, vms)
+        for j in range(3):
+            dc.place(j, 0)
+            dc.vm(j).set_demand(1.0)
+        for j in range(3, 6):
+            dc.place(j, j - 2)
+            dc.vm(j).set_demand(0.5)
+        agent = MeghScheduler(num_vms=6, num_pms=4, seed=0)
+        plan = agent.candidate_index.plan(dc)
+        relief = np.flatnonzero(plan.mandatory)
+        assert relief.shape[0] == 3
+        for r in relief.tolist():
+            row = plan.dest_pm[plan.offsets[r] : plan.offsets[r + 1]]
+            assert row.tolist() == [1, 2, 3]  # no no-op: it can move
+        assert_plan_matches_oracle(agent, dc)
+
+    def test_utilization_ties_while_the_destination_cap_binds(self):
+        # Seven identical one-VM hosts tie on utilization; with room for
+        # two destinations the lowest ids win the tie.
+        pms = [make_pm(i, mips=4000.0) for i in range(8)]
+        vms = [make_vm(j, mips=1000.0, ram_mb=256.0) for j in range(10)]
+        dc = Datacenter(pms, vms)
+        for j in range(3):
+            dc.place(j, 0)
+            dc.vm(j).set_demand(1.0)
+        for j in range(3, 10):
+            dc.place(j, j - 2)
+            dc.vm(j).set_demand(0.4)
+        config = MeghConfig(candidate_destinations=2)
+        agent = MeghScheduler(num_vms=10, num_pms=8, config=config, seed=0)
+        plan = agent.candidate_index.plan(dc)
+        assert plan.mandatory[0]
+        assert plan.dest_pm[plan.offsets[0] : plan.offsets[1]].tolist() == [
+            1,
+            2,
+        ]
+        assert_plan_matches_oracle(agent, dc)
+        for seed in range(4):
+            tied = random_datacenter(seed + 500, num_vms=28, demand_low=0.3)
+            for j in range(28):
+                tied.vm(j).set_demand(round(tied.vm(j).demanded_utilization * 4) / 4)
+            agent = MeghScheduler(
+                num_vms=28, num_pms=8, config=config, seed=seed
+            )
+            assert_plan_matches_oracle(agent, tied)
+
+    def test_heterogeneous_ram_and_inactive_placed_vms(self):
+        config = MeghConfig(max_candidate_vms=0, candidate_destinations=0)
+        for seed in range(4):
+            dc = random_datacenter(
+                seed + 600,
+                num_vms=24,
+                demand_low=0.3,
+                ram_choices=(256.0, 1024.0, 2048.0, 3072.0),
+            )
+            # Placed but inactive: still counted by pm_vm_count (the
+            # easiest-to-empty order), never a candidate row.
+            for j in (1, 5, 9):
+                if dc.host_of(j) is not None:
+                    dc.vm(j).set_active(False)
+            agent = MeghScheduler(
+                num_vms=24, num_pms=8, config=config, seed=seed
+            )
+            assert_plan_matches_oracle(agent, dc)
+
+    def test_sleeping_hosts(self):
+        for seed in range(4):
+            dc = random_datacenter(
+                seed + 700, num_pms=12, num_vms=14, demand_low=0.4
+            )
+            assert dc.sleep_idle_hosts()
+            agent = MeghScheduler(num_vms=14, num_pms=12, seed=seed)
+            assert_plan_matches_oracle(agent, dc)
+
+    def test_rebinding_to_a_different_fleet_size(self):
+        config = MeghConfig()
+        indexes = backend_indexes(0.7, config)
+        for seed, (num_pms, num_vms) in enumerate(
+            [(8, 20), (12, 30), (5, 9), (8, 20)]
+        ):
+            dc = random_datacenter(
+                seed + 800, num_pms=num_pms, num_vms=num_vms
+            )
+            agent = MeghScheduler(
+                num_vms=num_vms, num_pms=num_pms, config=config, seed=0
+            )
+            oracle = candidate_actions(agent, build_observation(dc))
+            plans = [index.plan(dc) for index in indexes]
+            for plan in plans:
+                assert plan.to_action_lists() == oracle
+                assert plan.num_pms == num_pms
+                assert_plans_equal(plan, plans[0])
+
+    def test_returned_plans_do_not_alias_later_calls(self):
+        dc = random_datacenter(900, num_vms=28, demand_low=0.4)
+        agent = MeghScheduler(num_vms=28, num_pms=8, seed=0)
+        first = agent.candidate_index.plan(dc)
+        kept = {name: getattr(first, name).copy() for name in PLAN_FIELDS}
+        for j in range(28):
+            dc.vm(j).set_demand(1.0 - dc.vm(j).demanded_utilization)
+        agent.candidate_index.plan(dc)
+        for name in PLAN_FIELDS:
+            np.testing.assert_array_equal(getattr(first, name), kept[name])
+
+
+    def test_compiled_plan_rejects_a_host_id_out_of_range(self):
+        if compiled_kernel() is None:
+            pytest.skip("no C compiler: only the eager planner exists")
+        dc = random_datacenter(901)
+        index = CandidateIndex(
+            beta=0.7, config=MeghConfig(), kernel=compiled_kernel()
+        )
+        index.plan(dc)
+        dc.arrays.host_of[3] = dc.num_pms
+        with pytest.raises(RuntimeError, match="out of their bounds"):
+            index.plan(dc)
+
+
+class TestBackendsOverARun:
+    """The compiled and eager plans agree at every step of a 100-step
+    run at a quarter of the paper fleet (200 PMs x 263 VMs)."""
+
+    def test_every_plan_array_equal_between_backends(self):
+        from repro.harness.builders import build_planetlab_simulation
+        from repro.harness.runner import run_scheduler
+
+        if compiled_kernel() is None:
+            pytest.skip("no C compiler: only the eager planner exists")
+        simulation = build_planetlab_simulation(
+            num_pms=200, num_vms=263, num_steps=100, seed=0
+        )
+        scheduler = MeghScheduler.from_simulation(
+            simulation, seed=0, contracts=False
+        )
+        index = scheduler.candidate_index
+        compiled = CandidateIndex(
+            beta=index.beta, config=index.config, kernel=compiled_kernel()
+        )
+        eager = CandidateIndex(beta=index.beta, config=index.config)
+        checked = []
+
+        def both(datacenter):
+            plan = compiled.plan(datacenter)
+            assert_plans_equal(plan, eager.plan(datacenter))
+            checked.append(plan.num_actions)
+            return plan
+
+        scheduler._plan = lambda observation: both(observation.datacenter)
+        run_scheduler(simulation, scheduler)
+        assert len(checked) == 100
+        assert sum(checked) > 0
 
 
 class TestFullRunEquivalence:

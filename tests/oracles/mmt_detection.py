@@ -16,11 +16,11 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.cloudsim.monitor import (
+from tests.oracles.boltzmann import left_to_right_sum
+from tests.oracles.robust_stats import (
     interquartile_range,
     median_absolute_deviation,
 )
-from tests.oracles.boltzmann import left_to_right_sum
 
 
 def _least_squares_fit(ys: Sequence[float]) -> Tuple[float, float]:
