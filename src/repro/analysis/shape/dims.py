@@ -54,7 +54,7 @@ __all__ = [
 #: Packages whose arithmetic is bit-identity-critical: the interpreter
 #: (MEGH012, MEGH019–023) and the ABI certification (MEGH021) analyze
 #: only functions defined under these prefixes.
-HOT_PREFIXES = ("repro.core", "repro.cloudsim")
+HOT_PREFIXES = ("repro.core", "repro.cloudsim", "repro.baselines.mmt.placement")
 
 
 def in_hot_package(function: FunctionInfo, prefixes: Sequence[str]) -> bool:
@@ -359,7 +359,13 @@ ABI_BUFFER_DTYPES: Mapping[str, str] = {
     "_plan_scratch": "int64",
     "_mips_budget": "float64",
     "_mips_budget_full": "float64",
-    # DatacenterArrays fleet vectors the compiled plan reads in place.
+    # CompiledPlacement (MMT's placement pass): arguments, blocks, output.
+    "_mmt_args": "int64",
+    "_mmt_ints": "int64",
+    "_mmt_doubles": "float64",
+    "_mmt_flags": "uint8",
+    "_mmt_out": "int64",
+    # DatacenterArrays fleet vectors the compiled plans read in place.
     "host_of": "int64",
     "vm_ram_mb": "float64",
     "vm_demand": "float64",

@@ -14,6 +14,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.cloudsim.datacenter import Datacenter
+from repro.cloudsim.power import LinearPowerModel, SpecPowerModel
+from repro.core import kern
 
 
 class PlacementContext:
@@ -131,7 +133,7 @@ class PlacementContext:
         )
         scores = np.empty(feasible.shape, dtype=np.float64)
         edges = np.searchsorted(
-            self.group_of[base], np.arange(len(self.groups) + 1)
+            self.group_of[base], np.arange(len(self.groups) + 1, dtype=np.int64)
         ).tolist()
         for (model, _), lo, hi in zip(self.groups, edges, edges[1:]):
             hosts = base[lo:hi]
@@ -143,7 +145,7 @@ class PlacementContext:
         rows, cols = np.nonzero(feasible)
         self._pair_hosts = base[cols]
         self._pair_scores = scores[feasible]
-        bounds = np.searchsorted(rows, np.arange(vm_ids.size + 1)).tolist()
+        bounds = np.searchsorted(rows, np.arange(vm_ids.size + 1, dtype=np.int64)).tolist()
         self.threshold = threshold
         self._budget = budget.tolist()
         self._rows = dict(
@@ -294,8 +296,9 @@ def power_aware_best_fit(
     return plan
 
 
-def hosts_by_utilization(datacenter: Datacenter) -> List[int]:
-    """Active hosts ordered by demanded utilization, least loaded first.
+def hosts_by_utilization(datacenter: Datacenter) -> np.ndarray:
+    """Active host ids ordered by demanded utilization, least loaded
+    first.
 
     One masked stable argsort — ties keep ascending host-id order, the
     same as the historical stable ``sorted`` over ``active_pm_ids()``.
@@ -303,4 +306,91 @@ def hosts_by_utilization(datacenter: Datacenter) -> List[int]:
     arrays = datacenter.arrays
     active = np.flatnonzero(arrays.active_pm_mask())
     util = arrays.pm_demand_utilization()
-    return active[np.argsort(util[active], kind="stable")].tolist()
+    return active[np.argsort(util[active], kind="stable")]
+
+
+class CompiledPlacement:
+    """MMT's whole placement pass in one call of the kernel library's
+    ``megh_plan_mmt`` (the relief PABFD call, then one per consolidation
+    host), migration for migration the :func:`power_aware_best_fit`
+    path's.  Binds to a fleet on first use; :meth:`plan` returns
+    ``None`` when a host's power model is neither
+    :class:`SpecPowerModel` nor :class:`LinearPowerModel`.
+    """
+
+    def __init__(self, kernel: "kern.CKernel") -> None:
+        self.kernel = kernel
+        self._arrays: object = None
+        self._supported = False
+        self._mmt_args = np.zeros(kern.M_SLOTS, dtype=np.int64)
+        self._mmt_args_ptr = self._mmt_args.ctypes.data
+
+    def _bind(self, datacenter: Datacenter) -> None:
+        """Size the buffers for this fleet and write its static part."""
+        arrays = self._arrays = datacenter.arrays
+        groups = datacenter.power_groups()
+        rows: List[List[float]] = []  # megh_plan_mmt's row of each model
+        for model, _ in groups:
+            if type(model) is SpecPowerModel:
+                rows.append([0.0, *model.watts])
+            elif type(model) is LinearPowerModel:
+                rows.append([1.0, model.idle_watts, model.peak_watts] + [0.0] * 9)
+        self._supported = len(rows) == len(groups)
+        if not self._supported:
+            return
+        num_vms, num_pms = arrays.num_vms, arrays.num_pms
+        size = 7 * num_pms + 12 * len(rows)  # layouts: kern's M_* comment
+        self._mmt_ints = np.zeros(3 * num_pms + 1 + 4 * num_vms, dtype=np.int64)
+        self._mmt_doubles = np.zeros(size, dtype=np.float64)
+        self._mmt_flags = np.zeros(3 * num_pms, dtype=np.uint8)
+        self._mmt_out = np.zeros(2 * num_vms, dtype=np.int64)
+        for index, (_, pm_ids) in enumerate(groups):
+            self._mmt_ints[pm_ids] = index
+        self._mmt_doubles[:num_pms] = arrays.pm_mips
+        self._mmt_doubles[7 * num_pms :] = [w for row in rows for w in row]
+        args = self._mmt_args
+        args[kern.M_NUM_VMS : kern.M_NUM_PMS + 1] = num_vms, num_pms
+        args[kern.M_HOST_OF] = arrays.host_of.ctypes.data
+        args[kern.M_VM_RAM] = arrays.vm_ram_mb.ctypes.data
+        args[kern.M_VM_DEMAND] = arrays.vm_demand.ctypes.data
+        args[kern.M_VM_MIPS] = arrays.vm_mips.ctypes.data
+        args[kern.M_INTS] = self._mmt_ints.ctypes.data
+        args[kern.M_DOUBLES] = self._mmt_doubles.ctypes.data
+        args[kern.M_FLAGS] = self._mmt_flags.ctypes.data
+        args[kern.M_OUT] = self._mmt_out.ctypes.data
+
+    def plan(
+        self,
+        datacenter: Datacenter,
+        relief: Sequence[int],
+        overloaded_hosts: Sequence[int],
+        candidates: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        threshold: float,
+    ) -> Optional[List[int]]:
+        """The step's migrations as a flat ``[vm, dest, vm, dest, ...]``
+        list (``None`` for a fleet the kernel cannot score); the inputs
+        are as ``MMTScheduler`` computes them."""
+        arrays = datacenter.arrays
+        if arrays is not self._arrays:
+            self._bind(datacenter)
+        if not self._supported:
+            return None
+        num_vms, num_pms = arrays.num_vms, arrays.num_pms
+        hosts, by_host, bounds = candidates
+        ints, doubles, flags = self._mmt_ints, self._mmt_doubles, self._mmt_flags
+        doubles[num_pms : 2 * num_pms] = arrays.pm_ram_free_mb()
+        doubles[2 * num_pms : 3 * num_pms] = arrays.pm_demand_mips()
+        flags[:num_pms] = 0
+        flags[overloaded_hosts] = 1
+        flags[num_pms : 2 * num_pms] = arrays.pm_asleep
+        start = 2 * num_pms + 1  # bounds, then VMs by host, relief VMs, hosts
+        ints[num_pms:start] = bounds
+        ints[start : start + by_host.shape[0]] = by_host
+        ints[start + num_vms : start + num_vms + len(relief)] = relief
+        ints[start + 2 * num_vms : start + 2 * num_vms + hosts.shape[0]] = hosts
+        self._mmt_args[kern.M_N_RELIEF] = len(relief)
+        self._mmt_args[kern.M_N_HOSTS] = hosts.shape[0]
+        count = self.kernel.plan_mmt(self._mmt_args_ptr, threshold)
+        if count < 0:
+            raise RuntimeError("megh_plan_mmt: step inputs out of their bounds")
+        return self._mmt_out[: 2 * count].tolist()

@@ -76,14 +76,22 @@ action indices).  :class:`CKernel` loads it and
 :class:`~repro.core.candidates.CandidateIndex` marshals it (layout: the
 ``P_*`` constants); its only float operations are one multiply, one add
 and compares, on the eager NumPy path's operands, so the plan is the
-eager plan array for array.
+eager plan array for array.  A third, ``megh_plan_mmt``, plans a whole
+MMT step (the relief PABFD call, then one per consolidation host) by
+the per-PM scan of ``tests/oracles/pabfd.py`` with the scalar SPEC and
+linear power models' operations, so its migrations are the eager
+``power_aware_best_fit`` path's, in order
+(:class:`~repro.baselines.mmt.placement.CompiledPlacement` marshals it;
+layout: the ``M_*`` constants).
 
 Backend selection: ``REPRO_KERNEL=auto`` (default; the C kernel when a
 compiler is available, the eager path otherwise), ``c`` (require the
-compiled kernel), ``off`` (eager path, no deferral).  It selects the
-candidate planner too: the plan is compiled exactly when ``B`` has a
-compiled backend.  The eager path is both the no-compiler fallback and
-the bit-identity reference the C kernel is tested against.
+compiled kernel), ``off`` (eager path, no deferral).  It selects both
+planners too: the candidate plan is compiled exactly when ``B`` has a
+compiled backend, the MMT pass when the scheduler was built with one.
+The eager path is both the no-compiler fallback and the bit-identity
+reference the C kernel is tested against.  The library is loaded once
+per process.
 :data:`DEFAULT_WINDOW` bounds the staged rank; ``REPRO_KERNEL_CACHE``
 relocates the compiled-object cache.
 
@@ -118,6 +126,7 @@ __all__ = [
     "DEFAULT_WINDOW",
     "KernelUnavailableError",
     "PendingUpdates",
+    "make_backend",
     "make_pending",
     "resolve_mode",
 ]
@@ -775,6 +784,174 @@ sources_done:
     a[P_N_ACTIONS] = pos;
     return n_rows;
 }
+
+/* MMT placement argument block (mirrors the M_* constants in kern.py).
+ * ints: model_of (M), VM bounds by host (M + 1), VMs by host (N), relief
+ * VMs (N), consolidation hosts (M), scratch (2 N); doubles: pm_mips, free
+ * RAM, demand, then wake, before, pending MIPS and RAM (M each), then
+ * 12 per power model; flags: relief-excluded, asleep, evacuated (M
+ * each); out: (vm, dest) pairs. */
+enum { M_NUM_VMS = 0, M_NUM_PMS, M_HOST_OF, M_VM_RAM, M_VM_DEMAND,
+       M_VM_MIPS, M_INTS, M_DOUBLES, M_FLAGS, M_OUT, M_N_RELIEF, M_N_HOSTS };
+
+/* Power at utilization u of a model row, kind 0 SPEC (watts at 0 %,
+ * 10 %, ..., 100 %) or 1 linear (idle, peak): SpecPowerModel.power and
+ * LinearPowerModel.power operation for operation. */
+static double model_power(const double *m, double u)
+{
+    u = u < 0.0 ? 0.0 : u > 1.0 ? 1.0 : u;
+    if (m[0] != 0.0) return m[1] + (m[2] - m[1]) * u;
+    u = u * 10.0;
+    if (u != u) return u;  /* NaN has no segment */
+    int64_t low = (int64_t)u;
+    if (low >= 10) return m[11];
+    double frac = u - (double)low, below = m[1 + low], above = m[2 + low];
+    double w = below * (1.0 - frac) + above * frac;
+    double lo = below <= above ? below : above;
+    double hi = below <= above ? above : below;
+    return w < lo ? lo : w > hi ? hi : w;
+}
+
+typedef struct {
+    int64_t n_pms;
+    double threshold;
+    const int64_t *host_of, *model_of;
+    const double *vm_ram, *vm_demand, *vm_mips;
+    const double *pm_mips, *ram_free, *pm_demand, *models;
+    double *wake;
+    /* One PABFD call's commitments: each host's power at its pending
+     * load, its pending MIPS and RAM (+= in placement order, as the
+     * scan's pending maps), and the hosts committed to. */
+    double *before, *pend_mips, *pend_ram;
+    int64_t *order, *touched, n_touched;
+} Mmt;
+
+/* P(min(1, load / mips)) of host p. */
+static double host_power(const Mmt *s, int64_t p, double load)
+{
+    double u = load / s->pm_mips[p];
+    return model_power(s->models + 12 * s->model_of[p], u < 1.0 ? u : 1.0);
+}
+
+static void commit(Mmt *s, int64_t p, double mips, double ram)
+{
+    s->pend_mips[p] += mips;
+    s->pend_ram[p] += ram;
+    s->before[p] = host_power(s, p, s->pm_demand[p] + s->pend_mips[p]);
+    s->touched[s->n_touched++] = p;
+}
+
+/* Back to zero pending (all: on every host): each call starts afresh. */
+static void release(Mmt *s, int64_t all)
+{
+    int64_t n = all ? s->n_pms : s->n_touched;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t p = all ? i : s->touched[i];
+        s->pend_mips[p] = s->pend_ram[p] = 0.0;
+        s->before[p] = host_power(s, p, s->pm_demand[p] + 0.0);
+    }
+    s->n_touched = 0;
+}
+
+#define VM_MIPS(v) (s->vm_demand[v] * s->vm_mips[v])
+
+/* One PABFD call, the per-PM scan of tests/oracles/pabfd.py: the VMs
+ * stably by descending demand, each to the host of least increase
+ * (P(after) - P(before)) + wake, strict < in ascending id, among the
+ * hosts neither excluded nor its source with the RAM free and the load
+ * within threshold * mips.  Writes (vm, dest) pairs in placement order
+ * and returns their count; all_or_none stops at the first VM that fits
+ * nowhere (the caller drops that call). */
+static int64_t pabfd(Mmt *s, const int64_t *vms, int64_t n,
+                     const uint8_t *excluded, int all_or_none, int64_t *out)
+{
+    int64_t *order = s->order, placed = 0, i, j, p;
+    for (i = 0; i < n; i++) {
+        double key = -VM_MIPS(vms[i]);
+        for (j = i; j > 0 && key < -VM_MIPS(order[j - 1]); j--)
+            order[j] = order[j - 1];
+        order[j] = vms[i];
+    }
+    for (i = 0; i < n; i++) {
+        int64_t v = order[i], src = s->host_of[v], best = -1;
+        double mips = VM_MIPS(v), ram = s->vm_ram[v], best_inc = INFINITY;
+        for (p = 0; p < s->n_pms; p++) {
+            if (excluded[p] || p == src) continue;
+            if (ram > s->ram_free[p] - s->pend_ram[p]) continue;
+            double load = (s->pm_demand[p] + s->pend_mips[p]) + mips;
+            if (load > s->threshold * s->pm_mips[p]) continue;
+            double inc =
+                (host_power(s, p, load) - s->before[p]) + s->wake[p];
+            if (inc < best_inc) { best_inc = inc; best = p; }
+        }
+        if (best >= 0) {
+            out[2 * placed] = v;
+            out[2 * placed++ + 1] = best;
+            commit(s, best, mips, ram);
+        } else if (all_or_none) break;
+    }
+    release(s, 0);
+    return placed;
+}
+
+static int ids_below(const int64_t *ids, int64_t n, int64_t bound)
+{
+    for (int64_t i = 0; i < n; i++) if (ids[i] < 0 || ids[i] >= bound) return 0;
+    return 1;
+}
+
+/* One MMT step's placement pass (MMTScheduler.decide's compiled path):
+ * the relief call, relief-excluded hosts excluded, kept partial; then
+ * one call per consolidation host in the given order, the hosts
+ * evacuated so far excluded, kept (and the host evacuated) only when
+ * every VM of the host is placed.  Returns the migration count, or -1
+ * when an id or bound is out of range (nothing valid written). */
+int64_t megh_plan_mmt(int64_t *a, double threshold)
+{
+    int64_t n_vms = a[M_NUM_VMS], n_pms = a[M_NUM_PMS], n_out, i, p;
+    int64_t n_relief = a[M_N_RELIEF], n_hosts = a[M_N_HOSTS];
+    int64_t *ints = PTR(int64_t, M_INTS), *out = PTR(int64_t, M_OUT);
+    const int64_t *bounds = ints + n_pms, *by_host = bounds + n_pms + 1;
+    const int64_t *relief = by_host + n_vms, *hosts = relief + n_vms;
+    int64_t *order = ints + 3 * n_pms + 1 + 2 * n_vms;
+    double *dbl = PTR(double, M_DOUBLES);
+    uint8_t *flags = PTR(uint8_t, M_FLAGS), *evacuated = flags + 2 * n_pms;
+    Mmt s = {
+        .n_pms = n_pms, .threshold = threshold, .model_of = ints,
+        .host_of = PTR(const int64_t, M_HOST_OF),
+        .vm_ram = PTR(const double, M_VM_RAM),
+        .vm_demand = PTR(const double, M_VM_DEMAND),
+        .vm_mips = PTR(const double, M_VM_MIPS),
+        .pm_mips = dbl, .ram_free = dbl + n_pms, .pm_demand = dbl + 2 * n_pms,
+        .wake = dbl + 3 * n_pms, .before = dbl + 4 * n_pms,
+        .pend_mips = dbl + 5 * n_pms, .pend_ram = dbl + 6 * n_pms,
+        .models = dbl + 7 * n_pms, .order = order, .touched = order + n_vms,
+    };
+    if (n_relief < 0 || n_relief > n_vms || n_hosts < 0 || n_hosts > n_pms
+        || bounds[0] != 0 || bounds[n_pms] > n_vms
+        || !ids_below(by_host, bounds[n_pms], n_vms)
+        || !ids_below(relief, n_relief, n_vms)
+        || !ids_below(hosts, n_hosts, n_pms))
+        return -1;
+    for (p = 0; p < n_pms; p++)
+        if (bounds[p + 1] < bounds[p]) return -1;
+    for (p = 0; p < n_pms; p++)  /* a sleeping host costs P(0) to wake */
+        s.wake[p] =
+            flags[n_pms + p] ? model_power(s.models + 12 * ints[p], 0.0) : 0.0;
+    memset(evacuated, 0, (size_t)n_pms);
+    release(&s, 1);
+    n_out = pabfd(&s, relief, n_relief, flags, 0, out);
+    for (i = 0; i < n_hosts; i++) {
+        int64_t h = hosts[i], n = bounds[h + 1] - bounds[h];
+        if (n_out + n > n_vms) return -1;
+        if (pabfd(&s, by_host + bounds[h], n, evacuated, 1, out + 2 * n_out)
+            == n) {
+            evacuated[h] = 1;
+            n_out += n;
+        }
+    }
+    return n_out;
+}
 """
 
 #: Slot-table block layout of a :class:`~repro.core.sparse.SparseMatrix`
@@ -833,6 +1010,13 @@ sources_done:
     P_N_ACTIONS,
     P_SLOTS,
 ) = range(26)
+
+#: MMT placement argument block layout (mirrors the C ``M_*`` enum): one
+#: int64 array per :class:`~repro.baselines.mmt.placement.CompiledPlacement`
+#: carrying the fleet's VM vectors, its int64, double, flag and output
+#: buffers and the step's input counts.
+(M_NUM_VMS, M_NUM_PMS, M_HOST_OF, M_VM_RAM, M_VM_DEMAND, M_VM_MIPS, M_INTS,
+ M_DOUBLES, M_FLAGS, M_OUT, M_N_RELIEF, M_N_HOSTS, M_SLOTS) = range(13)
 
 #: Compile flags.  ``-ffp-contract=off`` and ``-fno-fast-math`` are
 #: load-bearing: a fused multiply-add or a fast-math rewrite would change
@@ -906,10 +1090,18 @@ def _toolchain_identity(compiler: str) -> str:
 
 def _library_digest(compiler: str) -> str:
     """Cache key of the compiled kernel: source, flags, toolchain, CPU."""
-    key = "\0".join(
-        (_C_SOURCE, " ".join(_CFLAGS), _toolchain_identity(compiler))
-    )
+    return _digest_of(_toolchain_identity(compiler))
+
+
+@functools.lru_cache(maxsize=None)
+def _digest_of(identity: str) -> str:
+    """:func:`_library_digest` of a toolchain identity, once a process."""
+    key = "\0".join((_C_SOURCE, " ".join(_CFLAGS), identity))
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
+
+
+#: The compiled library at a path, loaded once per process.
+_load_library = functools.lru_cache(maxsize=None)(ctypes.CDLL)
 
 
 def _compiled_library_path() -> str:
@@ -1031,12 +1223,14 @@ class CKernel:
     def __init__(self) -> None:
         library = _compiled_library_path()
         try:
-            self._lib = ctypes.CDLL(library)
+            self._lib = _load_library(library)
             self._flush = self._lib.megh_flush_rows
             self._combine = self._lib.megh_combine_rows
             #: ``megh_plan_candidates(args, underload_threshold)``: the
             #: candidate plan's compiled path, marshaled by CandidateIndex.
             self.plan_candidates = self._lib.megh_plan_candidates
+            #: ``megh_plan_mmt(args, threshold)``, by CompiledPlacement.
+            self.plan_mmt = self._lib.megh_plan_mmt
         except (OSError, AttributeError) as error:  # AttributeError: symbol missing
             raise KernelUnavailableError(
                 f"REPRO_KERNEL: cannot load {library}: {error}"
@@ -1045,6 +1239,8 @@ class CKernel:
         self._flush.argtypes = [ctypes.c_void_p, ctypes.c_double]
         self.plan_candidates.restype = ctypes.c_int64
         self.plan_candidates.argtypes = [ctypes.c_void_p, ctypes.c_double]
+        self.plan_mmt.restype = ctypes.c_int64
+        self.plan_mmt.argtypes = [ctypes.c_void_p, ctypes.c_double]
         self._combine.restype = ctypes.c_int64
         self._combine.argtypes = [
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
@@ -1291,7 +1487,7 @@ def unique_sorted(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def _make_backend(mode: str) -> Optional[CKernel]:
+def make_backend(mode: str) -> Optional[CKernel]:
     """Instantiate the backend for ``mode`` (``None`` means eager)."""
     if mode == "off":
         return None
@@ -1311,7 +1507,7 @@ def make_pending(
         raise ConfigurationError(
             f"kernel mode {mode!r} invalid; expected one of {_VALID_MODES}"
         )
-    backend = _make_backend(mode)
+    backend = make_backend(mode)
     if backend is None:
         return None
     return PendingUpdates(backend, dimension, window=DEFAULT_WINDOW)

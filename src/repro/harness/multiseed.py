@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
+from repro.cloudsim.metrics import ordered_sum
 from repro.cloudsim.simulation import SimulationResult
 from repro.errors import ConfigurationError
 
@@ -29,7 +30,7 @@ class MetricSummary:
 
     @property
     def mean(self) -> float:
-        return sum(self.values) / len(self.values)
+        return ordered_sum(self.values) / len(self.values)
 
     @property
     def std(self) -> float:
@@ -37,7 +38,7 @@ class MetricSummary:
             return 0.0
         mu = self.mean
         return math.sqrt(
-            sum((v - mu) ** 2 for v in self.values) / (len(self.values) - 1)
+            ordered_sum((v - mu) ** 2 for v in self.values) / (len(self.values) - 1)
         )
 
     @property

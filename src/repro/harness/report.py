@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.cloudsim.metrics import ordered_sum
 from repro.cloudsim.simulation import SimulationResult
 
 
 def _steady_state(result: SimulationResult, tail_fraction: float) -> float:
     costs = result.metrics.per_step_cost_series()
     tail = max(1, int(len(costs) * tail_fraction))
-    return sum(costs[-tail:]) / tail
+    return ordered_sum(costs[-tail:]) / tail
 
 
 def markdown_table(rows: Sequence[Sequence[str]]) -> str:

@@ -9,6 +9,8 @@ with a scheduler that plans on the scalar PABFD and detects with the
 per-host list-based detector oracle.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,7 @@ from repro.cloudsim.power import (
     LinearPowerModel,
 )
 from repro.cloudsim.vm import VirtualMachine
+from repro.core import kern
 from repro.harness.builders import build_planetlab_simulation
 from repro.harness.runner import run_scheduler
 
@@ -306,30 +309,46 @@ def _scalar_pabfd(datacenter, vm_ids, threshold, excluded_hosts=(), context=None
     )
 
 
-def _decisions(detector, monkeypatch=None, **size):
-    """Per-step migration lists of one PlanetLab MMT run.
+_HAS_COMPILER = kern._find_compiler() is not None
 
-    With ``monkeypatch`` the scheduler plans with the scalar oracles:
-    the per-PM PABFD scan and the per-host list-based detector.
-    """
+#: The three MMT planners: the kernel library's compiled pass (skipped
+#: without a compiler), the eager PlacementContext path
+#: (``REPRO_KERNEL=off``) and the oracle (the eager path on the per-PM
+#: PABFD scan and the per-host list-based detector).
+PLANNERS = (["compiled"] if _HAS_COMPILER else []) + ["eager", "oracle"]
+
+
+def _scheduler(planner, patch, detector="THR", **kwargs):
+    """An MMTScheduler planning by ``planner``; the oracle's patches
+    go on ``patch`` (a MonkeyPatch), which the caller undoes."""
+    patch.setenv("REPRO_KERNEL", "c" if planner == "compiled" else "off")
+    scheduler = MMTScheduler(detector, **kwargs)
+    assert (scheduler._compiled is not None) == (planner == "compiled")
+    if planner == "oracle":
+        patch.setattr(scheduler_module, "power_aware_best_fit", _scalar_pabfd)
+        scheduler.detector = ShadowDetector(scheduler.detector)
+    return scheduler
+
+
+def _decisions(detector, planner, **size):
+    """Per-step migration lists and the result of one PlanetLab MMT run
+    planned by ``planner`` (see :data:`PLANNERS`)."""
     size = {"num_pms": 16, "num_vms": 24, "num_steps": 40, **size}
     simulation = build_planetlab_simulation(seed=3, **size)
-    scheduler = MMTScheduler(detector)
-    decide = scheduler.decide
     steps = []
+    with pytest.MonkeyPatch.context() as patch:
+        scheduler = _scheduler(planner, patch, detector)
+        decide = scheduler.decide
 
-    def recording(observation):
-        migrations = decide(observation)
-        steps.append([(m.vm_id, m.dest_pm_id) for m in migrations])
-        return migrations
+        def recording(observation):
+            migrations = decide(observation)
+            steps.append([(m.vm_id, m.dest_pm_id) for m in migrations])
+            return migrations
 
-    scheduler.decide = recording
-    if monkeypatch is not None:
-        monkeypatch.setattr(
-            scheduler_module, "power_aware_best_fit", _scalar_pabfd
-        )
-        scheduler.detector = ShadowDetector(scheduler.detector)
-    result = run_scheduler(simulation, scheduler)
+        scheduler.decide = recording
+        result = run_scheduler(simulation, scheduler)
+    if planner == "compiled":
+        assert scheduler._compiled._supported, "the compiled pass must run"
     return steps, result
 
 
@@ -340,15 +359,22 @@ def _without_timings(result):
     return payload
 
 
+def _assert_runs_identical(detector, **size):
+    """Every planner plans the same migrations, step for step, and the
+    runs give the same results; returns the migration lists."""
+    runs = {planner: _decisions(detector, planner, **size) for planner in PLANNERS}
+    steps, result = runs["oracle"]
+    assert any(steps), "the run must plan some migrations"
+    for planner, (other_steps, other_result) in runs.items():
+        assert other_steps == steps, planner
+        assert _without_timings(other_result) == _without_timings(result)
+    return steps
+
+
 class TestRunLevelEquivalence:
     @pytest.mark.parametrize("detector", ["THR", "IQR", "MAD", "LR", "LRR"])
-    def test_migration_lists_identical(self, detector, monkeypatch):
-        array_steps, array_result = _decisions(detector)
-        scalar_steps, scalar_result = _decisions(detector, monkeypatch)
-        assert any(array_steps), "the run must plan some migrations"
-        assert array_steps == scalar_steps
-        assert array_result.total_cost_usd == scalar_result.total_cost_usd
-        assert array_result.total_migrations == scalar_result.total_migrations
+    def test_migration_lists_identical(self, detector):
+        _assert_runs_identical(detector)
 
     def test_thr_mostly_sleeping_fleet_results_identical(self, monkeypatch):
         # 24 VMs first-fit onto 40 hosts: most hosts sleep empty, so
@@ -367,25 +393,253 @@ class TestRunLevelEquivalence:
             return plan
 
         size = {"num_pms": 40, "num_vms": 24}
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                scheduler_module, "power_aware_best_fit", recording
-            )
-            array_steps, array_result = _decisions("THR", **size)
-        scalar_steps, scalar_result = _decisions("THR", monkeypatch, **size)
+        monkeypatch.setattr(
+            scheduler_module, "power_aware_best_fit", recording
+        )
+        eager_steps, _ = _decisions("THR", "eager", **size)
+        monkeypatch.undo()
         assert twin_destinations, "twins must take some placements"
-        assert array_steps == scalar_steps
-        assert _without_timings(array_result) == _without_timings(
-            scalar_result
+        assert _assert_runs_identical("THR", **size) == eager_steps
+
+    def test_lrr_quarter_paper_fleet_results_identical(self):
+        # The perfbench ``mmt-planetlab`` fleet, past the detector window.
+        _assert_runs_identical("LRR", num_pms=200, num_vms=263, num_steps=24)
+
+    @pytest.mark.skipif(not _HAS_COMPILER, reason="no C compiler on PATH")
+    @pytest.mark.parametrize("detector", ["THR", "LRR"])
+    def test_quarter_paper_fleet_compiled_matches_eager(self, detector):
+        # The whole ``mmt-planetlab`` horizon, compiled against eager.
+        size = {"num_pms": 200, "num_vms": 263, "num_steps": 40}
+        compiled_steps, compiled = _decisions(detector, "compiled", **size)
+        eager_steps, eager = _decisions(detector, "eager", **size)
+        assert sum(map(len, compiled_steps)) > 1000
+        assert compiled_steps == eager_steps
+        assert _without_timings(compiled) == _without_timings(eager)
+
+
+class _Monitor:
+    """A monitor whose history is one row: the hosts' utilization now."""
+
+    def __init__(self, datacenter, flagged=()):
+        self.row = datacenter.arrays.pm_demand_utilization().copy()
+        self.row[list(flagged)] = 1.0
+
+    def host_matrix(self):
+        return self.row[None, :]
+
+
+def _plans(datacenter, flagged=(), **kwargs):
+    """One THR-MMT ``decide`` on ``datacenter`` by every planner: all
+    must plan the same migrations.  THR flags the hosts above 70 % now
+    and those in ``flagged``.  Returns the plan and the compiled
+    scheduler (``None`` without a compiler)."""
+    observation = SimpleNamespace(
+        datacenter=datacenter, monitor=_Monitor(datacenter, flagged)
+    )
+    plans, compiled = {}, None
+    for planner in PLANNERS:
+        with pytest.MonkeyPatch.context() as patch:
+            scheduler = _scheduler(planner, patch, **kwargs)
+            plans[planner] = [
+                (m.vm_id, m.dest_pm_id) for m in scheduler.decide(observation)
+            ]
+        if planner == "compiled":
+            compiled = scheduler
+    for planner, plan in plans.items():
+        assert plan == plans["oracle"], planner
+    return plans["oracle"], compiled
+
+
+def _fleet(pm_specs, vm_specs):
+    """``pm_specs``: (model, mips, ram); ``vm_specs``: (host or None,
+    demand, mips, ram)."""
+    datacenter = Datacenter(
+        [_pm(i, *spec) for i, spec in enumerate(pm_specs)],
+        [
+            _vm(j, mips=mips, ram_mb=ram)
+            for j, (_, _, mips, ram) in enumerate(vm_specs)
+        ],
+    )
+    for j, (host, demand, _, _) in enumerate(vm_specs):
+        if host is not None:
+            datacenter.place(j, host)
+        datacenter.vm(j).set_demand(demand)
+    return datacenter
+
+
+class _CubicPower:
+    """A power model the kernel has no form of."""
+
+    max_power = 120.0
+
+    def power(self, utilization):
+        u = min(1.0, max(0.0, utilization))
+        return 80.0 + 40.0 * (u * u * u)
+
+    def power_batch(self, utilizations):
+        u = np.minimum(1.0, np.maximum(0.0, utilizations))
+        return 80.0 + 40.0 * (u * u * u)
+
+
+#: A linear model flatter than both SPEC rows: 1 W per 10 %.
+FLAT = LinearPowerModel(idle_watts=90.0, peak_watts=100.0)
+
+
+class TestCompiledPass:
+    """The compiled pass against the eager path and the oracle, one
+    ``decide`` at a time, on fleets built for each rule."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        datacenter=fleets(),
+        flagged=st.lists(st.integers(0, 7), max_size=3),
+        placement=st.sampled_from((0.5, 0.7, 1.0)),
+        underload=st.sampled_from((0.1, 0.25, 0.5)),
+    )
+    def test_random_fleets(self, datacenter, flagged, placement, underload):
+        flagged = [h for h in flagged if h < datacenter.num_pms]
+        _plans(
+            datacenter,
+            flagged,
+            placement_threshold=placement,
+            underload_threshold=underload,
         )
 
-    def test_lrr_quarter_paper_fleet_results_identical(self, monkeypatch):
-        # The perfbench ``mmt-planetlab`` fleet, past the detector window.
-        size = {"num_pms": 200, "num_vms": 263, "num_steps": 24}
-        array_steps, array_result = _decisions("LRR", **size)
-        scalar_steps, scalar_result = _decisions("LRR", monkeypatch, **size)
-        assert any(array_steps)
-        assert array_steps == scalar_steps
-        assert _without_timings(array_result) == _without_timings(
-            scalar_result
+    def test_mixed_spec_and_linear_fleet(self):
+        # The flat linear host 2 adds the least power for the relief VM
+        # and for host 1's VM; host 2's own VM then goes to the SPEC
+        # host 3, and host 3's VM fits only on the evacuated hosts.
+        datacenter = _fleet(
+            [
+                (HP_PROLIANT_G4, 2000.0, 4096.0),
+                (HP_PROLIANT_G5, 4000.0, 4096.0),
+                (FLAT, 4000.0, 4096.0),
+                (HP_PROLIANT_G4, 4000.0, 4096.0),
+            ],
+            [
+                (0, 1.0, 1000.0, 512.0),
+                (0, 0.6, 1000.0, 512.0),
+                (1, 0.2, 1000.0, 512.0),
+                (2, 0.5, 1000.0, 512.0),
+                (3, 0.9, 1000.0, 512.0),
+            ],
         )
+        plan, compiled = _plans(datacenter)
+        assert plan == [(0, 2), (2, 2), (3, 3)]
+        assert compiled is None or compiled._compiled._supported
+
+    def test_unknown_power_model_plans_eagerly(self):
+        datacenter = _fleet(
+            [(_CubicPower(), 2000.0, 4096.0)]
+            + [(HP_PROLIANT_G5, 4000.0, 4096.0)] * 2,
+            [
+                (0, 1.0, 1000.0, 512.0),
+                (0, 0.8, 1000.0, 512.0),
+                (1, 0.1, 1000.0, 512.0),
+            ],
+        )
+        plan, compiled = _plans(datacenter)
+        assert plan == [(0, 2), (2, 2)]
+        if compiled is not None:
+            assert not compiled._compiled._supported
+
+    def test_mostly_sleeping_fleet(self):
+        # Two relief VMs stack onto the awake light host 1; host 1's own
+        # VM then has only sleepers left, and the linear ones wake for
+        # less (P(0) = 90 W), the lowest id of them winning the tie.
+        specs = [(HP_PROLIANT_G4, 4000.0, 4096.0)] * 2
+        specs += [(HP_PROLIANT_G5, 2000.0, 2048.0), (LINEAR, 2000.0, 2048.0)] * 3
+        datacenter = _fleet(
+            specs,
+            [(0, 1.0, 1000.0, 1024.0)] * 4 + [(1, 0.3, 1000.0, 512.0)],
+        )
+        datacenter.sleep_idle_hosts()
+        assert datacenter.arrays.pm_asleep.tolist() == [False] * 2 + [True] * 6
+        plan, _ = _plans(datacenter)
+        assert plan == [(0, 1), (1, 1), (4, 3)]
+
+    def test_consolidation_host_failing_halfway_is_dropped(self):
+        # Host 1 is the first consolidation source: VMs 2 and 1 fit on
+        # host 2, but VM 3's 5000 MB fits nowhere, so host 1's plan is
+        # dropped, its pending load released and host 1 stays a
+        # destination.  Host 2's VM then packs onto host 1.
+        datacenter = _fleet(
+            [
+                (HP_PROLIANT_G4, 4000.0, 4096.0),
+                (HP_PROLIANT_G4, 4000.0, 8192.0),
+                (HP_PROLIANT_G4, 4000.0, 4096.0),
+                (HP_PROLIANT_G4, 4000.0, 4096.0),
+            ],
+            [
+                (0, 0.5, 4000.0, 512.0),
+                (1, 0.1, 1000.0, 512.0),
+                (1, 0.2, 1000.0, 256.0),
+                (1, 0.05, 1000.0, 5000.0),
+                (2, 0.4, 1000.0, 256.0),
+                (3, 0.5, 4000.0, 512.0),
+            ],
+        )
+        plan, _ = _plans(datacenter)
+        assert plan == [(4, 1)]
+
+    def test_empty_relief_set(self):
+        # Nothing is overloaded, so only consolidation plans: the empty
+        # awake host 2 adds less power than the busier host 1.
+        datacenter = _fleet(
+            [(HP_PROLIANT_G5, 4000.0, 4096.0)] * 3,
+            [(0, 0.2, 1000.0, 512.0), (1, 0.9, 2000.0, 512.0)],
+        )
+        plan, _ = _plans(datacenter)
+        assert plan == [(0, 2)]
+
+    def test_flagged_empty_host_is_not_excluded_from_relief(self):
+        # The detector flags the empty host 2 too, but relief excludes
+        # only the occupied overloaded hosts: host 2 takes both VMs.
+        datacenter = _fleet(
+            [
+                (HP_PROLIANT_G4, 2000.0, 4096.0),
+                (LINEAR, 1000.0, 4096.0),
+                (HP_PROLIANT_G4, 4000.0, 4096.0),
+            ],
+            [
+                (0, 1.0, 1000.0, 512.0),
+                (0, 0.9, 1000.0, 512.0),
+                (1, 0.9, 1000.0, 512.0),
+            ],
+        )
+        plan, _ = _plans(datacenter, flagged=[2], consolidate=False)
+        assert plan == [(0, 2), (2, 2)]
+
+    def test_exact_score_ties_go_to_the_lowest_id(self):
+        # Hosts 1..4 are identical and idle, so each relief VM scores
+        # them alike to the last bit; each holds one VM's RAM, so the
+        # two VMs take the two lowest ids.
+        datacenter = _fleet(
+            [(HP_PROLIANT_G4, 2000.0, 4096.0)]
+            + [(HP_PROLIANT_G5, 4000.0, 1024.0)] * 4,
+            [(0, 1.0, 500.0, 1024.0)] * 4,
+        )
+        plan, _ = _plans(datacenter)
+        assert plan == [(0, 1), (1, 2)]
+
+    def test_heterogeneous_vm_ram(self):
+        # Relief evicts VMs 3, 2 and 1 (equal MIPS, growing RAM) from
+        # host 0.  Host 1, at 62 %, adds less power per VM than the idle
+        # host 2, but its 800 free MB hold only VMs 3 and 2: the pending
+        # 768 MB turn VM 1 away to host 2.
+        datacenter = _fleet(
+            [
+                (HP_PROLIANT_G4, 1000.0, 8192.0),
+                (HP_PROLIANT_G4, 4000.0, 2048.0),
+                (HP_PROLIANT_G4, 4000.0, 4096.0),
+            ],
+            [
+                (0, 1.0, 690.0, 3000.0),
+                (0, 1.0, 40.0, 1024.0),
+                (0, 1.0, 40.0, 512.0),
+                (0, 1.0, 40.0, 256.0),
+                (1, 1.0, 2480.0, 1248.0),
+            ],
+        )
+        plan, _ = _plans(datacenter)
+        assert plan == [(3, 1), (2, 1), (1, 2)]

@@ -12,10 +12,13 @@ this process alone.
 
 from __future__ import annotations
 
+import builtins
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,18 +29,10 @@ PATCHED_SUITES = (
     "tests/baselines/test_detection_batched.py",
 )
 
-#: Installs a pure-Python Neumaier ``sum`` (3.12's float rule: compensate
-#: while the running total is a float, add the compensation once at the
-#: end when it is finite and non-zero), then runs pytest.
-_RUNNER = r"""
-import builtins
-import math
-import sys
-
-_builtin_sum = builtins.sum
-
-
 def neumaier_sum(iterable, /, start=0):
+    """A pure-Python Neumaier ``sum``, CPython 3.12's float rule:
+    compensate while the running total is a float, add the compensation
+    once at the end when it is finite and non-zero."""
     total, compensation = start, 0.0
     for value in iterable:
         if isinstance(total, (int, float)) and isinstance(
@@ -56,6 +51,14 @@ def neumaier_sum(iterable, /, start=0):
     return total
 
 
+#: Installs :func:`neumaier_sum` as ``builtins.sum``, then runs pytest.
+_RUNNER = r"""
+import builtins
+import sys
+
+from tests.test_compensated_sum import neumaier_sum
+
+_builtin_sum = builtins.sum
 builtins.sum = neumaier_sum
 assert sum([1e16, 1.0, -1e16]) == 1.0 != _builtin_sum([1e16, 1.0, -1e16])
 
@@ -83,3 +86,26 @@ def test_results_hold_under_a_compensated_builtin_sum():
     assert completed.returncode == 0, completed.stdout[-4000:] + (
         completed.stderr[-2000:]
     )
+
+
+def test_reported_statistics_hold_under_a_compensated_builtin_sum(monkeypatch):
+    # The multi-seed mean and std and the report's steady-state mean
+    # total with ``ordered_sum``: a compensated ``sum`` totals these
+    # values to 4.0, the left-to-right loop to 3.0.
+    from repro.harness.multiseed import MetricSummary
+    from repro.harness.report import _steady_state
+
+    values = (1e16, 1.0, -1e16, 3.0)
+    assert neumaier_sum(values) == 4.0 != 3.0 == builtins.sum(values)
+    result = SimpleNamespace(
+        metrics=SimpleNamespace(per_step_cost_series=lambda: list(values))
+    )
+
+    def statistics():
+        summary = MetricSummary(values)
+        return summary.mean, summary.std, _steady_state(result, 1.0)
+
+    expected = statistics()
+    assert expected[0] == expected[2] == 0.75
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert statistics() == expected
