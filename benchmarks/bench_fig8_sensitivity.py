@@ -10,10 +10,7 @@ extremes, and the cost spread across epsilon values stays bounded.
 """
 
 from benchmarks.conftest import run_once
-from repro.harness.experiments import (
-    run_epsilon_sensitivity,
-    run_temperature_sensitivity,
-)
+from repro.harness.experiments import run_sensitivity
 
 TEMPERATURES = (0.5, 1.0, 3.0, 6.0, 10.0)
 EPSILONS = (0.001, 0.01, 0.1, 1.0)
@@ -22,9 +19,10 @@ EPSILONS = (0.001, 0.01, 0.1, 1.0)
 def test_fig8a_temperature_sensitivity(benchmark, emit, engine):
     cells = run_once(
         benchmark,
-        lambda: run_temperature_sensitivity(
-            temperatures=TEMPERATURES, repeats=3, num_steps=300, engine=engine
-        ),
+        lambda: run_sensitivity(
+            temperatures=TEMPERATURES, epsilons=(), num_steps=300,
+            engine=engine,
+        )[0],
     )
     lines = ["Figure 8(a) (bench scale): per-step cost vs Temp0"]
     by_value = {}
@@ -49,9 +47,9 @@ def test_fig8a_temperature_sensitivity(benchmark, emit, engine):
 def test_fig8b_epsilon_sensitivity(benchmark, emit, engine):
     cells = run_once(
         benchmark,
-        lambda: run_epsilon_sensitivity(
-            epsilons=EPSILONS, repeats=3, num_steps=300, engine=engine
-        ),
+        lambda: run_sensitivity(
+            temperatures=(), epsilons=EPSILONS, num_steps=300, engine=engine
+        )[1],
     )
     lines = ["Figure 8(b) (bench scale): per-step cost vs epsilon"]
     for cell in cells:

@@ -339,24 +339,41 @@ class CompiledPlacement:
         if not self._supported:
             return
         num_vms, num_pms = arrays.num_vms, arrays.num_pms
-        size = 7 * num_pms + 12 * len(rows)  # layouts: kern's M_* comment
-        self._mmt_ints = np.zeros(3 * num_pms + 1 + 4 * num_vms, dtype=np.int64)
-        self._mmt_doubles = np.zeros(size, dtype=np.float64)
-        self._mmt_flags = np.zeros(3 * num_pms, dtype=np.uint8)
-        self._mmt_out = np.zeros(2 * num_vms, dtype=np.int64)
-        for index, (_, pm_ids) in enumerate(groups):
-            self._mmt_ints[pm_ids] = index
-        self._mmt_doubles[:num_pms] = arrays.pm_mips
-        self._mmt_doubles[7 * num_pms :] = [w for row in rows for w in row]
         args = self._mmt_args
-        args[kern.M_NUM_VMS : kern.M_NUM_PMS + 1] = num_vms, num_pms
+        ints = ((kern.M_MODEL_OF, num_pms), (kern.M_BOUNDS, num_pms + 1),
+                (kern.M_BY_HOST, num_vms), (kern.M_RELIEF, num_vms),
+                (kern.M_HOSTS, num_pms), (kern.M_ORDER, num_vms),
+                (kern.M_TOUCHED, num_vms))
+        doubles = ((kern.M_PM_MIPS, num_pms), (kern.M_RAM_FREE, num_pms),
+                   (kern.M_PM_DEMAND, num_pms), (kern.M_WAKE, num_pms),
+                   (kern.M_BEFORE, num_pms), (kern.M_PEND_MIPS, num_pms),
+                   (kern.M_PEND_RAM, num_pms), (kern.M_MODELS, 12 * len(rows)))
+        flags = ((kern.M_EXCLUDED, num_pms), (kern.M_ASLEEP, num_pms),
+                 (kern.M_EVACUATED, num_pms))
+        self._mmt_ints = np.zeros(sum(n for _, n in ints), dtype=np.int64)
+        self._mmt_doubles = np.zeros(sum(n for _, n in doubles), dtype=np.float64)
+        self._mmt_flags = np.zeros(sum(n for _, n in flags), dtype=np.uint8)
+        self._mmt_out = np.zeros(2 * num_vms, dtype=np.int64)
+        (
+            model_of, self._bounds, self._by_host, self._relief, self._hosts,
+            *_,
+        ) = kern.carve(args, self._mmt_ints, self._mmt_ints.ctypes.data, ints)
+        pm_mips, self._ram_free, self._pm_demand, *_, models = kern.carve(
+            args, self._mmt_doubles, self._mmt_doubles.ctypes.data, doubles
+        )
+        self._excluded, self._asleep, _ = kern.carve(
+            args, self._mmt_flags, self._mmt_flags.ctypes.data, flags
+        )
+        for index, (_, pm_ids) in enumerate(groups):
+            model_of[pm_ids] = index
+        pm_mips[:] = arrays.pm_mips
+        models[:] = [w for row in rows for w in row]
+        args[kern.M_NUM_VMS] = num_vms
+        args[kern.M_NUM_PMS] = num_pms
         args[kern.M_HOST_OF] = arrays.host_of.ctypes.data
         args[kern.M_VM_RAM] = arrays.vm_ram_mb.ctypes.data
         args[kern.M_VM_DEMAND] = arrays.vm_demand.ctypes.data
         args[kern.M_VM_MIPS] = arrays.vm_mips.ctypes.data
-        args[kern.M_INTS] = self._mmt_ints.ctypes.data
-        args[kern.M_DOUBLES] = self._mmt_doubles.ctypes.data
-        args[kern.M_FLAGS] = self._mmt_flags.ctypes.data
         args[kern.M_OUT] = self._mmt_out.ctypes.data
 
     def plan(
@@ -375,19 +392,16 @@ class CompiledPlacement:
             self._bind(datacenter)
         if not self._supported:
             return None
-        num_vms, num_pms = arrays.num_vms, arrays.num_pms
         hosts, by_host, bounds = candidates
-        ints, doubles, flags = self._mmt_ints, self._mmt_doubles, self._mmt_flags
-        doubles[num_pms : 2 * num_pms] = arrays.pm_ram_free_mb()
-        doubles[2 * num_pms : 3 * num_pms] = arrays.pm_demand_mips()
-        flags[:num_pms] = 0
-        flags[overloaded_hosts] = 1
-        flags[num_pms : 2 * num_pms] = arrays.pm_asleep
-        start = 2 * num_pms + 1  # bounds, then VMs by host, relief VMs, hosts
-        ints[num_pms:start] = bounds
-        ints[start : start + by_host.shape[0]] = by_host
-        ints[start + num_vms : start + num_vms + len(relief)] = relief
-        ints[start + 2 * num_vms : start + 2 * num_vms + hosts.shape[0]] = hosts
+        self._ram_free[:] = arrays.pm_ram_free_mb()
+        self._pm_demand[:] = arrays.pm_demand_mips()
+        self._excluded[:] = 0
+        self._excluded[overloaded_hosts] = 1
+        self._asleep[:] = arrays.pm_asleep
+        self._bounds[:] = bounds
+        self._by_host[: by_host.shape[0]] = by_host
+        self._relief[: len(relief)] = relief
+        self._hosts[: hosts.shape[0]] = hosts
         self._mmt_args[kern.M_N_RELIEF] = len(relief)
         self._mmt_args[kern.M_N_HOSTS] = hosts.shape[0]
         count = self.kernel.plan_mmt(self._mmt_args_ptr, threshold)

@@ -279,10 +279,7 @@ def _run_fig7(steps: Optional[int], seed: Optional[int]) -> str:
 
 def _run_fig8(steps: Optional[int], seed: Optional[int], engine) -> str:
     del seed  # repeats use their own seeds
-    temp = experiments.run_temperature_sensitivity(
-        num_steps=steps or 300, engine=engine
-    )
-    eps = experiments.run_epsilon_sensitivity(
+    temp, eps = experiments.run_sensitivity(
         num_steps=steps or 300, engine=engine
     )
     lines = ["fig8(a): per-step cost vs Temp0"]

@@ -48,7 +48,7 @@ for array.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -166,14 +166,17 @@ class CandidateIndex:
         self._feas = np.empty((0, 0), dtype=bool)
         self._aux = np.empty((0, 0), dtype=bool)
         self._tmp = np.empty((0, 0), dtype=np.float64)
-        # Compiled path: argument block, flag bytes, int64 scratch and
-        # the output bounds (set per binding).
+        # Compiled path: argument block, flag bytes (two of their
+        # regions are written per call), int64 scratch and the output
+        # regions with their exact bounds (set per binding).
         self._plan_args = np.zeros(kern.P_SLOTS, dtype=np.int64)
         self._plan_args_ptr = self._plan_args.ctypes.data
         self._plan_flags = np.zeros(0, dtype=np.uint8)
+        self._plan_vm_active = self._plan_flags
+        self._plan_overloaded = self._plan_flags
         self._plan_scratch = np.empty(0, dtype=np.int64)
-        self._max_rows = 0
-        self._max_actions = 0
+        self._plan_outputs: Tuple[Tuple[int, int], ...] = ()
+        self._plan_out_size = 0
 
     # ------------------------------------------------------------------
     # Binding and scratch management
@@ -214,16 +217,32 @@ class CandidateIndex:
         """
         num_vms, num_pms = arrays.num_vms, arrays.num_pms
         config = self.config
-        self._plan_flags = np.zeros(2 * num_vms + num_pms, dtype=np.uint8)
-        self._plan_scratch = np.empty(
-            5 * num_pms + 2 * num_vms + 3, dtype=np.int64
+        args = self._plan_args
+        flags = ((kern.P_VM_ACTIVE, num_vms), (kern.P_OVERLOADED, num_pms),
+                 (kern.P_SEEN, num_vms))
+        scratch = ((kern.P_BUCKET, num_pms + 1), (kern.P_BY_HOST, num_vms),
+                   (kern.P_UNDER, num_pms), (kern.P_UNDER_SORTED, num_pms),
+                   (kern.P_LEVEL, num_vms + 2), (kern.P_DESTS, num_pms),
+                   (kern.P_TOP, num_pms))
+        self._plan_flags = np.zeros(sum(n for _, n in flags), dtype=np.uint8)
+        self._plan_vm_active, self._plan_overloaded, _ = kern.carve(
+            args, self._plan_flags, self._plan_flags.ctypes.data, flags
+        )
+        self._plan_scratch = np.empty(sum(n for _, n in scratch), dtype=np.int64)
+        kern.carve(
+            args, self._plan_scratch, self._plan_scratch.ctypes.data, scratch
         )
         cap = config.max_candidate_vms
         limit = config.candidate_destinations
-        self._max_rows = min(cap, num_vms) if cap else num_vms
+        rows = min(cap, num_vms) if cap else num_vms
         per_row = min(limit, num_pms - 1) if limit else num_pms - 1
-        self._max_actions = self._max_rows * (per_row + 1)
-        args = self._plan_args
+        actions = rows * (per_row + 1)
+        self._plan_outputs = (
+            (kern.P_VM_IDS, rows), (kern.P_SOURCES, rows),
+            (kern.P_MANDATORY, rows), (kern.P_OFFSETS, rows + 1),
+            (kern.P_DEST_PM, actions), (kern.P_ACTIONS, actions),
+        )
+        self._plan_out_size = sum(n for _, n in self._plan_outputs)
         args[kern.P_NUM_VMS] = num_vms
         args[kern.P_NUM_PMS] = num_pms
         args[kern.P_HOST_OF] = arrays.host_of.ctypes.data
@@ -233,12 +252,10 @@ class CandidateIndex:
         args[kern.P_PM_VM_COUNT] = arrays.pm_vm_count.ctypes.data
         args[kern.P_BUDGET] = self._mips_budget.ctypes.data
         args[kern.P_BUDGET_FULL] = self._mips_budget_full.ctypes.data
-        args[kern.P_FLAGS] = self._plan_flags.ctypes.data
-        args[kern.P_SCRATCH] = self._plan_scratch.ctypes.data
         args[kern.P_CONSOLIDATE] = int(config.consolidate_underloaded)
         args[kern.P_MAX_VMS] = cap
         args[kern.P_MAX_DESTS] = limit
-        args[kern.P_ACTION_CAP] = self._max_actions
+        args[kern.P_ACTION_CAP] = actions
 
     def _scratch(self, num_rows: int, num_pms: int):
         """Reusable K×M broadcast buffers, grown geometrically."""
@@ -420,25 +437,16 @@ class CandidateIndex:
         The outputs are slices of one array allocated by this call, so a
         returned plan never aliases memory a later call writes.
         """
-        num_vms, num_pms = arrays.num_vms, arrays.num_pms
-        flags = self._plan_flags
-        flags[:num_vms] = arrays.vm_active
-        flags[num_vms : num_vms + num_pms] = overloaded
+        self._plan_vm_active[:] = arrays.vm_active
+        self._plan_overloaded[:] = overloaded
         args = self._plan_args
         args[kern.P_UTIL] = util.ctypes.data
         args[kern.P_RAM_FREE] = ram_free.ctypes.data
         args[kern.P_PM_DEMAND] = pm_demand.ctypes.data
-        rows, actions = self._max_rows, self._max_actions
-        out = np.empty(4 * rows + 1 + 2 * actions, dtype=np.int64)
-        base = out.ctypes.data
-        args[kern.P_VM_IDS] = base
-        args[kern.P_SOURCES] = base + 8 * rows
-        args[kern.P_MANDATORY] = base + 16 * rows
-        args[kern.P_OFFSETS] = base + 24 * rows
-        dest_start = 4 * rows + 1
-        action_start = dest_start + actions
-        args[kern.P_DEST_PM] = base + 8 * dest_start
-        args[kern.P_ACTIONS] = base + 8 * action_start
+        out = np.empty(self._plan_out_size, dtype=np.int64)
+        vm_ids, sources, mandatory, offsets, dest_pm, actions = kern.carve(
+            args, out, out.ctypes.data, self._plan_outputs
+        )
         num_rows = self.kernel.plan_candidates(
             self._plan_args_ptr, self.config.underload_threshold
         )
@@ -448,13 +456,13 @@ class CandidateIndex:
             )
         num_actions = int(args[kern.P_N_ACTIONS])
         return CandidatePlan(
-            vm_ids=out[:num_rows],
-            sources=out[rows : rows + num_rows],
-            mandatory=out[2 * rows : 2 * rows + num_rows] != 0,
-            dest_pm=out[dest_start : dest_start + num_actions],
-            offsets=out[3 * rows : 3 * rows + num_rows + 1],
-            action_indices=out[action_start : action_start + num_actions],
-            num_pms=num_pms,
+            vm_ids=vm_ids[:num_rows],
+            sources=sources[:num_rows],
+            mandatory=mandatory[:num_rows] != 0,
+            dest_pm=dest_pm[:num_actions],
+            offsets=offsets[: num_rows + 1],
+            action_indices=actions[:num_actions],
+            num_pms=arrays.num_pms,
         )
 
     def _materialize(

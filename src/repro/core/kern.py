@@ -1,106 +1,39 @@
-"""meghkern — deferred rank-k Sherman–Morrison flush engine (ROADMAP item 1).
+"""meghkern — the deferred rank-k Sherman–Morrison flush engine and the
+compiled kernel library.
 
-The eager :meth:`repro.core.sparse.SparseMatrix.rank_one_update` pays one
-Python/NumPy round-trip per *touched row* per rank-1 update — dozens of
-calls per Megh learning step at paper scale — plus a full ``column(a)``
-dict build to obtain the left factor.  This module removes both costs by
-*deferring* the float work:
+:class:`PendingUpdates` stages up to ``window`` rank-1 updates of a
+:class:`~repro.core.sparse.SparseMatrix` without touching a float:
+enqueue stores the normalized right factor and marks the rows it may
+touch dirty.  A read flushes exactly the rows it touches, replaying the
+staged updates in submission order from the row's watermark, and a
+full window flushes every dirty row.  The replay is bit-identical to
+the eager scatter: Megh's left factor is a column of ``B``, so the
+weight an update applies to row ``i`` is ``B[i, a]``, an entry of row
+``i`` read after every earlier staged update; extra dirty rows read
+weight 0 and skip; and both backends prune by one rule,
+``|v| <= PRUNE_EPSILON``.  A direct write settles its row first
+(:meth:`PendingUpdates.settle_row`).  A flush preserves the matrix's
+logical value, so it bumps :attr:`PendingUpdates.mutations`, never
+``SparseMatrix.mutations`` (MEGH011 checks the pairing).
 
-* :class:`PendingUpdates` stages up to ``window`` rank-1 outer products.
-  Enqueue stores the pre-sorted right-factor arrays and marks the
-  touched rows dirty in one vectorized scatter; **no float is
-  scattered** and no per-row Python loop runs.
-* Reads flush **exactly the rows they touch** (read-through resolution,
-  wired up in ``SparseMatrix``).  A row flush replays the staged updates
-  *in original submission order* from the row's watermark (the staged
-  rank at its last flush, one byte a row in
-  :attr:`PendingUpdates._watermark`), reading each update's left-factor
-  weight from the row's own current state.
-* A grouped flush kernel applies all of a dirty row's pending deltas in
-  one pass: a small C kernel compiled on demand with the system compiler
-  and loaded through :mod:`ctypes` (:class:`CKernel`).
+:class:`CKernel` loads the library, compiled on demand from
+``kernel.c`` with the system compiler (``-ffp-contract=off
+-fno-fast-math``, so no fused multiply-add changes a rounding) and
+cached on disk (``REPRO_KERNEL_CACHE``).  Its entry points:
+``megh_flush_rows`` replays rows straight into the matrix's slot
+tables, ``megh_combine_rows`` fuses a learning step's row combine,
+``megh_plan_candidates`` builds Megh's candidate plan
+(:class:`~repro.core.candidates.CandidateIndex`) and ``megh_plan_mmt``
+MMT's placement pass
+(:class:`~repro.baselines.mmt.placement.CompiledPlacement`), each
+array for array its eager path's.  Every int64 block they share with
+Python is declared once below (``S_*``, ``A_*``, ``ST_*``, ``NEED_*``,
+``P_*``, ``M_*``) and reaches the C as enums.
 
-Storage: the kernel works directly on the owning matrix's flat slot
-tables (see the ``sparse`` module docstring).  One ``int64`` block per
-matrix (layout :data:`S_DIAG` .. :data:`S_COMPACTIONS`, mirrored by the
-C ``S_*`` enum) carries the table pointers, the pool and slot bump
-allocators and the layout counters.  For each flushed row the kernel
-replays into scratch, then installs the result itself: in place when
-the row's capacity suffices, at the top of the pool when it outgrew it
-(a *relocation*), in a fresh slot when an implicit-diagonal row
-materializes, or by freeing the slot of a row that emptied.  A call
-passes only row ids and watermarks; Python then applies the column
-changes the kernel reports (a few per learning step), and when the
-kernel stops because a scratch buffer, the slot table or the pool is
-full it grows that (a pool or slot shortage compacts the tables) and
-calls again from the row that stopped.  No per-row Python runs.
-
-Bit-identity argument (the whole point — golden decision traces and the
-ShermanMorrisonAuditor must not move by one ulp):
-
-* Megh's left factor is a column of ``B`` itself, so the weight a rank-1
-  update applies to row ``i`` is ``B[i, a]`` — *an entry of row i*.  A
-  per-row replay that reads the weight after applying all earlier staged
-  updates (and before this one) reproduces the eager value exactly; no
-  column values are needed at enqueue time.
-* The dirty-row marking is a *superset* of the true touched rows (the
-  stored support of the pivot column plus every staged update's row set
-  for updates that could fill it).  Because supersets only ever add rows
-  whose true weight is zero, replaying **every** staged update against a
-  row is safe: an update that never touched the row reads weight 0 and
-  skips, exactly as the eager path skips entries absent from the column
-  dict.  No per-row pending-id lists are needed.
-* Within one update the scattered columns are unique, so per-entry adds,
-  epsilon prunes, and dead-insert drops are independent; only the
-  per-row *submission order* of updates matters, and the replay
-  preserves it.  Flushing row ``i`` now or later yields the same floats.
-* A direct write to a row while updates are staged (``set``, an eager
-  scatter) settles the row first (:meth:`PendingUpdates.settle_row`):
-  a dirty row is flushed, and a clean row's watermark moves to the
-  current rank, because the updates staged before the write skipped it
-  and must not replay against the written value.
-* Both backends prune by one rule: an entry is dropped iff
-  ``|v| <= PRUNE_EPSILON``, for a hit and a fresh insert alike, so a
-  NaN survives under both and kernel ≡ eager holds for non-finite ``B``
-  too.
-* The C backend performs the identical double-precision operations
-  (``d = scale*w`` then ``d*v`` per entry) and is compiled with
-  ``-ffp-contract=off -fno-fast-math`` so no fused multiply-add can
-  change a rounding.
-
-A second entry point of the same library, ``megh_plan_candidates``,
-builds a whole :class:`~repro.core.candidates.CandidatePlan` in one
-call (source selection, the VM × PM feasibility test, the relief-row
-fallback, the ``candidate_destinations`` top-k, the no-op and the fused
-action indices).  :class:`CKernel` loads it and
-:class:`~repro.core.candidates.CandidateIndex` marshals it (layout: the
-``P_*`` constants); its only float operations are one multiply, one add
-and compares, on the eager NumPy path's operands, so the plan is the
-eager plan array for array.  A third, ``megh_plan_mmt``, plans a whole
-MMT step (the relief PABFD call, then one per consolidation host) by
-the per-PM scan of ``tests/oracles/pabfd.py`` with the scalar SPEC and
-linear power models' operations, so its migrations are the eager
-``power_aware_best_fit`` path's, in order
-(:class:`~repro.baselines.mmt.placement.CompiledPlacement` marshals it;
-layout: the ``M_*`` constants).
-
-Backend selection: ``REPRO_KERNEL=auto`` (default; the C kernel when a
-compiler is available, the eager path otherwise), ``c`` (require the
-compiled kernel), ``off`` (eager path, no deferral).  It selects both
-planners too: the candidate plan is compiled exactly when ``B`` has a
-compiled backend, the MMT pass when the scheduler was built with one.
-The eager path is both the no-compiler fallback and the bit-identity
-reference the C kernel is tested against.  The library is loaded once
-per process.
-:data:`DEFAULT_WINDOW` bounds the staged rank; ``REPRO_KERNEL_CACHE``
-relocates the compiled-object cache.
-
-Flush writes to the owning matrix's backing store are *representation
-preserving* — the logical matrix value does not change, so they do not
-bump ``SparseMatrix.mutations`` (the counter is bumped once per rank-1
-at enqueue, matching the eager path bump-for-bump).  Staging-state
-changes bump :attr:`PendingUpdates.mutations` instead; meghflow's
-MEGH011 checks that pairing against the declared invariant table.
+``REPRO_KERNEL`` selects the backend: ``auto`` (default; compiled when
+a compiler is available, eager otherwise), ``c`` (require it) or
+``off`` (eager, no deferral, ``kernel.c`` never read).  The eager path
+is both the fallback and the reference the library is tested against.
 """
 
 from __future__ import annotations
@@ -112,7 +45,7 @@ import os
 import platform
 import subprocess
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,6 +59,7 @@ __all__ = [
     "DEFAULT_WINDOW",
     "KernelUnavailableError",
     "PendingUpdates",
+    "carve",
     "make_backend",
     "make_pending",
     "resolve_mode",
@@ -164,859 +98,181 @@ def resolve_mode() -> str:
 # The compiled backend
 # ----------------------------------------------------------------------
 
-#: The grouped flush kernel.  One call resolves a batch of dirty rows
-#: straight in the owning matrix's slot tables (layout: the ``S_*`` enum
-#: below, mirrored by the ``S_*`` constants of this module): for each
-#: row, replay the staged updates from the row's watermark in submission
-#: order against a working copy of the stored row (an update whose
-#: left-factor weight is zero is skipped), install the result in place
-#: -- moving a row that outgrew its capacity to the top of the pool, or
-#: giving a newly materialized row a slot -- and emit the exact column
-#: changes (a sorted merge against the old row) so the Python side
-#: touches only the column index.  All arithmetic is plain double
-#: precision in the same association as the eager scatter:
-#: ``d = scale * w; v = d * vals[t]``.
-_C_SOURCE = r"""
-#include <stdint.h>
-#include <string.h>
-#include <math.h>
+# Every index of the library's int64 blocks is declared here once, as a
+# plain int.  The C source sees the same names as enums, which
+# :func:`_compiled_text` emits from these declarations ahead of
+# ``kernel.c``, so the two sides cannot disagree.  A block's members
+# are numbered 0 .. n - 1; a ``*_FIELDS`` or ``*_SLOTS`` name comes
+# last and is the block's length.
 
-/* Branchless binary search: the probe result feeds a conditional move
- * instead of a branch, so the data-dependent comparisons (near 50/50 on
- * this workload) cost no mispredictions. */
-static int64_t lower_bound(const int64_t *arr, int64_t n, int64_t key) {
-    if (n <= 0) return 0;
-    const int64_t *base = arr;
-    while (n > 1) {
-        int64_t half = n >> 1;
-        base = (base[half - 1] < key) ? base + half : base;
-        n -= half;
-    }
-    return (base - arr) + (base[0] < key);
-}
+#: Slot-table block of one :class:`~repro.core.sparse.SparseMatrix`,
+#: read and written in place by the kernel and the eager path: the
+#: table pointers, then the pool and slot bump allocators and the
+#: layout counters.  Row i lives at ``pool[off[s] .. off[s] + len[s])``
+#: of slot ``s = slot_of[i]`` (capacity ``cap[s]``); slot 0 is the null
+#: slot, so ``slot_of[i] == 0`` means the row is the implicit diagonal
+#: ``diag[i]``.
+S_DIAG = 0
+S_SLOT_OF = 1
+S_SLOT_ROW = 2
+S_OFF = 3
+S_LEN = 4
+S_CAP = 5
+S_POOL_IDX = 6
+S_POOL_VAL = 7
+S_POOL_TOP = 8
+S_POOL_CAP = 9
+S_SLOT_TOP = 10
+S_SLOT_CAP = 11
+S_MIN_CAP = 12
+S_RELOCATIONS = 13
+S_COMPACTIONS = 14
+S_FIELDS = 15
 
-/* Mark every update after k whose pivot equals the just-inserted column
- * as a candidate (the insert may have given it a nonzero weight). */
-static void mark_pivot(const int64_t *piv_sorted, const int64_t *piv_order,
-                       uint8_t *cand, int64_t n_updates, int64_t col,
-                       int64_t k)
-{
-    int64_t q = lower_bound(piv_sorted, n_updates, col);
-    while (q < n_updates && piv_sorted[q] == col) {
-        if (piv_order[q] > k) cand[piv_order[q]] = 1;
-        q++;
-    }
-}
+#: Argument block of ``megh_flush_rows``: one persistent array of
+#: :class:`CKernel` carrying every scalar and buffer pointer, so a call
+#: converts two ctypes arguments instead of about twenty (the hot path
+#: flushes one or two rows thousands of times a second).
+A_STORE = 0
+A_N_ROWS = 1
+A_ROW_BEGIN = 2
+A_ROWS = 3
+A_STARTS = 4
+A_N_UPDATES = 5
+A_PIVOTS = 6
+A_SCALES = 7
+A_UPD_OFFSETS = 8
+A_COLS = 9
+A_VALS = 10
+A_CHG_ROWS = 11
+A_CHG_COLS = 12
+A_CHG_CAP = 13
+A_SCRATCH_A_IDX = 14
+A_SCRATCH_A_VAL = 15
+A_SCRATCH_B_IDX = 16
+A_SCRATCH_B_VAL = 17
+A_SCRATCH_CAP = 18
+A_PIV_SORTED = 19
+A_PIV_ORDER = 20
+A_CAND = 21
+A_STATS = 22
+A_SLOTS = 23
 
-/* The one prune rule of both backends: drop iff |v| <= eps.  A NaN
- * compares false and survives, exactly as in the eager scatter. */
-#define KEEP(v, eps) (!(fabs(v) <= (eps)))
+#: Stats block every ``megh_flush_rows`` call writes.
+ST_APPLIED = 0
+ST_SKIPPED = 1
+ST_NNZ_DELTA = 2
+ST_CHANGES = 3
+ST_NEED = 4
+ST_NEED_SIZE = 5
+ST_FIELDS = 6
 
-/* Slot-table block of one SparseMatrix (must match the S_* constants
- * in kern.py).  Pointers first, then the pool/slot bump allocators and
- * the layout counters.  Row i lives at pool[off[s] .. off[s] + len[s])
- * of slot s = slot_of[i] (capacity cap[s]); slot 0 is the null slot:
- * slot_of[i] == 0 means the row is the implicit diagonal diag[i]. */
-enum {
-    S_DIAG = 0, S_SLOT_OF, S_SLOT_ROW, S_OFF, S_LEN, S_CAP,
-    S_POOL_IDX, S_POOL_VAL,
-    S_POOL_TOP, S_POOL_CAP, S_SLOT_TOP, S_SLOT_CAP,
-    S_MIN_CAP, S_RELOCATIONS, S_COMPACTIONS,
-    S_FIELDS
-};
+#: Why a flush stopped early (``ST_NEED``): the caller grows what is
+#: named by ``ST_NEED_SIZE`` and calls again from the returned row.
+NEED_NONE = 0
+NEED_SCRATCH = 1
+NEED_CHANGES = 2
+NEED_SLOT = 3
+NEED_POOL = 4
 
-/* Argument-block slot layout (must match CKernel._SLOT_* constants).
- * One persistent int64 array carries every scalar and buffer pointer so
- * the per-call ctypes dispatch converts two arguments instead of ~20 --
- * the hot path flushes one or two rows thousands of times per second
- * and the conversion overhead was measurable. */
-enum {
-    A_STORE = 0,
-    A_N_ROWS, A_ROW_BEGIN, A_ROWS, A_STARTS,
-    A_N_UPDATES,
-    A_PIVOTS, A_SCALES, A_UPD_OFFSETS, A_COLS, A_VALS,
-    A_CHG_ROWS, A_CHG_COLS, A_CHG_CAP,
-    A_SCRATCH_A_IDX, A_SCRATCH_A_VAL, A_SCRATCH_B_IDX, A_SCRATCH_B_VAL,
-    A_SCRATCH_CAP,
-    A_PIV_SORTED, A_PIV_ORDER, A_CAND,
-    A_STATS,
-    A_SLOTS
-};
+#: Argument block of ``megh_plan_candidates``: one array per
+#: :class:`~repro.core.candidates.CandidateIndex` carrying the fleet's
+#: array pointers, a pointer to each region of its flag bytes and int64
+#: scratch (carved in Python), the config caps and the output pointers.
+P_NUM_VMS = 0
+P_NUM_PMS = 1
+P_HOST_OF = 2
+P_VM_RAM = 3
+P_VM_DEMAND = 4
+P_VM_MIPS = 5
+P_PM_VM_COUNT = 6
+P_UTIL = 7
+P_RAM_FREE = 8
+P_PM_DEMAND = 9
+P_BUDGET = 10
+P_BUDGET_FULL = 11
+P_VM_ACTIVE = 12
+P_OVERLOADED = 13
+P_SEEN = 14
+P_BUCKET = 15
+P_BY_HOST = 16
+P_UNDER = 17
+P_UNDER_SORTED = 18
+P_LEVEL = 19
+P_DESTS = 20
+P_TOP = 21
+P_CONSOLIDATE = 22
+P_MAX_VMS = 23
+P_MAX_DESTS = 24
+P_VM_IDS = 25
+P_SOURCES = 26
+P_MANDATORY = 27
+P_OFFSETS = 28
+P_DEST_PM = 29
+P_ACTIONS = 30
+P_ACTION_CAP = 31
+P_N_ACTIONS = 32
+P_SLOTS = 33
 
-/* Stats block written by every flush call (CKernel._ST_* constants). */
-enum {
-    ST_APPLIED = 0, ST_SKIPPED, ST_NNZ_DELTA, ST_CHANGES,
-    ST_NEED, ST_NEED_SIZE,
-    ST_FIELDS
-};
+#: Argument block of ``megh_plan_mmt``: one array per
+#: :class:`~repro.baselines.mmt.placement.CompiledPlacement` carrying
+#: the fleet's VM vectors, a pointer to each region of its int64,
+#: double and flag buffers (carved in Python), the output pairs and the
+#: step's input counts.  ``M_MODELS`` holds 12 doubles a power model.
+M_NUM_VMS = 0
+M_NUM_PMS = 1
+M_HOST_OF = 2
+M_VM_RAM = 3
+M_VM_DEMAND = 4
+M_VM_MIPS = 5
+M_MODEL_OF = 6
+M_BOUNDS = 7
+M_BY_HOST = 8
+M_RELIEF = 9
+M_HOSTS = 10
+M_ORDER = 11
+M_TOUCHED = 12
+M_PM_MIPS = 13
+M_RAM_FREE = 14
+M_PM_DEMAND = 15
+M_WAKE = 16
+M_BEFORE = 17
+M_PEND_MIPS = 18
+M_PEND_RAM = 19
+M_MODELS = 20
+M_EXCLUDED = 21
+M_ASLEEP = 22
+M_EVACUATED = 23
+M_OUT = 24
+M_N_RELIEF = 25
+M_N_HOSTS = 26
+M_SLOTS = 27
 
-/* Why a call stopped early: the caller grows what is named and calls
- * again from the returned row (nothing of that row was written). */
-enum { NEED_NONE = 0, NEED_SCRATCH, NEED_CHANGES, NEED_SLOT, NEED_POOL };
+#: The layout blocks' name prefixes, in the order the prelude emits them.
+_LAYOUT_PREFIXES = ("S_", "A_", "ST_", "NEED_", "P_", "M_")
 
-#define PTR(type, slot) ((type *)(intptr_t)a[slot])
-#define SPTR(type, slot) ((type *)(intptr_t)st[slot])
 
-/* Replay staged rank-1 updates onto rows[row_begin .. n_rows).
- *
- * The row is replayed by ping-pong two-pointer merges: each applied
- * update merges the current row image (sorted) with its scaled segment
- * (sorted) into the other scratch buffer.  Entry-wise this performs
- * exactly the eager scatter's float operations in the same order --
- * matched column: value + coeff*seg; segment-only column: coeff*seg;
- * either kept iff KEEP -- so the result is bit-identical to applying
- * the updates eagerly.
- *
- * The finished row is installed in the slot tables: in place when its
- * capacity suffices; otherwise at the pool top with capacity
- * max(min_cap, 2 * length) (the old region becomes dead space, counted
- * as one relocation); a newly materialized row (implicit diagonal
- * until now) takes the next slot; an emptied row frees its slot.
- * Column changes go to chg_rows/chg_cols in row order, each row's
- * added columns before its removed ones (a removed column is stored
- * as ~column).
- *
- * Returns the number of rows done.  Fewer than n_rows means a buffer,
- * the slot table or the pool is too small for the next row: stats
- * name what (ST_NEED) and how much (ST_NEED_SIZE), and that row is
- * untouched.  Stats always cover exactly the rows done by this call. */
-int64_t megh_flush_rows(const int64_t *a, double eps)
-{
-    int64_t *st = PTR(int64_t, A_STORE);
-    double  *diag = SPTR(double, S_DIAG);
-    int32_t *slot_of = SPTR(int32_t, S_SLOT_OF);
-    int64_t *slot_row = SPTR(int64_t, S_SLOT_ROW);
-    int64_t *off = SPTR(int64_t, S_OFF);
-    int64_t *len = SPTR(int64_t, S_LEN);
-    int64_t *cap = SPTR(int64_t, S_CAP);
-    int64_t *pool_idx = SPTR(int64_t, S_POOL_IDX);
-    double  *pool_val = SPTR(double, S_POOL_VAL);
-    int64_t min_cap = st[S_MIN_CAP];
-    int64_t n_rows = a[A_N_ROWS];
-    const int64_t *rows = PTR(const int64_t, A_ROWS);
-    const int64_t *starts = PTR(const int64_t, A_STARTS);
-    int64_t n_updates = a[A_N_UPDATES];
-    const int64_t *pivots = PTR(const int64_t, A_PIVOTS);
-    const double  *scales = PTR(const double, A_SCALES);
-    const int64_t *upd_offsets = PTR(const int64_t, A_UPD_OFFSETS);
-    const int64_t *cols = PTR(const int64_t, A_COLS);
-    const double  *vals = PTR(const double, A_VALS);
-    int64_t *chg_rows = PTR(int64_t, A_CHG_ROWS);
-    int64_t *chg_cols = PTR(int64_t, A_CHG_COLS);
-    int64_t chg_cap = a[A_CHG_CAP];
-    int64_t *sa_idx = PTR(int64_t, A_SCRATCH_A_IDX);
-    double  *sa_val = PTR(double, A_SCRATCH_A_VAL);
-    int64_t *sb_idx = PTR(int64_t, A_SCRATCH_B_IDX);
-    double  *sb_val = PTR(double, A_SCRATCH_B_VAL);
-    int64_t scratch_cap = a[A_SCRATCH_CAP];
-    int64_t *piv_sorted = PTR(int64_t, A_PIV_SORTED);
-    int64_t *piv_order = PTR(int64_t, A_PIV_ORDER);
-    uint8_t *cand = PTR(uint8_t, A_CAND);
-    int64_t *stats = PTR(int64_t, A_STATS);
-    int64_t applied = 0, skipped = 0, nnz_delta = 0, n_chg = 0;
-    int64_t need = NEED_NONE, need_size = 0;
-    int64_t r;
-    /* Batch calls amortize a per-row candidate bitmap: a sorted copy of
-     * the window's pivots lets each row find its applicable updates by
-     * one linear merge against its columns instead of one binary search
-     * per (row, update).  Pair calls skip the setup -- the sort would
-     * cost more than the searches it saves.  Either way the applied /
-     * skipped counts are the same (the bitmap is an exact superset). */
-    int use_mask = (n_rows > 4 && n_updates > 0);
-    if (use_mask) {
-        for (int64_t k = 0; k < n_updates; k++) {
-            int64_t pv = pivots[k], j = k;
-            while (j > 0 && piv_sorted[j - 1] > pv) {
-                piv_sorted[j] = piv_sorted[j - 1];
-                piv_order[j] = piv_order[j - 1];
-                j--;
-            }
-            piv_sorted[j] = pv;
-            piv_order[j] = k;
-        }
-    }
-    for (r = a[A_ROW_BEGIN]; r < n_rows; r++) {
-        int64_t row_id = rows[r];
-        int64_t s = slot_of[row_id];
-        const int64_t *cur_idx;
-        const double  *cur_val;
-        const int64_t *orig_idx;
-        int64_t n, orig_n, old_count;
-        int64_t row_applied = 0, row_skipped = 0;
-        int which;  /* next merge destination: 0 -> scratch A, 1 -> B */
-        if (s > 0) {
-            cur_idx = pool_idx + off[s];
-            cur_val = pool_val + off[s];
-            n = len[s];
-            orig_idx = cur_idx;
-            orig_n = n;
-            old_count = n;
-            which = 0;
-        } else {
-            /* Implicit-diagonal row: materialize into scratch A.  The
-             * diagonal is NOT part of "old" for the column-index diff:
-             * it had no column-index entry, so if it survives it must
-             * be reported as added. */
-            double diagonal = diag[row_id];
-            orig_idx = sa_idx;
-            orig_n = 0;
-            n = 0;
-            if (diagonal != 0.0) {
-                sa_idx[0] = row_id;
-                sa_val[0] = diagonal;
-                n = 1;
-            }
-            old_count = n;
-            cur_idx = sa_idx;
-            cur_val = sa_val;
-            which = 1;
-        }
-        if (use_mask) {
-            /* Initial candidates: updates whose pivot column is present
-             * in the row right now.  Applied updates extend the bitmap
-             * below when they insert a column some later pivot needs
-             * (every other update has weight zero by the superset
-             * argument, so skipping it changes no float). */
-            memset(cand, 0, (size_t)n_updates);
-            int64_t u = 0, v = 0;
-            while (u < n && v < n_updates) {
-                int64_t cu = cur_idx[u], pv = piv_sorted[v];
-                if (cu < pv) u++;
-                else if (cu > pv) v++;
-                else { cand[piv_order[v]] = 1; v++; }
-            }
-        }
-        for (int64_t k = starts[r]; k < n_updates; k++) {
-            if (use_mask && !cand[k]) { row_skipped++; continue; }
-            int64_t pos = lower_bound(cur_idx, n, pivots[k]);
-            double w = (pos < n && cur_idx[pos] == pivots[k])
-                ? cur_val[pos] : 0.0;
-            if (w == 0.0) { row_skipped++; continue; }
-            row_applied++;
-            double coeff = scales[k] * w;
-            int64_t t = upd_offsets[k], t_end = upd_offsets[k + 1];
-            if (n + (t_end - t) > scratch_cap) {
-                need = NEED_SCRATCH;
-                need_size = n + (t_end - t);
-                goto stop;
-            }
-            int64_t *dst_idx = which ? sb_idx : sa_idx;
-            double  *dst_val = which ? sb_val : sa_val;
-            int64_t p = 0, m = 0;
-            while (p < n && t < t_end) {
-                int64_t cj = cur_idx[p], sj = cols[t];
-                if (cj < sj) {
-                    dst_idx[m] = cj;
-                    dst_val[m++] = cur_val[p++];
-                } else if (cj > sj) {
-                    double v = coeff * vals[t++];
-                    if (KEEP(v, eps)) {
-                        dst_idx[m] = sj;
-                        dst_val[m++] = v;
-                        if (use_mask)
-                            mark_pivot(piv_sorted, piv_order, cand,
-                                       n_updates, sj, k);
-                    }
-                } else {
-                    double v = cur_val[p++] + coeff * vals[t++];
-                    if (KEEP(v, eps)) { dst_idx[m] = cj; dst_val[m++] = v; }
-                }
-            }
-            while (p < n) {
-                dst_idx[m] = cur_idx[p];
-                dst_val[m++] = cur_val[p++];
-            }
-            while (t < t_end) {
-                double v = coeff * vals[t];
-                if (KEEP(v, eps)) {
-                    dst_idx[m] = cols[t];
-                    dst_val[m++] = v;
-                    if (use_mask)
-                        mark_pivot(piv_sorted, piv_order, cand,
-                                   n_updates, cols[t], k);
-                }
-                t++;
-            }
-            cur_idx = dst_idx;
-            cur_val = dst_val;
-            n = m;
-            which ^= 1;
-        }
-        if (row_applied) {
-            /* Check every resource the install needs before writing
-             * anything, so a stop leaves the row untouched. */
-            int64_t new_cap = 0;
-            if (n_chg + orig_n + n > chg_cap) {
-                need = NEED_CHANGES;
-                need_size = n_chg + orig_n + n;
-                goto stop;
-            }
-            if (n > 0 && (s == 0 || cap[s] < n)) {
-                new_cap = 2 * n > min_cap ? 2 * n : min_cap;
-                if (s == 0 && st[S_SLOT_TOP] >= st[S_SLOT_CAP]) {
-                    need = NEED_SLOT;
-                    need_size = 1;
-                    goto stop;
-                }
-                if (st[S_POOL_TOP] + new_cap > st[S_POOL_CAP]) {
-                    need = NEED_POOL;
-                    need_size = new_cap;
-                    goto stop;
-                }
-            }
-            /* Sorted merge of old stored columns vs new columns -> the
-             * exact column-index delta (before the install overwrites
-             * the old image in place). */
-            int64_t x = 0, b = 0;
-            while (x < orig_n || b < n) {
-                if (x >= orig_n) {
-                    chg_rows[n_chg] = row_id;
-                    chg_cols[n_chg++] = cur_idx[b++];
-                } else if (b >= n || orig_idx[x] < cur_idx[b]) {
-                    x++;
-                } else if (orig_idx[x] == cur_idx[b]) {
-                    x++; b++;
-                } else {
-                    chg_rows[n_chg] = row_id;
-                    chg_cols[n_chg++] = cur_idx[b++];
-                }
-            }
-            x = 0; b = 0;
-            while (x < orig_n) {
-                if (b >= n || orig_idx[x] < cur_idx[b]) {
-                    chg_rows[n_chg] = row_id;
-                    chg_cols[n_chg++] = ~orig_idx[x++];
-                } else if (orig_idx[x] == cur_idx[b]) {
-                    x++; b++;
-                } else {
-                    b++;
-                }
-            }
-            if (s == 0) diag[row_id] = 0.0;
-            if (n == 0) {
-                if (s > 0) {
-                    slot_row[s] = -1;
-                    len[s] = 0;
-                    slot_of[row_id] = 0;
-                }
-            } else {
-                if (new_cap) {
-                    if (s > 0) {
-                        st[S_RELOCATIONS] += 1;
-                    } else {
-                        s = st[S_SLOT_TOP]++;
-                        slot_row[s] = row_id;
-                        slot_of[row_id] = (int32_t)s;
-                    }
-                    off[s] = st[S_POOL_TOP];
-                    cap[s] = new_cap;
-                    st[S_POOL_TOP] += new_cap;
-                }
-                memcpy(pool_idx + off[s], cur_idx, (size_t)n * sizeof(int64_t));
-                memcpy(pool_val + off[s], cur_val, (size_t)n * sizeof(double));
-                len[s] = n;
-            }
-            nnz_delta += n - old_count;
-        }
-        applied += row_applied;
-        skipped += row_skipped;
-    }
-stop:
-    stats[ST_APPLIED] = applied;
-    stats[ST_SKIPPED] = skipped;
-    stats[ST_NNZ_DELTA] = nnz_delta;
-    stats[ST_CHANGES] = n_chg;
-    stats[ST_NEED] = need;
-    stats[ST_NEED_SIZE] = need_size;
-    return r;
-}
+def carve(
+    args: np.ndarray,
+    buffer: np.ndarray,
+    address: int,
+    regions: Sequence[Tuple[int, int]],
+) -> List[np.ndarray]:
+    """Hand each region of ``buffer`` to C as its own argument slot.
 
-/* Row i of the slot tables as (idx, val, length); an implicit row is
- * synthesized into the one-entry buffers. */
-static int64_t store_row(const int64_t *st, int64_t i,
-                         const int64_t **idx, const double **val,
-                         int64_t *one_idx, double *one_val)
-{
-    int64_t s = SPTR(const int32_t, S_SLOT_OF)[i];
-    if (s > 0) {
-        int64_t o = SPTR(const int64_t, S_OFF)[s];
-        *idx = SPTR(const int64_t, S_POOL_IDX) + o;
-        *val = SPTR(const double, S_POOL_VAL) + o;
-        return SPTR(const int64_t, S_LEN)[s];
-    }
-    double diagonal = SPTR(const double, S_DIAG)[i];
-    *idx = one_idx;
-    *val = one_val;
-    if (diagonal == 0.0) return 0;
-    one_idx[0] = i;
-    one_val[0] = diagonal;
-    return 1;
-}
+    ``regions`` lists ``(slot, length)`` pairs in buffer order; slot
+    ``slot`` of ``args`` gets its region's address (``address`` is
+    ``buffer.ctypes.data``).  Returns the regions as views, so an offset
+    into the buffer is computed here, never in C.
+    """
+    views: List[np.ndarray] = []
+    offset = 0
+    for slot, length in regions:
+        args[slot] = address + buffer.itemsize * offset
+        views.append(buffer[offset : offset + length])
+        offset += length
+    return views
 
-/* One learning-step row combine: sorted-union merge of rows a and b
- * (read from the slot tables) computing row_a - gamma * row_b, plus the
- * two column-``piv`` entry lookups the Sherman-Morrison denominator
- * needs.
- *
- * Float ops exactly match the NumPy construction in lstd.update (zeros
- * scatter, then subtract): a-only column -> val_a; shared column ->
- * val_a - gamma * val_b (one product rounding, one subtraction);
- * b-only column -> 0.0 - gamma * val_b (the literal 0.0 keeps the
- * +/-0.0 sign identical to NumPy's in-place subtract from zero).
- * Exact zeros are dropped, mirroring the ``values != 0.0`` filter the
- * staging path applies; output is sorted-unique by construction.
- *
- * Returns the output length, or -(na + nb) without writing when
- * out_cap is smaller than that (the caller grows and calls again). */
-int64_t megh_combine_rows(const int64_t *st, int64_t row_a, int64_t row_b,
-                          double gamma, int64_t piv, int64_t out_cap,
-                          int64_t *out_idx, double *out_val,
-                          double *entries)
-{
-    const int64_t *idx_a, *idx_b;
-    const double *val_a, *val_b;
-    int64_t one_a_idx[1], one_b_idx[1];
-    double one_a_val[1], one_b_val[1];
-    int64_t na = store_row(st, row_a, &idx_a, &val_a, one_a_idx, one_a_val);
-    int64_t nb = store_row(st, row_b, &idx_b, &val_b, one_b_idx, one_b_val);
-    if (na + nb > out_cap) return -(na + nb);
-    int64_t i = 0, j = 0, n = 0;
-    while (i < na && j < nb) {
-        int64_t ca = idx_a[i], cb = idx_b[j];
-        if (ca < cb) {
-            double v = val_a[i];
-            if (v != 0.0) { out_idx[n] = ca; out_val[n] = v; n++; }
-            i++;
-        } else if (cb < ca) {
-            double v = 0.0 - gamma * val_b[j];
-            if (v != 0.0) { out_idx[n] = cb; out_val[n] = v; n++; }
-            j++;
-        } else {
-            double v = val_a[i] - gamma * val_b[j];
-            if (v != 0.0) { out_idx[n] = ca; out_val[n] = v; n++; }
-            i++; j++;
-        }
-    }
-    for (; i < na; i++) {
-        double v = val_a[i];
-        if (v != 0.0) { out_idx[n] = idx_a[i]; out_val[n] = v; n++; }
-    }
-    for (; j < nb; j++) {
-        double v = 0.0 - gamma * val_b[j];
-        if (v != 0.0) { out_idx[n] = idx_b[j]; out_val[n] = v; n++; }
-    }
-    {
-        int64_t p = lower_bound(idx_a, na, piv);
-        entries[0] = (p < na && idx_a[p] == piv) ? val_a[p] : 0.0;
-        p = lower_bound(idx_b, nb, piv);
-        entries[1] = (p < nb && idx_b[p] == piv) ? val_b[p] : 0.0;
-    }
-    return n;
-}
-
-/* Candidate-plan argument block (must match the P_* constants in
- * kern.py).  The flag bytes hold vm_active (N), the overloaded mask (M)
- * and the dedup marks (N, all zero between calls); the int64 scratch is
- * carved below.  The outputs go to a fresh array of every call. */
-enum {
-    P_NUM_VMS = 0, P_NUM_PMS,
-    P_HOST_OF, P_VM_RAM, P_VM_DEMAND, P_VM_MIPS, P_PM_VM_COUNT,
-    P_UTIL, P_RAM_FREE, P_PM_DEMAND, P_BUDGET, P_BUDGET_FULL,
-    P_FLAGS, P_SCRATCH,
-    P_CONSOLIDATE, P_MAX_VMS, P_MAX_DESTS,
-    P_VM_IDS, P_SOURCES, P_MANDATORY, P_OFFSETS, P_DEST_PM, P_ACTIONS,
-    P_ACTION_CAP, P_N_ACTIONS,
-    P_SLOTS
-};
-
-/* Whether host a precedes host b in the eager path's stable argsort of
- * -util: higher utilization first, NaN last, ties in ascending id.
- * Negation is exact, so -ua < -ub is ua > ub. */
-static int ranks_before(const double *util, int64_t a, int64_t b)
-{
-    double ua = util[a], ub = util[b];
-    if (ua != ua || ub != ub) return (ub != ub) && (ua == ua || a < b);
-    return ua > ub || (ua == ub && a < b);
-}
-
-/* Append host h's VMs (ascending id) to the candidate rows: the cap
- * counts VMs before the dedup, a VM already listed is skipped. */
-#define EMIT_HOST(h) do {                                              \
-        int64_t q_ = (h) ? bucket[(h) - 1] : 0;                        \
-        for (; q_ < bucket[h]; q_++) {                                 \
-            int64_t v_ = by_host[q_];                                  \
-            if (max_vms && emitted >= max_vms) goto sources_done;      \
-            emitted++;                                                 \
-            if (!seen[v_]) { seen[v_] = 1; vm_ids[n_rows++] = v_; }    \
-        }                                                              \
-    } while (0)
-
-/* One step's candidate plan (CandidateIndex.plan's compiled path): the
- * rows, their feasible destinations, the no-op and the fused action
- * indices, array for array the eager NumPy pipeline's.  The only float
- * operations are vm_demand * vm_mips, pm_demand + that product, and
- * compares, the eager path's operations on the same operands.  Returns
- * the row count (P_N_ACTIONS holds the action count), or -1 when a
- * host id or VM count is out of range or the output bound would be
- * exceeded (nothing valid written). */
-int64_t megh_plan_candidates(int64_t *a, double underload)
-{
-    int64_t n_vms = a[P_NUM_VMS], n_pms = a[P_NUM_PMS];
-    const int64_t *host_of = PTR(const int64_t, P_HOST_OF);
-    const double *vm_ram = PTR(const double, P_VM_RAM);
-    const double *vm_demand = PTR(const double, P_VM_DEMAND);
-    const double *vm_mips = PTR(const double, P_VM_MIPS);
-    const int64_t *pm_count = PTR(const int64_t, P_PM_VM_COUNT);
-    const double *util = PTR(const double, P_UTIL);
-    const double *ram_free = PTR(const double, P_RAM_FREE);
-    const double *pm_demand = PTR(const double, P_PM_DEMAND);
-    const double *budget = PTR(const double, P_BUDGET);
-    const double *budget_full = PTR(const double, P_BUDGET_FULL);
-    const uint8_t *vm_active = PTR(const uint8_t, P_FLAGS);
-    const uint8_t *overloaded = vm_active + n_vms;
-    uint8_t *seen = PTR(uint8_t, P_FLAGS) + n_vms + n_pms;
-    int64_t *bucket = PTR(int64_t, P_SCRATCH);      /* n_pms + 1 */
-    int64_t *by_host = bucket + n_pms + 1;          /* n_vms */
-    int64_t *under = by_host + n_vms;               /* n_pms */
-    int64_t *under_sorted = under + n_pms;          /* n_pms */
-    int64_t *level = under_sorted + n_pms;          /* n_vms + 2 */
-    int64_t *dests = level + n_vms + 2;             /* n_pms */
-    int64_t *top = dests + n_pms;                   /* n_pms */
-    int64_t max_vms = a[P_MAX_VMS], limit = a[P_MAX_DESTS];
-    int64_t *vm_ids = PTR(int64_t, P_VM_IDS);
-    int64_t *sources = PTR(int64_t, P_SOURCES);
-    int64_t *mandatory = PTR(int64_t, P_MANDATORY);
-    int64_t *offsets = PTR(int64_t, P_OFFSETS);
-    int64_t *dest_pm = PTR(int64_t, P_DEST_PM);
-    int64_t *actions = PTR(int64_t, P_ACTIONS);
-    int64_t action_cap = a[P_ACTION_CAP];
-    int64_t n_rows = 0, emitted = 0, pos = 0, p, v, i, r;
-
-    /* Placed active VMs grouped by host: a counting sort filled in
-     * ascending VM id, so each group is ascending (the eager path's
-     * stable argsort by host).  Afterwards host p's group is
-     * by_host[p ? bucket[p - 1] : 0 .. bucket[p]). */
-    for (p = 0; p < n_pms; p++)
-        if (pm_count[p] > n_vms) return -1;  /* level[] is n_vms + 2 */
-    memset(bucket, 0, (size_t)(n_pms + 1) * sizeof(int64_t));
-    for (v = 0; v < n_vms; v++) {
-        if (host_of[v] >= n_pms) return -1;
-        if (host_of[v] >= 0 && vm_active[v]) bucket[host_of[v] + 1]++;
-    }
-    for (p = 0; p < n_pms; p++) bucket[p + 1] += bucket[p];
-    for (v = 0; v < n_vms; v++)
-        if (host_of[v] >= 0 && vm_active[v]) by_host[bucket[host_of[v]]++] = v;
-
-    /* Relief rows: overloaded hosts in ascending id. */
-    for (p = 0; p < n_pms; p++)
-        if (overloaded[p]) EMIT_HOST(p);
-    if (a[P_CONSOLIDATE]) {
-        /* Occupied hosts with 0 < util <= underload, stable-sorted by
-         * their placed-VM count (inactive VMs included). */
-        int64_t n_under = 0, max_count = 0;
-        for (p = 0; p < n_pms; p++) {
-            if (pm_count[p] > 0 && util[p] > 0.0 && util[p] <= underload) {
-                under[n_under++] = p;
-                if (pm_count[p] > max_count) max_count = pm_count[p];
-            }
-        }
-        memset(level, 0, (size_t)(max_count + 2) * sizeof(int64_t));
-        for (i = 0; i < n_under; i++) level[pm_count[under[i]] + 1]++;
-        for (i = 0; i <= max_count; i++) level[i + 1] += level[i];
-        for (i = 0; i < n_under; i++)
-            under_sorted[level[pm_count[under[i]]]++] = under[i];
-        for (i = 0; i < n_under; i++) EMIT_HOST(under_sorted[i]);
-    }
-sources_done:
-    for (r = 0; r < n_rows; r++) seen[vm_ids[r]] = 0;
-
-    offsets[0] = 0;
-    for (r = 0; r < n_rows; r++) {
-        int64_t vm = vm_ids[r], src = host_of[vm], n = 0;
-        int relief = overloaded[src] != 0;
-        double ram = vm_ram[vm], dmips = vm_demand[vm] * vm_mips[vm];
-        /* Feasible: RAM fits and pm_demand + dmips stays within the
-         * headroom budget; consolidation only packs occupied hosts. */
-        for (p = 0; p < n_pms; p++)
-            if (p != src && ram <= ram_free[p]
-                && pm_demand[p] + dmips <= budget[p]
-                && (relief || pm_count[p] > 0))
-                dests[n++] = p;
-        /* A relief row with nowhere to go retries at the full budget. */
-        if (relief && n == 0)
-            for (p = 0; p < n_pms; p++)
-                if (p != src && ram <= ram_free[p]
-                    && pm_demand[p] + dmips <= budget_full[p])
-                    dests[n++] = p;
-        if (limit && n > limit) {
-            /* The limit most-utilized destinations: insertion into a
-             * sorted prefix, stable because dests ascend. */
-            int64_t kept = 0;
-            for (i = 0; i < n; i++) {
-                int64_t d = dests[i], j;
-                if (kept == limit && !ranks_before(util, d, top[kept - 1]))
-                    continue;
-                j = kept < limit ? kept++ : limit - 1;
-                while (j > 0 && ranks_before(util, d, top[j - 1])) {
-                    top[j] = top[j - 1];
-                    j--;
-                }
-                top[j] = d;
-            }
-            memcpy(dests, top, (size_t)limit * sizeof(int64_t));
-            n = limit;
-        }
-        /* The stay-put no-op leads unless a relief row can move. */
-        int noop = !relief || n == 0;
-        if (pos + n + noop > action_cap) return -1;
-        sources[r] = src;
-        mandatory[r] = relief;
-        if (noop) {
-            dest_pm[pos] = src;
-            actions[pos++] = vm * n_pms + src;
-        }
-        for (i = 0; i < n; i++) {
-            dest_pm[pos] = dests[i];
-            actions[pos++] = vm * n_pms + dests[i];
-        }
-        offsets[r + 1] = pos;
-    }
-    a[P_N_ACTIONS] = pos;
-    return n_rows;
-}
-
-/* MMT placement argument block (mirrors the M_* constants in kern.py).
- * ints: model_of (M), VM bounds by host (M + 1), VMs by host (N), relief
- * VMs (N), consolidation hosts (M), scratch (2 N); doubles: pm_mips, free
- * RAM, demand, then wake, before, pending MIPS and RAM (M each), then
- * 12 per power model; flags: relief-excluded, asleep, evacuated (M
- * each); out: (vm, dest) pairs. */
-enum { M_NUM_VMS = 0, M_NUM_PMS, M_HOST_OF, M_VM_RAM, M_VM_DEMAND,
-       M_VM_MIPS, M_INTS, M_DOUBLES, M_FLAGS, M_OUT, M_N_RELIEF, M_N_HOSTS };
-
-/* Power at utilization u of a model row, kind 0 SPEC (watts at 0 %,
- * 10 %, ..., 100 %) or 1 linear (idle, peak): SpecPowerModel.power and
- * LinearPowerModel.power operation for operation. */
-static double model_power(const double *m, double u)
-{
-    u = u < 0.0 ? 0.0 : u > 1.0 ? 1.0 : u;
-    if (m[0] != 0.0) return m[1] + (m[2] - m[1]) * u;
-    u = u * 10.0;
-    if (u != u) return u;  /* NaN has no segment */
-    int64_t low = (int64_t)u;
-    if (low >= 10) return m[11];
-    double frac = u - (double)low, below = m[1 + low], above = m[2 + low];
-    double w = below * (1.0 - frac) + above * frac;
-    double lo = below <= above ? below : above;
-    double hi = below <= above ? above : below;
-    return w < lo ? lo : w > hi ? hi : w;
-}
-
-typedef struct {
-    int64_t n_pms;
-    double threshold;
-    const int64_t *host_of, *model_of;
-    const double *vm_ram, *vm_demand, *vm_mips;
-    const double *pm_mips, *ram_free, *pm_demand, *models;
-    double *wake;
-    /* One PABFD call's commitments: each host's power at its pending
-     * load, its pending MIPS and RAM (+= in placement order, as the
-     * scan's pending maps), and the hosts committed to. */
-    double *before, *pend_mips, *pend_ram;
-    int64_t *order, *touched, n_touched;
-} Mmt;
-
-/* P(min(1, load / mips)) of host p. */
-static double host_power(const Mmt *s, int64_t p, double load)
-{
-    double u = load / s->pm_mips[p];
-    return model_power(s->models + 12 * s->model_of[p], u < 1.0 ? u : 1.0);
-}
-
-static void commit(Mmt *s, int64_t p, double mips, double ram)
-{
-    s->pend_mips[p] += mips;
-    s->pend_ram[p] += ram;
-    s->before[p] = host_power(s, p, s->pm_demand[p] + s->pend_mips[p]);
-    s->touched[s->n_touched++] = p;
-}
-
-/* Back to zero pending (all: on every host): each call starts afresh. */
-static void release(Mmt *s, int64_t all)
-{
-    int64_t n = all ? s->n_pms : s->n_touched;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t p = all ? i : s->touched[i];
-        s->pend_mips[p] = s->pend_ram[p] = 0.0;
-        s->before[p] = host_power(s, p, s->pm_demand[p] + 0.0);
-    }
-    s->n_touched = 0;
-}
-
-#define VM_MIPS(v) (s->vm_demand[v] * s->vm_mips[v])
-
-/* One PABFD call, the per-PM scan of tests/oracles/pabfd.py: the VMs
- * stably by descending demand, each to the host of least increase
- * (P(after) - P(before)) + wake, strict < in ascending id, among the
- * hosts neither excluded nor its source with the RAM free and the load
- * within threshold * mips.  Writes (vm, dest) pairs in placement order
- * and returns their count; all_or_none stops at the first VM that fits
- * nowhere (the caller drops that call). */
-static int64_t pabfd(Mmt *s, const int64_t *vms, int64_t n,
-                     const uint8_t *excluded, int all_or_none, int64_t *out)
-{
-    int64_t *order = s->order, placed = 0, i, j, p;
-    for (i = 0; i < n; i++) {
-        double key = -VM_MIPS(vms[i]);
-        for (j = i; j > 0 && key < -VM_MIPS(order[j - 1]); j--)
-            order[j] = order[j - 1];
-        order[j] = vms[i];
-    }
-    for (i = 0; i < n; i++) {
-        int64_t v = order[i], src = s->host_of[v], best = -1;
-        double mips = VM_MIPS(v), ram = s->vm_ram[v], best_inc = INFINITY;
-        for (p = 0; p < s->n_pms; p++) {
-            if (excluded[p] || p == src) continue;
-            if (ram > s->ram_free[p] - s->pend_ram[p]) continue;
-            double load = (s->pm_demand[p] + s->pend_mips[p]) + mips;
-            if (load > s->threshold * s->pm_mips[p]) continue;
-            double inc =
-                (host_power(s, p, load) - s->before[p]) + s->wake[p];
-            if (inc < best_inc) { best_inc = inc; best = p; }
-        }
-        if (best >= 0) {
-            out[2 * placed] = v;
-            out[2 * placed++ + 1] = best;
-            commit(s, best, mips, ram);
-        } else if (all_or_none) break;
-    }
-    release(s, 0);
-    return placed;
-}
-
-static int ids_below(const int64_t *ids, int64_t n, int64_t bound)
-{
-    for (int64_t i = 0; i < n; i++) if (ids[i] < 0 || ids[i] >= bound) return 0;
-    return 1;
-}
-
-/* One MMT step's placement pass (MMTScheduler.decide's compiled path):
- * the relief call, relief-excluded hosts excluded, kept partial; then
- * one call per consolidation host in the given order, the hosts
- * evacuated so far excluded, kept (and the host evacuated) only when
- * every VM of the host is placed.  Returns the migration count, or -1
- * when an id or bound is out of range (nothing valid written). */
-int64_t megh_plan_mmt(int64_t *a, double threshold)
-{
-    int64_t n_vms = a[M_NUM_VMS], n_pms = a[M_NUM_PMS], n_out, i, p;
-    int64_t n_relief = a[M_N_RELIEF], n_hosts = a[M_N_HOSTS];
-    int64_t *ints = PTR(int64_t, M_INTS), *out = PTR(int64_t, M_OUT);
-    const int64_t *bounds = ints + n_pms, *by_host = bounds + n_pms + 1;
-    const int64_t *relief = by_host + n_vms, *hosts = relief + n_vms;
-    int64_t *order = ints + 3 * n_pms + 1 + 2 * n_vms;
-    double *dbl = PTR(double, M_DOUBLES);
-    uint8_t *flags = PTR(uint8_t, M_FLAGS), *evacuated = flags + 2 * n_pms;
-    Mmt s = {
-        .n_pms = n_pms, .threshold = threshold, .model_of = ints,
-        .host_of = PTR(const int64_t, M_HOST_OF),
-        .vm_ram = PTR(const double, M_VM_RAM),
-        .vm_demand = PTR(const double, M_VM_DEMAND),
-        .vm_mips = PTR(const double, M_VM_MIPS),
-        .pm_mips = dbl, .ram_free = dbl + n_pms, .pm_demand = dbl + 2 * n_pms,
-        .wake = dbl + 3 * n_pms, .before = dbl + 4 * n_pms,
-        .pend_mips = dbl + 5 * n_pms, .pend_ram = dbl + 6 * n_pms,
-        .models = dbl + 7 * n_pms, .order = order, .touched = order + n_vms,
-    };
-    if (n_relief < 0 || n_relief > n_vms || n_hosts < 0 || n_hosts > n_pms
-        || bounds[0] != 0 || bounds[n_pms] > n_vms
-        || !ids_below(by_host, bounds[n_pms], n_vms)
-        || !ids_below(relief, n_relief, n_vms)
-        || !ids_below(hosts, n_hosts, n_pms))
-        return -1;
-    for (p = 0; p < n_pms; p++)
-        if (bounds[p + 1] < bounds[p]) return -1;
-    for (p = 0; p < n_pms; p++)  /* a sleeping host costs P(0) to wake */
-        s.wake[p] =
-            flags[n_pms + p] ? model_power(s.models + 12 * ints[p], 0.0) : 0.0;
-    memset(evacuated, 0, (size_t)n_pms);
-    release(&s, 1);
-    n_out = pabfd(&s, relief, n_relief, flags, 0, out);
-    for (i = 0; i < n_hosts; i++) {
-        int64_t h = hosts[i], n = bounds[h + 1] - bounds[h];
-        if (n_out + n > n_vms) return -1;
-        if (pabfd(&s, by_host + bounds[h], n, evacuated, 1, out + 2 * n_out)
-            == n) {
-            evacuated[h] = 1;
-            n_out += n;
-        }
-    }
-    return n_out;
-}
-"""
-
-#: Slot-table block layout of a :class:`~repro.core.sparse.SparseMatrix`
-#: (mirrors the C ``S_*`` enum above): one int64 array per matrix that
-#: carries the table pointers, the pool/slot bump allocators and the
-#: layout counters, read and written in place by both the kernel and
-#: the eager path.
-(
-    S_DIAG,
-    S_SLOT_OF,
-    S_SLOT_ROW,
-    S_OFF,
-    S_LEN,
-    S_CAP,
-    S_POOL_IDX,
-    S_POOL_VAL,
-    S_POOL_TOP,
-    S_POOL_CAP,
-    S_SLOT_TOP,
-    S_SLOT_CAP,
-    S_MIN_CAP,
-    S_RELOCATIONS,
-    S_COMPACTIONS,
-    S_FIELDS,
-) = range(16)
-
-#: Candidate-plan argument block layout (mirrors the C ``P_*`` enum):
-#: one int64 array per :class:`~repro.core.candidates.CandidateIndex`
-#: carrying the fleet's array pointers, the config caps, the scratch
-#: and the output pointers of ``megh_plan_candidates``.
-(
-    P_NUM_VMS,
-    P_NUM_PMS,
-    P_HOST_OF,
-    P_VM_RAM,
-    P_VM_DEMAND,
-    P_VM_MIPS,
-    P_PM_VM_COUNT,
-    P_UTIL,
-    P_RAM_FREE,
-    P_PM_DEMAND,
-    P_BUDGET,
-    P_BUDGET_FULL,
-    P_FLAGS,
-    P_SCRATCH,
-    P_CONSOLIDATE,
-    P_MAX_VMS,
-    P_MAX_DESTS,
-    P_VM_IDS,
-    P_SOURCES,
-    P_MANDATORY,
-    P_OFFSETS,
-    P_DEST_PM,
-    P_ACTIONS,
-    P_ACTION_CAP,
-    P_N_ACTIONS,
-    P_SLOTS,
-) = range(26)
-
-#: MMT placement argument block layout (mirrors the C ``M_*`` enum): one
-#: int64 array per :class:`~repro.baselines.mmt.placement.CompiledPlacement`
-#: carrying the fleet's VM vectors, its int64, double, flag and output
-#: buffers and the step's input counts.
-(M_NUM_VMS, M_NUM_PMS, M_HOST_OF, M_VM_RAM, M_VM_DEMAND, M_VM_MIPS, M_INTS,
- M_DOUBLES, M_FLAGS, M_OUT, M_N_RELIEF, M_N_HOSTS, M_SLOTS) = range(13)
 
 #: Compile flags.  ``-ffp-contract=off`` and ``-fno-fast-math`` are
 #: load-bearing: a fused multiply-add or a fast-math rewrite would change
@@ -1088,15 +344,56 @@ def _toolchain_identity(compiler: str) -> str:
     return "\n".join(parts)
 
 
-def _library_digest(compiler: str) -> str:
-    """Cache key of the compiled kernel: source, flags, toolchain, CPU."""
-    return _digest_of(_toolchain_identity(compiler))
+#: The library's C body, shipped as package data beside this module and
+#: read only when the library is built.
+_KERNEL_SOURCE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "kernel.c"
+)
+
+
+def _compiled_text() -> str:
+    """The exact text the library is built from (see :func:`_text_at`)."""
+    return _text_at(_KERNEL_SOURCE)
 
 
 @functools.lru_cache(maxsize=None)
-def _digest_of(identity: str) -> str:
+def _text_at(source: str) -> str:
+    """A prelude with one C ``enum`` per layout block, emitted from the
+    declarations above, then ``#line 1 "kernel.c"`` and the file at
+    ``source``, so the compiler's messages name the file's own lines.
+
+    Read once a process.  Raises :class:`KernelUnavailableError` naming
+    the file when it cannot be read; ``auto`` mode falls back to the
+    eager path as after a failed compile.
+    """
+    try:
+        with open(source, encoding="utf-8") as handle:
+            body = handle.read()
+    except (OSError, UnicodeDecodeError) as error:
+        raise KernelUnavailableError(
+            f"REPRO_KERNEL: cannot read the kernel source {source}: {error}"
+        ) from error
+    declared = globals()
+    prelude = "".join(
+        "enum { %s };\n" % ", ".join(
+            f"{name} = {value}"
+            for name, value in declared.items()
+            if name.startswith(prefix)
+        )
+        for prefix in _LAYOUT_PREFIXES
+    )
+    return prelude + '#line 1 "kernel.c"\n' + body
+
+
+def _library_digest(compiler: str, text: str) -> str:
+    """Cache key of the compiled kernel: text, flags, toolchain, CPU."""
+    return _digest_of(text, _toolchain_identity(compiler))
+
+
+@functools.lru_cache(maxsize=None)
+def _digest_of(text: str, identity: str) -> str:
     """:func:`_library_digest` of a toolchain identity, once a process."""
-    key = "\0".join((_C_SOURCE, " ".join(_CFLAGS), identity))
+    key = "\0".join((text, " ".join(_CFLAGS), identity))
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
 
@@ -1108,12 +405,12 @@ def _compiled_library_path() -> str:
     """Compile (once, cached on disk) and return the .so path.
 
     The cache entry is named by :func:`_library_digest`, so a build is
-    reused only for the same source, flags, compiler and CPU.  Tries
+    reused only for the same text, flags, compiler and CPU.  Tries
     ``_CFLAGS`` first, then once more without ``-march=native`` for
     toolchains that reject it (the flag never changes FP results, only
     speed).  Raises :class:`KernelUnavailableError` when no compiler is
-    available or every attempt fails; ``auto`` mode catches this and
-    falls back.  A cache directory that cannot be created (say,
+    available, the source cannot be read or every attempt fails;
+    ``auto`` mode catches this and falls back.  A cache directory that cannot be created (say,
     ``REPRO_KERNEL_CACHE`` at or under a regular file) raises a plain
     :class:`ConfigurationError` instead, which no mode falls back from.
     """
@@ -1122,7 +419,8 @@ def _compiled_library_path() -> str:
         raise KernelUnavailableError(
             "REPRO_KERNEL: no C compiler (gcc/cc/clang) on PATH"
         )
-    digest = _library_digest(compiler)
+    text = _compiled_text()
+    digest = _library_digest(compiler, text)
     cache_dir = _kernel_cache_dir()
     library = os.path.join(cache_dir, f"megh_kern_{digest}.so")
     if os.path.exists(library):
@@ -1146,7 +444,7 @@ def _compiled_library_path() -> str:
     )
     staging = f"{library}.tmp.{os.getpid()}"
     with open(staging_source, "w", encoding="utf-8") as handle:
-        handle.write(_C_SOURCE)
+        handle.write(text)
     flag_sets = (
         _CFLAGS,
         tuple(flag for flag in _CFLAGS if flag != "-march=native"),
@@ -1188,38 +486,6 @@ class CKernel:
 
     name = "c"
 
-    # Slot indices -- must match the C ``A_*`` enum in _C_SOURCE.
-    (
-        _SLOT_STORE,
-        _SLOT_N_ROWS,
-        _SLOT_ROW_BEGIN,
-        _SLOT_ROWS,
-        _SLOT_STARTS,
-        _SLOT_N_UPDATES,
-        _SLOT_PIVOTS,
-        _SLOT_SCALES,
-        _SLOT_UPD_OFFSETS,
-        _SLOT_COLS,
-        _SLOT_VALS,
-        _SLOT_CHG_ROWS,
-        _SLOT_CHG_COLS,
-        _SLOT_CHG_CAP,
-        _SLOT_SCRATCH_A_IDX,
-        _SLOT_SCRATCH_A_VAL,
-        _SLOT_SCRATCH_B_IDX,
-        _SLOT_SCRATCH_B_VAL,
-        _SLOT_SCRATCH_CAP,
-        _SLOT_PIV_SORTED,
-        _SLOT_PIV_ORDER,
-        _SLOT_CAND,
-        _SLOT_STATS,
-        _N_SLOTS,
-    ) = range(24)
-
-    # Stats fields and stop reasons -- the C ``ST_*`` / ``NEED_*`` enums.
-    _ST_FIELDS = 6
-    _NEED_SCRATCH, _NEED_CHANGES, _NEED_SLOT, _NEED_POOL = 1, 2, 3, 4
-
     def __init__(self) -> None:
         library = _compiled_library_path()
         try:
@@ -1255,15 +521,15 @@ class CKernel:
         self._cmb_idx_ptr = self._cmb_idx.ctypes.data
         self._cmb_val_ptr = self._cmb_val.ctypes.data
         self._cmb_ent_ptr = self._cmb_entries.ctypes.data
-        # Argument block: one persistent int64 array carrying every
-        # scalar and buffer pointer (slot layout mirrors the C enum).
+        # Argument block (layout ``A_*``): one persistent int64 array
+        # carrying every scalar and buffer pointer.
         # Pointer slots are refreshed only when a buffer is (re)allocated,
         # so a hot two-row flush updates a few integer slots and converts
         # two ctypes arguments.
-        self._args = np.zeros(self._N_SLOTS, dtype=np.int64)
+        self._args = np.zeros(A_SLOTS, dtype=np.int64)
         self._args_ptr = self._args.ctypes.data
-        self._stats = np.zeros(self._ST_FIELDS, dtype=np.int64)
-        self._args[self._SLOT_STATS] = self._stats.ctypes.data
+        self._stats = np.zeros(ST_FIELDS, dtype=np.int64)
+        self._args[A_STATS] = self._stats.ctypes.data
         self._chg_rows = np.empty(0, dtype=np.int64)
         self._chg_cols = np.empty(0, dtype=np.int64)
         self._grow_changes(256)
@@ -1293,9 +559,9 @@ class CKernel:
         self._chg_rows = np.empty(size, dtype=np.int64)
         self._chg_cols = np.empty(size, dtype=np.int64)
         args = self._args
-        args[self._SLOT_CHG_ROWS] = self._chg_rows.ctypes.data
-        args[self._SLOT_CHG_COLS] = self._chg_cols.ctypes.data
-        args[self._SLOT_CHG_CAP] = size
+        args[A_CHG_ROWS] = self._chg_rows.ctypes.data
+        args[A_CHG_COLS] = self._chg_cols.ctypes.data
+        args[A_CHG_CAP] = size
 
     def _grow_scratch(self, size: int) -> None:
         size = max(size, 2 * int(self._scratch_a_idx.shape[0]))
@@ -1304,11 +570,11 @@ class CKernel:
         self._scratch_b_idx = np.empty(size, dtype=np.int64)
         self._scratch_b_val = np.empty(size, dtype=np.float64)
         args = self._args
-        args[self._SLOT_SCRATCH_A_IDX] = self._scratch_a_idx.ctypes.data
-        args[self._SLOT_SCRATCH_A_VAL] = self._scratch_a_val.ctypes.data
-        args[self._SLOT_SCRATCH_B_IDX] = self._scratch_b_idx.ctypes.data
-        args[self._SLOT_SCRATCH_B_VAL] = self._scratch_b_val.ctypes.data
-        args[self._SLOT_SCRATCH_CAP] = size
+        args[A_SCRATCH_A_IDX] = self._scratch_a_idx.ctypes.data
+        args[A_SCRATCH_A_VAL] = self._scratch_a_val.ctypes.data
+        args[A_SCRATCH_B_IDX] = self._scratch_b_idx.ctypes.data
+        args[A_SCRATCH_B_VAL] = self._scratch_b_val.ctypes.data
+        args[A_SCRATCH_CAP] = size
 
     def _grow_mask(self, size: int) -> None:
         size = max(size, 2 * self._mask_sz)
@@ -1317,9 +583,9 @@ class CKernel:
         self._piv_order = np.empty(size, dtype=np.int64)
         self._cand = np.empty(size, dtype=np.uint8)
         args = self._args
-        args[self._SLOT_PIV_SORTED] = self._piv_sorted.ctypes.data
-        args[self._SLOT_PIV_ORDER] = self._piv_order.ctypes.data
-        args[self._SLOT_CAND] = self._cand.ctypes.data
+        args[A_PIV_SORTED] = self._piv_sorted.ctypes.data
+        args[A_PIV_ORDER] = self._piv_order.ctypes.data
+        args[A_CAND] = self._cand.ctypes.data
 
     def combine_rows(
         self,
@@ -1408,41 +674,40 @@ class CKernel:
                 pending._cols_flat,
                 pending._vals_flat,
             )
-            args[self._SLOT_PIVOTS] = pending._pivots.ctypes.data
-            args[self._SLOT_SCALES] = pending._scales.ctypes.data
-            args[self._SLOT_UPD_OFFSETS] = upd_offsets.ctypes.data
-            args[self._SLOT_COLS] = pending._cols_flat.ctypes.data
-            args[self._SLOT_VALS] = pending._vals_flat.ctypes.data
-        args[self._SLOT_STORE] = matrix._store_ptr
+            args[A_PIVOTS] = pending._pivots.ctypes.data
+            args[A_SCALES] = pending._scales.ctypes.data
+            args[A_UPD_OFFSETS] = upd_offsets.ctypes.data
+            args[A_COLS] = pending._cols_flat.ctypes.data
+            args[A_VALS] = pending._vals_flat.ctypes.data
+        args[A_STORE] = matrix._store_ptr
         if rows is not self._rows_src:
             self._rows_src = rows
-            args[self._SLOT_ROWS] = rows.ctypes.data
+            args[A_ROWS] = rows.ctypes.data
         if starts is not self._starts_src:
             self._starts_src = starts
-            args[self._SLOT_STARTS] = starts.ctypes.data
-        args[self._SLOT_N_ROWS] = n_rows
-        args[self._SLOT_N_UPDATES] = n_updates
-        args[self._SLOT_ROW_BEGIN] = 0
+            args[A_STARTS] = starts.ctypes.data
+        args[A_N_ROWS] = n_rows
+        args[A_N_UPDATES] = n_updates
+        args[A_ROW_BEGIN] = 0
         applied = skipped = 0
         while True:
             done = self._flush(self._args_ptr, PRUNE_EPSILON)
-            (
-                row_applied, row_skipped, nnz_delta, changes, need, size
-            ) = self._stats.tolist()
-            applied += row_applied
-            skipped += row_skipped
-            matrix._nnz += nnz_delta
-            if changes:
-                self._apply_column_changes(matrix, changes)
+            stats = self._stats.tolist()
+            applied += stats[ST_APPLIED]
+            skipped += stats[ST_SKIPPED]
+            matrix._nnz += stats[ST_NNZ_DELTA]
+            if stats[ST_CHANGES]:
+                self._apply_column_changes(matrix, stats[ST_CHANGES])
             if done == n_rows:
                 return applied, skipped
-            if need == self._NEED_SCRATCH:
+            need, size = stats[ST_NEED], stats[ST_NEED_SIZE]
+            if need == NEED_SCRATCH:
                 self._grow_scratch(size)
-            elif need == self._NEED_CHANGES:
+            elif need == NEED_CHANGES:
                 self._grow_changes(size)
             else:
-                matrix._repack(1 if need == self._NEED_SLOT else 0, size)
-            args[self._SLOT_ROW_BEGIN] = done
+                matrix._repack(1 if need == NEED_SLOT else 0, size)
+            args[A_ROW_BEGIN] = done
 
     def _apply_column_changes(
         self, matrix: "SparseMatrix", changes: int

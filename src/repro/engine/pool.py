@@ -34,7 +34,7 @@ import multiprocessing.connection
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cloudsim.simulation import SimulationResult
@@ -345,9 +345,11 @@ def run_jobs(
     """Execute ``specs`` and return one :class:`JobResult` per spec.
 
     Results are ordered by submission index, independent of completion
-    order.  Cache lookups happen first (in order, in the parent), so a
-    fully warm cache executes nothing.  ``timeout_seconds`` is enforced
-    only when ``jobs >= 2`` (the serial path cannot preempt itself).
+    order.  Specs with equal :func:`content_hash` run once, and every
+    index that asked for one gets its result.  Cache lookups happen
+    first (in order, in the parent), so a fully warm cache executes
+    nothing.  ``timeout_seconds`` is enforced only when ``jobs >= 2``
+    (the serial path cannot preempt itself).
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")
@@ -357,9 +359,13 @@ def run_jobs(
         raise ConfigurationError("timeout must be > 0 (or None)")
     journal = journal if journal is not None else EventJournal()
     keys = [content_hash(spec) for spec in specs]
+    first: Dict[str, int] = {}  # key -> the first index that asked for it
     results: Dict[int, JobResult] = {}
     pending: Deque[Tuple[int, int]] = deque()
     for index, (spec, key) in enumerate(zip(specs, keys)):
+        if key in first:
+            continue
+        first[key] = index
         journal.emit(ev.QUEUED, key, tag=spec.tag)
         cached = cache.get(key) if cache is not None else None
         if cached is not None:
@@ -382,7 +388,10 @@ def run_jobs(
         )
         supervisor.run(pending)
         results.update(supervisor.results)
-    return [results[index] for index in range(len(specs))]
+    return [
+        replace(results[first[key]], spec=spec)
+        for spec, key in zip(specs, keys)
+    ]
 
 
 def _run_serial(

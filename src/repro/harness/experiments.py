@@ -28,7 +28,7 @@ from repro.harness.builders import (
     build_google_simulation,
     build_planetlab_simulation,
 )
-from repro.harness.sweeps import SweepCell, sweep_megh
+from repro.harness.sweeps import SweepCell, sweep_megh_grids
 
 
 @dataclass(frozen=True)
@@ -314,50 +314,39 @@ def run_qtable_growth(
 # ----------------------------------------------------------------------
 # Figure 8: parameter sensitivity
 # ----------------------------------------------------------------------
-def _sensitivity_builder(
-    num_pms: int, num_vms: int, num_steps: int
-) -> BuilderSpec:
-    return BuilderSpec.create(
-        "planetlab", num_pms=num_pms, num_vms=num_vms, num_steps=num_steps
-    )
-
-
-def run_temperature_sensitivity(
+def run_sensitivity(
     temperatures: Sequence[float] = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 10.0),
-    epsilon: float = 0.001,
-    repeats: int = 3,
-    num_pms: int = 16,
-    num_vms: int = 21,
-    num_steps: int = 300,
-    engine: Optional[ExecutionEngine] = None,
-) -> List[SweepCell]:
-    """Sweep Temp0 (Figure 8(a)); the paper's sweep is 0.5..10 step 0.5
-    with 25 repeats and epsilon fixed at 0.001.  Repeat ``r`` runs seed
-    ``r``; per-step costs pool across repeats."""
-    return sweep_megh(
-        _sensitivity_builder(num_pms, num_vms, num_steps),
-        grid={"initial_temperature": list(temperatures)},
-        base_config=MeghConfig(temperature_decay=epsilon),
-        seeds=range(repeats),
-        engine=engine,
-    )
-
-
-def run_epsilon_sensitivity(
     epsilons: Sequence[float] = (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0),
+    epsilon: float = 0.001,
     temperature: float = 1.0,
     repeats: int = 3,
     num_pms: int = 16,
     num_vms: int = 21,
     num_steps: int = 300,
     engine: Optional[ExecutionEngine] = None,
-) -> List[SweepCell]:
-    """Sweep epsilon (Figure 8(b)); the paper uses 30 log-spaced values in
-    [1e-3, 1] with Temp0 fixed at 1."""
-    return sweep_megh(
-        _sensitivity_builder(num_pms, num_vms, num_steps),
-        grid={"temperature_decay": list(epsilons)},
-        base_config=MeghConfig(initial_temperature=temperature),
+) -> Tuple[List[SweepCell], List[SweepCell]]:
+    """Figure 8's two sweeps as one batch of engine jobs: Temp0 at
+    ``epsilon`` (8(a)) and epsilon at Temp0 = ``temperature`` (8(b));
+    an empty value list skips a sweep.  The paper sweeps Temp0 over
+    0.5..10 step 0.5 at epsilon = 0.001 and 30 log-spaced epsilons in
+    [1e-3, 1] at Temp0 = 1, 25 repeats each.  Repeat ``r`` runs seed
+    ``r``; per-step costs pool across repeats.  A cell both sweeps
+    contain runs once.  Returns ``(Temp0 cells, epsilon cells)``."""
+    by_temperature, by_epsilon = sweep_megh_grids(
+        BuilderSpec.create(
+            "planetlab", num_pms=num_pms, num_vms=num_vms, num_steps=num_steps
+        ),
+        [
+            (
+                {"initial_temperature": list(temperatures)},
+                MeghConfig(temperature_decay=epsilon),
+            ),
+            (
+                {"temperature_decay": list(epsilons)},
+                MeghConfig(initial_temperature=temperature),
+            ),
+        ],
         seeds=range(repeats),
         engine=engine,
     )
+    return by_temperature, by_epsilon

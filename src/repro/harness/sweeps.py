@@ -3,8 +3,8 @@
 :func:`sweep_megh` runs a grid over any :class:`~repro.config.MeghConfig`
 fields as engine jobs (one simulation rebuild per cell per seed),
 aggregates per-step-cost distributions, and returns typed cells.  Figure
-8's Temp0 and epsilon sweeps are two one-field grids over it
-(:mod:`repro.harness.experiments`).
+8's Temp0 and epsilon sweeps are two one-field grids, run as one batch
+by :func:`sweep_megh_grids` (:mod:`repro.harness.experiments`).
 """
 
 from __future__ import annotations
@@ -79,29 +79,50 @@ def sweep_megh(
     it over workers and replay unchanged cells from its cache; the
     default runs it inline.
     """
-    if not grid:
-        raise ConfigurationError("grid must name at least one parameter")
+    return sweep_megh_grids(builder, [(grid, base_config)], seeds, engine)[0]
+
+
+def sweep_megh_grids(
+    builder: BuilderSpec,
+    grids: Sequence[Tuple[Dict[str, Sequence[object]], Optional[MeghConfig]]],
+    seeds: Sequence[int] = (0,),
+    engine: Optional[ExecutionEngine] = None,
+) -> List[List[SweepCell]]:
+    """:func:`sweep_megh` over several ``(grid, base_config)`` pairs in
+    one batch of engine jobs: one cell list per grid, and a cell two
+    grids share runs once."""
     if not seeds:
         raise ConfigurationError("need at least one seed")
-    base = base_config or MeghConfig()
-    valid_fields = set(base.__dataclass_fields__)
-    for name in grid:
-        if name not in valid_fields:
-            raise ConfigurationError(
-                f"unknown MeghConfig field {name!r}; "
-                f"valid fields: {sorted(valid_fields)}"
-            )
-    names = list(grid)
-    points = list(itertools.product(*(grid[name] for name in names)))
-    configs = [
-        replace(base, **dict(zip(names, values))) for values in points
-    ]
+    points: List[List[Tuple[Tuple[str, object], ...]]] = []  # per grid
+    configs: List[MeghConfig] = []
+    for grid, base_config in grids:
+        if not grid:
+            raise ConfigurationError("grid must name at least one parameter")
+        base = base_config or MeghConfig()
+        valid_fields = set(base.__dataclass_fields__)
+        for name in grid:
+            if name not in valid_fields:
+                raise ConfigurationError(
+                    f"unknown MeghConfig field {name!r}; "
+                    f"valid fields: {sorted(valid_fields)}"
+                )
+        names = list(grid)
+        values = list(itertools.product(*(grid[name] for name in names)))
+        points.append([tuple(zip(names, point)) for point in values])
+        configs.extend(
+            replace(base, **dict(zip(names, point))) for point in values
+        )
     from repro.engine import ExecutionEngine
 
-    per_cell = (engine or ExecutionEngine()).run_sweep(builder, configs, seeds)
+    per_cell = iter(
+        (engine or ExecutionEngine()).run_sweep(builder, configs, seeds)
+    )
     return [
-        _cell_from_results(tuple(zip(names, values)), results, len(seeds))
-        for values, results in zip(points, per_cell)
+        [
+            _cell_from_results(parameters, next(per_cell), len(seeds))
+            for parameters in grid_points
+        ]
+        for grid_points in points
     ]
 
 

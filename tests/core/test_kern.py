@@ -9,6 +9,7 @@ replica of the eager scatter.  Modes are compared by *matrix state*
 
 import os
 import platform
+import re
 import subprocess
 
 import numpy as np
@@ -30,7 +31,7 @@ DEFERRED = [mode for mode in KERNELS if mode != "off"]
 
 def _cache_digest() -> str:
     """The hash naming this machine's compiled-kernel cache entries."""
-    return kern._library_digest(kern._find_compiler())
+    return kern._library_digest(kern._find_compiler(), kern._compiled_text())
 
 
 def dense_of(matrix: SparseMatrix) -> np.ndarray:
@@ -135,7 +136,9 @@ class TestBackendSelection:
         assert sorted(os.listdir(cache)) == [
             f"megh_kern_{digest}.c", f"megh_kern_{digest}.so"
         ]
-        assert shared_source.read_text(encoding="utf-8") == kern._C_SOURCE
+        assert (
+            shared_source.read_text(encoding="utf-8") == kern._compiled_text()
+        )
 
     @pytest.mark.skipif(not _HAS_COMPILER, reason="no C compiler on PATH")
     def test_cached_library_without_symbols_is_unavailable(
@@ -157,6 +160,60 @@ class TestBackendSelection:
         with pytest.raises(KernelUnavailableError):
             SparseMatrix(4, kernel="c")
         assert SparseMatrix(4, kernel="auto").kernel_name == "off"
+
+    @pytest.mark.skipif(not _HAS_COMPILER, reason="no C compiler on PATH")
+    def test_compiled_text_builds_without_a_warning(self, tmp_path):
+        # Exactly the text the library is built from, at the shipped
+        # flags, with every common warning an error.
+        source = tmp_path / "kernel.c"
+        source.write_text(kern._compiled_text(), encoding="utf-8")
+        result = subprocess.run(
+            [kern._find_compiler(), *kern._CFLAGS, "-Wall", "-Wextra",
+             "-Werror", "-o", str(tmp_path / "kernel.so"), str(source)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.skipif(not _HAS_COMPILER, reason="no C compiler on PATH")
+    def test_c_mode_without_kernel_source_raises(self, monkeypatch, tmp_path):
+        missing = str(tmp_path / "kernel.c")
+        monkeypatch.setattr(kern, "_KERNEL_SOURCE", missing)
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
+        with pytest.raises(KernelUnavailableError, match=re.escape(missing)):
+            SparseMatrix(4, kernel="c")
+
+    @pytest.mark.skipif(not _HAS_COMPILER, reason="no C compiler on PATH")
+    def test_auto_mode_without_kernel_source_is_eager(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(kern, "_KERNEL_SOURCE", str(tmp_path))
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
+        assert SparseMatrix(4, kernel="auto").kernel_name == "off"
+
+    def test_off_mode_never_reads_kernel_source(self, monkeypatch):
+        def unreadable():
+            raise AssertionError("the eager path read kernel.c")
+
+        monkeypatch.setattr(kern, "_compiled_text", unreadable)
+        matrix = SparseMatrix.identity(4, scale=1.0, kernel="off")
+        matrix.rank_one_update_from_column(
+            0, np.array([1], dtype=np.int64), np.array([2.0]), 1.0
+        )
+        assert matrix.get(0, 1) == 2.0
+
+    def test_layout_blocks_are_dense(self):
+        # One declaration per index: each block numbers its members
+        # 0 .. n - 1 with no gap or repeat, and its length name is last.
+        names = vars(kern)
+        for prefix in kern._LAYOUT_PREFIXES:
+            block = {
+                name: value for name, value in names.items()
+                if name.startswith(prefix)
+            }
+            assert sorted(block.values()) == list(range(len(block))), prefix
+            for name, value in block.items():
+                if name.endswith(("_FIELDS", "_SLOTS")):
+                    assert value == len(block) - 1, name
 
     def test_library_path_is_keyed_on_toolchain_identity(
         self, monkeypatch, tmp_path

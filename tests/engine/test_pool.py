@@ -5,6 +5,7 @@ kept tiny (a few PMs, a handful of steps) and the pool small (2 workers).
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -78,6 +79,18 @@ class TestSerialExecution:
         assert "injected failure" in results[1].error
         assert journal.count(ev.FAILED) == 1
         assert journal.count(ev.FINISHED) == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_equal_specs_run_once(self, jobs):
+        # Two indices ask for one content hash (only the display tag
+        # differs): it executes once and both get its result.
+        journal = EventJournal()
+        specs = [good_spec(0), good_spec(1), replace(good_spec(0), tag="again")]
+        results = run_jobs(specs, jobs=jobs, journal=journal)
+        assert journal.count(ev.FINISHED) == 2
+        assert [jr.spec for jr in results] == specs
+        assert results[2].result is results[0].result
+        assert results[2].key == results[0].key
 
     def test_require_ok_raises_on_failure(self):
         results = run_jobs([faulty_spec("make_raising")], jobs=1)

@@ -17,13 +17,12 @@ from repro.harness.runner import run_comparison
 from repro.harness.experiments import (
     ExperimentPreset,
     PRESETS,
-    run_epsilon_sensitivity,
     run_megh_vs_madvm,
     run_megh_vs_thr,
     run_qtable_growth,
     run_scalability_grid,
+    run_sensitivity,
     run_table_experiment,
-    run_temperature_sensitivity,
 )
 
 
@@ -127,8 +126,9 @@ class TestQTableGrowth:
 
 class TestSensitivity:
     def test_temperature_sweep_shape(self):
-        cells = run_temperature_sensitivity(
+        cells, _ = run_sensitivity(
             temperatures=(1.0, 3.0),
+            epsilons=(),
             repeats=1,
             num_pms=4,
             num_vms=6,
@@ -147,7 +147,8 @@ class TestSensitivity:
             )
 
     def test_epsilon_sweep_shape(self):
-        cells = run_epsilon_sensitivity(
+        _, cells = run_sensitivity(
+            temperatures=(),
             epsilons=(0.01, 0.1),
             repeats=1,
             num_pms=4,
@@ -158,6 +159,25 @@ class TestSensitivity:
             {"temperature_decay": 0.01},
             {"temperature_decay": 0.1},
         ]
+
+    def test_cell_both_sweeps_share_runs_once(self):
+        # (Temp0 = 1, epsilon = 0.001) is in both sweeps: 3 jobs, not 4.
+        engine = ExecutionEngine()
+        by_temperature, by_epsilon = run_sensitivity(
+            temperatures=(1.0, 3.0),
+            epsilons=(0.001, 0.1),
+            repeats=1,
+            num_pms=4,
+            num_vms=6,
+            num_steps=10,
+            engine=engine,
+        )
+        assert engine.journal.count(ev.FINISHED) == 3
+        shared, again = by_temperature[0], by_epsilon[0]
+        assert shared.parameter_dict() == {"initial_temperature": 1.0}
+        assert again.parameter_dict() == {"temperature_decay": 0.001}
+        assert shared.median_step_cost == again.median_step_cost
+        assert shared.mean_total_cost == again.mean_total_cost
 
 
 def simulated(result) -> dict:
@@ -204,16 +224,16 @@ class TestSinglePath:
         size = {"num_pms": 4, "num_vms": 6, "num_steps": 15}
         repeats = 2
         if parameter == "Temp0":
-            cells = run_temperature_sensitivity(
-                temperatures=values, repeats=repeats, **size
+            cells, _ = run_sensitivity(
+                temperatures=values, epsilons=(), repeats=repeats, **size
             )
             configs = [
                 MeghConfig(initial_temperature=v, temperature_decay=0.001)
                 for v in values
             ]
         else:
-            cells = run_epsilon_sensitivity(
-                epsilons=values, repeats=repeats, **size
+            _, cells = run_sensitivity(
+                temperatures=(), epsilons=values, repeats=repeats, **size
             )
             configs = [
                 MeghConfig(initial_temperature=1.0, temperature_decay=v)
